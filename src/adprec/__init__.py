@@ -43,12 +43,10 @@ from .problems import (
     NoiseModel,
     Problem,
     make_problem,
-    nu_k_analytic,
     sample_gradient,
 )
 from .psd_linalg import (
     SvdTriple,
-    kron_precondition,
     msign,
     nuclear_norm,
     psd_power,

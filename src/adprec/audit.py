@@ -506,6 +506,28 @@ def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, K: int) -> 
     return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq * (j + 1.0) ** (-noise.alpha)))
 
 
+def envelope_curve(problem: Problem, noise: NoiseModel, config: OptimizerConfig) -> np.ndarray:
+    """Theta_k for k = 0..K-1, chosen by the momentum mode of the run.
+
+    None uses the analytic noise budget nu_k; M1 scales nu_k and replaces
+    omega by the first variant's constants; M2 uses the alternate envelope
+    on the momentum-weighted noise curve.  Raises InvalidConfig when a bound
+    hypothesis is not available (no Lipschitz bound, no analytic noise
+    budget, or an unverified M2 stepsize).
+    """
+    K = config.max_iters
+    constants = bound_constants(problem, config, omega=noise.omega)
+    mode = config.momentum_mode
+    if mode is MomentumMode.M1:
+        mult, omega_m1 = m1_noise_constants(constants, config.mu_max)
+        return theta_curve(replace(constants, omega=omega_m1), mult * nu_curve_analytic(noise, K))
+    if mode is MomentumMode.M2:
+        m2 = m2_constants(constants, config.mu_max)
+        th_noise = m2_theta_noise_curve(noise, config, K)
+        return np.array([compute_theta_m2(constants, m2, float(t)) for t in th_noise])
+    return theta_curve(constants, nu_curve_analytic(noise, K))
+
+
 # ---------------------------------------------------------------------------
 # trajectory-level bound audits
 # ---------------------------------------------------------------------------
@@ -526,7 +548,6 @@ def audit_master_and_theta(
     config: OptimizerConfig,
     noise: NoiseModel | None = None,
     replicates: int = 1,
-    threads: int = 1,
     context: str = "",
 ) -> AuditReport:
     """Telescoping bound, Theta envelope, and the averaged-gradient rate bound.
@@ -552,7 +573,7 @@ def audit_master_and_theta(
         nu = np.zeros(K)
         master = master_bound_slacks(records, constants)
     else:
-        res = run_replicates(problem, noise, config, replicates, threads=threads)
+        res = run_replicates(problem, noise, config, replicates)
         tr_sqrt = res.mean["trace_sqrt_total"]
         delta = res.mean["delta_k"]
         grad = res.mean["grad_dual_norm"]
@@ -684,9 +705,10 @@ def fit_loglog_slope(curve: np.ndarray, k_lo: int, k_hi: int) -> float:
 
 def theory_exponent(mode: MomentumMode, alpha: float, beta: float) -> float:
     """Log-log decay exponent guaranteed for the averaged gradient norm."""
+    # 0.0 - x rather than -x, so that a zero exponent is +0.0, never -0.0
     if mode is MomentumMode.M2:
-        return -min(alpha + 2.0 * beta - 0.5, 0.5)
-    return -alpha / 2.0 if alpha < 1.0 else -0.5
+        return 0.0 - min(alpha + 2.0 * beta - 0.5, 0.5)
+    return 0.0 - alpha / 2.0 if alpha < 1.0 else -0.5
 
 
 @dataclass
@@ -713,7 +735,6 @@ def audit_rate_regimes(
     sigma: float,
     replicates: int = 16,
     seed_offset: int = 0,
-    threads: int = 1,
 ) -> list[RateRegimeResult]:
     """For each noise-decay exponent alpha: run replicates, compare the
     running-min averaged gradient curve against the evaluated envelope
@@ -726,7 +747,7 @@ def audit_rate_regimes(
             kind=NoiseKind.ADDITIVE_DECAYING, sigma=(float(sigma),) * len(problem.shapes), alpha=float(alpha)
         )
         cfg = replace(config, seed=config.seed + seed_offset)
-        res = run_replicates(problem, noise, cfg, replicates, threads=threads)
+        res = run_replicates(problem, noise, cfg, replicates)
         min_curve = res.min_grad_curve
         se = res.se["grad_dual_norm"]
         # SE of the running-min statistic: the SE at its argmin iteration
@@ -739,17 +760,7 @@ def audit_rate_regimes(
             argmin[k] = best_j
         se_min = se[argmin]
 
-        constants = bound_constants(problem, cfg)
-        if cfg.momentum_mode is MomentumMode.M2:
-            m2 = m2_constants(constants, cfg.mu_max)
-            th_noise = m2_theta_noise_curve(noise, cfg, K)
-            theta = np.array([compute_theta_m2(constants, m2, t) for t in th_noise])
-        elif cfg.momentum_mode is MomentumMode.M1:
-            nu = nu_curve_analytic(noise, K)
-            mult, omega_m1 = m1_noise_constants(constants, cfg.mu_max)
-            theta = theta_curve(replace(constants, omega=omega_m1), mult * nu)
-        else:
-            theta = theta_curve(constants, nu_curve_analytic(noise, K))
+        theta = envelope_curve(problem, noise, cfg)
         bound = KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)

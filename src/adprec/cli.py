@@ -6,8 +6,7 @@
 
 Configuration is a single JSON document (see `example_config`).  All CSV
 output uses '.' decimals and 17 significant digits, so reruns of the same
-config are byte-identical.  ADPREC_THREADS caps the worker count used for
-replicates and Monte Carlo audits.
+config are byte-identical.
 
 Exit codes: 0 ok, 1 audit failures, 2 config error, 3 numerical failure.
 """
@@ -18,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -26,22 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from dataclasses import replace as _replace
-
-from .audit import (
-    KAPPA_CIRC,
-    audit_rate_regimes,
-    bound_constants,
-    compute_theta_m2,
-    m1_noise_constants,
-    m2_constants,
-    m2_theta_noise_curve,
-    theta_curve,
-)
+from .audit import KAPPA_CIRC, audit_rate_regimes, envelope_curve
 from .block_space import BlockShape, Geometry
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
-from .problems import NoiseKind, NoiseModel, make_problem, nu_curve_analytic
+from .problems import NoiseKind, NoiseModel, make_problem
 from .suites import run_suite
 
 CSV_COLUMNS = (
@@ -207,13 +194,6 @@ def write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ADPREC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-iteration Theta envelope and rate bound for the configured run;
     NaN (with an explanatory note) when no Lipschitz bound, no analytic
@@ -225,19 +205,7 @@ def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
     if exp.noise.kind is NoiseKind.MINI_BATCH:
         return nan, nan, "mini-batch oracle has no analytic noise budget; bound columns are NaN"
     try:
-        constants = bound_constants(exp.problem, exp.config, omega=exp.noise.omega)
-        mode = exp.config.momentum_mode
-        if mode is MomentumMode.M1:
-            mult, omega_m1 = m1_noise_constants(constants, exp.config.mu_max)
-            theta = theta_curve(
-                _replace(constants, omega=omega_m1), mult * nu_curve_analytic(exp.noise, K)
-            )
-        elif mode is MomentumMode.M2:
-            m2 = m2_constants(constants, exp.config.mu_max)
-            th = m2_theta_noise_curve(exp.noise, exp.config, K)
-            theta = np.array([compute_theta_m2(constants, m2, float(t)) for t in th])
-        else:
-            theta = theta_curve(constants, nu_curve_analytic(exp.noise, K))
+        theta = envelope_curve(exp.problem, exp.noise, exp.config)
     except InvalidConfig as err:
         return nan, nan, f"bound hypothesis unverified ({err}); bound columns are NaN"
     bound = KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
@@ -250,9 +218,7 @@ def cmd_run(config_path, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        res = run_replicates(
-            exp.problem, exp.noise, exp.config, exp.replicates, threads=_threads()
-        )
+        res = run_replicates(exp.problem, exp.noise, exp.config, exp.replicates)
     except NonFiniteIterate as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
@@ -302,7 +268,7 @@ def cmd_run(config_path, out_dir) -> int:
 def cmd_audit(suite, trials, seed, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = run_suite(suite, trials=trials, seed=seed, threads=_threads())
+    reports = run_suite(suite, trials=trials, seed=seed)
     with open(out / "audit_report.json", "w") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
         fh.write("\n")
@@ -330,7 +296,6 @@ def cmd_sweep(config_path, alphas, out_dir) -> int:
                 alphas=alphas,
                 sigma=sigma,
                 replicates=exp.replicates,
-                threads=_threads(),
             )
         except NonFiniteIterate as err:
             print(f"numerical failure: {err}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Per-block geometry contract and its five instantiations.
 
-A geometry assigns to a block: a primal/dual norm pair, a normalizing
-selector S (the maximizer of <D, V> over the primal unit ball), a
-quadratic preconditioner map lmap(V) (the PSD increment added to the
-block's accumulated preconditioner), the preconditioned direction
-``Gamma**-1/2 V``, and four trace diagnostics of the accumulated state.
+A geometry assigns to a block: a primal/dual norm pair (defined once, in
+``block_space``), a normalizing selector S (the maximizer of <D, V> over
+the primal unit ball), a quadratic preconditioner map lmap(V) (the PSD
+increment added to the block's accumulated preconditioner), the
+preconditioned direction ``Gamma**-1/2 V``, and four trace diagnostics of
+the accumulated state.
 
 The five variants:
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .block_space import BlockShape, Geometry
+from .block_space import BlockShape, Geometry, block_dual_norm
 from .errors import InvalidConfig, ShapeMismatch
 from .psd_linalg import eigh_clamped, msign, nuclear_norm
 
@@ -160,9 +161,7 @@ def geom_selector(shape: BlockShape, Z):
 
 
 def geom_dual_norm(shape: BlockShape, V) -> float:
-    if shape.geometry is Geometry.MUON:
-        return nuclear_norm(V)
-    return float(np.linalg.norm(V))
+    return block_dual_norm(shape.geometry, V)
 
 
 def geom_step_direction(shape: BlockShape, Z):

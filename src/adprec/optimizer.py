@@ -18,14 +18,13 @@ mu_k = mu_max / (k+1)**beta.
 The objective value is recorded for diagnostics only and never enters the
 update; setting eval_objective=False skips it entirely.  A trajectory is
 strictly sequential; replicates are independent (seed + replicate index)
-and may run concurrently.
+and run one after another.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -316,24 +315,16 @@ def run_replicates(
     config: OptimizerConfig,
     R: int,
     x0: ProductPoint | None = None,
-    threads: int = 1,
 ) -> ReplicateResult:
     """Run R independent trajectories (seed + r) and average the records."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
-
-    def one(r):
-        cfg = replace(config, seed=config.seed + r)
-        traj = run_trajectory(problem, noise, cfg, x0=x0)
+    trajectories = []
+    for r in range(R):
+        traj = run_trajectory(problem, noise, replace(config, seed=config.seed + r), x0=x0)
         if traj.failed is not None:
             raise NonFiniteIterate(f"replicate {r}: {traj.failed}")
-        return traj
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajectories = list(pool.map(one, range(R)))
-    else:
-        trajectories = [one(r) for r in range(R)]
+        trajectories.append(traj)
 
     arrays = {
         name: np.stack([t.column(name) for t in trajectories]) for name in _RECORD_FIELDS

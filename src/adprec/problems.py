@@ -324,23 +324,12 @@ def sample_gradient(
     return ProductPoint(blocks)
 
 
-def nu_k_analytic(noise: NoiseModel, k: int) -> float:
-    """Cumulative oracle noise budget nu_k for additive noise models.
-
-    nu_k**2 = sigma_tot**2 * sum_{j=0}^{k} (j+1)**-alpha, by direct
-    summation (no integral shortcut).  Exact oracles have nu_k = 0;
-    mini-batch oracles have no closed form and raise InvalidConfig.
-    """
-    if noise.kind is NoiseKind.EXACT:
-        return 0.0
-    if noise.kind is NoiseKind.MINI_BATCH:
-        raise InvalidConfig("nu_k has no analytic form for mini-batch oracles")
-    j = np.arange(k + 1, dtype=float)
-    return float(np.sqrt(noise.sigma_tot_sq * np.sum((j + 1.0) ** (-noise.alpha))))
-
-
 def nu_curve_analytic(noise: NoiseModel, K: int) -> np.ndarray:
-    """Vectorized nu_k for k = 0..K-1."""
+    """Cumulative oracle noise budget nu_k for k = 0..K-1, additive noise models.
+
+    nu_k**2 = sigma_tot**2 * sum_{j=0}^{k} (j+1)**-alpha.  Exact oracles have
+    nu_k = 0; mini-batch oracles have no closed form and raise InvalidConfig.
+    """
     if noise.kind is NoiseKind.EXACT:
         return np.zeros(K)
     if noise.kind is NoiseKind.MINI_BATCH:

@@ -3,7 +3,7 @@
 Everything here recomputes a full eigendecomposition or SVD per call.  At
 the matrix sizes this package targets (block dims up to a few hundred)
 that is cheaper than maintaining incremental factorizations correctly.
-All functions are pure and safe to call from concurrent workers.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ def spectral_norm(G):
     if G.size == 0 or not G.any():
         return 0.0
     return float(np.linalg.svd(G, compute_uv=False)[0])
-
-
-def kron_precondition(L, R, G, floor=None):
-    """Apply ``L**-1/4 @ G @ R**-1/4`` without forming the Kronecker product.
-
-    Equivalent to multiplying vec(G) by ``kron(R**-1/4, L**-1/4)`` for the
-    column-major vec, which is how a Kronecker-factored inverse-root
-    preconditioner acts on a matrix-shaped gradient.
-    """
-    return psd_power(L, -0.25, floor) @ G @ psd_power(R, -0.25, floor)
 
 
 def random_psd(dim, condition_target, seed):

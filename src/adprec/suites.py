@@ -32,7 +32,7 @@ from .optimizer import MomentumMode, OptimizerConfig, run_trajectory
 from .problems import NoiseKind, NoiseModel, make_problem
 
 
-def suite_trace(trials=1000, seed=0, threads=1):
+def suite_trace(trials=1000, seed=0):
     return [
         audit_sqrt_trace(trials, seed=seed),
         audit_log_increment(trials, seed=seed + 1),
@@ -41,7 +41,7 @@ def suite_trace(trials=1000, seed=0, threads=1):
     ]
 
 
-def suite_identities(trials=500, seed=0, threads=1):
+def suite_identities(trials=500, seed=0):
     reports = []
     for i, g in enumerate(Geometry):
         reports.extend(audit_structural_identities(g, trials, seed=seed + i))
@@ -93,7 +93,7 @@ def potential_configurations(K=500, seed=0):
     return out
 
 
-def suite_potentials(trials=0, seed=0, threads=1, K=500):
+def suite_potentials(trials=0, seed=0, K=500):
     reports = []
     for label, problem, noise, cfg in potential_configurations(K=K, seed=seed):
         traj = run_trajectory(problem, noise, cfg)
@@ -119,7 +119,7 @@ def bound_configurations(K=2000, seed=0):
     return out
 
 
-def suite_bounds(trials=0, seed=0, threads=1, K=2000):
+def suite_bounds(trials=0, seed=0, K=2000):
     reports = []
     for label, problem, cfg in bound_configurations(K=K, seed=seed):
         rep = audit_master_and_theta(problem, cfg, context=label)
@@ -128,14 +128,12 @@ def suite_bounds(trials=0, seed=0, threads=1, K=2000):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=400, seed=seed)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=2.0)
-    rep = audit_master_and_theta(
-        problem, cfg, noise=noise, replicates=32, threads=threads, context="statistical"
-    )
+    rep = audit_master_and_theta(problem, cfg, noise=noise, replicates=32, context="statistical")
     reports.append(replace(rep, check_name="master-theta[quadratic/statistical]"))
     return reports
 
 
-def suite_momentum(trials=0, seed=0, threads=1, K=2000):
+def suite_momentum(trials=0, seed=0, K=2000):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     reports = []
     for mu in (0.5, 0.9):
@@ -183,18 +181,16 @@ def audit_m1_degenerate(problem, K=300, seed=0) -> AuditReport:
     )
 
 
-def suite_rates(trials=0, seed=0, threads=1, K=5000, R=16):
+def suite_rates(trials=0, seed=0, K=5000, R=16):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=K, seed=seed, eval_objective=False)
-    results = audit_rate_regimes(
-        problem, cfg, alphas=(0.5, 1.0, 2.0), sigma=1.0, replicates=R, threads=threads
-    )
+    results = audit_rate_regimes(problem, cfg, alphas=(0.5, 1.0, 2.0), sigma=1.0, replicates=R)
     reports = [r.report for r in results]
-    reports.append(m2_schedule_gap_report(problem, K=K, R=R, seed=seed, threads=threads))
+    reports.append(m2_schedule_gap_report(problem, K=K, R=R, seed=seed))
     return reports
 
 
-def m2_schedule_gap_report(problem, K=5000, R=16, seed=0, threads=1, mu_max=0.9) -> AuditReport:
+def m2_schedule_gap_report(problem, K=5000, R=16, seed=0, mu_max=0.9) -> AuditReport:
     """Compare the pure-gradient momentum variant at beta = 0.25 (schedule
     exponent making alpha + 2 beta = 1) against beta = 0 at alpha = 0.5.
 
@@ -221,10 +217,7 @@ def m2_schedule_gap_report(problem, K=5000, R=16, seed=0, threads=1, mu_max=0.9)
             beta=beta,
             eval_objective=False,
         )
-        res = audit_rate_regimes(
-            problem, cfg, alphas=(0.5,), sigma=4.0, replicates=R, threads=threads
-        )[0]
-        out[beta] = res
+        out[beta] = audit_rate_regimes(problem, cfg, alphas=(0.5,), sigma=4.0, replicates=R)[0]
     gap = out[0.0].fitted_slope - out[0.25].fitted_slope
     bound_gap = out[0.0].theory_slope - out[0.25].theory_slope
     ok = bound_gap > 0.0 and out[0.0].report.passed and out[0.25].report.passed
@@ -250,12 +243,12 @@ SUITES = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int, threads: int = 1) -> list[AuditReport]:
+def run_suite(name: str, trials: int, seed: int) -> list[AuditReport]:
     if name == "all":
         reports = []
         for n, fn in SUITES.items():
-            reports.extend(fn(trials=trials, seed=seed, threads=threads))
+            reports.extend(fn(trials=trials, seed=seed))
         return reports
     if name not in SUITES:
         raise InvalidConfig(f"unknown audit suite {name!r}; have {sorted(SUITES)} or 'all'")
-    return SUITES[name](trials=trials, seed=seed, threads=threads)
+    return SUITES[name](trials=trials, seed=seed)

@@ -296,6 +296,11 @@ def test_theory_exponents():
     assert theory_exponent(MomentumMode.M1, 0.5, 0.0) == pytest.approx(-0.25)
 
 
+def test_theory_exponent_zero_is_positive_zero():
+    # a -0.0 exponent prints as "-0.00" in reports and "-0" in sweep.csv
+    assert math.copysign(1.0, theory_exponent(MomentumMode.M2, 0.5, 0.0)) == 1.0
+
+
 def test_rate_regime_smoke():
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=600, eval_objective=False)
@@ -311,7 +316,7 @@ def test_rate_regime_smoke():
 def test_m2_schedule_gap_verdict_follows_subreports(monkeypatch, failing_beta):
     # the verdict gates the guarantees, not the measured slope gap: matching
     # measured slopes pass, and a failing sub-report fails the whole report
-    def fake_rate_regimes(problem, config, alphas, sigma, replicates, threads):
+    def fake_rate_regimes(problem, config, alphas, sigma, replicates):
         alpha, beta = alphas[0], config.beta
         passed = beta != failing_beta
         rep = AuditReport(f"rate-regime-alpha={alpha}", replicates, 0.0 if passed else -0.3, passed)

@@ -1,0 +1,67 @@
+"""Golden record streams: `adprec run` must reproduce stored outputs byte for byte.
+
+Each directory under tests/golden/ holds a `config.json` (K <= 50, R <= 2)
+and the `records*.csv` and `summary.json` that `adprec run` wrote for it,
+with the machine-dependent `wall_time_s` dropped from the summary.  The
+cases cover each geometry alone, Muon + AdaNorm under multiplicative noise
+(the dual norm of the previous preconditioned step), and both momentum
+modes on a quadratic (the `theta_k` / `bound_curve` columns).
+
+Regenerate only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from adprec.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
+
+
+def run_case(case, out) -> dict:
+    """Run one golden config into out; return its summary without wall time."""
+    assert main(["run", "--config", str(GOLDEN / case / "config.json"), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    summary.pop("wall_time_s")
+    return summary
+
+
+def first_difference(name, got: str, want: str) -> str | None:
+    """Where two CSV texts first differ, as 'file: row r column c: got x, golden y'."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    header = want_lines[0].split(",")
+    if got_lines[0] != want_lines[0]:
+        return f"{name}: header {got_lines[0]!r}, golden {want_lines[0]!r}"
+    for row, (g, w) in enumerate(zip(got_lines[1:], want_lines[1:])):
+        for col, a, b in zip(header, g.split(","), w.split(",")):
+            if a != b:
+                return f"{name}: row {row} column {col}: got {a}, golden {b}"
+    if len(got_lines) != len(want_lines):
+        return f"{name}: {len(got_lines) - 1} rows, golden {len(want_lines) - 1}"
+    return None
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_matches_golden(case, tmp_path):
+    summary = run_case(case, tmp_path)
+    golden = GOLDEN / case
+    want_files = sorted(p.name for p in golden.glob("records*.csv"))
+    assert sorted(p.name for p in tmp_path.glob("records*.csv")) == want_files
+    for name in want_files:
+        got, want = (tmp_path / name).read_text(), (golden / name).read_text()
+        if got != want:
+            pytest.fail(first_difference(f"{case}/{name}", got, want) or f"{case}/{name} differs")
+    assert summary == json.loads((golden / "summary.json").read_text())
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        summary = run_case(case, GOLDEN / case)
+        with open(GOLDEN / case / "summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")

@@ -8,7 +8,6 @@ from adprec.problems import (
     NoiseModel,
     make_problem,
     nu_curve_analytic,
-    nu_k_analytic,
     sample_gradient,
 )
 
@@ -185,16 +184,15 @@ def test_minibatch_oracle_draws_subsets():
 
 
 def test_nu_k_analytic_values():
-    assert nu_k_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0), 0) == pytest.approx(1.0)
-    nu2 = nu_k_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0), 2)
-    assert nu2**2 == pytest.approx(11.0 / 6.0, rel=1e-12)
-    assert nu_k_analytic(NoiseModel(), 5) == 0.0
-    with pytest.raises(InvalidConfig):
-        nu_k_analytic(NoiseModel(kind=NoiseKind.MINI_BATCH), 1)
+    nu = nu_curve_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0), 1)
+    assert nu[0] == pytest.approx(1.0)
     curve = nu_curve_analytic(
         NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0), 3
     )
-    assert curve[2] == pytest.approx(np.sqrt(11.0 / 6.0), rel=1e-12)
+    assert curve[2] ** 2 == pytest.approx(11.0 / 6.0, rel=1e-12)
+    np.testing.assert_array_equal(nu_curve_analytic(NoiseModel(), 6), np.zeros(6))
+    with pytest.raises(InvalidConfig):
+        nu_curve_analytic(NoiseModel(kind=NoiseKind.MINI_BATCH), 2)
 
 
 def test_sigma_per_block_validation():

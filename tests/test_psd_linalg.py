@@ -3,7 +3,6 @@ import pytest
 
 from adprec.errors import NonPositiveDefinite
 from adprec.psd_linalg import (
-    kron_precondition,
     msign,
     nuclear_norm,
     psd_power,
@@ -122,28 +121,6 @@ def test_svd_triple_reconstructs():
     assert np.all(np.diff(s) <= 1e-12)
     rel = np.linalg.norm(U @ np.diag(s) @ V.T - G) / np.linalg.norm(G)
     assert rel < 1e-10
-
-
-def test_kron_precondition_identity_and_diagonal():
-    G = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_allclose(kron_precondition(np.eye(3), np.eye(2), G), G, atol=1e-14)
-    L = R = np.diag([2.0, 1.0])
-    E = np.zeros((2, 2))
-    E[0, 0] = 1.0
-    out = kron_precondition(L, R, E)
-    np.testing.assert_allclose(out, 2.0**-0.5 * E, atol=1e-14)
-
-
-def test_kron_precondition_matches_explicit_kronecker():
-    rng = np.random.default_rng(21)
-    for s in range(5):
-        L = random_psd(3, 20.0, seed=3 * s)
-        R = random_psd(2, 20.0, seed=3 * s + 1)
-        G = rng.standard_normal((3, 2))
-        fast = kron_precondition(L, R, G)
-        big = np.kron(psd_power(R, -0.25), psd_power(L, -0.25))
-        slow = (big @ G.ravel(order="F")).reshape(3, 2, order="F")
-        assert np.max(np.abs(fast - slow)) < 1e-10
 
 
 def test_random_psd_contracts():
