@@ -78,11 +78,6 @@ def test_precondition_hand_values():
         geom_precondition(sh, st, vec(1, 2)), vec(1 / np.sqrt(2), 2 / np.sqrt(5))
     )
 
-    sh = BlockShape(3, 2, Geometry.SHAMPOO)
-    st = KroneckerState(lfac=np.eye(3), rfac=np.eye(2), varsigma=1.0)
-    G = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_allclose(geom_precondition(sh, st, G), G, atol=1e-14)
-
     sh = BlockShape(2, 2, Geometry.SHAMPOO)
     st = KroneckerState(lfac=np.diag([2.0, 1.0]), rfac=np.diag([2.0, 1.0]), varsigma=1.0)
     E = np.zeros((2, 2))

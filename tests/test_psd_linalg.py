@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from adprec.block_space import BlockShape, Geometry
 from adprec.errors import NonPositiveDefinite
+from adprec.geometries import KroneckerState, geom_precondition
 from adprec.psd_linalg import (
     msign,
     nuclear_norm,
@@ -121,6 +123,20 @@ def test_svd_triple_reconstructs():
     assert np.all(np.diff(s) <= 1e-12)
     rel = np.linalg.norm(U @ np.diag(s) @ V.T - G) / np.linalg.norm(G)
     assert rel < 1e-10
+
+
+def test_kron_precondition_identity_and_diagonal():
+    # The Shampoo step L^{-1/4} G R^{-1/4} on hand-built Kronecker factors.
+    G = np.arange(6.0).reshape(3, 2)
+    st = KroneckerState(lfac=np.eye(3), rfac=np.eye(2), varsigma=1.0)
+    out = geom_precondition(BlockShape(3, 2, Geometry.SHAMPOO), st, G)
+    np.testing.assert_allclose(out, G, atol=1e-14)
+    L = R = np.diag([2.0, 1.0])
+    E = np.zeros((2, 2))
+    E[0, 0] = 1.0
+    st = KroneckerState(lfac=L, rfac=R, varsigma=1.0)
+    out = geom_precondition(BlockShape(2, 2, Geometry.SHAMPOO), st, E)
+    np.testing.assert_allclose(out, 2.0**-0.5 * E, atol=1e-14)
 
 
 def test_random_psd_contracts():
