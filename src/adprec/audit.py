@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .block_space import BlockShape, Geometry, total_dim
-from .errors import InvalidConfig
+from .block_space import VECTOR_ONLY, BlockShape, Geometry, total_dim
+from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
     geom_accumulate,
     geom_diagnostics,
@@ -64,8 +64,14 @@ class AuditReport:
         }
 
 
-def _report(name, slacks, tol, trials, context=""):
-    worst = float(min(0.0, np.min(slacks))) if len(slacks) else 0.0
+def _report(name, trials, tol, context="", **slacks):
+    """The one verdict rule: the worst normalized slack over the named arrays
+    (0.0 when all are empty or nonnegative) must be >= -tol.  With more than
+    one array, each array's own worst is appended to the context."""
+    worsts = {key: float(min(0.0, np.min(s))) if len(s) else 0.0 for key, s in slacks.items()}
+    worst = min(worsts.values())
+    if len(worsts) > 1:
+        context = " ".join([context, *(f"{key}={w:.3e}" for key, w in worsts.items())]).strip()
     return AuditReport(name, trials, worst, worst >= -tol, context)
 
 
@@ -99,7 +105,8 @@ def audit_sqrt_trace(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         rhs = _tr_power(S, 0.5) - _tr_power(A, 0.5)
         scale = 1.0 + _tr_power(S, 0.5)
         slacks.append((lhs - rhs) / scale)
-    return _report("sqrt-trace", slacks, TOL_ALGEBRAIC, trials, f"seed={seed} dims={dim_range}")
+    ctx = f"seed={seed} dims={dim_range}"
+    return _report("sqrt-trace", trials, TOL_ALGEBRAIC, ctx, slack=slacks)
 
 
 def audit_log_increment(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
@@ -119,7 +126,7 @@ def audit_log_increment(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         slacks.append((mid - low) / scale)
         slacks.append((high - mid) / scale)
     return _report(
-        "log-increment", slacks, TOL_ALGEBRAIC, trials, f"seed={seed} dims={dim_range}"
+        "log-increment", trials, TOL_ALGEBRAIC, f"seed={seed} dims={dim_range}", slack=slacks
     )
 
 
@@ -136,7 +143,7 @@ def audit_spectral_log(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         rhs = 2.0 * d * math.log(_tr_power(G, 0.5)) - d * math.log(d)
         scale = 1.0 + abs(lhs) + abs(rhs)
         slacks.append((rhs - lhs) / scale)
-    return _report("spectral-log", slacks, 1e-9, trials, f"seed={seed} dims={dim_range}")
+    return _report("spectral-log", trials, 1e-9, f"seed={seed} dims={dim_range}", slack=slacks)
 
 
 def _techn_feasible_interval(c):
@@ -170,7 +177,7 @@ def audit_techn(trials=1000, seed=0) -> AuditReport:
         tt = r2 if t % 10 == 0 else float(rng.uniform(r1, r2))
         bound = 2.0 * c * math.log(2.0 * c)
         slacks.append((bound - tt) / (1.0 + bound))
-    return _report("techn", slacks, TOL_ALGEBRAIC, trials, f"seed={seed}")
+    return _report("techn", trials, TOL_ALGEBRAIC, f"seed={seed}", slack=slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +187,7 @@ def audit_techn(trials=1000, seed=0) -> AuditReport:
 
 def _random_shape(geometry: Geometry, rng) -> BlockShape:
     n = int(rng.integers(1, 9))
-    m = 1 if geometry in (Geometry.ADANORM, Geometry.FULL_ADAGRAD, Geometry.DIAG_ADAGRAD) else int(rng.integers(1, 5))
+    m = 1 if geometry in VECTOR_ONLY else int(rng.integers(1, 5))
     return BlockShape(n, m, geometry)
 
 
@@ -226,9 +233,9 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
         rc.append((KAPPA_CIRC**2 * tr_l - dual_sq) / max(1.0, dual_sq))
     ctx = f"geometry={geometry.value} seed={seed}"
     return [
-        _report(f"identity-ineq1-{geometry.value}", r1, 0.0, trials, ctx),
-        _report(f"identity-ineq2-{geometry.value}", r2, 0.0, trials, ctx),
-        _report(f"compatibility-{geometry.value}", rc, 1e-10, trials, ctx),
+        _report(f"identity-ineq1-{geometry.value}", trials, 0.0, ctx, slack=r1),
+        _report(f"identity-ineq2-{geometry.value}", trials, 0.0, ctx, slack=r2),
+        _report(f"compatibility-{geometry.value}", trials, 1e-10, ctx, slack=rc),
     ]
 
 
@@ -258,7 +265,7 @@ def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> Au
         f"geometry={geometry.value} seed={seed} "
         f"empirical kappa_box={box_est:.6f} kappa_diamond={dia_est:.6f}"
     )
-    return _report(f"subadditivity-{geometry.value}", slacks, TOL_ALGEBRAIC, trials, ctx)
+    return _report(f"subadditivity-{geometry.value}", trials, TOL_ALGEBRAIC, ctx, slack=slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +308,8 @@ def path_potential_slacks(records: list[IterationRecord], shapes, varsigma):
 
 def audit_path_potentials(records, shapes, varsigma, context="") -> AuditReport:
     """Single report over all three potential inequalities of one trajectory."""
-    if not records:
-        return AuditReport("path-potentials", 0, 0.0, True, context + " (empty trajectory)")
-    sl = path_potential_slacks(records, shapes, varsigma)
-    worsts = {name: float(min(0.0, s.min())) for name, s in sl.items()}
-    worst = min(worsts.values())
-    detail = " ".join(f"{k}={v:.3e}" for k, v in worsts.items())
-    return AuditReport(
-        "path-potentials",
-        len(records),
-        worst,
-        worst >= -TOL_PATHWISE,
-        f"{context} {detail}".strip(),
-    )
+    slacks = path_potential_slacks(records, shapes, varsigma)
+    return _report("path-potentials", len(records), TOL_PATHWISE, context, **slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +356,14 @@ def bound_constants(problem: Problem, config: OptimizerConfig, omega=0.0) -> Bou
     )
 
 
-def _xlogx(w: float) -> float:
-    return w * math.log(w) if w > 0.0 else 0.0
+def _theta(constants: BoundConstants, gap: float, a: float, y: float) -> float:
+    """max[ e^max(1, 1/2N, kappa_0/2N), 3 gap / eta, a sqrt(max(1, log a)), y log y ],
+    the shape shared by both Theta envelopes; a <= 0 and y <= 0 contribute 0."""
+    N = constants.N
+    term1 = math.exp(max(1.0, 1.0 / (2 * N), constants.kappa_0 / (2 * N)))
+    t_k = a * math.sqrt(max(1.0, math.log(a))) if a > 0.0 else 0.0
+    y_k = y * math.log(y) if y > 0.0 else 0.0
+    return max(term1, 3.0 * gap / constants.eta, t_k, y_k)
 
 
 def compute_theta(constants: BoundConstants, nu_k: float) -> float:
@@ -374,15 +376,12 @@ def compute_theta(constants: BoundConstants, nu_k: float) -> float:
                        24 N (omega + L/eta) log(24 N (omega + L/eta)) ]
     """
     N = constants.N
-    term1 = math.exp(max(1.0, 1.0 / (2 * N), constants.kappa_0 / (2 * N)))
-    term2 = 3.0 * constants.kappa_gap / constants.eta
-    if nu_k > 0.0:
-        a = 12.0 * math.sqrt(N) * nu_k
-        t_k = a * math.sqrt(max(1.0, math.log(a)))
-    else:
-        t_k = 0.0
-    y_k = _xlogx(24.0 * N * (constants.omega + constants.L_G / constants.eta))
-    return max(term1, term2, t_k, y_k)
+    return _theta(
+        constants,
+        constants.kappa_gap,
+        12.0 * math.sqrt(N) * nu_k,
+        24.0 * N * (constants.omega + constants.L_G / constants.eta),
+    )
 
 
 def theta_curve(constants: BoundConstants, nu: np.ndarray) -> np.ndarray:
@@ -486,21 +485,23 @@ def compute_theta_m2(
     (omega + L/eta); the discrepancy is deliberate and flagged here.
     """
     N = constants.N
-    term1 = math.exp(max(1.0, 1.0 / (2 * N), constants.kappa_0 / (2 * N)))
-    term2 = 3.0 * (m2.kappa_gap + m2.kappa_nunu * theta_noise_k**2) / constants.eta
-    if theta_noise_k > 0.0:
-        a = 12.0 * math.sqrt(N) * m2.kappa_nudelta * theta_noise_k
-        t_k = a * math.sqrt(max(1.0, math.log(a)))
-    else:
-        t_k = 0.0
-    y_k = _xlogx(24.0 * N * m2.kappa_delta * (omega**2 + constants.L_G / constants.eta))
-    return max(term1, term2, t_k, y_k)
+    return _theta(
+        constants,
+        m2.kappa_gap + m2.kappa_nunu * theta_noise_k**2,
+        12.0 * math.sqrt(N) * m2.kappa_nudelta * theta_noise_k,
+        24.0 * N * m2.kappa_delta * (omega**2 + constants.L_G / constants.eta),
+    )
 
 
 def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, K: int) -> np.ndarray:
-    """sqrt(sum_{j<=k} mu_j^2 sigma_tot^2 (j+1)^-alpha) for k = 0..K-1."""
+    """sqrt(sum_{j<=k} mu_j^2 sigma_tot^2 (j+1)^-alpha) for k = 0..K-1.
+
+    Exact oracles give zeros; mini-batch oracles have no closed form and
+    raise InvalidConfig, as for nu_curve_analytic."""
     if noise.kind is NoiseKind.EXACT:
         return np.zeros(K)
+    if noise.kind is NoiseKind.MINI_BATCH:
+        raise InvalidConfig("theta_noise has no analytic form for mini-batch oracles")
     j = np.arange(K, dtype=float)
     mu = np.array([mu_schedule(int(t), config) for t in range(K)])
     return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq * (j + 1.0) ** (-noise.alpha)))
@@ -528,19 +529,22 @@ def envelope_curve(problem: Problem, noise: NoiseModel, config: OptimizerConfig)
     return theta_curve(constants, nu_curve_analytic(noise, K))
 
 
+def rate_bound_curve(theta: np.ndarray) -> np.ndarray:
+    """The averaged-gradient rate bound kappa_circ Theta_k / sqrt(k+1) for
+    k = 0..len(theta)-1."""
+    return KAPPA_CIRC * theta / np.sqrt(np.arange(len(theta), dtype=float) + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # trajectory-level bound audits
 # ---------------------------------------------------------------------------
 
 
-def master_bound_slacks(records, constants: BoundConstants):
-    """Pathwise telescoping bound with an exact oracle (nu = omega = 0):
-    eta * sum_l tr(Gamma_k^1/2) <= kappa_gap + (L eta^2 / 2) Delta_k at every k."""
-    tr_sqrt = np.array([r.trace_sqrt_total for r in records])
-    delta = np.array([r.delta_k for r in records])
-    lhs = constants.eta * tr_sqrt
-    rhs = constants.kappa_gap + 0.5 * constants.L_G * constants.eta**2 * delta
-    return (rhs - lhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+def _rate_slack(grad, rate_rhs, se=0.0):
+    """Normalized slack of avg_{j<=k} grad_j - avg_{j<=k} se_j <= rate_rhs_k at every k."""
+    count = np.arange(len(grad), dtype=float) + 1.0
+    avg = np.cumsum(grad) / count - np.cumsum(np.broadcast_to(se, count.shape)) / count
+    return (rate_rhs - avg) / (1.0 + np.abs(rate_rhs))
 
 
 def audit_master_and_theta(
@@ -552,67 +556,44 @@ def audit_master_and_theta(
 ) -> AuditReport:
     """Telescoping bound, Theta envelope, and the averaged-gradient rate bound.
 
-    With an exact oracle all three are asserted pathwise with float
-    tolerance only.  With additive noise, replicate means stand in for the
-    expectations, nu_k comes from the analytic budget, and each comparison
-    gains a three-standard-error allowance.
+        eta sum_l tr(Gamma_k^1/2) <= kappa_gap + eta nu_k sqrt(Delta_k)
+                                     + (omega eta + L eta^2 / 2) Delta_k
+
+    Replicate means stand in for the expectations, nu_k comes from the
+    analytic budget, and each comparison gains a three-standard-error
+    allowance.  An exact oracle is the single-replicate case (nu = se = 0),
+    so all three are asserted pathwise with float tolerance only.  A
+    non-finite iterate fails the report with worst_violation -inf.
     """
     noise = noise or NoiseModel()
     constants = bound_constants(problem, config, omega=noise.omega)
     K = config.max_iters
     deterministic = noise.kind is NoiseKind.EXACT
-    if deterministic:
-        traj = run_trajectory(problem, noise, config)
-        if traj.failed:
-            return AuditReport("master-theta", K, -math.inf, False, f"{context} {traj.failed}")
-        records = traj.records
-        tr_sqrt = traj.column("trace_sqrt_total")
-        delta = traj.column("delta_k")
-        grad = traj.column("grad_dual_norm")
-        se_tr = se_delta = se_grad = np.zeros(K)
-        nu = np.zeros(K)
-        master = master_bound_slacks(records, constants)
-    else:
-        res = run_replicates(problem, noise, config, replicates)
-        tr_sqrt = res.mean["trace_sqrt_total"]
-        delta = res.mean["delta_k"]
-        grad = res.mean["grad_dual_norm"]
-        se_tr = 3.0 * res.se["trace_sqrt_total"]
-        se_delta = 3.0 * res.se["delta_k"]
-        se_grad = 3.0 * res.se["grad_dual_norm"]
-        nu = nu_curve_analytic(noise, K)
-        lhs = constants.eta * tr_sqrt - se_tr * constants.eta
-        coef = constants.omega * constants.eta + 0.5 * constants.L_G * constants.eta**2
-        rhs = (
-            constants.kappa_gap
-            + constants.eta * nu * np.sqrt(np.maximum(delta + se_delta, 0.0))
-            + coef * (delta + se_delta)
-        )
-        master = (rhs - lhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
+    try:
+        res = run_replicates(problem, noise, config, 1 if deterministic else replicates)
+    except NonFiniteIterate as err:
+        return AuditReport("master-theta", K, -math.inf, False, f"{context} {err}")
+    tr_sqrt = res.mean["trace_sqrt_total"]
+    delta = res.mean["delta_k"]
+    se_tr = 3.0 * res.se["trace_sqrt_total"]
+    se_delta = 3.0 * res.se["delta_k"]
+    nu = nu_curve_analytic(noise, K)
+    lhs = constants.eta * tr_sqrt - se_tr * constants.eta
+    coef = constants.omega * constants.eta + 0.5 * constants.L_G * constants.eta**2
+    rhs = (
+        constants.kappa_gap
+        + constants.eta * nu * np.sqrt(np.maximum(delta + se_delta, 0.0))
+        + coef * (delta + se_delta)
+    )
+    master = (rhs - lhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
     theta = theta_curve(constants, nu)
-    theta_slack = (theta - (tr_sqrt - se_tr)) / (1.0 + np.abs(theta))
-    k_axis = np.arange(K, dtype=float)
-    avg_grad = np.cumsum(grad) / (k_axis + 1.0)
-    avg_se = np.cumsum(se_grad) / (k_axis + 1.0)
-    rate_rhs = KAPPA_CIRC * theta / np.sqrt(k_axis + 1.0)
-    rate_slack = (rate_rhs - (avg_grad - avg_se)) / (1.0 + np.abs(rate_rhs))
-
-    worsts = {
-        "master": float(min(0.0, master.min())) if K else 0.0,
-        "theta": float(min(0.0, theta_slack.min())) if K else 0.0,
-        "rate": float(min(0.0, rate_slack.min())) if K else 0.0,
-    }
-    worst = min(worsts.values())
+    t_slack = (theta - (tr_sqrt - se_tr)) / (1.0 + np.abs(theta))
+    grad, se_grad = res.mean["grad_dual_norm"], 3.0 * res.se["grad_dual_norm"]
+    rate = _rate_slack(grad, rate_bound_curve(theta), se_grad)
     mode = "deterministic" if deterministic else f"statistical R={replicates}"
-    detail = " ".join(f"{k}={v:.3e}" for k, v in worsts.items())
-    return AuditReport(
-        "master-theta",
-        K,
-        worst,
-        worst >= -TOL_PATHWISE,
-        f"{context} [{mode}] {problem.name} {detail}".strip(),
-    )
+    ctx = f"{context} [{mode}] {problem.name}"
+    return _report("master-theta", K, TOL_PATHWISE, ctx, master=master, theta=t_slack, rate=rate)
 
 
 def audit_momentum_error(
@@ -640,20 +621,10 @@ def audit_momentum_error(
     e_slack = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
 
     theta = compute_theta(constants, 0.0)
-    k_axis = np.arange(K, dtype=float)
-    avg_grad = np.cumsum(traj.column("grad_dual_norm")) / (k_axis + 1.0)
     rate_rhs = np.array([m1_rate_bound(constants, theta, k) for k in range(K)])
-    r_slack = (rate_rhs - avg_grad) / (1.0 + rate_rhs)
-
-    worst = float(min(0.0, min(e_slack.min(), r_slack.min()))) if K else 0.0
-    return AuditReport(
-        "momentum-m1",
-        K,
-        worst,
-        worst >= -TOL_PATHWISE,
-        f"{context} mu_max={config.mu_max} errE={min(0.0, e_slack.min()):.3e} "
-        f"rate={min(0.0, r_slack.min()):.3e}",
-    )
+    rate = _rate_slack(traj.column("grad_dual_norm"), rate_rhs)
+    ctx = f"{context} mu_max={config.mu_max}"
+    return _report("momentum-m1", K, TOL_PATHWISE, ctx, errE=e_slack, rate=rate)
 
 
 def audit_m2_deterministic(
@@ -668,23 +639,18 @@ def audit_m2_deterministic(
     traj = run_trajectory(problem, NoiseModel(), config)
     if traj.failed:
         return AuditReport("m2-deterministic", 0, -math.inf, False, f"{context} {traj.failed}")
-    K = config.max_iters
     theta = compute_theta_m2(constants, m2, 0.0)
-    tr_sqrt = traj.column("trace_sqrt_total")
-    t_slack = (theta - tr_sqrt) / (1.0 + theta)
-    k_axis = np.arange(K, dtype=float)
-    avg_grad = np.cumsum(traj.column("grad_dual_norm")) / (k_axis + 1.0)
-    rate_rhs = KAPPA_CIRC * theta / np.sqrt(k_axis + 1.0)
-    r_slack = (rate_rhs - avg_grad) / (1.0 + rate_rhs)
-    worst = float(min(0.0, min(t_slack.min(), r_slack.min()))) if K else 0.0
-    return AuditReport(
+    envelope = np.full(config.max_iters, theta)
+    t_slack = (envelope - traj.column("trace_sqrt_total")) / (1.0 + envelope)
+    rate = _rate_slack(traj.column("grad_dual_norm"), rate_bound_curve(envelope))
+    return _report(
         "m2-deterministic",
-        K,
-        worst,
-        worst >= -TOL_PATHWISE,
+        config.max_iters,
+        TOL_PATHWISE,
         f"{context} small_eta_ok={m2.small_eta_ok} theta={theta:.4g} "
         "(last envelope term uses omega^2 + L/eta as printed; the first "
         "variant's uses omega + L/eta)",
+        bounds=np.minimum(t_slack, rate),
     )
 
 
@@ -739,8 +705,12 @@ def audit_rate_regimes(
     """For each noise-decay exponent alpha: run replicates, compare the
     running-min averaged gradient curve against the evaluated envelope
     Theta_k / sqrt(k+1) (three-standard-error allowance), and check the
-    fitted log-log slope against the guaranteed exponent + SLOPE_TOL."""
+    fitted log-log slope against the guaranteed exponent + SLOPE_TOL.
+    The slope needs a fit window of at least two points, so max_iters < 3
+    raises InvalidConfig."""
     K = config.max_iters
+    if K < 3:
+        raise InvalidConfig(f"rate regimes need at least 3 iterations, got max_iters={K}")
     results = []
     for alpha in alphas:
         noise = NoiseModel(
@@ -761,7 +731,7 @@ def audit_rate_regimes(
         se_min = se[argmin]
 
         theta = envelope_curve(problem, noise, cfg)
-        bound = KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
+        bound = rate_bound_curve(theta)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))

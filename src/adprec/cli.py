@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import KAPPA_CIRC, audit_rate_regimes, envelope_curve
+from .audit import audit_rate_regimes, envelope_curve, rate_bound_curve
 from .block_space import BlockShape, Geometry
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
@@ -81,82 +81,92 @@ class Experiment:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _need(d, key, kind, where):
+_REQUIRED = object()
+
+
+def _check(v, kind, what):
+    """v as the JSON type `kind` (int, float, bool, str, list or dict).  A
+    bool is never accepted as an int or a float; an int is accepted (as a
+    float) where a float is expected."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(v, bool) != (kind is bool) or not isinstance(v, accepted):
+        raise InvalidConfig(f"{what} must be {kind.__name__}, got {type(v).__name__}")
+    return float(v) if kind is float else v
+
+
+def _get(d, key, kind, where, default=_REQUIRED):
+    """d[key] checked by `_check`, or `default` when the key is absent and a
+    default is given; d itself must be a JSON object."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"{where} must be a JSON object, got {type(d).__name__}")
     if key not in d:
-        raise InvalidConfig(f"{where}: missing required key {key!r}")
-    v = d[key]
-    if kind is float and isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    if kind is int and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if not isinstance(v, kind):
-        raise InvalidConfig(f"{where}: key {key!r} must be {kind.__name__}, got {type(v).__name__}")
-    return v
+        if default is _REQUIRED:
+            raise InvalidConfig(f"{where}: missing required key {key!r}")
+        return default
+    return _check(d[key], kind, f"{where}: key {key!r}")
 
 
 def parse_experiment(raw: dict) -> Experiment:
-    if not isinstance(raw, dict):
-        raise InvalidConfig("config must be a JSON object")
-    if raw.get("schema_version") != 1:
+    if _get(raw, "schema_version", int, "config", None) != 1:
         raise InvalidConfig("config needs schema_version = 1")
 
-    blocks_raw = _need(raw, "blocks", list, "config")
+    blocks_raw = _get(raw, "blocks", list, "config")
     if not blocks_raw:
         raise InvalidConfig("config: blocks must be a nonempty list")
     shapes = []
     for i, b in enumerate(blocks_raw):
         where = f"blocks[{i}]"
-        gname = _need(b, "geometry", str, where)
+        gname = _get(b, "geometry", str, where)
         try:
             geometry = Geometry(gname)
         except ValueError:
             raise InvalidConfig(f"{where}: unknown geometry {gname!r}")
         shapes.append(
-            BlockShape(_need(b, "rows", int, where), _need(b, "cols", int, where), geometry)
+            BlockShape(_get(b, "rows", int, where), _get(b, "cols", int, where), geometry)
         )
 
-    prob_raw = dict(_need(raw, "problem", dict, "config"))
-    kind = _need(prob_raw, "kind", str, "problem")
+    prob_raw = dict(_get(raw, "problem", dict, "config"))
+    kind = _get(prob_raw, "kind", str, "problem")
     prob_raw.pop("kind")
     try:
         problem = make_problem(kind, shapes, **prob_raw)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise InvalidConfig(f"problem: bad parameters for {kind!r}: {err}")
 
-    opt = _need(raw, "optimizer", dict, "config")
-    mom_name = opt.get("momentum", "None")
+    opt = _get(raw, "optimizer", dict, "config")
+    mom_name = _get(opt, "momentum", str, "optimizer", "None")
     try:
         mode = MomentumMode(mom_name)
     except ValueError:
         raise InvalidConfig(f"optimizer: unknown momentum mode {mom_name!r}")
     config = OptimizerConfig(
-        eta=_need(opt, "eta", float, "optimizer"),
-        varsigma=_need(opt, "varsigma", float, "optimizer"),
-        max_iters=_need(opt, "iterations", int, "optimizer"),
-        seed=int(opt.get("seed", 0)),
+        eta=_get(opt, "eta", float, "optimizer"),
+        varsigma=_get(opt, "varsigma", float, "optimizer"),
+        max_iters=_get(opt, "iterations", int, "optimizer"),
+        seed=_get(opt, "seed", int, "optimizer", 0),
         momentum_mode=mode,
-        mu_max=float(opt.get("mu_max", 0.0)),
-        beta=float(opt.get("beta", 0.0)),
-        eval_objective=bool(opt.get("eval_objective", True)),
+        mu_max=_get(opt, "mu_max", float, "optimizer", 0.0),
+        beta=_get(opt, "beta", float, "optimizer", 0.0),
+        eval_objective=_get(opt, "eval_objective", bool, "optimizer", True),
     )
 
-    noise_raw = raw.get("noise", {"kind": "Exact"})
-    nk = noise_raw.get("kind", "Exact")
+    noise_raw = _get(raw, "noise", dict, "config", {})
+    nk = _get(noise_raw, "kind", str, "noise", "Exact")
     try:
         noise_kind = NoiseKind(nk)
     except ValueError:
         raise InvalidConfig(f"noise: unknown kind {nk!r}")
-    sigma = noise_raw.get("sigma", 0.0)
-    if isinstance(sigma, (int, float)):
-        sigma = (float(sigma),) * len(shapes)
+    sigma = noise_raw.get("sigma")
+    if isinstance(sigma, list):
+        sigma = tuple(_check(s, float, f"noise: sigma[{i}]") for i, s in enumerate(sigma))
     else:
-        sigma = tuple(float(s) for s in sigma)
+        sigma = (_get(noise_raw, "sigma", float, "noise", 0.0),) * len(shapes)
     noise = NoiseModel(
         kind=noise_kind,
         sigma=sigma,
-        alpha=float(noise_raw.get("alpha", 1.0)),
-        omega=float(noise_raw.get("omega", 0.0)),
-        batch=int(noise_raw.get("batch", 1)),
+        alpha=_get(noise_raw, "alpha", float, "noise", 1.0),
+        omega=_get(noise_raw, "omega", float, "noise", 0.0),
+        batch=_get(noise_raw, "batch", int, "noise", 1),
     )
     for s in sigma:
         if s < 0:
@@ -164,7 +174,7 @@ def parse_experiment(raw: dict) -> Experiment:
     if noise.alpha <= 0:
         raise InvalidConfig("noise: alpha must be positive")
 
-    replicates = int(raw.get("replicates", 1))
+    replicates = _get(raw, "replicates", int, "config", 1)
     if replicates < 1:
         raise InvalidConfig("replicates must be >= 1")
     return Experiment(raw, problem, noise, config, replicates)
@@ -208,8 +218,7 @@ def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
         theta = envelope_curve(exp.problem, exp.noise, exp.config)
     except InvalidConfig as err:
         return nan, nan, f"bound hypothesis unverified ({err}); bound columns are NaN"
-    bound = KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
-    return theta, bound, ""
+    return theta, rate_bound_curve(theta), ""
 
 
 def cmd_run(config_path, out_dir) -> int:

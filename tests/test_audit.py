@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from adprec import suites
+from adprec import audit, suites
 from adprec.audit import (
     AuditReport,
     BoundConstants,
@@ -22,15 +22,17 @@ from adprec.audit import (
     bound_constants,
     compute_theta,
     compute_theta_m2,
+    envelope_curve,
     fit_loglog_slope,
     kappa_0,
     m1_noise_constants,
     m2_constants,
+    m2_theta_noise_curve,
     path_potential_slacks,
     theory_exponent,
 )
 from adprec.block_space import BlockShape, Geometry
-from adprec.errors import InvalidConfig
+from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.optimizer import MomentumMode, OptimizerConfig, run_trajectory
 from adprec.problems import NoiseKind, NoiseModel, make_problem
 
@@ -246,6 +248,49 @@ def test_master_theta_statistical_with_multiplicative_noise():
     assert rep.passed, rep
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel(), NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))],
+    ids=["exact", "noisy"],
+)
+def test_master_theta_nonfinite_is_fail_report(monkeypatch, noise):
+    # both oracles report a non-finite iterate as a FAIL, never as an exception
+    def blow_up(*args, **kwargs):
+        raise NonFiniteIterate("replicate 0: iterate became non-finite at iteration 3")
+
+    monkeypatch.setattr(audit, "run_replicates", blow_up)
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    rep = audit_master_and_theta(problem, cfg(max_iters=10), noise=noise, replicates=4)
+    assert not rep.passed
+    assert rep.worst_violation == -math.inf
+    assert "non-finite at iteration 3" in rep.context
+
+
+def test_trajectory_audits_at_zero_iterations():
+    # K = 0 is a vacuous pass with zero trials for every trajectory audit
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    m1 = cfg(max_iters=0, momentum_mode=MomentumMode.M1, mu_max=0.5)
+    m2 = cfg(max_iters=0, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
+    traj = run_trajectory(problem, NoiseModel(), cfg(max_iters=0))
+    reports = [
+        audit_path_potentials(traj.records, problem.shapes, 1.0),
+        audit_master_and_theta(problem, cfg(max_iters=0)),
+        audit_momentum_error(problem, m1),
+        audit_m2_deterministic(problem, m2),
+    ]
+    for rep in reports:
+        assert rep.passed and rep.trials == 0 and rep.worst_violation == 0.0, rep
+
+
+def test_report_names_each_array_worst_only_when_several():
+    one = audit._report("x", 3, 1e-6, "ctx", slack=np.array([0.5, -1e-7]))
+    assert (one.worst_violation, one.passed, one.context) == (-1e-7, True, "ctx")
+    two = audit._report("x", 3, 1e-6, "ctx", a=np.array([0.1]), b=np.array([-0.25, 1.0]))
+    assert (two.worst_violation, two.passed) == (-0.25, False)
+    assert two.context == "ctx a=0.000e+00 b=-2.500e-01"
+    assert audit._report("x", 0, 0.0, slack=np.empty(0)).passed
+
+
 def test_identity_audits_are_deterministic():
     a = audit_structural_identities(Geometry.SHAMPOO, trials=50, seed=31)
     b = audit_structural_identities(Geometry.SHAMPOO, trials=50, seed=31)
@@ -310,6 +355,26 @@ def test_rate_regime_smoke():
     assert r.fitted_slope <= r.theory_slope + 0.15
     assert r.report.passed
     assert len(r.min_curve) == 600 and len(r.bound_curve) == 600
+
+
+@pytest.mark.parametrize("K", [0, 1, 2])
+def test_rate_regimes_need_three_iterations(K):
+    # the slope fit needs at least two points in its window [max(K // 10, 1), K)
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    with pytest.raises(InvalidConfig):
+        audit_rate_regimes(problem, cfg(max_iters=K), alphas=(1.0,), sigma=0.5, replicates=2)
+
+
+def test_m2_envelope_rejects_mini_batch_oracle():
+    # the momentum-weighted noise curve has no closed form for a mini-batch
+    # oracle, exactly as nu_k has none
+    problem = make_problem("logistic", DIAG8, seed=0)
+    noise = NoiseModel(kind=NoiseKind.MINI_BATCH, batch=4)
+    c = cfg(max_iters=20, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
+    with pytest.raises(InvalidConfig):
+        m2_theta_noise_curve(noise, c, 20)
+    with pytest.raises(InvalidConfig):
+        envelope_curve(problem, noise, c)
 
 
 @pytest.mark.parametrize("failing_beta", [None, 0.0, 0.25])

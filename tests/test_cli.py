@@ -102,6 +102,48 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(cfg_path3), "--out", str(tmp_path / "o")]) == 2
 
 
+def _set(raw, path, value):
+    *parents, key = path
+    for p in parents:
+        raw = raw[p]
+    raw[key] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("replicates",), "x"),
+        (("optimizer", "seed"), "x"),
+        (("optimizer", "mu_max"), "abc"),
+        (("optimizer", "iterations"), True),
+        (("optimizer", "eval_objective"), "false"),
+        (("noise",), 3),
+        (("noise", "sigma"), "ab"),
+        (("noise", "batch"), "x"),
+        (("blocks",), [3]),
+        (("problem", "condition"), 0.5),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+)
+def test_malformed_config_values_exit_2(tmp_path, capsys, path, value):
+    # every malformed value is a config error (exit 2), never a traceback
+    raw = example_config()
+    raw["noise"] = {"kind": "AdditiveDecaying", "sigma": 0.5, "alpha": 1.0}
+    raw["optimizer"]["iterations"] = 5
+    _set(raw, path, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_too_few_iterations_exit_2(tmp_path):
+    # a slope cannot be fitted to fewer than three iterations
+    cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"iterations": 0}})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--alphas", "1.0", "--out", str(out)]) == 2
+
+
 def test_parse_experiment_validation():
     raw = example_config()
     raw["optimizer"]["momentum"] = "M7"

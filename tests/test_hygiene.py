@@ -5,8 +5,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "adprec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "adprec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# every file that may use a package definition
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +38,47 @@ def test_unused_import_detector():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name}: unused imports: {', '.join(unused)}"
+
+
+def referenced_names(tree, skip=None) -> set[str]:
+    """Identifiers, attribute names and imported names that `tree` mentions,
+    outside the top-level definition named `skip`."""
+    names = set()
+    for top in tree.body:
+        if isinstance(top, DEFINITIONS) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_definitions(source: str, readers: list[str]) -> list[str]:
+    """Top-level functions and classes of `source` that neither the rest of
+    `source` nor any of the `readers` sources mention."""
+    tree = ast.parse(source)
+    used = set().union(*(referenced_names(ast.parse(r)) for r in readers))
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and node.name not in used
+        and node.name not in referenced_names(tree, skip=node.name)
+    ]
+
+
+def test_dead_definition_detector():
+    src = "def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n\ndef g():\n    return C()\n"
+    assert dead_definitions(src, []) == ["line 1: f", "line 7: g"]
+    assert dead_definitions(src, ["from m import g\n", "m.f(1)\n"]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    readers = [p.read_text() for p in READERS if p != path]
+    dead = dead_definitions(path.read_text(), readers)
+    assert not dead, f"{path.name}: definitions nothing uses: {', '.join(dead)}"
