@@ -44,6 +44,7 @@ KAPPA_DIAMOND = 1.0  # trace-domination constant
 
 TOL_ALGEBRAIC = 1e-8  # identities and single-matrix trace inequalities
 TOL_PATHWISE = 1e-6  # inequalities accumulated over a whole trajectory
+DIM_RANGE = (1, 8)  # matrix dims drawn by the single-matrix trace audits
 
 
 @dataclass
@@ -85,7 +86,7 @@ def _tr_power(M, p):
     return float(np.sum(np.clip(w, 0.0, None) ** p)) if p >= 0 else float(np.sum(w**p))
 
 
-def audit_sqrt_trace(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
+def audit_sqrt_trace(trials=1000, seed=0) -> AuditReport:
     """tr((A+B)^-1/2 B) >= tr((A+B)^1/2) - tr(A^1/2) on random PSD pairs.
 
     Includes the degenerate equality witnesses A = 0 and B = 0.
@@ -93,7 +94,7 @@ def audit_sqrt_trace(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
     rng = np.random.default_rng(seed)
     slacks = []
     for t in range(trials):
-        d = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
         A = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
         B = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
         if t % 50 == 0:
@@ -105,16 +106,16 @@ def audit_sqrt_trace(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         rhs = _tr_power(S, 0.5) - _tr_power(A, 0.5)
         scale = 1.0 + _tr_power(S, 0.5)
         slacks.append((lhs - rhs) / scale)
-    ctx = f"seed={seed} dims={dim_range}"
+    ctx = f"seed={seed} dims={DIM_RANGE}"
     return _report("sqrt-trace", trials, TOL_ALGEBRAIC, ctx, slack=slacks)
 
 
-def audit_log_increment(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
+def audit_log_increment(trials=1000, seed=0) -> AuditReport:
     """tr((A+B)^-1 B) <= tr(log(A+B) - log A) <= tr(A^-1 B) for PD A, PSD B."""
     rng = np.random.default_rng(seed)
     slacks = []
     for t in range(trials):
-        d = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
         A = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
         B = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
         if t % 50 == 0:
@@ -126,16 +127,16 @@ def audit_log_increment(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         slacks.append((mid - low) / scale)
         slacks.append((high - mid) / scale)
     return _report(
-        "log-increment", trials, TOL_ALGEBRAIC, f"seed={seed} dims={dim_range}", slack=slacks
+        "log-increment", trials, TOL_ALGEBRAIC, f"seed={seed} dims={DIM_RANGE}", slack=slacks
     )
 
 
-def audit_spectral_log(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
+def audit_spectral_log(trials=1000, seed=0) -> AuditReport:
     """tr(log G) <= 2 d log(tr(G^1/2)) - d log d for random PD G."""
     rng = np.random.default_rng(seed)
     slacks = []
     for t in range(trials):
-        d = int(rng.integers(dim_range[0], dim_range[1] + 1))
+        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
         G = random_psd(d, 10.0 ** rng.uniform(0, 4), rng) * 10.0 ** rng.uniform(-2, 2)
         if t % 25 == 0:
             G = 10.0 ** rng.uniform(-2, 2) * np.eye(d)  # equality structure at d = 1
@@ -143,7 +144,7 @@ def audit_spectral_log(trials=1000, dim_range=(1, 8), seed=0) -> AuditReport:
         rhs = 2.0 * d * math.log(_tr_power(G, 0.5)) - d * math.log(d)
         scale = 1.0 + abs(lhs) + abs(rhs)
         slacks.append((rhs - lhs) / scale)
-    return _report("spectral-log", trials, 1e-9, f"seed={seed} dims={dim_range}", slack=slacks)
+    return _report("spectral-log", trials, 1e-9, f"seed={seed} dims={DIM_RANGE}", slack=slacks)
 
 
 def _techn_feasible_interval(c):
@@ -474,13 +475,12 @@ def m2_constants(
     )
 
 
-def compute_theta_m2(
-    constants: BoundConstants, m2: M2Constants, theta_noise_k: float, omega: float = 0.0
-) -> float:
+def compute_theta_m2(constants: BoundConstants, m2: M2Constants, theta_noise_k: float) -> float:
     """Alternate envelope for the pure-gradient momentum variant.
 
     theta_noise_k is the momentum-weighted cumulative oracle deviation
-    sqrt(sum_j mu_j^2 E|Gt_j - G_j|^2).  The last term uses (omega^2 + L/eta)
+    sqrt(sum_j mu_j^2 E|Gt_j - G_j|^2); omega is constants.omega, the
+    multiplicative noise level of the oracle.  The last term uses (omega^2 + L/eta)
     as printed in its source even though the first variant uses
     (omega + L/eta); the discrepancy is deliberate and flagged here.
     """
@@ -489,22 +489,24 @@ def compute_theta_m2(
         constants,
         m2.kappa_gap + m2.kappa_nunu * theta_noise_k**2,
         12.0 * math.sqrt(N) * m2.kappa_nudelta * theta_noise_k,
-        24.0 * N * m2.kappa_delta * (omega**2 + constants.L_G / constants.eta),
+        24.0 * N * m2.kappa_delta * (constants.omega**2 + constants.L_G / constants.eta),
     )
 
 
-def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, K: int) -> np.ndarray:
-    """sqrt(sum_{j<=k} mu_j^2 sigma_tot^2 (j+1)^-alpha) for k = 0..K-1.
+def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, num_blocks: int) -> np.ndarray:
+    """sqrt(sum_{j<=k} mu_j^2 sigma_tot^2 (j+1)^-alpha) for k = 0..max_iters-1,
+    with sigma_tot^2 summed over num_blocks blocks.
 
     Exact oracles give zeros; mini-batch oracles have no closed form and
     raise InvalidConfig, as for nu_curve_analytic."""
+    K = config.max_iters
     if noise.kind is NoiseKind.EXACT:
         return np.zeros(K)
     if noise.kind is NoiseKind.MINI_BATCH:
         raise InvalidConfig("theta_noise has no analytic form for mini-batch oracles")
     j = np.arange(K, dtype=float)
     mu = np.array([mu_schedule(int(t), config) for t in range(K)])
-    return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq * (j + 1.0) ** (-noise.alpha)))
+    return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq(num_blocks) * (j + 1.0) ** (-noise.alpha)))
 
 
 def envelope_curve(problem: Problem, noise: NoiseModel, config: OptimizerConfig) -> np.ndarray:
@@ -516,17 +518,18 @@ def envelope_curve(problem: Problem, noise: NoiseModel, config: OptimizerConfig)
     hypothesis is not available (no Lipschitz bound, no analytic noise
     budget, or an unverified M2 stepsize).
     """
-    K = config.max_iters
+    K, B = config.max_iters, len(problem.shapes)
     constants = bound_constants(problem, config, omega=noise.omega)
     mode = config.momentum_mode
     if mode is MomentumMode.M1:
         mult, omega_m1 = m1_noise_constants(constants, config.mu_max)
-        return theta_curve(replace(constants, omega=omega_m1), mult * nu_curve_analytic(noise, K))
+        nu = mult * nu_curve_analytic(noise, B, K)
+        return theta_curve(replace(constants, omega=omega_m1), nu)
     if mode is MomentumMode.M2:
         m2 = m2_constants(constants, config.mu_max)
-        th_noise = m2_theta_noise_curve(noise, config, K)
+        th_noise = m2_theta_noise_curve(noise, config, B)
         return np.array([compute_theta_m2(constants, m2, float(t)) for t in th_noise])
-    return theta_curve(constants, nu_curve_analytic(noise, K))
+    return theta_curve(constants, nu_curve_analytic(noise, B, K))
 
 
 def rate_bound_curve(theta: np.ndarray) -> np.ndarray:
@@ -577,7 +580,7 @@ def audit_master_and_theta(
     delta = res.mean["delta_k"]
     se_tr = 3.0 * res.se["trace_sqrt_total"]
     se_delta = 3.0 * res.se["delta_k"]
-    nu = nu_curve_analytic(noise, K)
+    nu = nu_curve_analytic(noise, len(problem.shapes), K)
     lhs = constants.eta * tr_sqrt - se_tr * constants.eta
     coef = constants.omega * constants.eta + 0.5 * constants.L_G * constants.eta**2
     rhs = (
@@ -700,7 +703,6 @@ def audit_rate_regimes(
     alphas,
     sigma: float,
     replicates: int = 16,
-    seed_offset: int = 0,
 ) -> list[RateRegimeResult]:
     """For each noise-decay exponent alpha: run replicates, compare the
     running-min averaged gradient curve against the evaluated envelope
@@ -716,8 +718,7 @@ def audit_rate_regimes(
         noise = NoiseModel(
             kind=NoiseKind.ADDITIVE_DECAYING, sigma=(float(sigma),) * len(problem.shapes), alpha=float(alpha)
         )
-        cfg = replace(config, seed=config.seed + seed_offset)
-        res = run_replicates(problem, noise, cfg, replicates)
+        res = run_replicates(problem, noise, config, replicates)
         min_curve = res.min_grad_curve
         se = res.se["grad_dual_norm"]
         # SE of the running-min statistic: the SE at its argmin iteration
@@ -730,13 +731,13 @@ def audit_rate_regimes(
             argmin[k] = best_j
         se_min = se[argmin]
 
-        theta = envelope_curve(problem, noise, cfg)
+        theta = envelope_curve(problem, noise, config)
         bound = rate_bound_curve(theta)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))
         slope = fit_loglog_slope(min_curve, max(K // 10, 1), K)
-        th_slope = theory_exponent(cfg.momentum_mode, float(alpha), cfg.beta)
+        th_slope = theory_exponent(config.momentum_mode, float(alpha), config.beta)
         slope_ok = slope <= th_slope + SLOPE_TOL
         worst = float(min(0.0, dom_slack.min(), (th_slope + SLOPE_TOL) - slope))
         rep = AuditReport(
@@ -744,14 +745,14 @@ def audit_rate_regimes(
             replicates * K,
             worst,
             dominates and slope_ok,
-            f"mode={cfg.momentum_mode.value} beta={cfg.beta} slope={slope:.3f} "
+            f"mode={config.momentum_mode.value} beta={config.beta} slope={slope:.3f} "
             f"theory={th_slope:.3f} dominates={dominates}",
         )
         results.append(
             RateRegimeResult(
                 alpha=float(alpha),
-                beta=cfg.beta,
-                mode=cfg.momentum_mode,
+                beta=config.beta,
+                mode=config.momentum_mode,
                 fitted_slope=slope,
                 theory_slope=th_slope,
                 slope_ok=slope_ok,

@@ -29,7 +29,7 @@ from .block_space import BlockShape, Geometry
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
 from .problems import NoiseKind, NoiseModel, make_problem
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 CSV_COLUMNS = (
     "k",
@@ -226,36 +226,19 @@ def cmd_run(config_path, out_dir) -> int:
     exp = load_experiment(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        res = run_replicates(exp.problem, exp.noise, exp.config, exp.replicates)
-    except NonFiniteIterate as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return 3
+    res = run_replicates(exp.problem, exp.noise, exp.config, exp.replicates)
 
     K = exp.config.max_iters
     theta, bound, bound_note = bound_curves(exp)
+    extra = {"k": np.arange(K), "theta_k": theta, "bound_curve": bound}
 
-    def rows(fields):
-        for k in range(K):
-            yield (
-                k,
-                fields["f_value"][k],
-                fields["grad_dual_norm"][k],
-                fields["gtilde_dual_norm"][k],
-                fields["z_dual_norm_sq"][k],
-                fields["trace_sqrt_total"][k],
-                fields["delta_k"][k],
-                theta[k],
-                bound[k],
-                fields["resid_ineq1"][k],
-                fields["resid_ineq2"][k],
-                fields["step_dual_norm"][k],
-            )
+    def write(path, fields):
+        columns = {**fields, **extra}
+        write_csv(path, CSV_COLUMNS, zip(*(columns[name] for name in CSV_COLUMNS)))
 
-    write_csv(out / "records.csv", CSV_COLUMNS, rows(res.mean))
+    write(out / "records.csv", res.mean)
     for r in range(exp.replicates):
-        fields = {name: arr[r] for name, arr in res.arrays.items()}
-        write_csv(out / f"records_rep{r:03d}.csv", CSV_COLUMNS, rows(fields))
+        write(out / f"records_rep{r:03d}.csv", {name: a[r] for name, a in res.arrays.items()})
 
     summary = {
         "final_min_grad": float(res.min_grad_curve[-1]) if K else None,
@@ -298,17 +281,9 @@ def cmd_sweep(config_path, alphas, out_dir) -> int:
     ok = True
     if alphas:
         sigma = max(exp.noise.sigma) if exp.noise.sigma else 0.0
-        try:
-            results = audit_rate_regimes(
-                exp.problem,
-                exp.config,
-                alphas=alphas,
-                sigma=sigma,
-                replicates=exp.replicates,
-            )
-        except NonFiniteIterate as err:
-            print(f"numerical failure: {err}", file=sys.stderr)
-            return 3
+        results = audit_rate_regimes(
+            exp.problem, exp.config, alphas=alphas, sigma=sigma, replicates=exp.replicates
+        )
         for r in results:
             rows.append((r.alpha, r.fitted_slope, r.theory_slope, int(r.bound_dominates)))
             ok = ok and r.report.passed
@@ -328,7 +303,7 @@ def build_parser():
     pa.add_argument(
         "--suite",
         required=True,
-        choices=["trace", "identities", "potentials", "bounds", "momentum", "rates", "all"],
+        choices=[*SUITES, "all"],
     )
     pa.add_argument("--trials", type=int, default=1000)
     pa.add_argument("--seed", type=int, default=0)

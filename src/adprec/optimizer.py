@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -243,16 +243,15 @@ def run_trajectory(
     problem: Problem,
     noise: NoiseModel,
     config: OptimizerConfig,
-    x0: ProductPoint | None = None,
 ) -> TrajectoryResult:
-    """Drive the iteration for max_iters steps from x0 (default: problem.x0).
+    """Drive the iteration for max_iters steps from problem.x0.
 
     Deterministic given (problem, noise, config.seed).  A non-finite
     iterate aborts the run; the partial record stream is returned with the
     failure message in ``failed``.
     """
     shapes = problem.shapes
-    X = (x0 if x0 is not None else problem.x0).copy()
+    X = problem.x0.copy()
     states = [geom_init(s, config.varsigma) for s in shapes]
     mom = MomentumState()
     rng = np.random.default_rng(config.seed)
@@ -268,45 +267,28 @@ def run_trajectory(
             X, states, mom, rec, z_prev = adprec_step(shapes, X, gtilde, states, mom, config, k)
         except NonFiniteIterate as err:
             return TrajectoryResult(records, X, states, failed=str(err))
-        rec = replace(rec, f_value=fval, grad_dual_norm=gnorm)
+        rec.f_value, rec.grad_dual_norm = fval, gnorm
         records.append(rec)
     return TrajectoryResult(records, X, states)
 
 
-_RECORD_FIELDS = (
-    "f_value",
-    "grad_dual_norm",
-    "gtilde_dual_norm",
-    "z_dual_norm_sq",
-    "trace_sqrt_total",
-    "delta_k",
-    "weighted_inv",
-    "weighted_invsqrt",
-    "resid_ineq1",
-    "resid_ineq2",
-    "step_dual_norm",
-    "mom_err_sq",
-)
+# every per-step quantity of IterationRecord except the iteration index
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
 
 
 @dataclass
 class ReplicateResult:
-    """Replicate-averaged record stream plus the per-replicate streams.
+    """Replicate-averaged record stream.
 
     arrays[name] has shape (R, K); mean[name] is the across-replicate mean
     at each iteration, and min_grad_curve is the running minimum of the
     averaged true-gradient norm (the quantity the rate bounds control).
     """
 
-    trajectories: list[TrajectoryResult]
     arrays: dict[str, np.ndarray]
     mean: dict[str, np.ndarray]
     min_grad_curve: np.ndarray
-    se: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def replicates(self) -> int:
-        return len(self.trajectories)
+    se: dict[str, np.ndarray]
 
 
 def run_replicates(
@@ -314,14 +296,13 @@ def run_replicates(
     noise: NoiseModel,
     config: OptimizerConfig,
     R: int,
-    x0: ProductPoint | None = None,
 ) -> ReplicateResult:
     """Run R independent trajectories (seed + r) and average the records."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
     trajectories = []
     for r in range(R):
-        traj = run_trajectory(problem, noise, replace(config, seed=config.seed + r), x0=x0)
+        traj = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
         if traj.failed is not None:
             raise NonFiniteIterate(f"replicate {r}: {traj.failed}")
         trajectories.append(traj)
@@ -334,8 +315,5 @@ def run_replicates(
         name: (a.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(a.shape[1]))
         for name, a in arrays.items()
     }
-    k_count = config.max_iters
-    min_grad = (
-        np.minimum.accumulate(mean["grad_dual_norm"]) if k_count else np.empty(0)
-    )
-    return ReplicateResult(trajectories, arrays, mean, min_grad, se)
+    min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
+    return ReplicateResult(arrays, mean, min_grad, se)

@@ -62,9 +62,9 @@ class NoiseModel:
             )
         return np.asarray(self.sigma, dtype=float)
 
-    @property
-    def sigma_tot_sq(self) -> float:
-        return float(np.sum(np.asarray(self.sigma, dtype=float) ** 2))
+    def sigma_tot_sq(self, num_blocks: int) -> float:
+        """sum_l sigma_l**2 over num_blocks blocks, broadcast as by sigma_for."""
+        return float(np.sum(self.sigma_for(num_blocks) ** 2))
 
 
 @dataclass(frozen=True)
@@ -324,10 +324,11 @@ def sample_gradient(
     return ProductPoint(blocks)
 
 
-def nu_curve_analytic(noise: NoiseModel, K: int) -> np.ndarray:
+def nu_curve_analytic(noise: NoiseModel, num_blocks: int, K: int) -> np.ndarray:
     """Cumulative oracle noise budget nu_k for k = 0..K-1, additive noise models.
 
-    nu_k**2 = sigma_tot**2 * sum_{j=0}^{k} (j+1)**-alpha.  Exact oracles have
+    nu_k**2 = sigma_tot**2 * sum_{j=0}^{k} (j+1)**-alpha, with sigma_tot**2
+    summed over num_blocks blocks as the oracle draws them.  Exact oracles have
     nu_k = 0; mini-batch oracles have no closed form and raise InvalidConfig.
     """
     if noise.kind is NoiseKind.EXACT:
@@ -335,4 +336,4 @@ def nu_curve_analytic(noise: NoiseModel, K: int) -> np.ndarray:
     if noise.kind is NoiseKind.MINI_BATCH:
         raise InvalidConfig("nu_k has no analytic form for mini-batch oracles")
     j = np.arange(1, K + 1, dtype=float)
-    return np.sqrt(noise.sigma_tot_sq * np.cumsum(j ** (-noise.alpha)))
+    return np.sqrt(noise.sigma_tot_sq(num_blocks) * np.cumsum(j ** (-noise.alpha)))

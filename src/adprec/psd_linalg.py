@@ -77,9 +77,9 @@ def psd_power(M, p, floor=None):
     return (Q * w**p) @ Q.T
 
 
-def trace_log_psd(M, floor=None):
+def trace_log_psd(M):
     """``tr(log M)`` (= log det M) for a symmetric positive definite M."""
-    w, _ = eigh_clamped(M, floor)
+    w, _ = eigh_clamped(M)
     if np.any(w <= 0.0):
         raise NonPositiveDefinite(
             f"tr(log M) needs a positive definite input (min eigenvalue {w.min():.3e})"

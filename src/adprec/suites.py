@@ -190,9 +190,9 @@ def suite_rates(trials=0, seed=0, K=5000, R=16):
     return reports
 
 
-def m2_schedule_gap_report(problem, K=5000, R=16, seed=0, mu_max=0.9) -> AuditReport:
-    """Compare the pure-gradient momentum variant at beta = 0.25 (schedule
-    exponent making alpha + 2 beta = 1) against beta = 0 at alpha = 0.5.
+def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
+    """Compare the pure-gradient momentum variant (mu_max = 0.9) at beta = 0.25
+    (schedule exponent making alpha + 2 beta = 1) against beta = 0 at alpha = 0.5.
 
     Passes when both schedules' own rate-regime reports pass (each curve
     stays under its envelope and decays at least as fast as its guaranteed
@@ -202,6 +202,7 @@ def m2_schedule_gap_report(problem, K=5000, R=16, seed=0, mu_max=0.9) -> AuditRe
     are upper bounds, and the realized trajectories may converge at matching
     rates.  worst_violation is the worse of the two sub-reports'.
     """
+    mu_max = 0.9
     # stepsize satisfying the M2 stepsize hypothesis for mu_max and this L
     L = problem.lipschitz
     eta = 0.9 * (1.0 - mu_max) / (mu_max * L) * math.sqrt(1.0 / 12.0)

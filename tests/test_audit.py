@@ -372,9 +372,22 @@ def test_m2_envelope_rejects_mini_batch_oracle():
     noise = NoiseModel(kind=NoiseKind.MINI_BATCH, batch=4)
     c = cfg(max_iters=20, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
     with pytest.raises(InvalidConfig):
-        m2_theta_noise_curve(noise, c, 20)
+        m2_theta_noise_curve(noise, c, len(DIAG8))
     with pytest.raises(InvalidConfig):
         envelope_curve(problem, noise, c)
+
+
+def test_m2_envelope_counts_multiplicative_noise():
+    # the last term of the M2 envelope carries omega^2, so a multiplicative
+    # oracle must lift the published envelope above the additive-only one
+    problem = make_problem("quadratic", DIAG8, seed=7)
+    c = cfg(max_iters=5, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
+
+    def last(omega):
+        noise = NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(1.0,), omega=omega)
+        return envelope_curve(problem, noise, c)[-1]
+
+    assert last(5.0) > last(0.0)
 
 
 @pytest.mark.parametrize("failing_beta", [None, 0.0, 0.25])

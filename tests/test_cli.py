@@ -159,15 +159,24 @@ def test_parse_experiment_validation():
         parse_experiment(raw3)
 
 
-def test_nonfinite_exit_3(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command, driver",
+    [("run", "run_replicates"), ("sweep", "audit_rate_regimes")],
+    ids=["run", "sweep"],
+)
+def test_nonfinite_exit_3(tmp_path, monkeypatch, capsys, command, driver):
     cfg_path, _ = write_config(tmp_path)
     import adprec.cli as cli_mod
 
     def boom(*a, **kw):
         raise NonFiniteIterate("synthetic blow-up")
 
-    monkeypatch.setattr(cli_mod, "run_replicates", boom)
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    monkeypatch.setattr(cli_mod, driver, boom)
+    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        args += ["--alphas", "1.0"]
+    assert main(args) == 3
+    assert "numerical failure: synthetic blow-up" in capsys.readouterr().err
 
 
 def test_audit_trace_suite(tmp_path, capsys):
@@ -230,6 +239,29 @@ def test_sweep_noise_free_fallback(tmp_path):
     assert float(alpha) == 2.0
     assert float(slope) < 0.0
     assert flag == "1"
+
+
+def test_one_entry_sigma_list_broadcasts_like_a_scalar(tmp_path):
+    # the oracle draws a one-entry sigma list on every block, so the
+    # published bound must count it on every block as well
+    blocks = [
+        {"rows": 4, "cols": 1, "geometry": "DiagAdaGrad"},
+        {"rows": 4, "cols": 1, "geometry": "AdaNorm"},
+    ]
+    records = []
+    for i, sigma in enumerate(([200.0], 200.0, [200.0, 200.0])):
+        cfg_path, _ = write_config(
+            tmp_path,
+            overrides={
+                "optimizer": {"iterations": 20, "eta": 0.5},
+                "noise": {"kind": "AdditiveDecaying", "sigma": sigma, "alpha": 0.5},
+            },
+            blocks=blocks,
+        )
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        records.append((out / "records.csv").read_bytes())
+    assert records[0] == records[1] == records[2]
 
 
 def test_unverified_momentum_hypothesis_noted(tmp_path):

@@ -184,15 +184,15 @@ def test_minibatch_oracle_draws_subsets():
 
 
 def test_nu_k_analytic_values():
-    nu = nu_curve_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0), 1)
+    nu = nu_curve_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0), 1, 1)
     assert nu[0] == pytest.approx(1.0)
     curve = nu_curve_analytic(
-        NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0), 3
+        NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0), 1, 3
     )
     assert curve[2] ** 2 == pytest.approx(11.0 / 6.0, rel=1e-12)
-    np.testing.assert_array_equal(nu_curve_analytic(NoiseModel(), 6), np.zeros(6))
+    np.testing.assert_array_equal(nu_curve_analytic(NoiseModel(), 1, 6), np.zeros(6))
     with pytest.raises(InvalidConfig):
-        nu_curve_analytic(NoiseModel(kind=NoiseKind.MINI_BATCH), 2)
+        nu_curve_analytic(NoiseModel(kind=NoiseKind.MINI_BATCH), 1, 2)
 
 
 def test_sigma_per_block_validation():
@@ -200,3 +200,8 @@ def test_sigma_per_block_validation():
     with pytest.raises(InvalidConfig):
         noise.sigma_for(3)
     np.testing.assert_array_equal(noise.sigma_for(2), [1.0, 2.0])
+    assert noise.sigma_tot_sq(2) == 5.0
+    with pytest.raises(InvalidConfig):
+        noise.sigma_tot_sq(3)
+    # a one-entry list is drawn on every block, so it counts once per block
+    assert NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(2.0,)).sigma_tot_sq(3) == 12.0
