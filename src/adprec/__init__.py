@@ -25,6 +25,7 @@ from .geometries import (
     geom_diagnostics,
     geom_dual_norm,
     geom_init,
+    geom_lmap_trace,
     geom_precondition,
     geom_selector,
 )

@@ -196,7 +196,7 @@ def _random_state(shape, rng, varsigma):
     state = geom_init(shape, varsigma)
     for _ in range(int(rng.integers(0, 4))):
         V = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
-        state = geom_accumulate(shape, state, V)
+        state = geom_accumulate(shape, state, V, geom_lmap_trace(shape, V))
     return state
 
 
@@ -216,10 +216,11 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
         varsigma = 10.0 ** rng.uniform(-1, 1)
         state = _random_state(shape, rng, varsigma)
         V = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
-        state = geom_accumulate(shape, state, V)
+        tr_l = geom_lmap_trace(shape, V)
+        state = geom_accumulate(shape, state, V, tr_l)
         Z = geom_precondition(shape, state, V)
         zn = geom_dual_norm(shape, Z)
-        diag = geom_diagnostics(shape, state, V)
+        diag = geom_diagnostics(shape, state, V, tr_l)
 
         lhs1 = zn * float(np.sum(V * geom_selector(shape, Z)))
         s1 = max(abs(lhs1), abs(diag.weighted_invsqrt), 1e-300)
@@ -230,7 +231,6 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
         r2.append(TOL_ALGEBRAIC - abs(lhs2 - diag.weighted_inv) / s2)
 
         dual_sq = geom_dual_norm(shape, V) ** 2
-        tr_l = geom_lmap_trace(shape, V)
         rc.append((KAPPA_CIRC**2 * tr_l - dual_sq) / max(1.0, dual_sq))
     ctx = f"geometry={geometry.value} seed={seed}"
     return [

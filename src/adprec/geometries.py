@@ -22,12 +22,20 @@ is *not* the additive accumulation of lmap(V) (the Gram factors are
 accumulated instead), which the audit module probes explicitly.
 
 States are immutable value types owned by one trajectory; accumulation
-returns fresh states and never decreases eigenvalues.
+returns fresh states and never decreases eigenvalues.  Because a state never
+changes, it factorizes itself at most once: ``FullState.eig`` and
+``KroneckerState.left_eig`` / ``right_eig`` hold
+``eigh_clamped(gram | lfac | rfac, floor=varsigma)``, computed on first use
+and read by both precondition and diagnostics.  Factorizations of a block
+(Muon's SVDs) are shared through arguments instead: accumulate and
+diagnostics take ``geom_lmap_trace(V)``, and ``geom_step_direction`` takes
+the dual norm and selector of Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,12 +64,27 @@ class FullState:
     gram: np.ndarray  # (n, n) symmetric positive definite
     varsigma: float
 
+    @cached_property
+    def eig(self):
+        """Clamped eigendecomposition (w, Q) of gram, computed on first use."""
+        return eigh_clamped(self.gram, floor=self.varsigma)
+
 
 @dataclass(frozen=True)
 class KroneckerState:
     lfac: np.ndarray  # (n, n) SPD
     rfac: np.ndarray  # (m, m) SPD
     varsigma: float
+
+    @cached_property
+    def left_eig(self):
+        """Clamped eigendecomposition (w, Q) of lfac, computed on first use."""
+        return eigh_clamped(self.lfac, floor=self.varsigma)
+
+    @cached_property
+    def right_eig(self):
+        """Clamped eigendecomposition (w, Q) of rfac, computed on first use."""
+        return eigh_clamped(self.rfac, floor=self.varsigma)
 
 
 GeometryState = ScalarState | DiagonalState | FullState | KroneckerState
@@ -108,16 +131,18 @@ def geom_init(shape: BlockShape, varsigma: float) -> GeometryState:
     raise InvalidConfig(f"unknown geometry {g}")
 
 
-def geom_accumulate(shape: BlockShape, state: GeometryState, V) -> GeometryState:
-    """Grow the state by the variant's quadratic map of V (Loewner-monotone)."""
+def geom_accumulate(
+    shape: BlockShape, state: GeometryState, V, lmap_trace: float
+) -> GeometryState:
+    """Grow the state by the variant's quadratic map of V (Loewner-monotone).
+
+    lmap_trace is ``geom_lmap_trace(shape, V)``; the isotropic variants grow
+    by it over the block dimension.
+    """
     _check_block(shape, V)
     g = shape.geometry
-    if g is Geometry.ADANORM:
-        inc = float(np.sum(V * V)) / shape.rows
-        return ScalarState(state.gamma + inc, state.dim, state.varsigma)
-    if g is Geometry.MUON:
-        inc = nuclear_norm(V) ** 2 / shape.dim
-        return ScalarState(state.gamma + inc, state.dim, state.varsigma)
+    if g in (Geometry.ADANORM, Geometry.MUON):
+        return ScalarState(state.gamma + lmap_trace / shape.dim, state.dim, state.varsigma)
     if g is Geometry.DIAG_ADAGRAD:
         v = V[:, 0]
         return DiagonalState(state.diag + v * v, state.varsigma)
@@ -138,11 +163,11 @@ def geom_precondition(shape: BlockShape, state: GeometryState, V):
     if g is Geometry.DIAG_ADAGRAD:
         return V / np.sqrt(state.diag)[:, None]
     if g is Geometry.FULL_ADAGRAD:
-        w, Q = eigh_clamped(state.gram, floor=state.varsigma)
+        w, Q = state.eig
         return Q @ ((Q.T @ V) / np.sqrt(w)[:, None])
     if g is Geometry.SHAMPOO:
-        wl, Ql = eigh_clamped(state.lfac, floor=state.varsigma)
-        wr, Qr = eigh_clamped(state.rfac, floor=state.varsigma)
+        wl, Ql = state.left_eig
+        wr, Qr = state.right_eig
         # L**-1/4 @ V @ R**-1/4 through the factor eigenbases
         core = Ql.T @ V @ Qr
         core = core / wl[:, None] ** 0.25 / wr[None, :] ** 0.25
@@ -164,14 +189,14 @@ def geom_dual_norm(shape: BlockShape, V) -> float:
     return block_dual_norm(shape.geometry, V)
 
 
-def geom_step_direction(shape: BlockShape, Z):
-    """``|Z|_dual * S(Z)`` computed stably (avoids the 0/0 at Z = 0).
+def geom_step_direction(shape: BlockShape, Z, dual_norm: float, selector):
+    """``|Z|_dual * S(Z)`` from the dual norm and selector of Z the caller holds.
 
-    For Euclidean-normed blocks this is just Z; for Muon blocks it is the
-    nuclear norm times the orthogonalized Z.
+    For Euclidean-normed blocks this is just Z (which avoids the 0/0 at
+    Z = 0); for Muon blocks it is the nuclear norm times the orthogonalized Z.
     """
     if shape.geometry is Geometry.MUON:
-        return nuclear_norm(Z) * msign(Z)
+        return dual_norm * selector
     return Z
 
 
@@ -201,18 +226,21 @@ def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
     raise InvalidConfig(f"unknown geometry {g}")
 
 
-def geom_diagnostics(shape: BlockShape, state: GeometryState, V) -> GeometryDiagnostics:
+def geom_diagnostics(
+    shape: BlockShape, state: GeometryState, V, lmap_trace: float
+) -> GeometryDiagnostics:
     """The four traces, evaluated in the state's native representation.
 
-    Kronecker blocks use ``Gamma = R**1/2 (x) L**1/2``, for which
+    lmap_trace is ``geom_lmap_trace(shape, V)``, which the isotropic variants
+    weight by gamma**-1 and gamma**-1/2.  Kronecker blocks use
+    ``Gamma = R**1/2 (x) L**1/2``, for which
     ``tr(Gamma**p lmap(V)) = <V, L**(p/2) V R**(p/2)>_F`` and
     ``tr(log Gamma) = (m/2) tr(log L) + (n/2) tr(log R)``.
     """
     _check_block(shape, V)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
-        gamma, d = state.gamma, state.dim
-        tl = geom_lmap_trace(shape, V)
+        gamma, d, tl = state.gamma, state.dim, lmap_trace
         return GeometryDiagnostics(
             trace_sqrt=d * np.sqrt(gamma),
             trace_log=d * np.log(gamma),
@@ -229,7 +257,7 @@ def geom_diagnostics(shape: BlockShape, state: GeometryState, V) -> GeometryDiag
             weighted_invsqrt=float(np.sum(v2 / np.sqrt(dvec))),
         )
     if g is Geometry.FULL_ADAGRAD:
-        w, Q = eigh_clamped(state.gram, floor=state.varsigma)
+        w, Q = state.eig
         c = (Q.T @ V[:, 0]) ** 2
         return GeometryDiagnostics(
             trace_sqrt=float(np.sum(np.sqrt(w))),
@@ -239,8 +267,8 @@ def geom_diagnostics(shape: BlockShape, state: GeometryState, V) -> GeometryDiag
         )
     if g is Geometry.SHAMPOO:
         n, m = shape.rows, shape.cols
-        wl, Ql = eigh_clamped(state.lfac, floor=state.varsigma)
-        wr, Qr = eigh_clamped(state.rfac, floor=state.varsigma)
+        wl, Ql = state.left_eig
+        wr, Qr = state.right_eig
         core2 = (Ql.T @ V @ Qr) ** 2
         inv_w = 1.0 / (wl[:, None] ** 0.5 * wr[None, :] ** 0.5)
         invsqrt_w = 1.0 / (wl[:, None] ** 0.25 * wr[None, :] ** 0.25)

@@ -44,6 +44,7 @@ from .geometries import (
     geom_diagnostics,
     geom_dual_norm,
     geom_init,
+    geom_lmap_trace,
     geom_precondition,
     geom_selector,
     geom_step_direction,
@@ -148,13 +149,15 @@ def adprec_step(
     config: OptimizerConfig,
     k: int,
 ):
-    """One iteration; returns (X_next, new_states, mom, record, Z).
+    """One iteration; returns (X_next, new_states, mom, record, z_norms).
 
-    Z is the preconditioned direction as a ProductPoint (the oracle for
-    multiplicative noise needs it at the next iteration).  The record's
-    f_value / grad_dual_norm fields are NaN here; the trajectory driver
-    fills them in (they need the problem, which the step itself must not
-    consult).
+    z_norms are the block dual norms of the preconditioned direction Z (the
+    oracle for multiplicative noise needs them at the next iteration).
+    Each block is factorized once: its lmap trace feeds both accumulate and
+    diagnostics, and Z's dual norm and selector feed both the identity
+    residual and the step.  The record's f_value / grad_dual_norm fields are
+    NaN here; the trajectory driver fills them in (they need the problem,
+    which the step itself must not consult).
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -172,7 +175,7 @@ def adprec_step(
 
     new_states = []
     new_blocks = []
-    z_blocks = []
+    z_norms = []
     z_sq = 0.0
     trace_sqrt = 0.0
     trace_log = 0.0
@@ -181,18 +184,21 @@ def adprec_step(
     resid1 = 0.0
     resid2 = 0.0
     for ell, shape in enumerate(shapes):
-        st = geom_accumulate(shape, states[ell], acc.blocks[ell])
+        A = acc.blocks[ell]
+        tl = geom_lmap_trace(shape, A)
+        st = geom_accumulate(shape, states[ell], A, tl)
         Z = geom_precondition(shape, st, direction.blocks[ell])
         zn = geom_dual_norm(shape, Z)
-        diag = geom_diagnostics(shape, st, acc.blocks[ell])
+        S = geom_selector(shape, Z)
+        diag = geom_diagnostics(shape, st, A, tl)
 
-        lhs1 = zn * float(np.sum(acc.blocks[ell] * geom_selector(shape, Z)))
+        lhs1 = zn * float(np.sum(A * S))
         resid1 = max(resid1, _rel_resid(lhs1, diag.weighted_invsqrt))
         resid2 = max(resid2, _rel_resid(zn * zn, diag.weighted_inv))
 
-        new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z))
+        new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
         new_states.append(st)
-        z_blocks.append(Z)
+        z_norms.append(zn)
         z_sq += zn * zn
         trace_sqrt += diag.trace_sqrt
         trace_log += diag.trace_log
@@ -200,7 +206,6 @@ def adprec_step(
         w_invsqrt += diag.weighted_invsqrt
 
     X_next = ProductPoint(new_blocks)
-    Z_point = ProductPoint(z_blocks)
     if not X_next.is_finite():
         raise NonFiniteIterate(f"iterate became non-finite at iteration {k}")
 
@@ -225,7 +230,7 @@ def adprec_step(
         step_dual_norm=config.eta * math.sqrt(z_sq),
         mom_err_sq=mom_err_sq,
     )
-    return X_next, new_states, mom, record, Z_point
+    return X_next, new_states, mom, record, z_norms
 
 
 @dataclass
@@ -255,16 +260,20 @@ def run_trajectory(
     states = [geom_init(s, config.varsigma) for s in shapes]
     mom = MomentumState()
     rng = np.random.default_rng(config.seed)
-    z_prev: ProductPoint | None = None
+    z_prev_norms: list[float] | None = None
     records: list[IterationRecord] = []
 
     for k in range(config.max_iters):
         G = problem.eval_grad(X)
-        gtilde = sample_gradient(problem, noise, X, k, rng, z_prev=z_prev, exact_grad=G)
+        gtilde = sample_gradient(
+            problem, noise, X, k, rng, z_prev_norms=z_prev_norms, exact_grad=G
+        )
         fval = problem.eval_f(X) if config.eval_objective else math.nan
         gnorm = math.sqrt(product_dual_norm_sq(G, shapes))
         try:
-            X, states, mom, rec, z_prev = adprec_step(shapes, X, gtilde, states, mom, config, k)
+            X, states, mom, rec, z_prev_norms = adprec_step(
+                shapes, X, gtilde, states, mom, config, k
+            )
         except NonFiniteIterate as err:
             return TrajectoryResult(records, X, states, failed=str(err))
         rec.f_value, rec.grad_dual_norm = fval, gnorm

@@ -17,7 +17,6 @@ import numpy as np
 from .block_space import (
     BlockShape,
     ProductPoint,
-    block_dual_norm,
     check_point_matches,
     total_dim,
 )
@@ -285,16 +284,18 @@ def sample_gradient(
     X: ProductPoint,
     k: int,
     rng: np.random.Generator,
-    z_prev: ProductPoint | None = None,
+    z_prev_norms: Sequence[float] | None = None,
     exact_grad: ProductPoint | None = None,
 ) -> ProductPoint:
     """Draw an unbiased gradient estimate at iterate X, iteration k.
 
-    The caller may pass the already-computed exact gradient to avoid a
-    second evaluation.  Noise is Gaussian per entry; per-entry standard
-    deviations are scaled by 1/sqrt(d_l) so the *block* dual-norm variance
-    matches the model on Euclidean/Frobenius blocks (for nuclear-norm
-    blocks the bound holds up to the rank factor).
+    z_prev_norms are the block dual norms of the previous preconditioned
+    step Z_{k-1} (None before the first step); only AdditivePlusMultiplicative
+    noise reads them.  The caller may pass the already-computed exact
+    gradient to avoid a second evaluation.  Noise is Gaussian per entry;
+    per-entry standard deviations are scaled by 1/sqrt(d_l) so the *block*
+    dual-norm variance matches the model on Euclidean/Frobenius blocks (for
+    nuclear-norm blocks the bound holds up to the rank factor).
     """
     shapes = problem.shapes
     check_point_matches(X, shapes)
@@ -317,7 +318,7 @@ def sample_gradient(
         std = s_l / ((k + 1) ** (noise.alpha / 2.0) * np.sqrt(d))
         B = G_l + std * rng.standard_normal(G_l.shape)
         if noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0:
-            zn = 0.0 if z_prev is None else block_dual_norm(shape.geometry, z_prev.blocks[ell])
+            zn = 0.0 if z_prev_norms is None else z_prev_norms[ell]
             if zn > 0.0:
                 B = B + (noise.omega * zn / np.sqrt(d)) * rng.standard_normal(G_l.shape)
         blocks.append(B)

@@ -1,9 +1,12 @@
 """Dense symmetric/PSD matrix functions used by the block geometries.
 
-Everything here recomputes a full eigendecomposition or SVD per call.  At
-the matrix sizes this package targets (block dims up to a few hundred)
-that is cheaper than maintaining incremental factorizations correctly.
-All functions are pure.
+All functions are pure and factorize their input afresh on every call; none
+of them caches.  Reuse lives with the callers: a geometry state factorizes
+itself at most once (see ``geometries``), and one optimizer step computes
+each block's SVDs once and passes the results on.  At the matrix sizes this
+package targets (block dims up to a few hundred) a fresh factorization per
+accumulated state is cheaper than maintaining incremental factorizations
+correctly.
 """
 
 from __future__ import annotations

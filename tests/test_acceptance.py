@@ -30,7 +30,7 @@ from adprec.audit import (
     theory_exponent,
 )
 from adprec.block_space import BlockShape, Geometry, ProductPoint
-from adprec.geometries import geom_accumulate, geom_init, geom_precondition
+from adprec.geometries import geom_accumulate, geom_init, geom_lmap_trace, geom_precondition
 from adprec.optimizer import (
     MomentumMode,
     MomentumState,
@@ -85,7 +85,8 @@ def test_criterion_3_shampoo_explicit_kronecker():
     for _ in range(100):
         state = geom_init(shape, float(rng.uniform(0.5, 2.0)))
         for _ in range(rng.integers(1, 4)):
-            state = geom_accumulate(shape, state, rng.standard_normal((3, 2)))
+            V = rng.standard_normal((3, 2))
+            state = geom_accumulate(shape, state, V, geom_lmap_trace(shape, V))
         G = rng.standard_normal((3, 2))
         fast = geom_precondition(shape, state, G)
         big = np.kron(psd_power(state.rfac, -0.25), psd_power(state.lfac, -0.25))

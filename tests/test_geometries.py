@@ -38,6 +38,16 @@ def random_block(shape, rng, scale=1.0):
     return scale * rng.standard_normal((shape.rows, shape.cols))
 
 
+def grow(shape, state, V):
+    """geom_accumulate with the lmap trace it takes, as the optimizer passes it."""
+    return geom_accumulate(shape, state, V, geom_lmap_trace(shape, V))
+
+
+def diagnostics(shape, state, V):
+    """geom_diagnostics with the lmap trace it takes, as the optimizer passes it."""
+    return geom_diagnostics(shape, state, V, geom_lmap_trace(shape, V))
+
+
 def test_init_examples():
     s = geom_init(BlockShape(2, 1, Geometry.ADANORM), 1.0)
     assert isinstance(s, ScalarState) and s.gamma == 1.0 and s.dim == 2
@@ -55,15 +65,15 @@ def test_init_examples():
 
 def test_accumulate_hand_values():
     sh = BlockShape(2, 1, Geometry.ADANORM)
-    st = geom_accumulate(sh, geom_init(sh, 1.0), vec(1, 0))
+    st = grow(sh, geom_init(sh, 1.0), vec(1, 0))
     assert st.gamma == pytest.approx(1.5)
 
     sh = BlockShape(2, 1, Geometry.DIAG_ADAGRAD)
-    st = geom_accumulate(sh, geom_init(sh, 1.0), vec(1, 2))
+    st = grow(sh, geom_init(sh, 1.0), vec(1, 2))
     np.testing.assert_allclose(st.diag, [2.0, 5.0])
 
     sh = BlockShape(2, 2, Geometry.MUON)
-    st = geom_accumulate(sh, geom_init(sh, 1.0), np.diag([3.0, -2.0]))
+    st = grow(sh, geom_init(sh, 1.0), np.diag([3.0, -2.0]))
     assert st.gamma == pytest.approx(1.0 + 25.0 / 4.0)
 
 
@@ -108,14 +118,14 @@ def test_step_direction_matches_definition():
     for g in ALL_GEOMETRIES:
         sh = shape_for(g)
         Z = random_block(sh, rng)
-        explicit = geom_dual_norm(sh, Z) * geom_selector(sh, Z)
-        np.testing.assert_allclose(geom_step_direction(sh, Z), explicit, atol=1e-10)
+        zn, S = geom_dual_norm(sh, Z), geom_selector(sh, Z)
+        np.testing.assert_allclose(geom_step_direction(sh, Z, zn, S), zn * S, atol=1e-10)
 
 
 def test_diagnostics_hand_values():
     sh = BlockShape(2, 1, Geometry.ADANORM)
     st = ScalarState(gamma=1.5, dim=2, varsigma=1.0)
-    d = geom_diagnostics(sh, st, vec(1, 0))
+    d = diagnostics(sh, st, vec(1, 0))
     assert d.weighted_inv == pytest.approx(1 / 1.5)
     assert d.trace_sqrt == pytest.approx(2 * np.sqrt(1.5))
     assert d.trace_log == pytest.approx(2 * np.log(1.5))
@@ -124,12 +134,12 @@ def test_diagnostics_hand_values():
     sh = BlockShape(3, 1, Geometry.FULL_ADAGRAD)
     rng = np.random.default_rng(1)
     v = rng.standard_normal((3, 1))
-    st = geom_accumulate(sh, geom_init(sh, 1.0), v)
-    d = geom_diagnostics(sh, st, v)
+    st = grow(sh, geom_init(sh, 1.0), v)
+    d = diagnostics(sh, st, v)
     z_oracle = psd_power(st.gram, -0.5) @ v
     assert d.weighted_inv == pytest.approx(float(np.sum(z_oracle**2)), rel=1e-10)
 
-    d0 = geom_diagnostics(sh, st, np.zeros((3, 1)))
+    d0 = diagnostics(sh, st, np.zeros((3, 1)))
     assert d0.weighted_inv == 0.0 and d0.weighted_invsqrt == 0.0
 
 
@@ -140,12 +150,12 @@ def test_structural_identities(geometry):
     for _ in range(40):
         st = geom_init(sh, float(rng.uniform(0.3, 2.0)))
         for _ in range(rng.integers(0, 4)):
-            st = geom_accumulate(sh, st, random_block(sh, rng, scale=2.0))
+            st = grow(sh, st, random_block(sh, rng, scale=2.0))
         V = random_block(sh, rng)
-        st = geom_accumulate(sh, st, V)
+        st = grow(sh, st, V)
         Z = geom_precondition(sh, st, V)
         zn = geom_dual_norm(sh, Z)
-        d = geom_diagnostics(sh, st, V)
+        d = diagnostics(sh, st, V)
         lhs1 = zn * float(np.sum(V * geom_selector(sh, Z)))
         assert lhs1 == pytest.approx(d.weighted_invsqrt, rel=1e-8)
         assert zn**2 == pytest.approx(d.weighted_inv, rel=1e-8)
@@ -161,7 +171,7 @@ def test_loewner_monotone_accumulation_and_floor(geometry):
     st = geom_init(sh, varsigma)
     prev = geom_state_eigenvalues(st)
     for _ in range(6):
-        st = geom_accumulate(sh, st, random_block(sh, rng))
+        st = grow(sh, st, random_block(sh, rng))
         cur = geom_state_eigenvalues(st)
         assert np.all(cur >= prev - 1e-12)
         assert cur.min() >= varsigma - 1e-8 * varsigma
@@ -175,8 +185,8 @@ def test_diagnostic_floors(geometry):
     for varsigma in (0.5, 1.0, 3.0):
         st = geom_init(sh, varsigma)
         for _ in range(3):
-            st = geom_accumulate(sh, st, random_block(sh, rng))
-        d = geom_diagnostics(sh, st, random_block(sh, rng))
+            st = grow(sh, st, random_block(sh, rng))
+        d = diagnostics(sh, st, random_block(sh, rng))
         assert d.trace_sqrt >= sh.dim * np.sqrt(varsigma) - 1e-10
         assert d.trace_log >= sh.dim * np.log(varsigma) - 1e-10
 
@@ -187,9 +197,9 @@ def test_kronecker_diagnostics_match_explicit_gamma():
     sh = BlockShape(3, 2, Geometry.SHAMPOO)
     st = geom_init(sh, 1.0)
     for _ in range(4):
-        st = geom_accumulate(sh, st, random_block(sh, rng))
+        st = grow(sh, st, random_block(sh, rng))
     V = random_block(sh, rng)
-    d = geom_diagnostics(sh, st, V)
+    d = diagnostics(sh, st, V)
     gamma = kron_gamma_explicit(st)
     w = np.linalg.eigvalsh(gamma)
     v = V.ravel(order="F")
@@ -223,9 +233,9 @@ def test_diag_equals_scalar_adanorm_blocks():
     st_s = [geom_init(s, 1.0) for s in scalar_shapes]
     for _ in range(10):
         v = rng.standard_normal((n, 1))
-        st_d = geom_accumulate(diag_shape, st_d, v)
+        st_d = grow(diag_shape, st_d, v)
         st_s = [
-            geom_accumulate(s, st, v[i : i + 1]) for i, (s, st) in enumerate(zip(scalar_shapes, st_s))
+            grow(s, st, v[i : i + 1]) for i, (s, st) in enumerate(zip(scalar_shapes, st_s))
         ]
         zd = geom_precondition(diag_shape, st_d, v)
         zs = [geom_precondition(s, st, v[i : i + 1]) for i, (s, st) in enumerate(zip(scalar_shapes, st_s))]

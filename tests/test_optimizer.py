@@ -1,12 +1,17 @@
 import math
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adprec.block_space import BlockShape, Geometry, ProductPoint
 from adprec.errors import InvalidConfig
 from adprec.geometries import geom_init
 from adprec.optimizer import (
+    IterationRecord,
     MomentumMode,
     MomentumState,
     OptimizerConfig,
@@ -16,6 +21,7 @@ from adprec.optimizer import (
     run_trajectory,
 )
 from adprec.problems import NoiseKind, NoiseModel, Problem, make_problem
+from adprec.psd_linalg import eigh_clamped
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
 
@@ -241,3 +247,112 @@ def test_min_grad_curve_is_running_minimum():
     g = res.mean["grad_dual_norm"]
     np.testing.assert_array_equal(res.min_grad_curve, np.minimum.accumulate(g))
     assert np.all(np.diff(res.min_grad_curve) <= 0.0 + 1e-15)
+
+
+def counted_factorizations(monkeypatch) -> Counter:
+    """Wrap np.linalg.eigh and np.linalg.svd with call counters; SVDs that
+    compute singular vectors are counted apart from values-only ones."""
+    counts = Counter()
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counted_eigh(*args, **kwargs):
+        counts["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        counts["svd_vectors" if kwargs.get("compute_uv", True) else "svd_values"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return counts
+
+
+MATRIX_SHAPES = [(4, 3), (3, 5)]
+MULTIPLICATIVE = NoiseModel(
+    kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.5,), alpha=1.0, omega=0.5
+)
+
+
+@pytest.mark.parametrize(
+    "noise", [NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), MULTIPLICATIVE],
+    ids=["additive", "multiplicative"],
+)
+@pytest.mark.parametrize("geometry", [Geometry.SHAMPOO, Geometry.FULL_ADAGRAD, Geometry.MUON])
+def test_one_factorization_per_block_step(monkeypatch, geometry, noise):
+    # per block-step: Shampoo one eigh per Kronecker factor, FullAdaGrad one
+    # eigh of its Gram matrix, Muon at most five SVDs (the true and sampled
+    # gradients, the accumulated block, |Z|_*) of which one, for msign(Z),
+    # computes singular vectors
+    if geometry is Geometry.FULL_ADAGRAD:
+        problem = make_problem("quadratic", [BlockShape(6, 1, geometry)], seed=2)
+    else:
+        shapes = [BlockShape(n, m, geometry) for n, m in MATRIX_SHAPES]
+        problem = make_problem("matfact", shapes, seed=2)
+    K = 5
+    counts = counted_factorizations(monkeypatch)
+    traj = run_trajectory(problem, noise, cfg(max_iters=K, eta=0.3))
+    assert traj.failed is None
+    block_steps = K * len(problem.shapes)
+    if geometry is Geometry.MUON:
+        assert counts["eigh"] == 0
+        assert counts["svd_vectors"] == block_steps
+        assert counts["svd_values"] + counts["svd_vectors"] <= 5 * block_steps
+    else:
+        eighs = 2 if geometry is Geometry.SHAMPOO else 1
+        assert counts == Counter(eigh=eighs * block_steps)
+
+
+MIXED = [BlockShape(4, 3, Geometry.SHAMPOO), BlockShape(3, 5, Geometry.MUON)]
+
+
+def check_degenerate_steps(gradients, mode):
+    """Run gradients through adprec_step on MIXED; check records and caches."""
+    config = cfg(momentum_mode=mode, mu_max=0.5 if mode is not MomentumMode.NONE else 0.0)
+    X = ProductPoint([np.ones((s.rows, s.cols)) for s in MIXED])
+    states = [geom_init(s, config.varsigma) for s in MIXED]
+    mom = MomentumState()
+    for k, G in enumerate(gradients):
+        X, states, mom, rec, z_norms = adprec_step(MIXED, X, G, states, mom, config, k)
+        # f_value and grad_dual_norm are NaN until the trajectory driver fills them
+        filled = [f.name for f in fields(IterationRecord)
+                  if f.name not in ("f_value", "grad_dual_norm")]
+        assert all(math.isfinite(getattr(rec, name)) for name in filled)
+        assert all(math.isfinite(z) for z in z_norms)
+        if mode is not MomentumMode.M2:  # m2 mixes Gamma(Gtilde) with Z(M) by design
+            assert rec.resid_ineq1 <= 1e-12 and rec.resid_ineq2 <= 1e-12
+        shampoo = states[0]
+        for (w, Q), factor in [(shampoo.left_eig, shampoo.lfac),
+                               (shampoo.right_eig, shampoo.rfac)]:
+            w_fresh, Q_fresh = eigh_clamped(factor, floor=shampoo.varsigma)
+            np.testing.assert_array_equal(w, w_fresh)
+            np.testing.assert_array_equal(Q, Q_fresh)
+    return X
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode))
+def test_zero_matrix_gradient_takes_no_step(mode):
+    zero = ProductPoint.zeros(MIXED)
+    X = check_degenerate_steps([zero] * 3, mode)
+    for block in X.blocks:
+        np.testing.assert_array_equal(block, np.ones_like(block))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ranks=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    log_scale=st.floats(-3.0, 3.0),
+    mode=st.sampled_from(list(MomentumMode)),
+)
+def test_rank_deficient_matrix_gradients(seed, ranks, log_scale, mode):
+    # rank below min(rows, cols) on both blocks, zero blocks included
+    rng = np.random.default_rng(seed)
+    gradients = [
+        ProductPoint([
+            10.0**log_scale * rng.standard_normal((s.rows, r)) @ rng.standard_normal((r, s.cols))
+            for s, r in zip(MIXED, ranks)
+        ])
+        for _ in range(3)
+    ]
+    check_degenerate_steps(gradients, mode)

@@ -146,7 +146,7 @@ def test_multiplicative_noise_uses_previous_z():
     G = problem.eval_grad(X)
     # zero previous step: the multiplicative term vanishes
     rng = np.random.default_rng(0)
-    Gt = sample_gradient(problem, noise, X, 0, rng, z_prev=ProductPoint.zeros(VEC8), exact_grad=G)
+    Gt = sample_gradient(problem, noise, X, 0, rng, z_prev_norms=[0.0], exact_grad=G)
     for a, b in zip(G.blocks, Gt.blocks):
         np.testing.assert_array_equal(a, b)
     # nonzero previous step: block variance tracks omega^2 |Z_prev|^2
@@ -155,7 +155,9 @@ def test_multiplicative_noise_uses_previous_z():
     rng = np.random.default_rng(1)
     draws, acc = 10_000, 0.0
     for _ in range(draws):
-        Gt = sample_gradient(problem, noise, X, 3, rng, z_prev=z_prev, exact_grad=G)
+        Gt = sample_gradient(
+            problem, noise, X, 3, rng, z_prev_norms=[np.sqrt(zn_sq)], exact_grad=G
+        )
         acc += product_dual_norm_sq(
             ProductPoint([a - b for a, b in zip(Gt.blocks, G.blocks)]), VEC8
         )
