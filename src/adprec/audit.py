@@ -683,11 +683,8 @@ def theory_exponent(mode: MomentumMode, alpha: float, beta: float) -> float:
 @dataclass
 class RateRegimeResult:
     alpha: float
-    beta: float
-    mode: MomentumMode
     fitted_slope: float
     theory_slope: float
-    slope_ok: bool
     bound_dominates: bool
     min_curve: np.ndarray
     bound_curve: np.ndarray
@@ -751,11 +748,8 @@ def audit_rate_regimes(
         results.append(
             RateRegimeResult(
                 alpha=float(alpha),
-                beta=config.beta,
-                mode=config.momentum_mode,
                 fitted_slope=slope,
                 theory_slope=th_slope,
-                slope_ok=slope_ok,
                 bound_dominates=dominates,
                 min_curve=min_curve,
                 bound_curve=bound,

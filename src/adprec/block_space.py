@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .psd_linalg import nuclear_norm, spectral_norm
 
 
@@ -28,13 +28,18 @@ VECTOR_ONLY = frozenset({Geometry.ADANORM, Geometry.FULL_ADAGRAD, Geometry.DIAG_
 
 @dataclass(frozen=True)
 class BlockShape:
-    """Shape and geometry of one block.  Vector blocks have cols == 1."""
+    """Shape and geometry of one block.  Vector blocks have cols == 1.
+    geometry is a `Geometry` member or its name, and is stored as the member."""
 
     rows: int
     cols: int
     geometry: Geometry
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "geometry", Geometry(self.geometry))
+        except ValueError:
+            raise InvalidConfig(f"unknown geometry {self.geometry!r}") from None
         if self.rows < 1 or self.cols < 1:
             raise ShapeMismatch(f"block dims must be positive, got {self.rows}x{self.cols}")
         if self.geometry in VECTOR_ONLY and self.cols != 1:

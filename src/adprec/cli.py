@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .audit import audit_rate_regimes, envelope_curve, rate_bound_curve
-from .block_space import BlockShape, Geometry
+from .block_space import BlockShape
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
 from .problems import NoiseKind, NoiseModel, make_problem
@@ -117,13 +117,11 @@ def parse_experiment(raw: dict) -> Experiment:
     for i, b in enumerate(blocks_raw):
         where = f"blocks[{i}]"
         gname = _get(b, "geometry", str, where)
+        rows, cols = _get(b, "rows", int, where), _get(b, "cols", int, where)
         try:
-            geometry = Geometry(gname)
-        except ValueError:
-            raise InvalidConfig(f"{where}: unknown geometry {gname!r}")
-        shapes.append(
-            BlockShape(_get(b, "rows", int, where), _get(b, "cols", int, where), geometry)
-        )
+            shapes.append(BlockShape(rows, cols, gname))
+        except AdprecError as err:
+            raise type(err)(f"{where}: {err}") from None
 
     prob_raw = dict(_get(raw, "problem", dict, "config"))
     kind = _get(prob_raw, "kind", str, "problem")

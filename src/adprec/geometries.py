@@ -21,6 +21,11 @@ Shampoo's accumulated state is the Kronecker pair (L, R) with
 is *not* the additive accumulation of lmap(V) (the Gram factors are
 accumulated instead), which the audit module probes explicitly.
 
+Dispatch is on ``shape.geometry``, a ``Geometry`` member checked by
+``BlockShape``, so every chain ends in its last variant.  Muon differs from
+the Euclidean variants only in its norm pair (norms, selector, step
+direction, lmap trace); elsewhere it shares AdaNorm's isotropic branch.
+
 States are immutable value types owned by one trajectory; accumulation
 returns fresh states and never decreases eigenvalues.  Because a state never
 changes, it factorizes itself at most once: ``FullState.eig`` and
@@ -122,13 +127,11 @@ def geom_init(shape: BlockShape, varsigma: float) -> GeometryState:
         return DiagonalState(diag=np.full(shape.rows, float(varsigma)), varsigma=float(varsigma))
     if g is Geometry.FULL_ADAGRAD:
         return FullState(gram=varsigma * np.eye(shape.rows), varsigma=float(varsigma))
-    if g is Geometry.SHAMPOO:
-        return KroneckerState(
-            lfac=varsigma * np.eye(shape.rows),
-            rfac=varsigma * np.eye(shape.cols),
-            varsigma=float(varsigma),
-        )
-    raise InvalidConfig(f"unknown geometry {g}")
+    return KroneckerState(
+        lfac=varsigma * np.eye(shape.rows),
+        rfac=varsigma * np.eye(shape.cols),
+        varsigma=float(varsigma),
+    )
 
 
 def geom_accumulate(
@@ -149,9 +152,7 @@ def geom_accumulate(
     if g is Geometry.FULL_ADAGRAD:
         v = V[:, 0]
         return FullState(state.gram + np.outer(v, v), state.varsigma)
-    if g is Geometry.SHAMPOO:
-        return KroneckerState(state.lfac + V @ V.T, state.rfac + V.T @ V, state.varsigma)
-    raise InvalidConfig(f"unknown geometry {g}")
+    return KroneckerState(state.lfac + V @ V.T, state.rfac + V.T @ V, state.varsigma)
 
 
 def geom_precondition(shape: BlockShape, state: GeometryState, V):
@@ -165,14 +166,12 @@ def geom_precondition(shape: BlockShape, state: GeometryState, V):
     if g is Geometry.FULL_ADAGRAD:
         w, Q = state.eig
         return Q @ ((Q.T @ V) / np.sqrt(w)[:, None])
-    if g is Geometry.SHAMPOO:
-        wl, Ql = state.left_eig
-        wr, Qr = state.right_eig
-        # L**-1/4 @ V @ R**-1/4 through the factor eigenbases
-        core = Ql.T @ V @ Qr
-        core = core / wl[:, None] ** 0.25 / wr[None, :] ** 0.25
-        return Ql @ core @ Qr.T
-    raise InvalidConfig(f"unknown geometry {g}")
+    wl, Ql = state.left_eig
+    wr, Qr = state.right_eig
+    # L**-1/4 @ V @ R**-1/4 through the factor eigenbases
+    core = Ql.T @ V @ Qr
+    core = core / wl[:, None] ** 0.25 / wr[None, :] ** 0.25
+    return Ql @ core @ Qr.T
 
 
 def geom_selector(shape: BlockShape, Z):
@@ -211,19 +210,14 @@ def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
     """Materialize lmap(V) as a dense d x d matrix (audit cross-checks only)."""
     _check_block(shape, V)
     g = shape.geometry
-    d = shape.dim
-    if g is Geometry.ADANORM:
-        return (float(np.sum(V * V)) / shape.rows) * np.eye(d)
-    if g is Geometry.MUON:
-        return (nuclear_norm(V) ** 2 / d) * np.eye(d)
+    if g in (Geometry.ADANORM, Geometry.MUON):
+        d = shape.dim
+        return (geom_lmap_trace(shape, V) / d) * np.eye(d)
     if g is Geometry.DIAG_ADAGRAD:
         return np.diag(V[:, 0] ** 2)
-    if g is Geometry.FULL_ADAGRAD:
-        return np.outer(V[:, 0], V[:, 0])
-    if g is Geometry.SHAMPOO:
-        v = V.ravel(order="F")
-        return np.outer(v, v)
-    raise InvalidConfig(f"unknown geometry {g}")
+    # FullAdaGrad and Shampoo: vec(V) vec(V)^T
+    v = V.ravel(order="F")
+    return np.outer(v, v)
 
 
 def geom_diagnostics(
@@ -247,24 +241,6 @@ def geom_diagnostics(
             weighted_inv=tl / gamma,
             weighted_invsqrt=tl / np.sqrt(gamma),
         )
-    if g is Geometry.DIAG_ADAGRAD:
-        dvec = state.diag
-        v2 = V[:, 0] ** 2
-        return GeometryDiagnostics(
-            trace_sqrt=float(np.sum(np.sqrt(dvec))),
-            trace_log=float(np.sum(np.log(dvec))),
-            weighted_inv=float(np.sum(v2 / dvec)),
-            weighted_invsqrt=float(np.sum(v2 / np.sqrt(dvec))),
-        )
-    if g is Geometry.FULL_ADAGRAD:
-        w, Q = state.eig
-        c = (Q.T @ V[:, 0]) ** 2
-        return GeometryDiagnostics(
-            trace_sqrt=float(np.sum(np.sqrt(w))),
-            trace_log=float(np.sum(np.log(w))),
-            weighted_inv=float(np.sum(c / w)),
-            weighted_invsqrt=float(np.sum(c / np.sqrt(w))),
-        )
     if g is Geometry.SHAMPOO:
         n, m = shape.rows, shape.cols
         wl, Ql = state.left_eig
@@ -278,7 +254,18 @@ def geom_diagnostics(
             weighted_inv=float(np.sum(core2 * inv_w)),
             weighted_invsqrt=float(np.sum(core2 * invsqrt_w)),
         )
-    raise InvalidConfig(f"unknown geometry {g}")
+    # Diag- and FullAdaGrad: eigenvalues w and squared eigenbasis coordinates c of v
+    if g is Geometry.DIAG_ADAGRAD:
+        w, c = state.diag, V[:, 0] ** 2
+    else:
+        w, Q = state.eig
+        c = (Q.T @ V[:, 0]) ** 2
+    return GeometryDiagnostics(
+        trace_sqrt=float(np.sum(np.sqrt(w))),
+        trace_log=float(np.sum(np.log(w))),
+        weighted_inv=float(np.sum(c / w)),
+        weighted_invsqrt=float(np.sum(c / np.sqrt(w))),
+    )
 
 
 def geom_state_eigenvalues(state: GeometryState) -> np.ndarray:
@@ -289,11 +276,9 @@ def geom_state_eigenvalues(state: GeometryState) -> np.ndarray:
         return np.sort(state.diag)
     if isinstance(state, FullState):
         return np.linalg.eigvalsh(state.gram)
-    if isinstance(state, KroneckerState):
-        wl = np.linalg.eigvalsh(state.lfac)
-        wr = np.linalg.eigvalsh(state.rfac)
-        return np.sort(np.sqrt(np.outer(wr, wl)).ravel())
-    raise InvalidConfig(f"unknown state type {type(state)}")
+    wl = np.linalg.eigvalsh(state.lfac)
+    wr = np.linalg.eigvalsh(state.rfac)
+    return np.sort(np.sqrt(np.outer(wr, wl)).ravel())
 
 
 def kron_gamma_explicit(state: KroneckerState) -> np.ndarray:

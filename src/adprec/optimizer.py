@@ -313,7 +313,7 @@ def run_replicates(
     for r in range(R):
         traj = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
         if traj.failed is not None:
-            raise NonFiniteIterate(f"replicate {r}: {traj.failed}")
+            raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {traj.failed}")
         trajectories.append(traj)
 
     arrays = {

@@ -87,16 +87,12 @@ class Problem:
     component_grad: Callable[[ProductPoint, np.ndarray], ProductPoint] | None = None
 
 
-def _flat(X: ProductPoint) -> np.ndarray:
-    return X.ravel()
-
-
 def _default_x0(shapes: Sequence[BlockShape], seed: int, scale: float = 1.0) -> ProductPoint:
     rng = np.random.default_rng(seed + 104729)
     return ProductPoint.from_flat(scale * rng.standard_normal(total_dim(shapes)), shapes)
 
 
-def quadratic_problem(shapes, condition=10.0, seed=0, b_scale=0.0, H=None, b=None, x0=None) -> Problem:
+def quadratic_problem(shapes, condition=10.0, seed=0, b_scale=0.0, H=None, b=None) -> Problem:
     """f(x) = 1/2 x^T H x - b^T x over the flattened product space.
 
     By default H is a seeded random SPD matrix with the given condition
@@ -118,11 +114,11 @@ def quadratic_problem(shapes, condition=10.0, seed=0, b_scale=0.0, H=None, b=Non
     f_low = float(0.5 * xstar @ H @ xstar - b @ xstar)
 
     def f(X):
-        x = _flat(X)
+        x = X.ravel()
         return float(0.5 * x @ H @ x - b @ x)
 
     def grad(X):
-        return ProductPoint.from_flat(H @ _flat(X) - b, shapes)
+        return ProductPoint.from_flat(H @ X.ravel() - b, shapes)
 
     return Problem(
         name="quadratic",
@@ -131,11 +127,11 @@ def quadratic_problem(shapes, condition=10.0, seed=0, b_scale=0.0, H=None, b=Non
         eval_grad=grad,
         f_low=f_low,
         lipschitz=float(w[-1]),
-        x0=x0 if x0 is not None else _default_x0(shapes, seed),
+        x0=_default_x0(shapes, seed),
     )
 
 
-def trigquad_problem(shapes, seed=0, cos_weight=1.0, A=None, b=None, x0=None) -> Problem:
+def trigquad_problem(shapes, seed=0, cos_weight=1.0, A=None, b=None) -> Problem:
     """f(x) = 1/2 |A x - b|^2 + c * sum_i cos(x_i); nonconvex for c > 0.
 
     f >= -c*N everywhere, and the Hessian A^T A - c Diag(cos x) has spectral
@@ -151,12 +147,12 @@ def trigquad_problem(shapes, seed=0, cos_weight=1.0, A=None, b=None, x0=None) ->
     L = float(np.linalg.eigvalsh(AtA)[-1] + c)
 
     def f(X):
-        x = _flat(X)
+        x = X.ravel()
         r = A @ x - b
         return float(0.5 * r @ r + c * np.sum(np.cos(x)))
 
     def grad(X):
-        x = _flat(X)
+        x = X.ravel()
         return ProductPoint.from_flat(A.T @ (A @ x - b) - c * np.sin(x), shapes)
 
     return Problem(
@@ -166,11 +162,11 @@ def trigquad_problem(shapes, seed=0, cos_weight=1.0, A=None, b=None, x0=None) ->
         eval_grad=grad,
         f_low=-c * N,
         lipschitz=L,
-        x0=x0 if x0 is not None else _default_x0(shapes, seed),
+        x0=_default_x0(shapes, seed),
     )
 
 
-def logistic_problem(shapes, seed=0, samples=64, reg=0.1, x0=None) -> Problem:
+def logistic_problem(shapes, seed=0, samples=64, reg=0.1) -> Problem:
     """Synthetic binary logistic regression, 1/m sum_i log(1+exp(-y_i a_i.x)) + reg/2 |x|^2.
 
     A finite sum, so it also exposes per-component gradients for the
@@ -194,7 +190,7 @@ def logistic_problem(shapes, seed=0, samples=64, reg=0.1, x0=None) -> Problem:
         return y * (A @ x)
 
     def f(X):
-        x = _flat(X)
+        x = X.ravel()
         return float(np.mean(np.logaddexp(0.0, -margins(x))) + 0.5 * reg * x @ x)
 
     def grad_flat(x, idx=None):
@@ -206,10 +202,10 @@ def logistic_problem(shapes, seed=0, samples=64, reg=0.1, x0=None) -> Problem:
         return -(rows.T @ (yy * s)) / len(yy) + reg * x
 
     def grad(X):
-        return ProductPoint.from_flat(grad_flat(_flat(X)), shapes)
+        return ProductPoint.from_flat(grad_flat(X.ravel()), shapes)
 
     def comp_grad(X, idx):
-        return ProductPoint.from_flat(grad_flat(_flat(X), np.atleast_1d(idx)), shapes)
+        return ProductPoint.from_flat(grad_flat(X.ravel(), np.atleast_1d(idx)), shapes)
 
     return Problem(
         name="logistic",
@@ -218,13 +214,13 @@ def logistic_problem(shapes, seed=0, samples=64, reg=0.1, x0=None) -> Problem:
         eval_grad=grad,
         f_low=0.0,
         lipschitz=L,
-        x0=x0 if x0 is not None else _default_x0(shapes, seed, scale=0.5),
+        x0=_default_x0(shapes, seed, scale=0.5),
         num_components=m,
         component_grad=comp_grad,
     )
 
 
-def matfact_problem(shapes, seed=0, target_scale=1.0, x0=None) -> Problem:
+def matfact_problem(shapes, seed=0, target_scale=1.0) -> Problem:
     """f(W2, W1) = 1/2 |W2 W1 - T|_F^2 over two matrix blocks.
 
     Nonconvex with f_low = 0 when T is drawn inside the reachable set; no
@@ -257,7 +253,7 @@ def matfact_problem(shapes, seed=0, target_scale=1.0, x0=None) -> Problem:
         eval_grad=grad,
         f_low=0.0,
         lipschitz=None,
-        x0=x0 if x0 is not None else _default_x0(shapes, seed, scale=0.5),
+        x0=_default_x0(shapes, seed, scale=0.5),
     )
 
 

@@ -102,12 +102,10 @@ def test_criterion_3_diag_equals_scalar_product():
     x0 = np.linspace(1.0, 2.0, n)
     diag_shapes = [BlockShape(n, 1, Geometry.DIAG_ADAGRAD)]
     scal_shapes = [BlockShape(1, 1, Geometry.ADANORM) for _ in range(n)]
-    pd = make_problem("quadratic", diag_shapes, H=H, b=np.zeros(n),
-                      x0=ProductPoint.from_flat(x0, diag_shapes))
-    ps = make_problem("quadratic", scal_shapes, H=H, b=np.zeros(n),
-                      x0=ProductPoint.from_flat(x0, scal_shapes))
+    pd = make_problem("quadratic", diag_shapes, H=H, b=np.zeros(n))
+    ps = make_problem("quadratic", scal_shapes, H=H, b=np.zeros(n))
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=1, seed=0)
-    Xd, Xs = pd.x0, ps.x0
+    Xd, Xs = ProductPoint.from_flat(x0, diag_shapes), ProductPoint.from_flat(x0, scal_shapes)
     sd = [geom_init(s, 1.0) for s in diag_shapes]
     ss = [geom_init(s, 1.0) for s in scal_shapes]
     md, ms = MomentumState(), MomentumState()

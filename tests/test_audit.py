@@ -399,8 +399,7 @@ def test_m2_schedule_gap_verdict_follows_subreports(monkeypatch, failing_beta):
         passed = beta != failing_beta
         rep = AuditReport(f"rate-regime-alpha={alpha}", replicates, 0.0 if passed else -0.3, passed)
         th = theory_exponent(config.momentum_mode, alpha, beta)
-        return [RateRegimeResult(alpha, beta, config.momentum_mode, -1.06, th,
-                                 passed, True, np.ones(1), np.ones(1), rep)]
+        return [RateRegimeResult(alpha, -1.06, th, True, np.ones(1), np.ones(1), rep)]
 
     monkeypatch.setattr(suites, "audit_rate_regimes", fake_rate_regimes)
     rep = suites.m2_schedule_gap_report(make_problem("quadratic", DIAG8, seed=800), K=10, R=2)

@@ -11,7 +11,7 @@ from adprec.block_space import (
     product_inner,
     total_dim,
 )
-from adprec.errors import ShapeMismatch
+from adprec.errors import InvalidConfig, ShapeMismatch
 
 
 def vec(*xs):
@@ -26,6 +26,12 @@ def test_vector_geometries_require_single_column():
         BlockShape(2, 2, Geometry.ADANORM)
     BlockShape(3, 2, Geometry.SHAMPOO)
     BlockShape(3, 2, Geometry.MUON)
+
+
+@pytest.mark.parametrize("name", ["Nope", "muon", 5, None])
+def test_unknown_geometry_is_a_config_error(name):
+    with pytest.raises(InvalidConfig, match="unknown geometry"):
+        BlockShape(2, 1, name)
 
 
 def test_total_dim():

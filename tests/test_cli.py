@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(cfg_path3), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ({"rows": 2, "cols": 1, "geometry": "Zesty"}, "blocks[1]: unknown geometry 'Zesty'"),
+        ({"rows": 2, "cols": 2, "geometry": "AdaNorm"}, "blocks[1]: AdaNorm is a vector-block"),
+        ({"rows": 0, "cols": 1, "geometry": "Muon"}, "blocks[1]: block dims must be positive"),
+    ],
+    ids=["geometry", "cols", "rows"],
+)
+def test_bad_block_names_its_index(tmp_path, capsys, block, message):
+    good = {"rows": 4, "cols": 1, "geometry": "DiagAdaGrad"}
+    cfg_path, _ = write_config(tmp_path, blocks=[good, block])
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def _set(raw, path, value):
     *parents, key = path
     for p in parents:
@@ -122,6 +139,7 @@ def _set(raw, path, value):
         (("noise", "batch"), "x"),
         (("blocks",), [3]),
         (("problem", "condition"), 0.5),
+        (("problem", "x0"), [1, 2, 3, 4]),
     ],
     ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
 )
@@ -177,6 +195,36 @@ def test_nonfinite_exit_3(tmp_path, monkeypatch, capsys, command, driver):
         args += ["--alphas", "1.0"]
     assert main(args) == 3
     assert "numerical failure: synthetic blow-up" in capsys.readouterr().err
+
+
+def test_failing_replicate_names_its_seed(tmp_path, monkeypatch, capsys):
+    # only replicate 2 of 4 fails; the message says which one and how to rerun it
+    import adprec.optimizer as opt_mod
+
+    real = opt_mod.run_trajectory
+
+    def fail_one(problem, noise, config):
+        traj = real(problem, noise, config)
+        return replace(traj, failed="synthetic blow-up") if config.seed == 1 + 2 else traj
+
+    monkeypatch.setattr(opt_mod, "run_trajectory", fail_one)
+    cfg_path, raw = write_config(tmp_path, overrides={"optimizer": {"iterations": 5}}, replicates=4)
+    assert raw["optimizer"]["seed"] == 1
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "replicate 2 (seed 3): synthetic blow-up" in capsys.readouterr().err
+
+
+def test_zero_iterations_write_header_only_records(tmp_path):
+    cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"iterations": 0}}, replicates=3)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    names = ["records.csv", *(f"records_rep{r:03d}.csv" for r in range(3))]
+    assert sorted(p.name for p in out.glob("records*.csv")) == names
+    for name in names:
+        header, rows = read_csv(out / name)
+        assert header[0] == "k" and rows == []
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["final_min_grad"] is None and summary["iterations"] == 0
 
 
 def test_audit_trace_suite(tmp_path, capsys):

@@ -1,13 +1,13 @@
 import math
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adprec.block_space import BlockShape, Geometry, ProductPoint
+from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, ProductPoint
 from adprec.errors import InvalidConfig
 from adprec.geometries import geom_init
 from adprec.optimizer import (
@@ -92,9 +92,8 @@ def test_momentum_recursion():
 
 def quadratic_1d(x0=1.0):
     shapes = [BlockShape(1, 1, Geometry.ADANORM)]
-    return make_problem(
-        "quadratic", shapes, H=np.eye(1), b=np.zeros(1), x0=ProductPoint([vec(x0)])
-    )
+    problem = make_problem("quadratic", shapes, H=np.eye(1), b=np.zeros(1))
+    return replace(problem, x0=ProductPoint([vec(x0)]))
 
 
 def test_hand_trajectory_1d():
@@ -110,6 +109,22 @@ def test_hand_trajectory_1d():
 def test_zero_iterations():
     traj = run_trajectory(quadratic_1d(), NoiseModel(), cfg(max_iters=0))
     assert traj.records == [] and traj.failed is None
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_geometry_name_runs_as_its_member(geometry):
+    # a block tagged by name is the block tagged by member, down to every record
+    cols = 1 if geometry in VECTOR_ONLY else 2
+    by_name, by_member = BlockShape(3, cols, geometry.value), BlockShape(3, cols, geometry)
+    assert by_name == by_member and by_name.geometry is geometry
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=1.0)
+    a, b = (
+        run_trajectory(make_problem("quadratic", [shape], seed=4), noise, cfg(max_iters=5, seed=2))
+        for shape in (by_name, by_member)
+    )
+    for name in (f.name for f in fields(IterationRecord)):
+        np.testing.assert_array_equal(a.column(name), b.column(name))
+    np.testing.assert_array_equal(a.final.blocks[0], b.final.blocks[0])
 
 
 def test_trajectory_determinism_under_noise():
