@@ -32,7 +32,6 @@ from .geometries import (
 from .optimizer import (
     IterationRecord,
     MomentumMode,
-    MomentumState,
     OptimizerConfig,
     adprec_step,
     mu_schedule,

@@ -27,14 +27,7 @@ from .geometries import (
     geom_precondition,
     geom_selector,
 )
-from .optimizer import (
-    IterationRecord,
-    MomentumMode,
-    OptimizerConfig,
-    mu_schedule,
-    run_replicates,
-    run_trajectory,
-)
+from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates
 from .problems import NoiseKind, NoiseModel, Problem, nu_curve_analytic
 from .psd_linalg import psd_power, random_psd, trace_log_psd
 
@@ -281,8 +274,9 @@ def kappa_0(shapes, varsigma) -> float:
     )
 
 
-def path_potential_slacks(records: list[IterationRecord], shapes, varsigma):
-    """Normalized slacks of the three pathwise potential inequalities at every k.
+def path_potential_slacks(columns, shapes, varsigma):
+    """Normalized slacks of the three pathwise potential inequalities at every
+    k, from record columns (a mapping like ReplicateResult.mean).
 
     sqrt_pot:   sum_l tr(G_k^1/2) - sum_l tr(G_-1^1/2) <= sum_{j<=k} tr(G_j^-1/2 lmap_j)
     log_pot:    sum_{j<=k} tr(G_j^-1 lmap_j)          <= Delta_k
@@ -294,10 +288,10 @@ def path_potential_slacks(records: list[IterationRecord], shapes, varsigma):
     """
     N = total_dim(shapes)
     k0 = kappa_0(shapes, varsigma)
-    tr_sqrt = np.array([r.trace_sqrt_total for r in records])
-    delta = np.array([r.delta_k for r in records])
-    cum_invsqrt = np.cumsum([r.weighted_invsqrt for r in records])
-    cum_inv = np.cumsum([r.weighted_inv for r in records])
+    tr_sqrt = columns["trace_sqrt_total"]
+    delta = columns["delta_k"]
+    cum_invsqrt = np.cumsum(columns["weighted_invsqrt"])
+    cum_inv = np.cumsum(columns["weighted_inv"])
 
     lhs_sqrt = tr_sqrt - N * math.sqrt(varsigma)
     sqrt_slack = (cum_invsqrt - lhs_sqrt) / (1.0 + np.maximum(np.abs(lhs_sqrt), cum_invsqrt))
@@ -307,10 +301,18 @@ def path_potential_slacks(records: list[IterationRecord], shapes, varsigma):
     return {"sqrt_pot": sqrt_slack, "log_pot": log_slack, "delta_bound": delta_slack}
 
 
-def audit_path_potentials(records, shapes, varsigma, context="") -> AuditReport:
-    """Single report over all three potential inequalities of one trajectory."""
-    slacks = path_potential_slacks(records, shapes, varsigma)
-    return _report("path-potentials", len(records), TOL_PATHWISE, context, **slacks)
+def audit_path_potentials(
+    problem: Problem, noise: NoiseModel, config: OptimizerConfig, context: str = ""
+) -> AuditReport:
+    """Single report over all three potential inequalities of one trajectory.
+    A non-finite iterate fails the report with worst_violation -inf."""
+    K = config.max_iters
+    try:
+        res = run_replicates(problem, noise, config, 1)
+    except NonFiniteIterate as err:
+        return AuditReport("path-potentials", K, -math.inf, False, f"{context} {err}")
+    slacks = path_potential_slacks(res.mean, problem.shapes, config.varsigma)
+    return _report("path-potentials", K, TOL_PATHWISE, context, **slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -509,33 +511,35 @@ def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, num_blocks:
     return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq(num_blocks) * (j + 1.0) ** (-noise.alpha)))
 
 
-def envelope_curve(problem: Problem, noise: NoiseModel, config: OptimizerConfig) -> np.ndarray:
-    """Theta_k for k = 0..K-1, chosen by the momentum mode of the run.
+def envelope_and_rate(
+    problem: Problem, noise: NoiseModel, config: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Theta_k and the averaged-gradient rate bound for k = 0..K-1, both
+    chosen by the momentum mode of the run.
 
-    None uses the analytic noise budget nu_k; M1 scales nu_k and replaces
-    omega by the first variant's constants; M2 uses the alternate envelope
-    on the momentum-weighted noise curve.  Raises InvalidConfig when a bound
-    hypothesis is not available (no Lipschitz bound, no analytic noise
-    budget, or an unverified M2 stepsize).
+    None uses the analytic noise budget nu_k and the rate bound
+    kappa_circ Theta_k / sqrt(k+1).  M1 scales nu_k, replaces omega by the
+    first variant's constants and uses that variant's rate bound,
+    `m1_rate_bound`.  M2 uses the alternate envelope on the momentum-weighted
+    noise curve and kappa_circ Theta_k / sqrt(k+1).  Raises InvalidConfig
+    when a bound hypothesis is not available (no Lipschitz bound, no
+    analytic noise budget, or an unverified M2 stepsize).
     """
     K, B = config.max_iters, len(problem.shapes)
     constants = bound_constants(problem, config, omega=noise.omega)
     mode = config.momentum_mode
     if mode is MomentumMode.M1:
         mult, omega_m1 = m1_noise_constants(constants, config.mu_max)
-        nu = mult * nu_curve_analytic(noise, B, K)
-        return theta_curve(replace(constants, omega=omega_m1), nu)
+        m1 = replace(constants, omega=omega_m1)
+        theta = theta_curve(m1, mult * nu_curve_analytic(noise, B, K))
+        return theta, np.array([m1_rate_bound(m1, float(t), k) for k, t in enumerate(theta)])
     if mode is MomentumMode.M2:
         m2 = m2_constants(constants, config.mu_max)
         th_noise = m2_theta_noise_curve(noise, config, B)
-        return np.array([compute_theta_m2(constants, m2, float(t)) for t in th_noise])
-    return theta_curve(constants, nu_curve_analytic(noise, B, K))
-
-
-def rate_bound_curve(theta: np.ndarray) -> np.ndarray:
-    """The averaged-gradient rate bound kappa_circ Theta_k / sqrt(k+1) for
-    k = 0..len(theta)-1."""
-    return KAPPA_CIRC * theta / np.sqrt(np.arange(len(theta), dtype=float) + 1.0)
+        theta = np.array([compute_theta_m2(constants, m2, float(t)) for t in th_noise])
+    else:
+        theta = theta_curve(constants, nu_curve_analytic(noise, B, K))
+    return theta, KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +594,10 @@ def audit_master_and_theta(
     )
     master = (rhs - lhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
 
-    theta = theta_curve(constants, nu)
+    theta, rate_rhs = envelope_and_rate(problem, noise, config)
     t_slack = (theta - (tr_sqrt - se_tr)) / (1.0 + np.abs(theta))
     grad, se_grad = res.mean["grad_dual_norm"], 3.0 * res.se["grad_dual_norm"]
-    rate = _rate_slack(grad, rate_bound_curve(theta), se_grad)
+    rate = _rate_slack(grad, rate_rhs, se_grad)
     mode = "deterministic" if deterministic else f"statistical R={replicates}"
     ctx = f"{context} [{mode}] {problem.name}"
     return _report("master-theta", K, TOL_PATHWISE, ctx, master=master, theta=t_slack, rate=rate)
@@ -610,22 +614,18 @@ def audit_momentum_error(
     """
     if config.momentum_mode is not MomentumMode.M1:
         raise InvalidConfig("momentum-error audit needs the M1 mode")
-    constants = bound_constants(problem, config)
-    _, omega_m1 = m1_noise_constants(constants, config.mu_max)
-    constants = replace(constants, omega=omega_m1)
-    traj = run_trajectory(problem, NoiseModel(), config)
-    if traj.failed:
-        return AuditReport("momentum-m1", 0, -math.inf, False, f"{context} {traj.failed}")
+    _, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
     K = config.max_iters
+    try:
+        res = run_replicates(problem, NoiseModel(), config, 1)
+    except NonFiniteIterate as err:
+        return AuditReport("momentum-m1", K, -math.inf, False, f"{context} {err}")
     mu = np.array([mu_schedule(k, config) for k in range(K)])
-    err = np.cumsum(traj.column("mom_err_sq"))
-    zsq = np.cumsum(mu**2 * traj.column("z_dual_norm_sq"))
-    coef = 3.0 * constants.L_G**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
+    err = np.cumsum(res.mean["mom_err_sq"])
+    zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
+    coef = 3.0 * problem.lipschitz**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
     e_slack = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
-
-    theta = compute_theta(constants, 0.0)
-    rate_rhs = np.array([m1_rate_bound(constants, theta, k) for k in range(K)])
-    rate = _rate_slack(traj.column("grad_dual_norm"), rate_rhs)
+    rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     ctx = f"{context} mu_max={config.mu_max}"
     return _report("momentum-m1", K, TOL_PATHWISE, ctx, errE=e_slack, rate=rate)
 
@@ -639,18 +639,20 @@ def audit_m2_deterministic(
         raise InvalidConfig("needs the M2 mode")
     constants = bound_constants(problem, config)
     m2 = m2_constants(constants, config.mu_max)
-    traj = run_trajectory(problem, NoiseModel(), config)
-    if traj.failed:
-        return AuditReport("m2-deterministic", 0, -math.inf, False, f"{context} {traj.failed}")
-    theta = compute_theta_m2(constants, m2, 0.0)
-    envelope = np.full(config.max_iters, theta)
-    t_slack = (envelope - traj.column("trace_sqrt_total")) / (1.0 + envelope)
-    rate = _rate_slack(traj.column("grad_dual_norm"), rate_bound_curve(envelope))
+    theta, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
+    K = config.max_iters
+    try:
+        res = run_replicates(problem, NoiseModel(), config, 1)
+    except NonFiniteIterate as err:
+        return AuditReport("m2-deterministic", K, -math.inf, False, f"{context} {err}")
+    t_slack = (theta - res.mean["trace_sqrt_total"]) / (1.0 + theta)
+    rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     return _report(
         "m2-deterministic",
-        config.max_iters,
+        K,
         TOL_PATHWISE,
-        f"{context} small_eta_ok={m2.small_eta_ok} theta={theta:.4g} "
+        f"{context} small_eta_ok={m2.small_eta_ok} "
+        f"theta={compute_theta_m2(constants, m2, 0.0):.4g} "
         "(last envelope term uses omega^2 + L/eta as printed; the first "
         "variant's uses omega + L/eta)",
         bounds=np.minimum(t_slack, rate),
@@ -728,8 +730,7 @@ def audit_rate_regimes(
             argmin[k] = best_j
         se_min = se[argmin]
 
-        theta = envelope_curve(problem, noise, config)
-        bound = rate_bound_curve(theta)
+        _, bound = envelope_and_rate(problem, noise, config)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))

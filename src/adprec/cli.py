@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_rate_regimes, envelope_curve, rate_bound_curve
+from .audit import audit_rate_regimes, envelope_and_rate
 from .block_space import BlockShape
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
@@ -159,18 +159,16 @@ def parse_experiment(raw: dict) -> Experiment:
         sigma = tuple(_check(s, float, f"noise: sigma[{i}]") for i, s in enumerate(sigma))
     else:
         sigma = (_get(noise_raw, "sigma", float, "noise", 0.0),) * len(shapes)
-    noise = NoiseModel(
-        kind=noise_kind,
-        sigma=sigma,
-        alpha=_get(noise_raw, "alpha", float, "noise", 1.0),
-        omega=_get(noise_raw, "omega", float, "noise", 0.0),
-        batch=_get(noise_raw, "batch", int, "noise", 1),
-    )
-    for s in sigma:
-        if s < 0:
-            raise InvalidConfig("noise: sigma entries must be nonnegative")
-    if noise.alpha <= 0:
-        raise InvalidConfig("noise: alpha must be positive")
+    try:
+        noise = NoiseModel(
+            kind=noise_kind,
+            sigma=sigma,
+            alpha=_get(noise_raw, "alpha", float, "noise", 1.0),
+            omega=_get(noise_raw, "omega", float, "noise", 0.0),
+            batch=_get(noise_raw, "batch", int, "noise", 1),
+        )
+    except InvalidConfig as err:
+        raise InvalidConfig(f"noise: {err}") from None
 
     replicates = _get(raw, "replicates", int, "config", 1)
     if replicates < 1:
@@ -213,10 +211,10 @@ def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
     if exp.noise.kind is NoiseKind.MINI_BATCH:
         return nan, nan, "mini-batch oracle has no analytic noise budget; bound columns are NaN"
     try:
-        theta = envelope_curve(exp.problem, exp.noise, exp.config)
+        theta, bound = envelope_and_rate(exp.problem, exp.noise, exp.config)
     except InvalidConfig as err:
         return nan, nan, f"bound hypothesis unverified ({err}); bound columns are NaN"
-    return theta, rate_bound_curve(theta), ""
+    return theta, bound, ""
 
 
 def cmd_run(config_path, out_dir) -> int:

@@ -80,22 +80,15 @@ class OptimizerConfig:
             raise InvalidConfig(f"beta must be nonnegative, got {self.beta}")
         if self.max_iters < 0:
             raise InvalidConfig(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
 
 
-@dataclass
-class MomentumState:
-    """Blockwise momentum accumulator; defined lazily as Gtilde_0 on first use."""
-
-    M: ProductPoint | None = None
-
-    def update(self, mu: float, gtilde: ProductPoint) -> ProductPoint:
-        if self.M is None:
-            self.M = gtilde
-        else:
-            self.M = ProductPoint(
-                [mu * m + (1.0 - mu) * g for m, g in zip(self.M.blocks, gtilde.blocks)]
-            )
-        return self.M
+def _momentum(M: ProductPoint | None, mu: float, gtilde: ProductPoint) -> ProductPoint:
+    """M_k = mu M_{k-1} + (1-mu) Gtilde_k, with M_0 = Gtilde_0 (M is None at k = 0)."""
+    if M is None:
+        return gtilde
+    return ProductPoint([mu * m + (1.0 - mu) * g for m, g in zip(M.blocks, gtilde.blocks)])
 
 
 def mu_schedule(k: int, config: OptimizerConfig) -> float:
@@ -145,33 +138,35 @@ def adprec_step(
     X: ProductPoint,
     gtilde: ProductPoint,
     states: list[GeometryState],
-    mom: MomentumState,
+    M: ProductPoint | None,
     config: OptimizerConfig,
     k: int,
 ):
-    """One iteration; returns (X_next, new_states, mom, record, z_norms).
+    """One iteration; returns (X_next, new_states, M_k, record, z_norms).
 
-    z_norms are the block dual norms of the preconditioned direction Z (the
-    oracle for multiplicative noise needs them at the next iteration).
-    Each block is factorized once: its lmap trace feeds both accumulate and
-    diagnostics, and Z's dual norm and selector feed both the identity
-    residual and the step.  The record's f_value / grad_dual_norm fields are
-    NaN here; the trajectory driver fills them in (they need the problem,
-    which the step itself must not consult).
+    M is the previous momentum M_{k-1}: None before the first step, and
+    returned unchanged when momentum is off.  z_norms are the block dual
+    norms of the preconditioned direction Z (the oracle for multiplicative
+    noise needs them at the next iteration).  Each block is factorized
+    once: its lmap trace feeds both accumulate and diagnostics, and Z's dual
+    norm and selector feed both the identity residual and the step.  The
+    record's f_value / grad_dual_norm fields are NaN here; the trajectory
+    driver fills them in (they need the problem, which the step itself must
+    not consult).
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
     mode = config.momentum_mode
     mu_k = mu_schedule(k, config)
 
-    if mode is MomentumMode.M1:
-        M = mom.update(mu_k, gtilde)
-        acc = direction = M
-    elif mode is MomentumMode.M2:
-        M = mom.update(mu_k, gtilde)
-        acc, direction = gtilde, M
-    else:
-        acc = direction = gtilde
+    acc = direction = gtilde
+    mom_err_sq = 0.0
+    if mode is not MomentumMode.NONE:
+        M = direction = _momentum(M, mu_k, gtilde)
+        if mode is MomentumMode.M1:
+            acc = M
+        E = ProductPoint([m - g for m, g in zip(M.blocks, gtilde.blocks)])
+        mom_err_sq = product_dual_norm_sq(E, shapes)
 
     new_states = []
     new_blocks = []
@@ -210,11 +205,6 @@ def adprec_step(
         raise NonFiniteIterate(f"iterate became non-finite at iteration {k}")
 
     N = total_dim(shapes)
-    mom_err_sq = 0.0
-    if mode in (MomentumMode.M1, MomentumMode.M2):
-        E = ProductPoint([m - g for m, g in zip(mom.M.blocks, gtilde.blocks)])
-        mom_err_sq = product_dual_norm_sq(E, shapes)
-
     record = IterationRecord(
         k=k,
         f_value=math.nan,
@@ -230,7 +220,7 @@ def adprec_step(
         step_dual_norm=config.eta * math.sqrt(z_sq),
         mom_err_sq=mom_err_sq,
     )
-    return X_next, new_states, mom, record, z_norms
+    return X_next, new_states, M, record, z_norms
 
 
 @dataclass
@@ -258,7 +248,7 @@ def run_trajectory(
     shapes = problem.shapes
     X = problem.x0.copy()
     states = [geom_init(s, config.varsigma) for s in shapes]
-    mom = MomentumState()
+    M = None
     rng = np.random.default_rng(config.seed)
     z_prev_norms: list[float] | None = None
     records: list[IterationRecord] = []
@@ -271,8 +261,8 @@ def run_trajectory(
         fval = problem.eval_f(X) if config.eval_objective else math.nan
         gnorm = math.sqrt(product_dual_norm_sq(G, shapes))
         try:
-            X, states, mom, rec, z_prev_norms = adprec_step(
-                shapes, X, gtilde, states, mom, config, k
+            X, states, M, rec, z_prev_norms = adprec_step(
+                shapes, X, gtilde, states, M, config, k
             )
         except NonFiniteIterate as err:
             return TrajectoryResult(records, X, states, failed=str(err))

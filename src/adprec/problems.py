@@ -50,6 +50,16 @@ class NoiseModel:
     omega: float = 0.0
     batch: int = 1
 
+    def __post_init__(self):
+        if not all(s >= 0.0 for s in self.sigma):
+            raise InvalidConfig(f"sigma entries must be nonnegative, got {self.sigma}")
+        if not self.alpha > 0.0:
+            raise InvalidConfig(f"alpha must be positive, got {self.alpha}")
+        if not self.omega >= 0.0:
+            raise InvalidConfig(f"omega must be nonnegative, got {self.omega}")
+        if self.batch < 1:
+            raise InvalidConfig(f"batch must be at least 1, got {self.batch}")
+
     def sigma_for(self, num_blocks: int) -> np.ndarray:
         if not self.sigma:
             return np.zeros(num_blocks)
@@ -299,7 +309,7 @@ def sample_gradient(
     if noise.kind is NoiseKind.MINI_BATCH:
         if problem.component_grad is None:
             raise InvalidConfig(f"problem {problem.name!r} has no component gradients")
-        b = min(max(int(noise.batch), 1), problem.num_components)
+        b = min(noise.batch, problem.num_components)
         idx = rng.choice(problem.num_components, size=b, replace=False)
         return problem.component_grad(X, idx)
 

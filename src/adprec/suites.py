@@ -94,15 +94,13 @@ def potential_configurations(K=500, seed=0):
 
 
 def suite_potentials(trials=0, seed=0, K=500):
-    reports = []
-    for label, problem, noise, cfg in potential_configurations(K=K, seed=seed):
-        traj = run_trajectory(problem, noise, cfg)
-        if traj.failed:
-            reports.append(AuditReport(f"path-potentials[{label}]", 0, -math.inf, False, traj.failed))
-            continue
-        rep = audit_path_potentials(traj.records, problem.shapes, cfg.varsigma, context=label)
-        reports.append(replace(rep, check_name=f"path-potentials[{label}]"))
-    return reports
+    return [
+        replace(
+            audit_path_potentials(problem, noise, cfg, context=label),
+            check_name=f"path-potentials[{label}]",
+        )
+        for label, problem, noise, cfg in potential_configurations(K=K, seed=seed)
+    ]
 
 
 def bound_configurations(K=2000, seed=0):

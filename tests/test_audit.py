@@ -22,7 +22,7 @@ from adprec.audit import (
     bound_constants,
     compute_theta,
     compute_theta_m2,
-    envelope_curve,
+    envelope_and_rate,
     fit_loglog_slope,
     kappa_0,
     m1_noise_constants,
@@ -33,7 +33,7 @@ from adprec.audit import (
 )
 from adprec.block_space import BlockShape, Geometry
 from adprec.errors import InvalidConfig, NonFiniteIterate
-from adprec.optimizer import MomentumMode, OptimizerConfig, run_trajectory
+from adprec.optimizer import MomentumMode, OptimizerConfig, run_replicates, run_trajectory
 from adprec.problems import NoiseKind, NoiseModel, make_problem
 
 DIAG8 = [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)]
@@ -109,15 +109,16 @@ def test_subadditivity_audits(geometry):
 
 
 def test_path_potentials_empty_is_vacuous():
-    rep = audit_path_potentials([], DIAG8, 1.0)
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    rep = audit_path_potentials(problem, NoiseModel(), cfg(max_iters=0))
     assert rep.passed and rep.trials == 0
 
 
 def test_path_potentials_hold_for_additive_geometries():
     problem = make_problem("quadratic", DIAG8, seed=0)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=1.0)
-    traj = run_trajectory(problem, noise, cfg(max_iters=50))
-    sl = path_potential_slacks(traj.records, problem.shapes, 1.0)
+    res = run_replicates(problem, noise, cfg(max_iters=50), 1)
+    sl = path_potential_slacks(res.mean, problem.shapes, 1.0)
     for name, arr in sl.items():
         assert arr.min() >= -1e-6, name
 
@@ -127,8 +128,8 @@ def test_path_potentials_shampoo_sqrt_gap_is_detected():
     # its lmap increments; the sqrt potential genuinely fails on matrix blocks
     # while the log potential and the delta bound still hold
     problem = make_problem("matfact", [BlockShape(3, 2, Geometry.SHAMPOO), BlockShape(2, 2, Geometry.SHAMPOO)], seed=1)
-    traj = run_trajectory(problem, NoiseModel(), cfg(max_iters=50, eta=0.5))
-    sl = path_potential_slacks(traj.records, problem.shapes, 1.0)
+    res = run_replicates(problem, NoiseModel(), cfg(max_iters=50, eta=0.5), 1)
+    sl = path_potential_slacks(res.mean, problem.shapes, 1.0)
     assert sl["log_pot"].min() >= -1e-6
     assert sl["delta_bound"].min() >= -1e-6
     assert sl["sqrt_pot"].min() < -1e-3  # structural, far beyond float noise
@@ -248,22 +249,39 @@ def test_master_theta_statistical_with_multiplicative_noise():
     assert rep.passed, rep
 
 
-@pytest.mark.parametrize(
-    "noise",
-    [NoiseModel(), NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))],
-    ids=["exact", "noisy"],
-)
-def test_master_theta_nonfinite_is_fail_report(monkeypatch, noise):
-    # both oracles report a non-finite iterate as a FAIL, never as an exception
+NOISY = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
+# every trajectory audit on a 10-iteration run with context "lbl"; master-theta
+# under both oracles (ids "exact" and "noisy")
+TRAJECTORY_AUDITS = {
+    "exact": lambda p: audit_master_and_theta(p, cfg(max_iters=10), context="lbl"),
+    "noisy": lambda p: audit_master_and_theta(
+        p, cfg(max_iters=10), noise=NOISY, replicates=4, context="lbl"
+    ),
+    "momentum-m1": lambda p: audit_momentum_error(
+        p, cfg(max_iters=10, momentum_mode=MomentumMode.M1, mu_max=0.5), context="lbl"
+    ),
+    "m2-deterministic": lambda p: audit_m2_deterministic(
+        p, cfg(max_iters=10, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5), context="lbl"
+    ),
+    "path-potentials": lambda p: audit_path_potentials(
+        p, NoiseModel(), cfg(max_iters=10), context="lbl"
+    ),
+}
+
+
+@pytest.mark.parametrize("which", TRAJECTORY_AUDITS)
+def test_master_theta_nonfinite_is_fail_report(monkeypatch, which):
+    # every trajectory audit reports a non-finite iterate as the same FAIL over
+    # all K trials, never as an exception; the context keeps the failing seed
+    message = "replicate 0 (seed 0): iterate became non-finite at iteration 3"
+
     def blow_up(*args, **kwargs):
-        raise NonFiniteIterate("replicate 0: iterate became non-finite at iteration 3")
+        raise NonFiniteIterate(message)
 
     monkeypatch.setattr(audit, "run_replicates", blow_up)
-    problem = make_problem("quadratic", DIAG8, seed=0)
-    rep = audit_master_and_theta(problem, cfg(max_iters=10), noise=noise, replicates=4)
-    assert not rep.passed
-    assert rep.worst_violation == -math.inf
-    assert "non-finite at iteration 3" in rep.context
+    rep = TRAJECTORY_AUDITS[which](make_problem("quadratic", DIAG8, seed=0))
+    assert (rep.trials, rep.worst_violation, rep.passed) == (10, -math.inf, False)
+    assert rep.context == f"lbl {message}"
 
 
 def test_trajectory_audits_at_zero_iterations():
@@ -271,9 +289,8 @@ def test_trajectory_audits_at_zero_iterations():
     problem = make_problem("quadratic", DIAG8, seed=0)
     m1 = cfg(max_iters=0, momentum_mode=MomentumMode.M1, mu_max=0.5)
     m2 = cfg(max_iters=0, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
-    traj = run_trajectory(problem, NoiseModel(), cfg(max_iters=0))
     reports = [
-        audit_path_potentials(traj.records, problem.shapes, 1.0),
+        audit_path_potentials(problem, NoiseModel(), cfg(max_iters=0)),
         audit_master_and_theta(problem, cfg(max_iters=0)),
         audit_momentum_error(problem, m1),
         audit_m2_deterministic(problem, m2),
@@ -374,7 +391,7 @@ def test_m2_envelope_rejects_mini_batch_oracle():
     with pytest.raises(InvalidConfig):
         m2_theta_noise_curve(noise, c, len(DIAG8))
     with pytest.raises(InvalidConfig):
-        envelope_curve(problem, noise, c)
+        envelope_and_rate(problem, noise, c)
 
 
 def test_m2_envelope_counts_multiplicative_noise():
@@ -385,7 +402,7 @@ def test_m2_envelope_counts_multiplicative_noise():
 
     def last(omega):
         noise = NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(1.0,), omega=omega)
-        return envelope_curve(problem, noise, c)[-1]
+        return envelope_and_rate(problem, noise, c)[0][-1]
 
     assert last(5.0) > last(0.0)
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from adprec.audit import bound_constants, m1_noise_constants, m1_rate_bound
 from adprec.cli import example_config, main, parse_experiment
 from adprec.errors import InvalidConfig, NonFiniteIterate
 
@@ -85,6 +86,28 @@ def test_theta_column_nondecreasing_under_additive_noise(tmp_path):
     assert np.all(np.diff(theta) >= -1e-12)
 
 
+def test_m1_bound_curve_is_the_audited_rate_bound(tmp_path):
+    # an M1 run publishes the first variant's rate bound over its own theta_k,
+    # the bound the momentum-m1 audit checks
+    cfg_path, raw = write_config(
+        tmp_path,
+        overrides={
+            "optimizer": {"iterations": 12, "momentum": "M1", "mu_max": 0.5},
+            "noise": {"kind": "AdditiveDecaying", "sigma": 0.5, "alpha": 1.0},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "records.csv")
+    theta = [float(r[header.index("theta_k")]) for r in rows]
+    bound = [float(r[header.index("bound_curve")]) for r in rows]
+    exp = parse_experiment(raw)
+    constants = bound_constants(exp.problem, exp.config, omega=exp.noise.omega)
+    _, omega_m1 = m1_noise_constants(constants, exp.config.mu_max)
+    m1 = replace(constants, omega=omega_m1)
+    assert bound == [m1_rate_bound(m1, t, k) for k, t in enumerate(theta)]
+
+
 def test_config_errors_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -131,12 +154,15 @@ def _set(raw, path, value):
     [
         (("replicates",), "x"),
         (("optimizer", "seed"), "x"),
+        (("optimizer", "seed"), -1),
         (("optimizer", "mu_max"), "abc"),
         (("optimizer", "iterations"), True),
         (("optimizer", "eval_objective"), "false"),
         (("noise",), 3),
         (("noise", "sigma"), "ab"),
         (("noise", "batch"), "x"),
+        (("noise", "batch"), 0),
+        (("noise", "omega"), -1.0),
         (("blocks",), [3]),
         (("problem", "condition"), 0.5),
         (("problem", "x0"), [1, 2, 3, 4]),

@@ -7,12 +7,14 @@ cases cover each geometry alone, Muon + AdaNorm under multiplicative noise
 (the dual norm of the previous preconditioned step), and both momentum
 modes on a quadratic (the `theta_k` / `bound_curve` columns).
 
-Regenerate only for an intended output change:
+Regenerate only for an intended output change, and only the cases it
+changes (all cases when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,7 +62,7 @@ def test_run_matches_golden(case, tmp_path):
 
 
 if __name__ == "__main__":
-    for case in CASES:
+    for case in sys.argv[1:] or CASES:
         summary = run_case(case, GOLDEN / case)
         with open(GOLDEN / case / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

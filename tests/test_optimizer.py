@@ -13,8 +13,8 @@ from adprec.geometries import geom_init
 from adprec.optimizer import (
     IterationRecord,
     MomentumMode,
-    MomentumState,
     OptimizerConfig,
+    _momentum,
     adprec_step,
     mu_schedule,
     run_replicates,
@@ -61,7 +61,7 @@ def test_step_hand_example():
     X = ProductPoint([vec(0, 0)])
     G = ProductPoint([vec(1, 0)])
     states = [geom_init(VEC2[0], 1.0)]
-    X1, states1, _, rec, _ = adprec_step(VEC2, X, G, states, MomentumState(), cfg(), 0)
+    X1, states1, _, rec, _ = adprec_step(VEC2, X, G, states, None, cfg(), 0)
     assert states1[0].gamma == pytest.approx(1.5)
     np.testing.assert_allclose(X1.blocks[0], vec(-1 / math.sqrt(1.5), 0))
     assert rec.z_dual_norm_sq == pytest.approx(1 / 1.5)
@@ -73,7 +73,7 @@ def test_step_zero_gradient():
     X = ProductPoint([vec(0.3, -0.7)])
     Z0 = ProductPoint([vec(0, 0)])
     states = [geom_init(VEC2[0], 1.0)]
-    X1, states1, _, rec, _ = adprec_step(VEC2, X, Z0, states, MomentumState(), cfg(), 0)
+    X1, states1, _, rec, _ = adprec_step(VEC2, X, Z0, states, None, cfg(), 0)
     np.testing.assert_array_equal(X1.blocks[0], X.blocks[0])
     assert states1[0].gamma == 1.0
     assert rec.z_dual_norm_sq == 0.0 and rec.step_dual_norm == 0.0
@@ -81,12 +81,11 @@ def test_step_zero_gradient():
 
 def test_momentum_recursion():
     c = cfg(momentum_mode=MomentumMode.M1, mu_max=0.5, beta=0.0)
-    mom = MomentumState()
     g0 = ProductPoint([vec(1, 0)])
     g1 = ProductPoint([vec(0, 1)])
-    m0 = mom.update(mu_schedule(0, c), g0)
+    m0 = _momentum(None, mu_schedule(0, c), g0)
     np.testing.assert_array_equal(m0.blocks[0], g0.blocks[0])  # M_0 = Gt_0 regardless of mu
-    m1 = mom.update(mu_schedule(1, c), g1)
+    m1 = _momentum(m0, mu_schedule(1, c), g1)
     np.testing.assert_allclose(m1.blocks[0], vec(0.5, 0.5))
 
 
@@ -326,9 +325,9 @@ def check_degenerate_steps(gradients, mode):
     config = cfg(momentum_mode=mode, mu_max=0.5 if mode is not MomentumMode.NONE else 0.0)
     X = ProductPoint([np.ones((s.rows, s.cols)) for s in MIXED])
     states = [geom_init(s, config.varsigma) for s in MIXED]
-    mom = MomentumState()
+    M = None
     for k, G in enumerate(gradients):
-        X, states, mom, rec, z_norms = adprec_step(MIXED, X, G, states, mom, config, k)
+        X, states, M, rec, z_norms = adprec_step(MIXED, X, G, states, M, config, k)
         # f_value and grad_dual_norm are NaN until the trajectory driver fills them
         filled = [f.name for f in fields(IterationRecord)
                   if f.name not in ("f_value", "grad_dual_norm")]
