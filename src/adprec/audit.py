@@ -60,10 +60,12 @@ class AuditReport:
 
 def _report(name, trials, tol, context="", **slacks):
     """The one verdict rule: the worst normalized slack over the named arrays
-    (0.0 when all are empty or nonnegative) must be >= -tol.  With more than
-    one array, each array's own worst is appended to the context."""
-    worsts = {key: float(min(0.0, np.min(s))) if len(s) else 0.0 for key, s in slacks.items()}
-    worst = min(worsts.values())
+    (0.0 when all are empty or nonnegative, NaN when any slack is NaN) must
+    be >= -tol, so a NaN slack fails.  With more than one array, each
+    array's own worst is appended to the context."""
+    # + 0.0 turns a worst of -0.0 into 0.0
+    worsts = {key: float(np.min(s, initial=0.0)) + 0.0 for key, s in slacks.items()}
+    worst = float(np.min(list(worsts.values())))
     if len(worsts) > 1:
         context = " ".join([context, *(f"{key}={w:.3e}" for key, w in worsts.items())]).strip()
     return AuditReport(name, trials, worst, worst >= -tol, context)
@@ -301,18 +303,25 @@ def path_potential_slacks(columns, shapes, varsigma):
     return {"sqrt_pot": sqrt_slack, "log_pot": log_slack, "delta_bound": delta_slack}
 
 
+def _replicates(name, context, problem, noise, config, R=1):
+    """run_replicates, or the one FAIL report of every trajectory audit when a
+    replicate turns non-finite: worst_violation -inf over all K trials, and
+    the context is the label plus the error, which names the replicate and its seed."""
+    try:
+        return run_replicates(problem, noise, config, R)
+    except NonFiniteIterate as err:
+        return AuditReport(name, config.max_iters, -math.inf, False, f"{context} {err}".strip())
+
+
 def audit_path_potentials(
     problem: Problem, noise: NoiseModel, config: OptimizerConfig, context: str = ""
 ) -> AuditReport:
-    """Single report over all three potential inequalities of one trajectory.
-    A non-finite iterate fails the report with worst_violation -inf."""
-    K = config.max_iters
-    try:
-        res = run_replicates(problem, noise, config, 1)
-    except NonFiniteIterate as err:
-        return AuditReport("path-potentials", K, -math.inf, False, f"{context} {err}")
+    """Single report over all three potential inequalities of one trajectory."""
+    res = _replicates("path-potentials", context, problem, noise, config)
+    if isinstance(res, AuditReport):
+        return res
     slacks = path_potential_slacks(res.mean, problem.shapes, config.varsigma)
-    return _report("path-potentials", K, TOL_PATHWISE, context, **slacks)
+    return _report("path-potentials", config.max_iters, TOL_PATHWISE, context, **slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +418,21 @@ def m1_rate_bound(constants: BoundConstants, theta: float, k: int) -> float:
     ) / math.sqrt(k + 1.0)
 
 
+def m2_eta_limit(mu_max: float, L: float, varsigma: float) -> float:
+    """Largest stepsize of the alternate momentum bound's hypothesis, inf when
+    mu or L is 0: (1-mu)/(mu L) sqrt(varsigma / (6 kappa_box kappa_diamond))."""
+    if mu_max == 0.0 or L == 0.0:
+        return math.inf
+    return (1.0 - mu_max) / (mu_max * L) * math.sqrt(varsigma / (6.0 * KAPPA_BOX * KAPPA_DIAMOND))
+
+
 @dataclass(frozen=True)
 class M2Constants:
     """Constants of the alternate (pure-gradient accumulation) momentum bound.
 
-    The stepsize hypothesis (eta small relative to (1-mu)/(mu L) sqrt(s/12))
-    zeroes kappa_2z; otherwise a caller-supplied cap on sum mu_j^2 |Z_j|^2
-    is required, and without one the hypothesis is flagged unverified.
+    The stepsize hypothesis (eta <= m2_eta_limit) zeroes kappa_2z; otherwise
+    a caller-supplied cap on sum mu_j^2 |Z_j|^2 is required, and without one
+    the hypothesis is flagged unverified.
     """
 
     kappa_1nu: float
@@ -434,11 +451,7 @@ def m2_constants(
 ) -> M2Constants:
     eta, s, L = constants.eta, constants.varsigma, constants.L_G
     om = 1.0 - mu_max
-    eta_limit = (
-        math.inf
-        if mu_max == 0.0 or L == 0.0
-        else om / (mu_max * L) * math.sqrt(s / (6.0 * KAPPA_BOX * KAPPA_DIAMOND))
-    )
+    eta_limit = m2_eta_limit(mu_max, L, s)
     small_eta_ok = eta <= eta_limit
     if small_eta_ok:
         k2z = 0.0
@@ -569,17 +582,16 @@ def audit_master_and_theta(
     Replicate means stand in for the expectations, nu_k comes from the
     analytic budget, and each comparison gains a three-standard-error
     allowance.  An exact oracle is the single-replicate case (nu = se = 0),
-    so all three are asserted pathwise with float tolerance only.  A
-    non-finite iterate fails the report with worst_violation -inf.
+    so all three are asserted pathwise with float tolerance only.
     """
     noise = noise or NoiseModel()
     constants = bound_constants(problem, config, omega=noise.omega)
     K = config.max_iters
     deterministic = noise.kind is NoiseKind.EXACT
-    try:
-        res = run_replicates(problem, noise, config, 1 if deterministic else replicates)
-    except NonFiniteIterate as err:
-        return AuditReport("master-theta", K, -math.inf, False, f"{context} {err}")
+    R = 1 if deterministic else replicates
+    res = _replicates("master-theta", context, problem, noise, config, R)
+    if isinstance(res, AuditReport):
+        return res
     tr_sqrt = res.mean["trace_sqrt_total"]
     delta = res.mean["delta_k"]
     se_tr = 3.0 * res.se["trace_sqrt_total"]
@@ -616,10 +628,9 @@ def audit_momentum_error(
         raise InvalidConfig("momentum-error audit needs the M1 mode")
     _, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
     K = config.max_iters
-    try:
-        res = run_replicates(problem, NoiseModel(), config, 1)
-    except NonFiniteIterate as err:
-        return AuditReport("momentum-m1", K, -math.inf, False, f"{context} {err}")
+    res = _replicates("momentum-m1", context, problem, NoiseModel(), config)
+    if isinstance(res, AuditReport):
+        return res
     mu = np.array([mu_schedule(k, config) for k in range(K)])
     err = np.cumsum(res.mean["mom_err_sq"])
     zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
@@ -628,6 +639,23 @@ def audit_momentum_error(
     rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     ctx = f"{context} mu_max={config.mu_max}"
     return _report("momentum-m1", K, TOL_PATHWISE, ctx, errE=e_slack, rate=rate)
+
+
+def audit_m1_degenerate(problem: Problem, K=300, seed=0) -> AuditReport:
+    """mu_max = 0 must reproduce the momentum-free trajectory bit for bit:
+    every record column and the final iterate, at tolerance 0."""
+    name, ctx = "momentum-m1[mu=0-bitexact]", f"seed={seed} K={K}"
+    base = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=K, seed=seed)
+    runs = []
+    for config in (base, replace(base, momentum_mode=MomentumMode.M1, mu_max=0.0)):
+        res = _replicates(name, ctx, problem, NoiseModel(), config)
+        if isinstance(res, AuditReport):
+            return res
+        runs.append(res)
+    a, b = runs
+    diffs = [a.arrays[n] - b.arrays[n] for n in a.arrays]
+    diffs += [x - y for x, y in zip(a.final[0].blocks, b.final[0].blocks)]
+    return _report(name, K, 0.0, ctx, slack=-np.abs(np.concatenate([d.ravel() for d in diffs])))
 
 
 def audit_m2_deterministic(
@@ -641,10 +669,9 @@ def audit_m2_deterministic(
     m2 = m2_constants(constants, config.mu_max)
     theta, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
     K = config.max_iters
-    try:
-        res = run_replicates(problem, NoiseModel(), config, 1)
-    except NonFiniteIterate as err:
-        return AuditReport("m2-deterministic", K, -math.inf, False, f"{context} {err}")
+    res = _replicates("m2-deterministic", context, problem, NoiseModel(), config)
+    if isinstance(res, AuditReport):
+        return res
     t_slack = (theta - res.mean["trace_sqrt_total"]) / (1.0 + theta)
     rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     return _report(
@@ -688,9 +715,13 @@ class RateRegimeResult:
     fitted_slope: float
     theory_slope: float
     bound_dominates: bool
-    min_curve: np.ndarray
-    bound_curve: np.ndarray
     report: AuditReport
+
+
+def _running_argmin(x: np.ndarray) -> np.ndarray:
+    """Index of the first minimum of x[:k+1] at every k (len(x) >= 1)."""
+    new_min = np.r_[True, x[1:] < np.minimum.accumulate(x)[:-1]]
+    return np.maximum.accumulate(np.where(new_min, np.arange(len(x)), 0))
 
 
 SLOPE_TOL = 0.15  # absorbs the bounds' log factors at desk scale
@@ -707,54 +738,41 @@ def audit_rate_regimes(
     running-min averaged gradient curve against the evaluated envelope
     Theta_k / sqrt(k+1) (three-standard-error allowance), and check the
     fitted log-log slope against the guaranteed exponent + SLOPE_TOL.
-    The slope needs a fit window of at least two points, so max_iters < 3
-    raises InvalidConfig."""
+    A non-finite replicate fails its alpha with a NaN slope.  The slope
+    needs a fit window of at least two points, so max_iters < 3 raises
+    InvalidConfig."""
     K = config.max_iters
     if K < 3:
         raise InvalidConfig(f"rate regimes need at least 3 iterations, got max_iters={K}")
+    label = f"mode={config.momentum_mode.value} beta={config.beta}"
     results = []
     for alpha in alphas:
         noise = NoiseModel(
             kind=NoiseKind.ADDITIVE_DECAYING, sigma=(float(sigma),) * len(problem.shapes), alpha=float(alpha)
         )
-        res = run_replicates(problem, noise, config, replicates)
+        name = f"rate-regime-alpha={alpha}"
+        th_slope = theory_exponent(config.momentum_mode, float(alpha), config.beta)
+        res = _replicates(name, label, problem, noise, config, replicates)
+        if isinstance(res, AuditReport):
+            results.append(RateRegimeResult(float(alpha), math.nan, th_slope, False, res))
+            continue
         min_curve = res.min_grad_curve
-        se = res.se["grad_dual_norm"]
         # SE of the running-min statistic: the SE at its argmin iteration
-        argmin = np.empty(K, dtype=int)
-        best, best_j = math.inf, 0
-        g = res.mean["grad_dual_norm"]
-        for k in range(K):
-            if g[k] < best:
-                best, best_j = g[k], k
-            argmin[k] = best_j
-        se_min = se[argmin]
+        se_min = res.se["grad_dual_norm"][_running_argmin(res.mean["grad_dual_norm"])]
 
         _, bound = envelope_and_rate(problem, noise, config)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))
         slope = fit_loglog_slope(min_curve, max(K // 10, 1), K)
-        th_slope = theory_exponent(config.momentum_mode, float(alpha), config.beta)
         slope_ok = slope <= th_slope + SLOPE_TOL
         worst = float(min(0.0, dom_slack.min(), (th_slope + SLOPE_TOL) - slope))
         rep = AuditReport(
-            f"rate-regime-alpha={alpha}",
+            name,
             replicates * K,
             worst,
             dominates and slope_ok,
-            f"mode={config.momentum_mode.value} beta={config.beta} slope={slope:.3f} "
-            f"theory={th_slope:.3f} dominates={dominates}",
+            f"{label} slope={slope:.3f} theory={th_slope:.3f} dominates={dominates}",
         )
-        results.append(
-            RateRegimeResult(
-                alpha=float(alpha),
-                fitted_slope=slope,
-                theory_slope=th_slope,
-                bound_dominates=dominates,
-                min_curve=min_curve,
-                bound_curve=bound,
-                report=rep,
-            )
-        )
+        results.append(RateRegimeResult(float(alpha), slope, th_slope, dominates, rep))
     return results

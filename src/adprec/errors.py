@@ -23,4 +23,4 @@ class InvalidConfig(AdprecError):
 
 
 class NonFiniteIterate(AdprecError):
-    """An optimizer iterate became NaN or infinite."""
+    """An optimizer iterate or record value became NaN or infinite."""

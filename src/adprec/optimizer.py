@@ -126,6 +126,10 @@ class IterationRecord:
     mom_err_sq: float = 0.0
 
 
+# every per-step quantity of IterationRecord except the iteration index
+_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
+
+
 def _rel_resid(lhs: float, rhs: float) -> float:
     scale = max(abs(lhs), abs(rhs))
     if scale == 0.0:
@@ -152,7 +156,7 @@ def adprec_step(
     norm and selector feed both the identity residual and the step.  The
     record's f_value / grad_dual_norm fields are NaN here; the trajectory
     driver fills them in (they need the problem, which the step itself must
-    not consult).
+    not consult) and checks X_next and the record for non-finite values.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -200,10 +204,6 @@ def adprec_step(
         w_inv += diag.weighted_inv
         w_invsqrt += diag.weighted_invsqrt
 
-    X_next = ProductPoint(new_blocks)
-    if not X_next.is_finite():
-        raise NonFiniteIterate(f"iterate became non-finite at iteration {k}")
-
     N = total_dim(shapes)
     record = IterationRecord(
         k=k,
@@ -220,7 +220,7 @@ def adprec_step(
         step_dual_norm=config.eta * math.sqrt(z_sq),
         mom_err_sq=mom_err_sq,
     )
-    return X_next, new_states, M, record, z_norms
+    return ProductPoint(new_blocks), new_states, M, record, z_norms
 
 
 @dataclass
@@ -242,8 +242,9 @@ def run_trajectory(
     """Drive the iteration for max_iters steps from problem.x0.
 
     Deterministic given (problem, noise, config.seed).  A non-finite
-    iterate aborts the run; the partial record stream is returned with the
-    failure message in ``failed``.
+    iterate or record value (f_value only when eval_objective is set)
+    aborts the run: the records before the failing iteration are returned
+    with the failing step's iterate and the failure message in ``failed``.
     """
     shapes = problem.shapes
     X = problem.x0.copy()
@@ -252,6 +253,7 @@ def run_trajectory(
     rng = np.random.default_rng(config.seed)
     z_prev_norms: list[float] | None = None
     records: list[IterationRecord] = []
+    checked = [n for n in _RECORD_FIELDS if config.eval_objective or n != "f_value"]
 
     for k in range(config.max_iters):
         G = problem.eval_grad(X)
@@ -260,19 +262,16 @@ def run_trajectory(
         )
         fval = problem.eval_f(X) if config.eval_objective else math.nan
         gnorm = math.sqrt(product_dual_norm_sq(G, shapes))
-        try:
-            X, states, M, rec, z_prev_norms = adprec_step(
-                shapes, X, gtilde, states, M, config, k
-            )
-        except NonFiniteIterate as err:
-            return TrajectoryResult(records, X, states, failed=str(err))
+        X, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
         rec.f_value, rec.grad_dual_norm = fval, gnorm
+        bad = [n for n in checked if not math.isfinite(getattr(rec, n))]
+        if not X.is_finite():
+            bad.insert(0, "iterate")
+        if bad:
+            failed = f"non-finite at iteration {k}: {', '.join(bad)}"
+            return TrajectoryResult(records, X, states, failed=failed)
         records.append(rec)
     return TrajectoryResult(records, X, states)
-
-
-# every per-step quantity of IterationRecord except the iteration index
-_RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
 
 
 @dataclass
@@ -282,12 +281,14 @@ class ReplicateResult:
     arrays[name] has shape (R, K); mean[name] is the across-replicate mean
     at each iteration, and min_grad_curve is the running minimum of the
     averaged true-gradient norm (the quantity the rate bounds control).
+    final[r] is replicate r's last iterate.
     """
 
     arrays: dict[str, np.ndarray]
     mean: dict[str, np.ndarray]
     min_grad_curve: np.ndarray
     se: dict[str, np.ndarray]
+    final: list[ProductPoint]
 
 
 def run_replicates(
@@ -315,4 +316,4 @@ def run_replicates(
         for name, a in arrays.items()
     }
     min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
-    return ReplicateResult(arrays, mean, min_grad, se)
+    return ReplicateResult(arrays, mean, min_grad, se, [t.final for t in trajectories])

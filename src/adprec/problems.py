@@ -318,10 +318,14 @@ def sample_gradient(
         return G
 
     sig = noise.sigma_for(len(shapes))
+    try:
+        decay = (k + 1) ** (noise.alpha / 2.0)
+    except OverflowError:  # the variance sigma**2 / (k+1)**alpha underflows to 0
+        decay = np.inf
     blocks = []
     for ell, (G_l, s_l, shape) in enumerate(zip(G.blocks, sig, shapes)):
         d = shape.dim
-        std = s_l / ((k + 1) ** (noise.alpha / 2.0) * np.sqrt(d))
+        std = s_l / (decay * np.sqrt(d))
         B = G_l + std * rng.standard_normal(G_l.shape)
         if noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0:
             zn = 0.0 if z_prev_norms is None else z_prev_norms[ell]

@@ -7,14 +7,12 @@ fixed iteration budgets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
-
-import numpy as np
 
 from .audit import (
     AuditReport,
     audit_log_increment,
+    audit_m1_degenerate,
     audit_m2_deterministic,
     audit_master_and_theta,
     audit_momentum_error,
@@ -25,10 +23,11 @@ from .audit import (
     audit_structural_identities,
     audit_subadditivity_constants,
     audit_techn,
+    m2_eta_limit,
 )
 from .block_space import BlockShape, Geometry
 from .errors import InvalidConfig
-from .optimizer import MomentumMode, OptimizerConfig, run_trajectory
+from .optimizer import MomentumMode, OptimizerConfig
 from .problems import NoiseKind, NoiseModel, make_problem
 
 
@@ -158,27 +157,6 @@ def suite_momentum(trials=0, seed=0, K=2000):
     return reports
 
 
-def audit_m1_degenerate(problem, K=300, seed=0) -> AuditReport:
-    """mu_max = 0 must reproduce the momentum-free trajectory bit for bit."""
-    base = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=K, seed=seed)
-    m1 = replace(base, momentum_mode=MomentumMode.M1, mu_max=0.0)
-    ta = run_trajectory(problem, NoiseModel(), base)
-    tb = run_trajectory(problem, NoiseModel(), m1)
-    worst = 0.0
-    exact = True
-    for a, b in zip(ta.final.blocks, tb.final.blocks):
-        if not np.array_equal(a, b):
-            exact = False
-            worst = min(worst, -float(np.max(np.abs(a - b))))
-    for fa, fb in zip(ta.column("z_dual_norm_sq"), tb.column("z_dual_norm_sq")):
-        if fa != fb:
-            exact = False
-            worst = min(worst, -abs(fa - fb))
-    return AuditReport(
-        "momentum-m1[mu=0-bitexact]", K, worst, exact, f"seed={seed} K={K}"
-    )
-
-
 def suite_rates(trials=0, seed=0, K=5000, R=16):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=K, seed=seed, eval_objective=False)
@@ -201,9 +179,7 @@ def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
     rates.  worst_violation is the worse of the two sub-reports'.
     """
     mu_max = 0.9
-    # stepsize satisfying the M2 stepsize hypothesis for mu_max and this L
-    L = problem.lipschitz
-    eta = 0.9 * (1.0 - mu_max) / (mu_max * L) * math.sqrt(1.0 / 12.0)
+    eta = 0.9 * m2_eta_limit(mu_max, problem.lipschitz, 1.0)
     out = {}
     for beta in (0.0, 0.25):
         cfg = OptimizerConfig(

@@ -19,6 +19,7 @@ import pytest
 
 from adprec.audit import (
     audit_log_increment,
+    audit_m1_degenerate,
     audit_momentum_error,
     audit_master_and_theta,
     audit_rate_regimes,
@@ -35,7 +36,6 @@ from adprec.optimizer import MomentumMode, OptimizerConfig, adprec_step, run_rep
 from adprec.problems import make_problem
 from adprec.psd_linalg import psd_power
 from adprec.suites import (
-    audit_m1_degenerate,
     bound_configurations,
     m2_schedule_gap_report,
     potential_configurations,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from adprec.audit import (
     BoundConstants,
     RateRegimeResult,
     audit_log_increment,
+    audit_m1_degenerate,
     audit_m2_deterministic,
     audit_master_and_theta,
     audit_momentum_error,
@@ -250,22 +252,27 @@ def test_master_theta_statistical_with_multiplicative_noise():
 
 
 NOISY = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
-# every trajectory audit on a 10-iteration run with context "lbl"; master-theta
-# under both oracles (ids "exact" and "noisy")
+# every trajectory audit on a 10-iteration run, as (label its report starts
+# its context with, audit); master-theta under both oracles (ids "exact" and
+# "noisy")
 TRAJECTORY_AUDITS = {
-    "exact": lambda p: audit_master_and_theta(p, cfg(max_iters=10), context="lbl"),
-    "noisy": lambda p: audit_master_and_theta(
+    "exact": ("lbl", lambda p: audit_master_and_theta(p, cfg(max_iters=10), context="lbl")),
+    "noisy": ("lbl", lambda p: audit_master_and_theta(
         p, cfg(max_iters=10), noise=NOISY, replicates=4, context="lbl"
-    ),
-    "momentum-m1": lambda p: audit_momentum_error(
+    )),
+    "momentum-m1": ("lbl", lambda p: audit_momentum_error(
         p, cfg(max_iters=10, momentum_mode=MomentumMode.M1, mu_max=0.5), context="lbl"
-    ),
-    "m2-deterministic": lambda p: audit_m2_deterministic(
+    )),
+    "m2-deterministic": ("lbl", lambda p: audit_m2_deterministic(
         p, cfg(max_iters=10, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5), context="lbl"
-    ),
-    "path-potentials": lambda p: audit_path_potentials(
+    )),
+    "path-potentials": ("lbl", lambda p: audit_path_potentials(
         p, NoiseModel(), cfg(max_iters=10), context="lbl"
-    ),
+    )),
+    "rate-regime": ("mode=None beta=0.0", lambda p: audit_rate_regimes(
+        p, cfg(max_iters=10), alphas=(1.0,), sigma=0.5, replicates=2
+    )[0].report),
+    "m1-degenerate": ("seed=0 K=10", lambda p: audit_m1_degenerate(p, K=10)),
 }
 
 
@@ -273,15 +280,40 @@ TRAJECTORY_AUDITS = {
 def test_master_theta_nonfinite_is_fail_report(monkeypatch, which):
     # every trajectory audit reports a non-finite iterate as the same FAIL over
     # all K trials, never as an exception; the context keeps the failing seed
-    message = "replicate 0 (seed 0): iterate became non-finite at iteration 3"
+    message = "replicate 0 (seed 0): non-finite at iteration 3: iterate"
 
     def blow_up(*args, **kwargs):
         raise NonFiniteIterate(message)
 
     monkeypatch.setattr(audit, "run_replicates", blow_up)
-    rep = TRAJECTORY_AUDITS[which](make_problem("quadratic", DIAG8, seed=0))
+    label, run_audit = TRAJECTORY_AUDITS[which]
+    rep = run_audit(make_problem("quadratic", DIAG8, seed=0))
     assert (rep.trials, rep.worst_violation, rep.passed) == (10, -math.inf, False)
-    assert rep.context == f"lbl {message}"
+    assert rep.context == f"{label} {message}"
+
+
+def test_rate_suite_reports_a_nonfinite_run(monkeypatch):
+    # a blow-up in the rates suite fails its reports instead of aborting the
+    # whole audit run
+    def blow_up(*args, **kwargs):
+        raise NonFiniteIterate("replicate 0 (seed 0): non-finite at iteration 3: iterate")
+
+    monkeypatch.setattr(audit, "run_replicates", blow_up)
+    reports = suites.suite_rates(K=10, R=2)
+    assert [r.check_name for r in reports] == [
+        "rate-regime-alpha=0.5", "rate-regime-alpha=1.0", "rate-regime-alpha=2.0", "m2-schedule-gap"
+    ]
+    assert all(not r.passed and r.worst_violation == -math.inf for r in reports)
+
+
+def test_master_theta_nan_bounds_fail():
+    # at eta = 1e-306 the gap term 3 kappa_gap / eta overflows: Theta is inf and
+    # the theta and rate slacks are NaN, which must fail, not read as 0
+    label, problem, config = suites.bound_configurations(K=50)[0]
+    with np.errstate(invalid="ignore"):
+        rep = audit_master_and_theta(problem, replace(config, eta=1e-306), context=label)
+    assert not rep.passed and math.isnan(rep.worst_violation), rep
+    assert "theta=nan rate=nan" in rep.context
 
 
 def test_trajectory_audits_at_zero_iterations():
@@ -294,6 +326,7 @@ def test_trajectory_audits_at_zero_iterations():
         audit_master_and_theta(problem, cfg(max_iters=0)),
         audit_momentum_error(problem, m1),
         audit_m2_deterministic(problem, m2),
+        audit_m1_degenerate(problem, K=0),
     ]
     for rep in reports:
         assert rep.passed and rep.trials == 0 and rep.worst_violation == 0.0, rep
@@ -306,6 +339,16 @@ def test_report_names_each_array_worst_only_when_several():
     assert (two.worst_violation, two.passed) == (-0.25, False)
     assert two.context == "ctx a=0.000e+00 b=-2.500e-01"
     assert audit._report("x", 0, 0.0, slack=np.empty(0)).passed
+    # equal values compared at tolerance 0 give slacks of -0.0; the worst is +0.0
+    zero = audit._report("x", 2, 0.0, slack=-np.abs(np.zeros(2)))
+    assert zero.passed and math.copysign(1.0, zero.worst_violation) == 1.0
+
+
+def test_report_nan_slack_fails():
+    rep = audit._report("x", 3, 1e-6, slack=[1.0, math.nan, 2.0])
+    assert not rep.passed and math.isnan(rep.worst_violation)
+    two = audit._report("x", 3, 1e-6, a=[1.0], b=[math.nan])
+    assert not two.passed and two.context == "a=0.000e+00 b=nan"
 
 
 def test_identity_audits_are_deterministic():
@@ -370,8 +413,19 @@ def test_rate_regime_smoke():
     r = results[0]
     assert r.bound_dominates
     assert r.fitted_slope <= r.theory_slope + 0.15
-    assert r.report.passed
-    assert len(r.min_curve) == 600 and len(r.bound_curve) == 600
+    assert r.report.passed and r.report.trials == 4 * 600
+
+
+def test_running_argmin_matches_loop():
+    # the loop is the reference: first index of the running minimum, ties kept
+    rng = np.random.default_rng(0)
+    for x in (rng.integers(0, 4, 50).astype(float), rng.standard_normal(40), np.ones(3)):
+        best, best_j, expect = math.inf, 0, []
+        for k, v in enumerate(x):
+            if v < best:
+                best, best_j = v, k
+            expect.append(best_j)
+        np.testing.assert_array_equal(audit._running_argmin(x), expect)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2])
@@ -416,7 +470,7 @@ def test_m2_schedule_gap_verdict_follows_subreports(monkeypatch, failing_beta):
         passed = beta != failing_beta
         rep = AuditReport(f"rate-regime-alpha={alpha}", replicates, 0.0 if passed else -0.3, passed)
         th = theory_exponent(config.momentum_mode, alpha, beta)
-        return [RateRegimeResult(alpha, -1.06, th, True, np.ones(1), np.ones(1), rep)]
+        return [RateRegimeResult(alpha, -1.06, th, True, rep)]
 
     monkeypatch.setattr(suites, "audit_rate_regimes", fake_rate_regimes)
     rep = suites.m2_schedule_gap_report(make_problem("quadratic", DIAG8, seed=800), K=10, R=2)

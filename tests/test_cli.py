@@ -203,24 +203,49 @@ def test_parse_experiment_validation():
         parse_experiment(raw3)
 
 
-@pytest.mark.parametrize(
-    "command, driver",
-    [("run", "run_replicates"), ("sweep", "audit_rate_regimes")],
-    ids=["run", "sweep"],
-)
-def test_nonfinite_exit_3(tmp_path, monkeypatch, capsys, command, driver):
-    cfg_path, _ = write_config(tmp_path)
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_nonfinite_exit_3(tmp_path, monkeypatch, capsys, command):
+    # run is a numerical failure (exit 3); sweep fails only the alpha whose
+    # trajectory blew up (exit 1, a nan slope row)
+    import adprec.audit as audit_mod
     import adprec.cli as cli_mod
 
     def boom(*a, **kw):
         raise NonFiniteIterate("synthetic blow-up")
 
-    monkeypatch.setattr(cli_mod, driver, boom)
-    args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
-    if command == "sweep":
-        args += ["--alphas", "1.0"]
-    assert main(args) == 3
-    assert "numerical failure: synthetic blow-up" in capsys.readouterr().err
+    cfg_path, _ = write_config(tmp_path)
+    out = tmp_path / "o"
+    args = [command, "--config", str(cfg_path), "--out", str(out)]
+    if command == "run":
+        monkeypatch.setattr(cli_mod, "run_replicates", boom)
+        assert main(args) == 3
+        assert "numerical failure: synthetic blow-up" in capsys.readouterr().err
+    else:
+        monkeypatch.setattr(audit_mod, "run_replicates", boom)
+        assert main([*args, "--alphas", "1.0"]) == 1
+        assert read_csv(out / "sweep.csv")[1] == [["1", "nan", "-0.5", "0"]]
+
+
+def test_nonfinite_records_exit_3(tmp_path, capsys):
+    # eta = 1e308 keeps the iterate finite but overflows the record norms
+    cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"eta": 1e308, "iterations": 5}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: replicate 0 (seed 1): non-finite at iteration 1: f_value" in err
+
+
+def test_oracle_scale_underflow_is_exact_noise(tmp_path):
+    # (k+1)**(alpha/2) overflows for alpha = 1e308: the noise scale is 0
+    cfg_path, _ = write_config(
+        tmp_path,
+        overrides={"optimizer": {"iterations": 5}},
+        noise={"kind": "AdditiveDecaying", "sigma": 0.5, "alpha": 1e308},
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    _, rows = read_csv(out / "records.csv")
+    assert len(rows) == 5 and all(np.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_failing_replicate_names_its_seed(tmp_path, monkeypatch, capsys):
