@@ -217,7 +217,7 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
         zn = geom_dual_norm(shape, Z)
         diag = geom_diagnostics(shape, state, V, tr_l)
 
-        lhs1 = zn * float(np.sum(V * geom_selector(shape, Z)))
+        lhs1 = zn * float(np.sum(V * geom_selector(shape, Z, zn)))
         s1 = max(abs(lhs1), abs(diag.weighted_invsqrt), 1e-300)
         r1.append(TOL_ALGEBRAIC - abs(lhs1 - diag.weighted_invsqrt) / s1)
 
@@ -662,13 +662,23 @@ def audit_m2_deterministic(
     problem: Problem, config: OptimizerConfig, context: str = ""
 ) -> AuditReport:
     """Alternate Theta envelope and rate bound for the pure-gradient momentum
-    variant, deterministic specialization (exact oracle, theta_noise = 0)."""
+    variant, deterministic specialization (exact oracle, theta_noise = 0).
+
+    A stepsize above `m2_eta_limit` leaves the bound without its hypothesis:
+    the report then FAILs over all K trials (worst -inf), with
+    small_eta_ok=False and the limit in its context."""
     if config.momentum_mode is not MomentumMode.M2:
         raise InvalidConfig("needs the M2 mode")
     constants = bound_constants(problem, config)
+    K = config.max_iters
+    limit = m2_eta_limit(config.mu_max, constants.L_G, config.varsigma)
+    small_eta_ok = config.eta <= limit
+    head = f"{context} small_eta_ok={small_eta_ok}"
+    if not small_eta_ok:
+        ctx = f"{head} eta={config.eta} exceeds the limit {limit:.4g}"
+        return AuditReport("m2-deterministic", K, -math.inf, False, ctx.strip())
     m2 = m2_constants(constants, config.mu_max)
     theta, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
-    K = config.max_iters
     res = _replicates("m2-deterministic", context, problem, NoiseModel(), config)
     if isinstance(res, AuditReport):
         return res
@@ -678,8 +688,7 @@ def audit_m2_deterministic(
         "m2-deterministic",
         K,
         TOL_PATHWISE,
-        f"{context} small_eta_ok={m2.small_eta_ok} "
-        f"theta={compute_theta_m2(constants, m2, 0.0):.4g} "
+        f"{head} theta={compute_theta_m2(constants, m2, 0.0):.4g} "
         "(last envelope term uses omega^2 + L/eta as printed; the first "
         "variant's uses omega + L/eta)",
         bounds=np.minimum(t_slack, rate),
@@ -766,7 +775,8 @@ def audit_rate_regimes(
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))
         slope = fit_loglog_slope(min_curve, max(K // 10, 1), K)
         slope_ok = slope <= th_slope + SLOPE_TOL
-        worst = float(min(0.0, dom_slack.min(), (th_slope + SLOPE_TOL) - slope))
+        # np.min, not min: a NaN slack (an overflowing bound) makes the worst NaN
+        worst = float(np.min([0.0, dom_slack.min(), (th_slope + SLOPE_TOL) - slope])) + 0.0
         rep = AuditReport(
             name,
             replicates * K,

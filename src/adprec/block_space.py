@@ -58,20 +58,26 @@ def total_dim(shapes: Sequence[BlockShape]) -> int:
 
 
 class ProductPoint:
-    """An element of the product space: one dense array per block.
+    """An element of the product space, or a stack of R of them: one dense
+    array per block.
 
     Points are value types; all operations return new points.  Every block
-    is stored as a 2-d array (vectors as n x 1) so pairing and norms have a
-    single code path.
+    of one point is a 2-d array (vectors as n x 1), so pairing and norms have
+    a single code path; a stack of points holds (R, rows, cols) blocks, item
+    r being point r.  The trajectory driver advances R replicates as one
+    stack.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_flat")
 
     def __init__(self, blocks):
         self.blocks = tuple(np.asarray(b, dtype=float) for b in blocks)
+        self._flat = None
         for b in self.blocks:
-            if b.ndim != 2:
-                raise ShapeMismatch(f"blocks must be 2-d arrays, got ndim={b.ndim}")
+            if b.ndim not in (2, 3):
+                raise ShapeMismatch(
+                    f"blocks must be 2-d arrays or stacks of them, got ndim={b.ndim}"
+                )
 
     def __len__(self):
         return len(self.blocks)
@@ -83,21 +89,27 @@ class ProductPoint:
         return ProductPoint([b.copy() for b in self.blocks])
 
     def ravel(self) -> np.ndarray:
-        """Flatten all blocks into one vector (column-major within blocks)."""
-        return np.concatenate([b.ravel(order="F") for b in self.blocks])
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(b)) for b in self.blocks)
+        """Flatten all blocks into one vector (column-major within blocks);
+        (R, N) for a stack.  Computed once per point and read-only, since an
+        objective and its gradient both read it."""
+        if self._flat is None:
+            flats = [b.mT.reshape(b.shape[:-2] + (-1,)) for b in self.blocks]
+            flat = flats[0].copy() if len(flats) == 1 else np.concatenate(flats, axis=-1)
+            flat.flags.writeable = False
+            self._flat = flat
+        return self._flat
 
     @staticmethod
     def from_flat(x, shapes: Sequence[BlockShape]) -> "ProductPoint":
+        """The point of a flat vector, or the stack of an (R, N) array of them.
+        Blocks are column-major views of x."""
         x = np.asarray(x, dtype=float)
         need = total_dim(shapes)
-        if x.size != need:
+        if x.ndim == 0 or x.shape[-1] != need:
             raise ShapeMismatch(f"flat vector has {x.size} entries, shapes need {need}")
-        blocks, off = [], 0
+        blocks, off, lead = [], 0, x.shape[:-1]
         for s in shapes:
-            blocks.append(x[off : off + s.dim].reshape((s.rows, s.cols), order="F"))
+            blocks.append(x[..., off : off + s.dim].reshape(lead + (s.cols, s.rows)).mT)
             off += s.dim
         return ProductPoint(blocks)
 
@@ -118,15 +130,31 @@ def check_point_matches(V: ProductPoint, shapes: Sequence[BlockShape]):
     if len(V) != len(shapes):
         raise ShapeMismatch(f"point has {len(V)} blocks, space has {len(shapes)}")
     for b, s in zip(V.blocks, shapes):
-        if b.shape != (s.rows, s.cols):
+        if b.shape[-2:] != (s.rows, s.cols):
             raise ShapeMismatch(f"block shape {b.shape} != declared {(s.rows, s.cols)}")
 
 
-def block_dual_norm(geometry: Geometry, B) -> float:
-    """Dual norm of one block: nuclear for Muon, Euclidean/Frobenius otherwise."""
+def _ravel_items(B) -> np.ndarray:
+    """Each (rows, cols) item of B flattened in its own memory order, the
+    order in which ``np.linalg.norm`` sums it; (..., rows * cols)."""
+    if B.strides[-2] < B.strides[-1]:
+        B = B.mT
+    return B.reshape(B.shape[:-2] + (-1,))
+
+
+def block_dual_norm(geometry: Geometry, B):
+    """Dual norm of one block, per item of a stack: nuclear for Muon,
+    Euclidean/Frobenius otherwise (``np.linalg.norm``'s sqrt of a dot)."""
     if geometry is Geometry.MUON:
         return nuclear_norm(B)
-    return float(np.linalg.norm(B))
+    flat = _ravel_items(B)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
+def squared(norm):
+    """``norm ** 2`` rounded as a Python float squares, through the C pow;
+    ``norm * norm`` and numpy's ``** 2`` on arrays differ in the last bit."""
+    return np.float_power(norm, 2.0)
 
 
 def block_primal_norm(geometry: Geometry, B) -> float:
@@ -142,10 +170,11 @@ def product_inner(U: ProductPoint, V: ProductPoint) -> float:
     return float(sum(np.sum(a * b) for a, b in zip(U.blocks, V.blocks)))
 
 
-def product_dual_norm_sq(V: ProductPoint, shapes: Sequence[BlockShape]) -> float:
-    """Squared dual product norm: sum over blocks of the squared block dual norm."""
+def product_dual_norm_sq(V: ProductPoint, shapes: Sequence[BlockShape]):
+    """Squared dual product norm: sum over blocks of the squared block dual
+    norm; one value per point of a stack."""
     check_point_matches(V, shapes)
-    return float(sum(block_dual_norm(s.geometry, b) ** 2 for b, s in zip(V.blocks, shapes)))
+    return sum(squared(block_dual_norm(s.geometry, b)) for b, s in zip(V.blocks, shapes))
 
 
 def primal_product_norm(V: ProductPoint, shapes: Sequence[BlockShape]) -> float:

@@ -26,10 +26,16 @@ Dispatch is on ``shape.geometry``, a ``Geometry`` member checked by
 the Euclidean variants only in its norm pair (norms, selector, step
 direction, lmap trace); elsewhere it shares AdaNorm's isotropic branch.
 
-States are immutable value types owned by one trajectory; accumulation
-returns fresh states and never decreases eigenvalues.  Because a state never
-changes, it factorizes itself at most once: ``FullState.eig`` and
-``KroneckerState.left_eig`` / ``right_eig`` hold
+Every operation takes one block, (rows, cols), or a stack of R blocks,
+(R, rows, cols), and returns per-item results; a state created with
+``lead=(R,)`` holds R states.  Item r of a stacked call equals the call on
+item r alone, bit for bit: the stacked forms are chosen to round exactly as
+the single-block ones (see ``block_space.squared`` and ``psd_linalg.msign``).
+
+States are immutable value types owned by one trajectory (or one stack of
+them); accumulation returns fresh states and never decreases eigenvalues.
+Because a state never changes, it factorizes itself at most once:
+``FullState.eig`` and ``KroneckerState.left_eig`` / ``right_eig`` hold
 ``eigh_clamped(gram | lfac | rfac, floor=varsigma)``, computed on first use
 and read by both precondition and diagnostics.  Factorizations of a block
 (Muon's SVDs) are shared through arguments instead: accumulate and
@@ -39,12 +45,12 @@ the dual norm and selector of Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .block_space import BlockShape, Geometry, block_dual_norm
+from .block_space import BlockShape, Geometry, block_dual_norm, squared
 from .errors import InvalidConfig, ShapeMismatch
 from .psd_linalg import eigh_clamped, msign, nuclear_norm
 
@@ -53,20 +59,20 @@ from .psd_linalg import eigh_clamped, msign, nuclear_norm
 class ScalarState:
     """Isotropic state ``gamma * I`` (AdaNorm and Muon blocks)."""
 
-    gamma: float
+    gamma: np.ndarray  # () or (R,) positive
     dim: int
     varsigma: float
 
 
 @dataclass(frozen=True)
 class DiagonalState:
-    diag: np.ndarray  # (n,) positive
+    diag: np.ndarray  # (n,) or (R, n) positive
     varsigma: float
 
 
 @dataclass(frozen=True)
 class FullState:
-    gram: np.ndarray  # (n, n) symmetric positive definite
+    gram: np.ndarray  # (n, n) or (R, n, n) symmetric positive definite
     varsigma: float
 
     @cached_property
@@ -77,8 +83,8 @@ class FullState:
 
 @dataclass(frozen=True)
 class KroneckerState:
-    lfac: np.ndarray  # (n, n) SPD
-    rfac: np.ndarray  # (m, m) SPD
+    lfac: np.ndarray  # (n, n) or (R, n, n) SPD
+    rfac: np.ndarray  # (m, m) or (R, m, m) SPD
     varsigma: float
 
     @cached_property
@@ -95,6 +101,15 @@ class KroneckerState:
 GeometryState = ScalarState | DiagonalState | FullState | KroneckerState
 
 
+def geom_take(state: GeometryState, index) -> GeometryState:
+    """The states of a stacked state at ``index`` (an int or a slice of the stack axis)."""
+    return replace(state, **{
+        f.name: getattr(state, f.name)[index]
+        for f in fields(state)
+        if isinstance(getattr(state, f.name), np.ndarray)
+    })
+
+
 @dataclass(frozen=True)
 class GeometryDiagnostics:
     """Trace functionals of (state, V) used by the potential inequalities.
@@ -103,39 +118,47 @@ class GeometryDiagnostics:
     trace_log        tr(log Gamma)
     weighted_inv     tr(Gamma**-1   lmap(V))
     weighted_invsqrt tr(Gamma**-1/2 lmap(V))
+
+    Each is a scalar for one block and an (R,) array for a stack.
     """
 
-    trace_sqrt: float
-    trace_log: float
-    weighted_inv: float
-    weighted_invsqrt: float
+    trace_sqrt: np.ndarray
+    trace_log: np.ndarray
+    weighted_inv: np.ndarray
+    weighted_invsqrt: np.ndarray
 
 
 def _check_block(shape: BlockShape, V):
-    if V.shape != (shape.rows, shape.cols):
+    if V.shape[-2:] != (shape.rows, shape.cols):
         raise ShapeMismatch(f"block is {V.shape}, geometry declared {(shape.rows, shape.cols)}")
 
 
-def geom_init(shape: BlockShape, varsigma: float) -> GeometryState:
-    """State representing ``varsigma * I`` in the variant's native form."""
+def geom_init(shape: BlockShape, varsigma: float, lead: tuple[int, ...] = ()) -> GeometryState:
+    """State representing ``varsigma * I`` in the variant's native form;
+    ``lead=(R,)`` gives a stack of R such states."""
     if not varsigma > 0.0:
         raise InvalidConfig(f"varsigma must be positive, got {varsigma}")
+    s = float(varsigma)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
-        return ScalarState(gamma=float(varsigma), dim=shape.dim, varsigma=float(varsigma))
+        return ScalarState(gamma=np.full(lead, s), dim=shape.dim, varsigma=s)
     if g is Geometry.DIAG_ADAGRAD:
-        return DiagonalState(diag=np.full(shape.rows, float(varsigma)), varsigma=float(varsigma))
+        return DiagonalState(diag=np.full((*lead, shape.rows), s), varsigma=s)
     if g is Geometry.FULL_ADAGRAD:
-        return FullState(gram=varsigma * np.eye(shape.rows), varsigma=float(varsigma))
+        return FullState(gram=_scaled_eye(s, shape.rows, lead), varsigma=s)
     return KroneckerState(
-        lfac=varsigma * np.eye(shape.rows),
-        rfac=varsigma * np.eye(shape.cols),
-        varsigma=float(varsigma),
+        lfac=_scaled_eye(s, shape.rows, lead), rfac=_scaled_eye(s, shape.cols, lead), varsigma=s
     )
 
 
+def _scaled_eye(s: float, n: int, lead: tuple[int, ...]) -> np.ndarray:
+    """s * I_n, repeated over the stack axes `lead` (a read-only view)."""
+    eye = s * np.eye(n)
+    return np.broadcast_to(eye, lead + eye.shape) if lead else eye
+
+
 def geom_accumulate(
-    shape: BlockShape, state: GeometryState, V, lmap_trace: float
+    shape: BlockShape, state: GeometryState, V, lmap_trace
 ) -> GeometryState:
     """Grow the state by the variant's quadratic map of V (Loewner-monotone).
 
@@ -146,13 +169,12 @@ def geom_accumulate(
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
         return ScalarState(state.gamma + lmap_trace / shape.dim, state.dim, state.varsigma)
+    v = V[..., 0]
     if g is Geometry.DIAG_ADAGRAD:
-        v = V[:, 0]
         return DiagonalState(state.diag + v * v, state.varsigma)
     if g is Geometry.FULL_ADAGRAD:
-        v = V[:, 0]
-        return FullState(state.gram + np.outer(v, v), state.varsigma)
-    return KroneckerState(state.lfac + V @ V.T, state.rfac + V.T @ V, state.varsigma)
+        return FullState(state.gram + v[..., :, None] * v[..., None, :], state.varsigma)
+    return KroneckerState(state.lfac + V @ V.mT, state.rfac + V.mT @ V, state.varsigma)
 
 
 def geom_precondition(shape: BlockShape, state: GeometryState, V):
@@ -160,54 +182,55 @@ def geom_precondition(shape: BlockShape, state: GeometryState, V):
     _check_block(shape, V)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
-        return V / np.sqrt(state.gamma)
+        return V / np.sqrt(state.gamma)[..., None, None]
     if g is Geometry.DIAG_ADAGRAD:
-        return V / np.sqrt(state.diag)[:, None]
+        return V / np.sqrt(state.diag)[..., None]
     if g is Geometry.FULL_ADAGRAD:
         w, Q = state.eig
-        return Q @ ((Q.T @ V) / np.sqrt(w)[:, None])
+        return Q @ ((Q.mT @ V) / np.sqrt(w)[..., None])
     wl, Ql = state.left_eig
     wr, Qr = state.right_eig
     # L**-1/4 @ V @ R**-1/4 through the factor eigenbases
-    core = Ql.T @ V @ Qr
-    core = core / wl[:, None] ** 0.25 / wr[None, :] ** 0.25
-    return Ql @ core @ Qr.T
+    core = Ql.mT @ V @ Qr
+    core = core / wl[..., :, None] ** 0.25 / wr[..., None, :] ** 0.25
+    return Ql @ core @ Qr.mT
 
 
-def geom_selector(shape: BlockShape, Z):
-    """Normalizing selector: primal-unit maximizer of <Z, .>, with S(0) = 0."""
+def geom_selector(shape: BlockShape, Z, dual_norm):
+    """Normalizing selector: primal-unit maximizer of <Z, .>, with S(0) = 0.
+
+    dual_norm is ``geom_dual_norm(shape, Z)``, which Euclidean blocks divide by.
+    """
     if shape.geometry is Geometry.MUON:
         return msign(Z)
-    nrm = np.linalg.norm(Z)
-    if nrm == 0.0:
-        return np.zeros_like(Z)
-    return Z / nrm
+    nrm = np.asarray(dual_norm)[..., None, None]
+    return np.divide(Z, nrm, out=np.zeros_like(Z), where=nrm != 0.0)
 
 
-def geom_dual_norm(shape: BlockShape, V) -> float:
+def geom_dual_norm(shape: BlockShape, V):
     return block_dual_norm(shape.geometry, V)
 
 
-def geom_step_direction(shape: BlockShape, Z, dual_norm: float, selector):
+def geom_step_direction(shape: BlockShape, Z, dual_norm, selector):
     """``|Z|_dual * S(Z)`` from the dual norm and selector of Z the caller holds.
 
     For Euclidean-normed blocks this is just Z (which avoids the 0/0 at
     Z = 0); for Muon blocks it is the nuclear norm times the orthogonalized Z.
     """
     if shape.geometry is Geometry.MUON:
-        return dual_norm * selector
+        return np.asarray(dual_norm)[..., None, None] * selector
     return Z
 
 
-def geom_lmap_trace(shape: BlockShape, V) -> float:
+def geom_lmap_trace(shape: BlockShape, V):
     """``tr(lmap(V))``; equals the squared block dual norm for all five variants."""
     if shape.geometry is Geometry.MUON:
-        return nuclear_norm(V) ** 2
-    return float(np.sum(V * V))
+        return squared(nuclear_norm(V))
+    return np.add.reduce(V * V, axis=(-2, -1))
 
 
 def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
-    """Materialize lmap(V) as a dense d x d matrix (audit cross-checks only)."""
+    """Materialize lmap(V) of one block as a dense d x d matrix (audit cross-checks only)."""
     _check_block(shape, V)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
@@ -221,7 +244,7 @@ def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
 
 
 def geom_diagnostics(
-    shape: BlockShape, state: GeometryState, V, lmap_trace: float
+    shape: BlockShape, state: GeometryState, V, lmap_trace
 ) -> GeometryDiagnostics:
     """The four traces, evaluated in the state's native representation.
 
@@ -233,39 +256,42 @@ def geom_diagnostics(
     """
     _check_block(shape, V)
     g = shape.geometry
+    total = np.add.reduce
     if g in (Geometry.ADANORM, Geometry.MUON):
         gamma, d, tl = state.gamma, state.dim, lmap_trace
+        root = np.sqrt(gamma)
         return GeometryDiagnostics(
-            trace_sqrt=d * np.sqrt(gamma),
+            trace_sqrt=d * root,
             trace_log=d * np.log(gamma),
             weighted_inv=tl / gamma,
-            weighted_invsqrt=tl / np.sqrt(gamma),
+            weighted_invsqrt=tl / root,
         )
     if g is Geometry.SHAMPOO:
         n, m = shape.rows, shape.cols
         wl, Ql = state.left_eig
         wr, Qr = state.right_eig
-        core2 = (Ql.T @ V @ Qr) ** 2
-        inv_w = 1.0 / (wl[:, None] ** 0.5 * wr[None, :] ** 0.5)
-        invsqrt_w = 1.0 / (wl[:, None] ** 0.25 * wr[None, :] ** 0.25)
+        core2 = (Ql.mT @ V @ Qr) ** 2
+        inv_w = 1.0 / (wl[..., :, None] ** 0.5 * wr[..., None, :] ** 0.5)
+        invsqrt_w = 1.0 / (wl[..., :, None] ** 0.25 * wr[..., None, :] ** 0.25)
         return GeometryDiagnostics(
-            trace_sqrt=float(np.sum(wl**0.25) * np.sum(wr**0.25)),
-            trace_log=float(0.5 * m * np.sum(np.log(wl)) + 0.5 * n * np.sum(np.log(wr))),
-            weighted_inv=float(np.sum(core2 * inv_w)),
-            weighted_invsqrt=float(np.sum(core2 * invsqrt_w)),
+            trace_sqrt=total(wl**0.25, axis=-1) * total(wr**0.25, axis=-1),
+            trace_log=0.5 * m * total(np.log(wl), axis=-1) + 0.5 * n * total(np.log(wr), axis=-1),
+            weighted_inv=total(core2 * inv_w, axis=(-2, -1)),
+            weighted_invsqrt=total(core2 * invsqrt_w, axis=(-2, -1)),
         )
-    # Diag- and FullAdaGrad: eigenvalues w and squared eigenbasis coordinates c of v
+    # Diag- and FullAdaGrad: eigenvalues w and squared eigenbasis coordinates c
+    # of v; the four summands are rows of one array, summed row by row at once
     if g is Geometry.DIAG_ADAGRAD:
-        w, c = state.diag, V[:, 0] ** 2
+        w, c = state.diag, V[..., 0] ** 2
     else:
         w, Q = state.eig
-        c = (Q.T @ V[:, 0]) ** 2
-    return GeometryDiagnostics(
-        trace_sqrt=float(np.sum(np.sqrt(w))),
-        trace_log=float(np.sum(np.log(w))),
-        weighted_inv=float(np.sum(c / w)),
-        weighted_invsqrt=float(np.sum(c / np.sqrt(w))),
-    )
+        c = (Q.mT @ V)[..., 0] ** 2
+    rows = np.empty((4,) + w.shape)
+    np.sqrt(w, out=rows[0])
+    np.log(w, out=rows[1])
+    np.divide(c, w, out=rows[2])
+    np.divide(c, rows[0], out=rows[3])
+    return GeometryDiagnostics(*total(rows, axis=-1))
 
 
 def geom_state_eigenvalues(state: GeometryState) -> np.ndarray:

@@ -18,23 +18,32 @@ mu_k = mu_max / (k+1)**beta.
 The objective value is recorded for diagnostics only and never enters the
 update; setting eval_objective=False skips it entirely.  A trajectory is
 strictly sequential; replicates are independent (seed + replicate index)
-and run one after another.
+and run together as one array program.  Every block of the iterate, the
+gradient and the geometry state carries a leading replicate axis, so one
+call of ``adprec_step`` advances all R replicates, each block is factorized
+by one stacked eigh or SVD, and the records fill (R, K) columns in place.
+Each replicate keeps its own Generator, and every stacked operation rounds
+as the single-point one does, so replicate r of a stack is bit for bit the
+trajectory that seed + r gives alone; ``run_trajectory`` is the R = 1 case.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .block_space import (
     BlockShape,
+    Geometry,
     ProductPoint,
+    block_dual_norm,
     check_point_matches,
     product_dual_norm_sq,
+    squared,
     total_dim,
 )
 from .errors import InvalidConfig, NonFiniteIterate
@@ -48,6 +57,7 @@ from .geometries import (
     geom_precondition,
     geom_selector,
     geom_step_direction,
+    geom_take,
 )
 from .problems import NoiseModel, Problem, sample_gradient
 
@@ -108,7 +118,8 @@ class IterationRecord:
     record stream.  resid_ineq1/2 are relative residuals of the structural
     identities, evaluated with the accumulated vector; for mode m2 these
     mix Gamma (grown from the raw gradient) with Z (preconditioned
-    momentum) and are genuinely nonzero perturbations.
+    momentum) and are genuinely nonzero perturbations.  Fields are floats
+    for one trajectory and (R,) arrays for the step of a stack.
     """
 
     k: int
@@ -130,13 +141,6 @@ class IterationRecord:
 _RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
 
 
-def _rel_resid(lhs: float, rhs: float) -> float:
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
-
-
 def adprec_step(
     shapes: Sequence[BlockShape],
     X: ProductPoint,
@@ -148,15 +152,18 @@ def adprec_step(
 ):
     """One iteration; returns (X_next, new_states, M_k, record, z_norms).
 
-    M is the previous momentum M_{k-1}: None before the first step, and
-    returned unchanged when momentum is off.  z_norms are the block dual
-    norms of the preconditioned direction Z (the oracle for multiplicative
-    noise needs them at the next iteration).  Each block is factorized
-    once: its lmap trace feeds both accumulate and diagnostics, and Z's dual
-    norm and selector feed both the identity residual and the step.  The
-    record's f_value / grad_dual_norm fields are NaN here; the trajectory
-    driver fills them in (they need the problem, which the step itself must
-    not consult) and checks X_next and the record for non-finite values.
+    X, gtilde, M and the states are one point or a stack of R (see
+    ``ProductPoint``); the record then holds one value per point.  M is the
+    previous momentum M_{k-1}: None before the first step, and returned
+    unchanged when momentum is off.  z_norms are the block dual norms of the
+    preconditioned direction Z (the oracle for multiplicative noise needs
+    them at the next iteration).  Each block is factorized once: its lmap
+    trace feeds accumulate and diagnostics (and Gtilde's dual norm when
+    Gtilde is the accumulated block), and Z's dual norm and selector feed
+    both the identity residual and the step.  The record's f_value /
+    grad_dual_norm fields are NaN here; the trajectory driver fills them in
+    (they need the problem, which the step itself must not consult) and
+    checks X_next and the record for non-finite values.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -175,41 +182,55 @@ def adprec_step(
     new_states = []
     new_blocks = []
     z_norms = []
-    z_sq = 0.0
-    trace_sqrt = 0.0
-    trace_log = 0.0
-    w_inv = 0.0
-    w_invsqrt = 0.0
-    resid1 = 0.0
-    resid2 = 0.0
+    # per block: |Z| <A, S(Z)> and |Z|^2, the traces each should equal,
+    # tr(Gamma^-1/2 lmap A) and tr(Gamma^-1 lmap A), then the other terms the
+    # record sums over blocks; columns 1-6 are all summed
+    terms = []
     for ell, shape in enumerate(shapes):
         A = acc.blocks[ell]
         tl = geom_lmap_trace(shape, A)
         st = geom_accumulate(shape, states[ell], A, tl)
         Z = geom_precondition(shape, st, direction.blocks[ell])
         zn = geom_dual_norm(shape, Z)
-        S = geom_selector(shape, Z)
+        S = geom_selector(shape, Z, zn)
         diag = geom_diagnostics(shape, st, A, tl)
-
-        lhs1 = zn * float(np.sum(A * S))
-        resid1 = max(resid1, _rel_resid(lhs1, diag.weighted_invsqrt))
-        resid2 = max(resid2, _rel_resid(zn * zn, diag.weighted_inv))
-
+        # Muon's lmap trace of Gtilde is its squared nuclear norm, the same
+        # float; a Euclidean block's sum of squares is not its squared norm
+        if acc is gtilde and shape.geometry is Geometry.MUON:
+            gtilde_sq = tl
+        else:
+            gtilde_sq = squared(block_dual_norm(shape.geometry, gtilde.blocks[ell]))
+        terms.append((
+            zn * np.add.reduce(A * S, axis=(-2, -1)), zn * zn,
+            diag.weighted_invsqrt, diag.weighted_inv,
+            diag.trace_sqrt, diag.trace_log, gtilde_sq,
+        ))
         new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
         new_states.append(st)
         z_norms.append(zn)
-        z_sq += zn * zn
-        trace_sqrt += diag.trace_sqrt
-        trace_log += diag.trace_log
-        w_inv += diag.weighted_inv
-        w_invsqrt += diag.weighted_invsqrt
+
+    terms = np.array(terms)  # (blocks, 7) + the stack's shape
+    # block sums in block order, rounded as 0.0 + b_0 + b_1 + ...
+    total = 0.0 + terms[0, 1:]
+    for t in terms[1:]:
+        total = total + t[1:]
+    z_sq, w_invsqrt, w_inv, trace_sqrt, trace_log, gtilde_sq = total
+    # identity residuals |lhs - rhs| / max(|lhs|, |rhs|), worst over blocks;
+    # a NaN residual (0/0 included) counts as 0, as a running max(0.0, ...)
+    # over blocks leaves it
+    pairs = terms[:, :4]
+    size = np.abs(pairs)
+    scale = np.maximum(size[:, 0:2], size[:, 2:4])
+    resid = np.abs(pairs[:, 0:2] - pairs[:, 2:4])
+    np.divide(resid, scale, out=resid, where=scale > 0.0)
+    resid1, resid2 = np.fmax.reduce(resid, axis=0, initial=0.0)
 
     N = total_dim(shapes)
     record = IterationRecord(
         k=k,
         f_value=math.nan,
         grad_dual_norm=math.nan,
-        gtilde_dual_norm=math.sqrt(product_dual_norm_sq(gtilde, shapes)),
+        gtilde_dual_norm=np.sqrt(gtilde_sq),
         z_dual_norm_sq=z_sq,
         trace_sqrt_total=trace_sqrt,
         delta_k=trace_log - N * math.log(config.varsigma),
@@ -217,10 +238,129 @@ def adprec_step(
         weighted_invsqrt=w_invsqrt,
         resid_ineq1=resid1,
         resid_ineq2=resid2,
-        step_dual_norm=config.eta * math.sqrt(z_sq),
+        step_dual_norm=config.eta * np.sqrt(z_sq),
         mom_err_sq=mom_err_sq,
     )
     return ProductPoint(new_blocks), new_states, M, record, z_norms
+
+
+@dataclass
+class _Run:
+    """What the driver returns.  columns[i, r, k] is field _RECORD_FIELDS[i]
+    of replicate r at iteration k.  failure is None or (r, k, message) for
+    the lowest replicate that turned non-finite; the driver stops advancing
+    it and every replicate above it.  X and states are what the last step
+    left (the stack of all R replicates, or the one point when R = 1), or,
+    after a failure of replicate 0, what the failing step left (what it
+    started from, when it failed before the step)."""
+
+    columns: np.ndarray
+    X: ProductPoint
+    states: list[GeometryState]
+    failure: tuple[int, int, str] | None
+
+
+def _first_overflow(P: ProductPoint) -> int | None:
+    """The lowest point of a stack (0 for one point) whose sum of squared
+    entries is non-finite, or None."""
+    if math.isfinite(sum(np.vdot(b, b) for b in P.blocks)):
+        return None
+    # per point: the sum over a whole stack may overflow where no point's does
+    ok = np.isfinite(sum(np.add.reduce(b * b, axis=(-2, -1)) for b in P.blocks)).reshape(-1)
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def _head(P: ProductPoint | None, n: int) -> ProductPoint | None:
+    """The first n points of a stack."""
+    return None if P is None else ProductPoint([b[:n] for b in P.blocks])
+
+
+def _keep(n: int, X, states, M, z_norms, rngs):
+    """The driver's per-replicate carry cut to replicates 0..n-1."""
+    z_norms = None if z_norms is None else [z[:n] for z in z_norms]
+    return _head(X, n), [geom_take(st, slice(n)) for st in states], _head(M, n), z_norms, rngs[:n]
+
+
+def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int) -> _Run:
+    """Advance replicates r = 0..R-1 (seed + r) from problem.x0 for max_iters
+    steps as one stack.
+
+    A replicate fails at iteration k when its iterate or record (f_value
+    only when eval_objective is set) is non-finite after the step, or
+    already before it, when Gtilde's sum of squares overflows: that sum is
+    gtilde_dual_norm**2 on Euclidean blocks and at most it on Muon blocks,
+    and in the step it would reach a Gram matrix, on which eigh raises, or
+    an SVD, which may not return.  The replicate then leaves the stack, with
+    every replicate above it: none of them can be the lowest failure any
+    more, and their non-finite values never reach a stacked factorization.
+    """
+    shapes = problem.shapes
+    K = config.max_iters
+    # One replicate runs on the point itself, without the replicate axis: its
+    # per-replicate values are then numpy scalars, whose arithmetic is several
+    # times cheaper than that of one-element arrays.
+    lead = (R,) if R > 1 else ()
+    # C order, as x0.copy() lays out one point: products see the layout
+    X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
+    states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
+    M = None
+    rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
+    if not lead:
+        rngs = rngs[0]
+    z_prev_norms = None
+    columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
+    # f_value is the first record field, NaN by design when not evaluated
+    first = 0 if config.eval_objective else 1
+    failure = None
+    n = R  # replicates 0..n-1 are still running
+
+    for k in range(K):
+        G = problem.eval_grad(X)
+        gtilde = sample_gradient(
+            problem, noise, X, k, rngs, z_prev_norms=z_prev_norms, exact_grad=G
+        )
+        exact = gtilde is G
+        fval = problem.eval_f(X) if config.eval_objective else math.nan
+        r = _first_overflow(gtilde)
+        if r is not None:
+            bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact else ["gtilde_dual_norm"]
+            if config.eval_objective and not np.isfinite(np.reshape(fval, -1)[r]):
+                bad.insert(0, "f_value")
+            failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
+            if r == 0:
+                return _Run(columns, X, states, failure)
+            n = r
+            X, states, M, z_prev_norms, rngs = _keep(n, X, states, M, z_prev_norms, rngs)
+            G, gtilde = _head(G, n), _head(gtilde, n)
+            if config.eval_objective:
+                fval = fval[:n]
+        X_next, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
+        rec.f_value = fval
+        # an exact oracle's Gtilde is G, whose norm the step already took
+        rec.grad_dual_norm = (
+            rec.gtilde_dual_norm if exact else np.sqrt(product_dual_norm_sq(G, shapes))
+        )
+        step = columns[:, :n, k]
+        for i, name in enumerate(_RECORD_FIELDS):
+            step[i] = getattr(rec, name)
+        # the flat iterate is checked here and cached for the next gradient
+        if np.isfinite(step[first:]).all() and np.isfinite(X_next.ravel()).all():
+            X = X_next
+            continue
+        finite = np.isfinite(step[first:])
+        iterate = np.logical_and.reduce(
+            [np.isfinite(b).all(axis=(-2, -1)) for b in X_next.blocks]
+        ).reshape(-1)
+        r = int(np.argmin(finite.all(axis=0) & iterate))
+        bad = [name for name, f in zip(_RECORD_FIELDS[first:], finite[:, r]) if not f]
+        if not iterate[r]:
+            bad.insert(0, "iterate")
+        failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
+        if r == 0:
+            return _Run(columns, X_next, states, failure)
+        n = r
+        X, states, M, z_prev_norms, rngs = _keep(n, X_next, states, M, z_prev_norms, rngs)
+    return _Run(columns, X, states, failure)
 
 
 @dataclass
@@ -239,39 +379,22 @@ def run_trajectory(
     noise: NoiseModel,
     config: OptimizerConfig,
 ) -> TrajectoryResult:
-    """Drive the iteration for max_iters steps from problem.x0.
+    """Drive the iteration for max_iters steps from problem.x0: the
+    one-replicate stack of ``run_replicates``.
 
     Deterministic given (problem, noise, config.seed).  A non-finite
     iterate or record value (f_value only when eval_objective is set)
     aborts the run: the records before the failing iteration are returned
-    with the failing step's iterate and the failure message in ``failed``.
+    with the failing step's iterate (the one it started from, when Gtilde's
+    sum of squares overflowed before it) and the failure message in
+    ``failed``.
     """
-    shapes = problem.shapes
-    X = problem.x0.copy()
-    states = [geom_init(s, config.varsigma) for s in shapes]
-    M = None
-    rng = np.random.default_rng(config.seed)
-    z_prev_norms: list[float] | None = None
-    records: list[IterationRecord] = []
-    checked = [n for n in _RECORD_FIELDS if config.eval_objective or n != "f_value"]
-
-    for k in range(config.max_iters):
-        G = problem.eval_grad(X)
-        gtilde = sample_gradient(
-            problem, noise, X, k, rng, z_prev_norms=z_prev_norms, exact_grad=G
-        )
-        fval = problem.eval_f(X) if config.eval_objective else math.nan
-        gnorm = math.sqrt(product_dual_norm_sq(G, shapes))
-        X, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
-        rec.f_value, rec.grad_dual_norm = fval, gnorm
-        bad = [n for n in checked if not math.isfinite(getattr(rec, n))]
-        if not X.is_finite():
-            bad.insert(0, "iterate")
-        if bad:
-            failed = f"non-finite at iteration {k}: {', '.join(bad)}"
-            return TrajectoryResult(records, X, states, failed=failed)
-        records.append(rec)
-    return TrajectoryResult(records, X, states)
+    run = _drive(problem, noise, config, 1)
+    K, failed = config.max_iters, None
+    if run.failure is not None:
+        _, K, failed = run.failure
+    records = [IterationRecord(k, *run.columns[:, 0, k].tolist()) for k in range(K)]
+    return TrajectoryResult(records, run.X, run.states, failed)
 
 
 @dataclass
@@ -297,23 +420,22 @@ def run_replicates(
     config: OptimizerConfig,
     R: int,
 ) -> ReplicateResult:
-    """Run R independent trajectories (seed + r) and average the records."""
+    """Run R independent trajectories (seed + r) as one stack and average
+    the records.  A non-finite replicate raises NonFiniteIterate naming the
+    lowest one that failed and its seed."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
-    trajectories = []
-    for r in range(R):
-        traj = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
-        if traj.failed is not None:
-            raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {traj.failed}")
-        trajectories.append(traj)
+    run = _drive(problem, noise, config, R)
+    if run.failure is not None:
+        r, _, message = run.failure
+        raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {message}")
 
-    arrays = {
-        name: np.stack([t.column(name) for t in trajectories]) for name in _RECORD_FIELDS
-    }
+    arrays = dict(zip(_RECORD_FIELDS, run.columns))
     mean = {name: a.mean(axis=0) for name, a in arrays.items()}
     se = {
         name: (a.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(a.shape[1]))
         for name, a in arrays.items()
     }
     min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
-    return ReplicateResult(arrays, mean, min_grad, se, [t.final for t in trajectories])
+    final = [ProductPoint([b[r] for b in run.X.blocks]) for r in range(R)] if R > 1 else [run.X]
+    return ReplicateResult(arrays, mean, min_grad, se, final)

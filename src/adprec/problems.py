@@ -1,8 +1,12 @@
 """Synthetic smooth test problems with known lower bounds and Lipschitz
 constants, plus stochastic gradient oracles with controlled variance.
 
-Problems are immutable after construction.  Oracles draw from a
-caller-supplied numpy Generator, one stream per trajectory; there is no
+Problems are immutable after construction.  Objectives, gradients and the
+oracle take one point or a stack of R points (see ``ProductPoint``) and
+answer per point; each stacked product is a stack of the products one point
+makes (``np.matmul`` over a leading axis, ``np.vecdot`` for a dot), so point
+r of a stack gets the same bits as point r alone.  Oracles draw from
+caller-supplied numpy Generators, one stream per trajectory; there is no
 hidden global RNG anywhere in the package.
 """
 
@@ -76,9 +80,18 @@ class NoiseModel:
         return float(np.sum(self.sigma_for(num_blocks) ** 2))
 
 
+def _matvec(A, x):
+    """``A @ x`` for each vector of a stack x (..., n): one gemv per vector."""
+    return (A @ x[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class Problem:
     """A smooth objective over a product space, with exact gradients.
+
+    eval_f and eval_grad take one point or a stack and return one value
+    (point) per point; component_grad takes a stack with one row of
+    component indices per point.
 
     lipschitz is an upper bound on the gradient Lipschitz constant in the
     Euclidean product norm, or None when no usable bound is known (such
@@ -125,10 +138,11 @@ def quadratic_problem(shapes, condition=10.0, seed=0, b_scale=0.0, H=None, b=Non
 
     def f(X):
         x = X.ravel()
-        return float(0.5 * x @ H @ x - b @ x)
+        xH = ((0.5 * x)[..., None, :] @ H)[..., 0, :]
+        return np.vecdot(xH, x) - np.vecdot(b, x)
 
     def grad(X):
-        return ProductPoint.from_flat(H @ X.ravel() - b, shapes)
+        return ProductPoint.from_flat(_matvec(H, X.ravel()) - b, shapes)
 
     return Problem(
         name="quadratic",
@@ -158,12 +172,12 @@ def trigquad_problem(shapes, seed=0, cos_weight=1.0, A=None, b=None) -> Problem:
 
     def f(X):
         x = X.ravel()
-        r = A @ x - b
-        return float(0.5 * r @ r + c * np.sum(np.cos(x)))
+        r = _matvec(A, x) - b
+        return np.vecdot(0.5 * r, r) + c * np.add.reduce(np.cos(x), axis=-1)
 
     def grad(X):
         x = X.ravel()
-        return ProductPoint.from_flat(A.T @ (A @ x - b) - c * np.sin(x), shapes)
+        return ProductPoint.from_flat(_matvec(A.T, _matvec(A, x) - b) - c * np.sin(x), shapes)
 
     return Problem(
         name="trigquad",
@@ -196,20 +210,18 @@ def logistic_problem(shapes, seed=0, samples=64, reg=0.1) -> Problem:
     # per-sample Hessian is sigmoid' * a a^T with sigmoid' <= 1/4
     L = float(np.linalg.eigvalsh(A.T @ A)[-1] / (4.0 * m) + reg)
 
-    def margins(x):
-        return y * (A @ x)
-
     def f(X):
         x = X.ravel()
-        return float(np.mean(np.logaddexp(0.0, -margins(x))) + 0.5 * reg * x @ x)
+        margins = y * _matvec(A, x)
+        return np.mean(np.logaddexp(0.0, -margins), axis=-1) + np.vecdot(0.5 * reg * x, x)
 
     def grad_flat(x, idx=None):
         if idx is None:
             rows, yy = A, y
         else:
             rows, yy = A[idx], y[idx]
-        s = 1.0 / (1.0 + np.exp(yy * (rows @ x)))
-        return -(rows.T @ (yy * s)) / len(yy) + reg * x
+        s = 1.0 / (1.0 + np.exp(yy * _matvec(rows, x)))
+        return -_matvec(rows.mT, yy * s) / yy.shape[-1] + reg * x
 
     def grad(X):
         return ProductPoint.from_flat(grad_flat(X.ravel()), shapes)
@@ -249,12 +261,12 @@ def matfact_problem(shapes, seed=0, target_scale=1.0) -> Problem:
     def f(X):
         W2, W1 = X.blocks
         E = W2 @ W1 - T
-        return float(0.5 * np.sum(E * E))
+        return 0.5 * np.add.reduce(E * E, axis=(-2, -1))
 
     def grad(X):
         W2, W1 = X.blocks
         E = W2 @ W1 - T
-        return ProductPoint([E @ W1.T, W2.T @ E])
+        return ProductPoint([E @ W1.mT, W2.mT @ E])
 
     return Problem(
         name="matfact",
@@ -284,24 +296,41 @@ def make_problem(kind: str, shapes, **params) -> Problem:
     return builder(shapes, **params)
 
 
+def _normals(rng, shape, draw=None) -> np.ndarray:
+    """Standard normals of `shape` from a Generator, or one such array per
+    Generator of a sequence, stacked; a Generator whose `draw` entry is False
+    draws nothing and gets zeros."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    out = np.zeros((len(rng),) + shape)
+    for i, g in enumerate(rng):
+        if draw is None or draw[i]:
+            g.standard_normal(out=out[i])
+    return out
+
+
 def sample_gradient(
     problem: Problem,
     noise: NoiseModel,
     X: ProductPoint,
     k: int,
-    rng: np.random.Generator,
-    z_prev_norms: Sequence[float] | None = None,
+    rng,
+    z_prev_norms=None,
     exact_grad: ProductPoint | None = None,
 ) -> ProductPoint:
     """Draw an unbiased gradient estimate at iterate X, iteration k.
 
-    z_prev_norms are the block dual norms of the previous preconditioned
-    step Z_{k-1} (None before the first step); only AdditivePlusMultiplicative
-    noise reads them.  The caller may pass the already-computed exact
-    gradient to avoid a second evaluation.  Noise is Gaussian per entry;
-    per-entry standard deviations are scaled by 1/sqrt(d_l) so the *block*
-    dual-norm variance matches the model on Euclidean/Frobenius blocks (for
-    nuclear-norm blocks the bound holds up to the rank factor).
+    X is one point, with rng a numpy Generator, or a stack of R points, with
+    rng a sequence of R Generators: point r draws from rng[r] exactly what
+    it would draw alone, block by block in block order.  z_prev_norms are
+    the block dual norms of the previous preconditioned step Z_{k-1} (one
+    value, or one per point, per block; None before the first step); only
+    AdditivePlusMultiplicative noise reads them.  The caller may pass the
+    already-computed exact gradient to avoid a second evaluation.  Noise is
+    Gaussian per entry; per-entry standard deviations are scaled by
+    1/sqrt(d_l) so the *block* dual-norm variance matches the model on
+    Euclidean/Frobenius blocks (for nuclear-norm blocks the bound holds up
+    to the rank factor).
     """
     shapes = problem.shapes
     check_point_matches(X, shapes)
@@ -310,7 +339,10 @@ def sample_gradient(
         if problem.component_grad is None:
             raise InvalidConfig(f"problem {problem.name!r} has no component gradients")
         b = min(noise.batch, problem.num_components)
-        idx = rng.choice(problem.num_components, size=b, replace=False)
+        if isinstance(rng, np.random.Generator):
+            idx = rng.choice(problem.num_components, size=b, replace=False)
+        else:
+            idx = np.stack([g.choice(problem.num_components, size=b, replace=False) for g in rng])
         return problem.component_grad(X, idx)
 
     G = exact_grad if exact_grad is not None else problem.eval_grad(X)
@@ -323,14 +355,19 @@ def sample_gradient(
     except OverflowError:  # the variance sigma**2 / (k+1)**alpha underflows to 0
         decay = np.inf
     blocks = []
+    lead = G.blocks[0].shape[:-2]
+    multiplicative = noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0
     for ell, (G_l, s_l, shape) in enumerate(zip(G.blocks, sig, shapes)):
-        d = shape.dim
+        d, rc = shape.dim, (shape.rows, shape.cols)
         std = s_l / (decay * np.sqrt(d))
-        B = G_l + std * rng.standard_normal(G_l.shape)
-        if noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0:
-            zn = 0.0 if z_prev_norms is None else z_prev_norms[ell]
-            if zn > 0.0:
-                B = B + (noise.omega * zn / np.sqrt(d)) * rng.standard_normal(G_l.shape)
+        B = G_l + std * _normals(rng, rc)
+        if multiplicative and z_prev_norms is not None:
+            zn = np.reshape(z_prev_norms[ell], lead)
+            moved = zn > 0.0
+            if moved.any():
+                extra = _normals(rng, rc, draw=moved.reshape(-1))
+                coef = (noise.omega * zn / np.sqrt(d))[..., None, None]
+                B = np.where(moved[..., None, None], B + coef * extra, B)
         blocks.append(B)
     return ProductPoint(blocks)
 

@@ -1,9 +1,12 @@
 """Dense symmetric/PSD matrix functions used by the block geometries.
 
-All functions are pure and factorize their input afresh on every call; none
-of them caches.  Reuse lives with the callers: a geometry state factorizes
-itself at most once (see ``geometries``), and one optimizer step computes
-each block's SVDs once and passes the results on.  At the matrix sizes this
+``sym``, ``eigh_clamped``, ``svd_triple``, ``msign`` and ``nuclear_norm``
+also take a stack of matrices (leading axes), which they factorize with one
+stacked LAPACK call; item i of the result equals the call on matrix i, bit
+for bit.  All functions are pure and factorize their input afresh on every
+call; none of them caches.  Reuse lives with the callers: a geometry state
+factorizes itself at most once (see ``geometries``), and one optimizer step
+computes each block's SVDs once and passes the results on.  At the matrix sizes this
 package targets (block dims up to a few hundred) a fresh factorization per
 accumulated state is cheaper than maintaining incremental factorizations
 correctly.
@@ -35,9 +38,9 @@ class SvdTriple(NamedTuple):
 
 
 def sym(M):
-    """Symmetrize a square matrix exactly: returns ``(M + M.T) / 2``."""
+    """Symmetrize a square matrix (or a stack) exactly: returns ``(M + M.T) / 2``."""
     M = np.asarray(M, dtype=float)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.mT)
 
 
 def eigh_clamped(M, floor=None):
@@ -93,7 +96,7 @@ def trace_log_psd(M):
 def svd_triple(G) -> SvdTriple:
     """Thin SVD of an arbitrary real matrix as an SvdTriple."""
     U, s, Vt = np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
-    return SvdTriple(U, s, Vt.T)
+    return SvdTriple(U, s, Vt.mT)
 
 
 def msign(G):
@@ -106,19 +109,22 @@ def msign(G):
     """
     G = np.asarray(G, dtype=float)
     U, s, V = svd_triple(G)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.zeros_like(G)
-    r = int(np.sum(s > SV_RTOL * smax))
-    return U[:, :r] @ V[:, :r].T
+    kept = s > SV_RTOL * s[..., :1]  # none kept for the zero matrix
+    if kept.all():
+        return U @ V.mT
+    # the rank differs per matrix; a product over fewer terms rounds differently
+    # from one padded with zeros, so each matrix keeps its own inner dimension
+    out = np.empty(G.shape)
+    for i in np.ndindex(G.shape[:-2]):
+        r = int(np.sum(kept[i]))
+        out[i] = U[i][:, :r] @ V[i][:, :r].T
+    return out
 
 
 def nuclear_norm(G):
-    """Sum of singular values."""
+    """Sum of singular values, per matrix of a stack."""
     G = np.asarray(G, dtype=float)
-    if G.size == 0:
-        return 0.0
-    return float(np.sum(np.linalg.svd(G, compute_uv=False)))
+    return np.add.reduce(np.linalg.svd(G, compute_uv=False), axis=-1)
 
 
 def spectral_norm(G):

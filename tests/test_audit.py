@@ -383,6 +383,17 @@ def test_m2_deterministic_audit():
     assert rep.passed, rep
 
 
+def test_m2_deterministic_above_the_stepsize_limit_fails():
+    # eta = 5 is far above the hypothesis limit: a FAIL report over all K
+    # trials that names the unmet hypothesis, not an InvalidConfig
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    c = cfg(max_iters=40, eta=5.0, momentum_mode=MomentumMode.M2, mu_max=0.5)
+    limit = audit.m2_eta_limit(0.5, problem.lipschitz, 1.0)
+    rep = audit_m2_deterministic(problem, c, context="lbl")
+    assert (rep.passed, rep.trials, rep.worst_violation) == (False, 40, -math.inf)
+    assert rep.context == f"lbl small_eta_ok=False eta=5.0 exceeds the limit {limit:.4g}"
+
+
 # -- rate regimes ---------------------------------------------------------------
 
 
@@ -426,6 +437,18 @@ def test_running_argmin_matches_loop():
                 best, best_j = v, k
             expect.append(best_j)
         np.testing.assert_array_equal(audit._running_argmin(x), expect)
+
+
+def test_rate_regime_nan_bound_makes_the_worst_nan():
+    # at eta = 1e-306 Theta overflows and the dominance slacks are NaN; the
+    # worst must say so instead of reporting the slope's finite -0.35
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        (r,) = audit_rate_regimes(
+            problem, cfg(max_iters=30, eta=1e-306), alphas=(1.0,), sigma=0.5, replicates=2
+        )
+    assert r.theory_slope + audit.SLOPE_TOL - r.fitted_slope == pytest.approx(-0.35)
+    assert not r.report.passed and math.isnan(r.report.worst_violation), r.report
 
 
 @pytest.mark.parametrize("K", [0, 1, 2])

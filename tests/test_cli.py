@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adprec.audit import bound_constants, m1_noise_constants, m1_rate_bound
+from adprec.block_space import ProductPoint
 from adprec.cli import example_config, main, parse_experiment
 from adprec.errors import InvalidConfig, NonFiniteIterate
 
@@ -249,20 +250,26 @@ def test_oracle_scale_underflow_is_exact_noise(tmp_path):
 
 
 def test_failing_replicate_names_its_seed(tmp_path, monkeypatch, capsys):
-    # only replicate 2 of 4 fails; the message says which one and how to rerun it
+    # the oracle turns only replicate 2 of 4 non-finite, at iteration 2; the
+    # message says which one failed and how to rerun it
     import adprec.optimizer as opt_mod
 
-    real = opt_mod.run_trajectory
+    real = opt_mod.sample_gradient
 
-    def fail_one(problem, noise, config):
-        traj = real(problem, noise, config)
-        return replace(traj, failed="synthetic blow-up") if config.seed == 1 + 2 else traj
+    def nan_for_replicate_2(problem, noise, X, k, rng, **kw):
+        G = real(problem, noise, X, k, rng, **kw)
+        if k != 2:
+            return G
+        blocks = [b.copy() for b in G.blocks]
+        blocks[0][2] = np.nan  # the stack's row 2 is replicate 2
+        return ProductPoint(blocks)
 
-    monkeypatch.setattr(opt_mod, "run_trajectory", fail_one)
+    monkeypatch.setattr(opt_mod, "sample_gradient", nan_for_replicate_2)
     cfg_path, raw = write_config(tmp_path, overrides={"optimizer": {"iterations": 5}}, replicates=4)
     assert raw["optimizer"]["seed"] == 1
-    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
-    assert "replicate 2 (seed 3): synthetic blow-up" in capsys.readouterr().err
+    with np.errstate(invalid="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "replicate 2 (seed 3): non-finite at iteration 2: " in capsys.readouterr().err
 
 
 def test_zero_iterations_write_header_only_records(tmp_path):

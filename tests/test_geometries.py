@@ -48,6 +48,11 @@ def diagnostics(shape, state, V):
     return geom_diagnostics(shape, state, V, geom_lmap_trace(shape, V))
 
 
+def select(shape, Z):
+    """geom_selector with the dual norm it takes, as the optimizer passes it."""
+    return geom_selector(shape, Z, geom_dual_norm(shape, Z))
+
+
 def test_init_examples():
     s = geom_init(BlockShape(2, 1, Geometry.ADANORM), 1.0)
     assert isinstance(s, ScalarState) and s.gamma == 1.0 and s.dim == 2
@@ -97,14 +102,14 @@ def test_precondition_hand_values():
 
 def test_selector_examples():
     sh = BlockShape(2, 1, Geometry.ADANORM)
-    np.testing.assert_allclose(geom_selector(sh, vec(3, 4)), vec(0.6, 0.8))
-    np.testing.assert_array_equal(geom_selector(sh, vec(0, 0)), vec(0, 0))
+    np.testing.assert_allclose(select(sh, vec(3, 4)), vec(0.6, 0.8))
+    np.testing.assert_array_equal(select(sh, vec(0, 0)), vec(0, 0))
 
     mu = BlockShape(2, 2, Geometry.MUON)
-    S = geom_selector(mu, np.diag([3.0, -2.0]))
+    S = select(mu, np.diag([3.0, -2.0]))
     np.testing.assert_allclose(S, np.diag([1.0, -1.0]), atol=1e-14)
     assert spectral_norm(S) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(geom_selector(mu, np.zeros((2, 2))), np.zeros((2, 2)))
+    np.testing.assert_array_equal(select(mu, np.zeros((2, 2))), np.zeros((2, 2)))
 
 
 def test_dual_norm_examples():
@@ -118,7 +123,8 @@ def test_step_direction_matches_definition():
     for g in ALL_GEOMETRIES:
         sh = shape_for(g)
         Z = random_block(sh, rng)
-        zn, S = geom_dual_norm(sh, Z), geom_selector(sh, Z)
+        zn = geom_dual_norm(sh, Z)
+        S = geom_selector(sh, Z, zn)
         np.testing.assert_allclose(geom_step_direction(sh, Z, zn, S), zn * S, atol=1e-10)
 
 
@@ -156,7 +162,7 @@ def test_structural_identities(geometry):
         Z = geom_precondition(sh, st, V)
         zn = geom_dual_norm(sh, Z)
         d = diagnostics(sh, st, V)
-        lhs1 = zn * float(np.sum(V * geom_selector(sh, Z)))
+        lhs1 = zn * float(np.sum(V * geom_selector(sh, Z, zn)))
         assert lhs1 == pytest.approx(d.weighted_invsqrt, rel=1e-8)
         assert zn**2 == pytest.approx(d.weighted_inv, rel=1e-8)
         # compatibility holds with equality for every variant
@@ -240,3 +246,33 @@ def test_diag_equals_scalar_adanorm_blocks():
         zd = geom_precondition(diag_shape, st_d, v)
         zs = [geom_precondition(s, st, v[i : i + 1]) for i, (s, st) in enumerate(zip(scalar_shapes, st_s))]
         np.testing.assert_array_equal(zd, np.vstack(zs))
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_stacked_operations_equal_per_block_operations(geometry):
+    # R blocks (one of them zero) through two accumulations as one stack:
+    # every operation's item r is the operation on block r alone, bit for bit
+    rng = np.random.default_rng(11)
+    sh, R = shape_for(geometry, rows=4, cols=3), 3
+    stacked = geom_init(sh, 0.7, lead=(R,))
+    alone = [geom_init(sh, 0.7) for _ in range(R)]
+    for _ in range(2):
+        V = rng.standard_normal((R, sh.rows, sh.cols))
+        V[1] = 0.0
+        tl = geom_lmap_trace(sh, V)
+        stacked = geom_accumulate(sh, stacked, V, tl)
+        Z = geom_precondition(sh, stacked, V)
+        zn = geom_dual_norm(sh, Z)
+        S = geom_selector(sh, Z, zn)
+        out = [tl, Z, zn, S, geom_step_direction(sh, Z, zn, S),
+               *vars(geom_diagnostics(sh, stacked, V, tl)).values()]
+        for r in range(R):
+            tl_r = geom_lmap_trace(sh, V[r])
+            alone[r] = geom_accumulate(sh, alone[r], V[r], tl_r)
+            Z_r = geom_precondition(sh, alone[r], V[r])
+            zn_r = geom_dual_norm(sh, Z_r)
+            S_r = geom_selector(sh, Z_r, zn_r)
+            expected = [tl_r, Z_r, zn_r, S_r, geom_step_direction(sh, Z_r, zn_r, S_r),
+                        *vars(geom_diagnostics(sh, alone[r], V[r], tl_r)).values()]
+            for got, want in zip(out, expected):
+                np.testing.assert_array_equal(got[r], want)

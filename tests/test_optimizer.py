@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, ProductPoint
-from adprec.errors import InvalidConfig
+from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.geometries import geom_init
 from adprec.optimizer import (
     IterationRecord,
@@ -288,16 +288,12 @@ MULTIPLICATIVE = NoiseModel(
 )
 
 
-@pytest.mark.parametrize(
-    "noise", [NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), MULTIPLICATIVE],
-    ids=["additive", "multiplicative"],
-)
-@pytest.mark.parametrize("geometry", [Geometry.SHAMPOO, Geometry.FULL_ADAGRAD, Geometry.MUON])
-def test_one_factorization_per_block_step(monkeypatch, geometry, noise):
+def check_factorizations(monkeypatch, geometry, noise, mode):
     # per block-step: Shampoo one eigh per Kronecker factor, FullAdaGrad one
-    # eigh of its Gram matrix, Muon at most five SVDs (the true and sampled
-    # gradients, the accumulated block, |Z|_*) of which one, for msign(Z),
-    # computes singular vectors
+    # eigh of its Gram matrix, Muon at most four SVDs (the true gradient, the
+    # accumulated block, which in modes None and M2 is the sampled gradient
+    # and gives its norm too, |Z|_* and msign(Z)) of which one, for msign(Z),
+    # computes singular vectors; M2 adds one for the momentum error
     if geometry is Geometry.FULL_ADAGRAD:
         problem = make_problem("quadratic", [BlockShape(6, 1, geometry)], seed=2)
     else:
@@ -305,16 +301,40 @@ def test_one_factorization_per_block_step(monkeypatch, geometry, noise):
         problem = make_problem("matfact", shapes, seed=2)
     K = 5
     counts = counted_factorizations(monkeypatch)
-    traj = run_trajectory(problem, noise, cfg(max_iters=K, eta=0.3))
+    config = cfg(max_iters=K, eta=0.3, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.5)
+    traj = run_trajectory(problem, noise, config)
     assert traj.failed is None
     block_steps = K * len(problem.shapes)
     if geometry is Geometry.MUON:
+        svds = 4 if mode is MomentumMode.NONE else 5
         assert counts["eigh"] == 0
         assert counts["svd_vectors"] == block_steps
-        assert counts["svd_values"] + counts["svd_vectors"] <= 5 * block_steps
+        assert counts["svd_values"] + counts["svd_vectors"] <= svds * block_steps
     else:
         eighs = 2 if geometry is Geometry.SHAMPOO else 1
         assert counts == Counter(eigh=eighs * block_steps)
+
+
+NOISY = pytest.mark.parametrize(
+    "noise", [NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), MULTIPLICATIVE],
+    ids=["additive", "multiplicative"],
+)
+FACTORIZED = pytest.mark.parametrize(
+    "geometry", [Geometry.SHAMPOO, Geometry.FULL_ADAGRAD, Geometry.MUON]
+)
+
+
+@NOISY
+@FACTORIZED
+def test_one_factorization_per_block_step(monkeypatch, geometry, noise):
+    check_factorizations(monkeypatch, geometry, noise, MomentumMode.NONE)
+
+
+@NOISY
+@FACTORIZED
+def test_one_factorization_per_block_step_m2(monkeypatch, geometry, noise):
+    check_factorizations(monkeypatch, geometry, noise, MomentumMode.M2)
 
 
 MIXED = [BlockShape(4, 3, Geometry.SHAMPOO), BlockShape(3, 5, Geometry.MUON)]
@@ -370,3 +390,133 @@ def test_rank_deficient_matrix_gradients(seed, ranks, log_scale, mode):
         for _ in range(3)
     ]
     check_degenerate_steps(gradients, mode)
+
+
+# -- replicate stacks -----------------------------------------------------------
+
+# each geometry alone and a Shampoo + Muon space whose Muon block has rank at
+# most 2 < min(3, 4) under an exact matfact gradient (W2^T E with W2 2 x 3), so
+# msign truncates; logistic problems have component gradients for MiniBatch
+STACK_SPACES = {
+    "adanorm": ("logistic", [(5, 1, Geometry.ADANORM)]),
+    "diag": ("logistic", [(6, 1, Geometry.DIAG_ADAGRAD)]),
+    "full": ("logistic", [(4, 1, Geometry.FULL_ADAGRAD)]),
+    "shampoo": ("logistic", [(3, 2, Geometry.SHAMPOO), (2, 3, Geometry.SHAMPOO)]),
+    "muon": ("logistic", [(3, 2, Geometry.MUON), (4, 1, Geometry.ADANORM)]),
+    "shampoo+muon rank 2": ("matfact", [(2, 3, Geometry.SHAMPOO), (3, 4, Geometry.MUON)]),
+}
+STACK_NOISES = {
+    "exact": NoiseModel(),
+    "additive": NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=1.0),
+    "multiplicative": MULTIPLICATIVE,
+    "minibatch": NoiseModel(kind=NoiseKind.MINI_BATCH, batch=3),
+}
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("noise", STACK_NOISES.values(), ids=STACK_NOISES.keys())
+@pytest.mark.parametrize("space", STACK_SPACES)
+def test_replicate_r_of_a_stack_is_the_solo_run_at_seed_plus_r(space, noise, mode):
+    kind, blocks = STACK_SPACES[space]
+    if noise.kind is NoiseKind.MINI_BATCH and kind != "logistic":
+        pytest.skip("matfact has no component gradients")
+    problem = make_problem(kind, [BlockShape(*b) for b in blocks], seed=3)
+    config = cfg(max_iters=6, eta=0.4, seed=5, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    R = 3
+    res = run_replicates(problem, noise, config, R)
+    for r in range(R):
+        solo = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
+        assert solo.failed is None
+        for name in res.arrays:
+            np.testing.assert_array_equal(res.arrays[name][r], solo.column(name), err_msg=name)
+        for stacked, alone in zip(res.final[r].blocks, solo.final.blocks):
+            np.testing.assert_array_equal(stacked, alone)
+
+
+def walk_problem(geometry, overflow=np.inf):
+    """A flat objective whose iterate is moved by the oracle noise alone, from
+    just below the largest double: a replicate whose walk goes up overflows.
+    Where |x| >= overflow the gradient is 2x, which overflows for any finite
+    x above half the largest double; a non-finite iterate is its own
+    gradient, so a replicate that stayed in the stack would feed inf to the
+    next factorization."""
+    shapes = (BlockShape(3, 1, geometry),)
+
+    def f(X):
+        return np.add.reduce(0.0 * X.blocks[0], axis=(-2, -1))
+
+    def grad(X):
+        B = X.blocks[0]
+        return ProductPoint([np.where(np.abs(B) < overflow, 0.0, 2.0 * B)])
+
+    return Problem("walk", shapes, f, grad, 0.0, None, ProductPoint([np.full((3, 1), 1.7e308)]))
+
+
+def test_nonfinite_replicate_leaves_the_stack_before_its_next_factorization():
+    # replicates 0-2 survive all 8 steps; replicate 3 overflows at iteration 2,
+    # and its inf gradient must never reach the stacked eigh of the others
+    problem = walk_problem(Geometry.FULL_ADAGRAD)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    config = cfg(max_iters=8, eta=1e307, seed=0, eval_objective=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [run_trajectory(problem, noise, replace(config, seed=s)) for s in range(4)]
+        with pytest.raises(NonFiniteIterate) as err:
+            run_replicates(problem, noise, config, 4)
+    assert [t.failed is None for t in solo] == [True, True, True, False]
+    assert solo[3].failed == "non-finite at iteration 2: iterate"
+    assert str(err.value) == f"replicate 3 (seed 3): {solo[3].failed}"
+
+
+def test_lowest_failing_replicate_is_named():
+    # replicate 3 fails first (iteration 2) and replicate 1 last (iteration
+    # 7); the stack runs on and names replicate 1, as running the replicates
+    # one after another would
+    problem = walk_problem(Geometry.DIAG_ADAGRAD)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    config = cfg(max_iters=8, eta=1e307, seed=0, eval_objective=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed = [run_trajectory(problem, noise, replace(config, seed=s)).failed for s in range(4)]
+        with pytest.raises(NonFiniteIterate) as err:
+            run_replicates(problem, noise, config, 4)
+    assert failed == [None] + [f"non-finite at iteration {k}: iterate" for k in (7, 3, 2)]
+    assert str(err.value) == f"replicate 1 (seed 1): {failed[1]}"
+
+
+def test_gradient_overflow_fails_its_replicate_before_the_step():
+    # at a finite iterate above 1.75e308 the gradient overflows to inf:
+    # replicate 3's does at iteration 1 and replicate 0's, the lowest
+    # failure, only at iteration 5; that inf must fail its replicate before
+    # it reaches the stacked eigh, which raises LinAlgError on it
+    problem = walk_problem(Geometry.FULL_ADAGRAD, overflow=1.75e308)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    config = cfg(max_iters=8, eta=1e307, seed=10, eval_objective=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [run_trajectory(problem, noise, replace(config, seed=10 + r)) for r in range(4)]
+        with pytest.raises(NonFiniteIterate) as err:
+            run_replicates(problem, noise, config, 4)
+    assert [t.failed for t in solo] == [
+        None if k is None else f"non-finite at iteration {k}: gtilde_dual_norm"
+        for k in (5, 4, None, 1)
+    ]
+    assert len(solo[0].records) == 5
+    assert str(err.value) == f"replicate 0 (seed 10): {solo[0].failed}"
+
+
+def test_finite_gradient_whose_square_overflows_fails_before_the_step():
+    # exp(709.5) is finite, but its square overflows in FullAdaGrad's Gram
+    # matrix, on which eigh raises LinAlgError
+    shapes = (BlockShape(3, 1, Geometry.FULL_ADAGRAD),)
+
+    def f(X):
+        return np.add.reduce(np.exp(X.blocks[0]), axis=(-2, -1))
+
+    def grad(X):
+        return ProductPoint([np.exp(X.blocks[0])])
+
+    problem = Problem("exp", shapes, f, grad, 0.0, None, ProductPoint([np.full((3, 1), 709.5)]))
+    with np.errstate(over="ignore"):
+        traj = run_trajectory(problem, NoiseModel(), cfg(max_iters=3))
+    assert traj.records == []
+    assert traj.failed == "non-finite at iteration 0: f_value, grad_dual_norm, gtilde_dual_norm"
+    np.testing.assert_array_equal(traj.final.blocks[0], problem.x0.blocks[0])

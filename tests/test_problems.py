@@ -207,3 +207,32 @@ def test_sigma_per_block_validation():
         noise.sigma_tot_sq(3)
     # a one-entry list is drawn on every block, so it counts once per block
     assert NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(2.0,)).sigma_tot_sq(3) == 12.0
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "trigquad", "logistic", "matfact"])
+def test_stacked_points_equal_points_alone(kind):
+    # objective, gradient and oracle on a stack of 3 points: item r is the
+    # call on point r alone, bit for bit, the oracle drawing from rng r
+    shapes = [BlockShape(3, 2, Geometry.SHAMPOO), BlockShape(2, 4, Geometry.MUON)]
+    problem = make_problem(kind, shapes, seed=5)
+    rng = np.random.default_rng(6)
+    points = [ProductPoint([rng.standard_normal((s.rows, s.cols)) for s in shapes])
+              for _ in range(3)]
+    stack = ProductPoint([np.stack(blocks) for blocks in zip(*(p.blocks for p in points))])
+    f, G = problem.eval_f(stack), problem.eval_grad(stack)
+    noises = [NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=1.0),
+              NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.5,), omega=0.7)]
+    if problem.component_grad is not None:
+        noises.append(NoiseModel(kind=NoiseKind.MINI_BATCH, batch=3))
+    z_prev = [np.array([0.0, 1.5, 2.0]), np.array([0.3, 0.0, 1.0])]
+    draws = [sample_gradient(problem, n, stack, 2, [np.random.default_rng(s) for s in range(3)],
+                             z_prev_norms=z_prev) for n in noises]
+    for r, point in enumerate(points):
+        assert f[r] == problem.eval_f(point)
+        for got, want in zip(G.blocks, problem.eval_grad(point).blocks):
+            np.testing.assert_array_equal(got[r], want)
+        for n, draw in zip(noises, draws):
+            alone = sample_gradient(problem, n, point, 2, np.random.default_rng(r),
+                                    z_prev_norms=[z[r] for z in z_prev])
+            for got, want in zip(draw.blocks, alone.blocks):
+                np.testing.assert_array_equal(got[r], want)

@@ -5,6 +5,7 @@ from adprec.block_space import BlockShape, Geometry
 from adprec.errors import NonPositiveDefinite
 from adprec.geometries import KroneckerState, geom_precondition
 from adprec.psd_linalg import (
+    eigh_clamped,
     msign,
     nuclear_norm,
     psd_power,
@@ -149,3 +150,21 @@ def test_random_psd_contracts():
     np.testing.assert_array_equal(a, b)
     w = np.linalg.eigvalsh(a)
     assert w.min() >= 1.0 / 100.0 - 1e-12 and w.max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("dims", [(4, 3), (3, 5), (6, 6), (1, 4)])
+def test_stacked_calls_equal_per_matrix_calls(dims):
+    # a stack mixing full-rank, rank-1 and zero matrices: each item of one
+    # stacked call is the call on that matrix, bit for bit (msign truncates
+    # the rank per matrix)
+    rng = np.random.default_rng(7)
+    n, m = dims
+    G = rng.standard_normal((4, n, m))
+    G[1] = rng.standard_normal((n, 1)) @ rng.standard_normal((1, m))
+    G[2] = 0.0
+    S = G @ G.mT + 0.5 * np.eye(n)
+    stacked = [msign(G), nuclear_norm(G), *svd_triple(G), *eigh_clamped(S, floor=0.5)]
+    for i in range(len(G)):
+        alone = [msign(G[i]), nuclear_norm(G[i]), *svd_triple(G[i]), *eigh_clamped(S[i], floor=0.5)]
+        for a, b in zip(stacked, alone):
+            np.testing.assert_array_equal(a[i], b)
