@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import bounds
 from .block_space import VECTOR_ONLY, BlockShape, Geometry, total_dim
 from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
@@ -28,12 +29,8 @@ from .geometries import (
     geom_selector,
 )
 from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates
-from .problems import NoiseKind, NoiseModel, Problem, nu_curve_analytic
+from .problems import NoiseKind, NoiseModel, Problem
 from .psd_linalg import psd_power, random_psd, trace_log_psd
-
-KAPPA_CIRC = 1.0  # gradient/preconditioner compatibility constant, all geometries
-KAPPA_BOX = 2.0  # sub-additivity constant of the quadratic maps
-KAPPA_DIAMOND = 1.0  # trace-domination constant
 
 TOL_ALGEBRAIC = 1e-8  # identities and single-matrix trace inequalities
 TOL_PATHWISE = 1e-6  # inequalities accumulated over a whole trajectory
@@ -226,7 +223,7 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
         r2.append(TOL_ALGEBRAIC - abs(lhs2 - diag.weighted_inv) / s2)
 
         dual_sq = geom_dual_norm(shape, V) ** 2
-        rc.append((KAPPA_CIRC**2 * tr_l - dual_sq) / max(1.0, dual_sq))
+        rc.append((bounds.KAPPA_CIRC**2 * tr_l - dual_sq) / max(1.0, dual_sq))
     ctx = f"geometry={geometry.value} seed={seed}"
     return [
         _report(f"identity-ineq1-{geometry.value}", trials, 0.0, ctx, slack=r1),
@@ -251,7 +248,7 @@ def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> Au
         b = float(np.sum(W * geom_lmap_matrix(shape, V)))
         c = float(np.sum(W * geom_lmap_matrix(shape, U + V)))
         scale = 1.0 + abs(a) + abs(b) + abs(c)
-        slacks.append((KAPPA_BOX * (a + b) - c) / scale)
+        slacks.append((bounds.KAPPA_BOX * (a + b) - c) / scale)
         if a + b > 0:
             box_est = max(box_est, c / (a + b))
         du = geom_dual_norm(shape, U) ** 2
@@ -269,13 +266,6 @@ def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> Au
 # ---------------------------------------------------------------------------
 
 
-def kappa_0(shapes, varsigma) -> float:
-    """-sum_l d_l log d_l - N log(varsigma); may be negative."""
-    return float(
-        -sum(s.dim * math.log(s.dim) for s in shapes) - total_dim(shapes) * math.log(varsigma)
-    )
-
-
 def path_potential_slacks(columns, shapes, varsigma):
     """Normalized slacks of the three pathwise potential inequalities at every
     k, from record columns (a mapping like ReplicateResult.mean).
@@ -289,7 +279,7 @@ def path_potential_slacks(columns, shapes, varsigma):
     geometry breaks that premise and the audit reports what actually holds.
     """
     N = total_dim(shapes)
-    k0 = kappa_0(shapes, varsigma)
+    k0 = bounds.kappa_0(shapes, varsigma)
     tr_sqrt = columns["trace_sqrt_total"]
     delta = columns["delta_k"]
     cum_invsqrt = np.cumsum(columns["weighted_invsqrt"])
@@ -325,246 +315,8 @@ def audit_path_potentials(
 
 
 # ---------------------------------------------------------------------------
-# bound constants and the Theta envelope
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Constants entering the telescoping and Theta bounds."""
-
-    shapes: tuple[BlockShape, ...]
-    eta: float
-    varsigma: float
-    L_G: float
-    f0: float
-    f_low: float
-    omega: float = 0.0
-
-    @property
-    def N(self) -> int:
-        return total_dim(self.shapes)
-
-    @property
-    def kappa_gap(self) -> float:
-        return self.f0 - self.f_low + self.eta * self.varsigma * self.N
-
-    @property
-    def kappa_0(self) -> float:
-        return kappa_0(self.shapes, self.varsigma)
-
-
-def bound_constants(problem: Problem, config: OptimizerConfig, omega=0.0) -> BoundConstants:
-    if problem.lipschitz is None:
-        raise InvalidConfig(f"problem {problem.name!r} has no Lipschitz bound")
-    return BoundConstants(
-        shapes=tuple(problem.shapes),
-        eta=config.eta,
-        varsigma=config.varsigma,
-        L_G=problem.lipschitz,
-        f0=problem.eval_f(problem.x0),
-        f_low=problem.f_low,
-        omega=omega,
-    )
-
-
-def _theta(constants: BoundConstants, gap: float, a: float, y: float) -> float:
-    """max[ e^max(1, 1/2N, kappa_0/2N), 3 gap / eta, a sqrt(max(1, log a)), y log y ],
-    the shape shared by both Theta envelopes; a <= 0 and y <= 0 contribute 0."""
-    N = constants.N
-    term1 = math.exp(max(1.0, 1.0 / (2 * N), constants.kappa_0 / (2 * N)))
-    t_k = a * math.sqrt(max(1.0, math.log(a))) if a > 0.0 else 0.0
-    y_k = y * math.log(y) if y > 0.0 else 0.0
-    return max(term1, 3.0 * gap / constants.eta, t_k, y_k)
-
-
-def compute_theta(constants: BoundConstants, nu_k: float) -> float:
-    """The explicit envelope on the expected summed sqrt-trace of the
-    preconditioners:
-
-        Theta_k = max[ e^max(1, 1/2N, kappa_0/2N),
-                       3 kappa_gap / eta,
-                       12 sqrt(N) nu_k sqrt(max(1, log(12 sqrt(N) nu_k))),
-                       24 N (omega + L/eta) log(24 N (omega + L/eta)) ]
-    """
-    N = constants.N
-    return _theta(
-        constants,
-        constants.kappa_gap,
-        12.0 * math.sqrt(N) * nu_k,
-        24.0 * N * (constants.omega + constants.L_G / constants.eta),
-    )
-
-
-def theta_curve(constants: BoundConstants, nu: np.ndarray) -> np.ndarray:
-    return np.array([compute_theta(constants, float(v)) for v in nu])
-
-
-def m1_noise_constants(constants: BoundConstants, mu_max: float):
-    """Map a raw oracle budget to the constants of the first momentum variant:
-    nu multiplier sqrt(6 mu^2/(1-mu)^2 + 2) and omega = sqrt(3) mu L eta / (1-mu)."""
-    mult = math.sqrt(6.0 * mu_max**2 / (1.0 - mu_max) ** 2 + 2.0)
-    omega = math.sqrt(3.0) * mu_max * constants.L_G * constants.eta / (1.0 - mu_max)
-    return mult, omega
-
-
-def m1_rate_bound(constants: BoundConstants, theta: float, k: int) -> float:
-    """(2 kappa_circ Theta + sqrt(2N log Theta) + omega sqrt(max(kappa_0, 1))) / sqrt(k+1)."""
-    N = constants.N
-    return (
-        2.0 * KAPPA_CIRC * theta
-        + math.sqrt(2.0 * N * math.log(theta))
-        + constants.omega * math.sqrt(max(constants.kappa_0, 1.0))
-    ) / math.sqrt(k + 1.0)
-
-
-def m2_eta_limit(mu_max: float, L: float, varsigma: float) -> float:
-    """Largest stepsize of the alternate momentum bound's hypothesis, inf when
-    mu or L is 0: (1-mu)/(mu L) sqrt(varsigma / (6 kappa_box kappa_diamond))."""
-    if mu_max == 0.0 or L == 0.0:
-        return math.inf
-    return (1.0 - mu_max) / (mu_max * L) * math.sqrt(varsigma / (6.0 * KAPPA_BOX * KAPPA_DIAMOND))
-
-
-@dataclass(frozen=True)
-class M2Constants:
-    """Constants of the alternate (pure-gradient accumulation) momentum bound.
-
-    The stepsize hypothesis (eta <= m2_eta_limit) zeroes kappa_2z; otherwise
-    a caller-supplied cap on sum mu_j^2 |Z_j|^2 is required, and without one
-    the hypothesis is flagged unverified.
-    """
-
-    kappa_1nu: float
-    kappa_1z: float
-    kappa_2nu: float
-    kappa_2z: float
-    kappa_gap: float
-    kappa_nunu: float
-    kappa_nudelta: float
-    kappa_delta: float
-    small_eta_ok: bool
-
-
-def m2_constants(
-    constants: BoundConstants, mu_max: float, kappa_mu_z: float | None = None
-) -> M2Constants:
-    eta, s, L = constants.eta, constants.varsigma, constants.L_G
-    om = 1.0 - mu_max
-    eta_limit = m2_eta_limit(mu_max, L, s)
-    small_eta_ok = eta <= eta_limit
-    if small_eta_ok:
-        k2z = 0.0
-    elif kappa_mu_z is not None:
-        k2z = 3.0 * KAPPA_BOX * KAPPA_DIAMOND * L**2 * eta**2 / (om**2 * s) * kappa_mu_z
-    else:
-        raise InvalidConfig(
-            f"eta={eta} exceeds the stepsize hypothesis limit {eta_limit:.4g} "
-            "and no cap on the momentum-weighted step energy was supplied"
-        )
-    k1nu = 6.0 * KAPPA_DIAMOND / (om**2 * math.sqrt(s)) + 12.0 / om**2
-    k1z = (
-        3.0 * KAPPA_DIAMOND * mu_max**2 * L**2 * eta**2 / (om**2 * math.sqrt(s))
-        + 6.0 * mu_max**2 * L**2 * eta**2 / om**2
-        + 2.0
-    )
-    k2nu = 6.0 * KAPPA_BOX * KAPPA_DIAMOND / (om**2 * s)
-    kgap = (
-        constants.f0
-        - constants.f_low
-        + eta * s * constants.N
-        + eta * math.sqrt(k2z)
-        + (eta * k1z + L * eta**2 / 2.0) * k2z
-    )
-    knunu = eta * (k1nu + math.sqrt(k2nu) + k1z * k2nu + L * eta / 2.0)
-    return M2Constants(
-        kappa_1nu=k1nu,
-        kappa_1z=k1z,
-        kappa_2nu=k2nu,
-        kappa_2z=k2z,
-        kappa_gap=kgap,
-        kappa_nunu=knunu,
-        kappa_nudelta=math.sqrt(2.0),
-        kappa_delta=2.0 * k1z + L * eta,
-        small_eta_ok=small_eta_ok,
-    )
-
-
-def compute_theta_m2(constants: BoundConstants, m2: M2Constants, theta_noise_k: float) -> float:
-    """Alternate envelope for the pure-gradient momentum variant.
-
-    theta_noise_k is the momentum-weighted cumulative oracle deviation
-    sqrt(sum_j mu_j^2 E|Gt_j - G_j|^2); omega is constants.omega, the
-    multiplicative noise level of the oracle.  The last term uses (omega^2 + L/eta)
-    as printed in its source even though the first variant uses
-    (omega + L/eta); the discrepancy is deliberate and flagged here.
-    """
-    N = constants.N
-    return _theta(
-        constants,
-        m2.kappa_gap + m2.kappa_nunu * theta_noise_k**2,
-        12.0 * math.sqrt(N) * m2.kappa_nudelta * theta_noise_k,
-        24.0 * N * m2.kappa_delta * (constants.omega**2 + constants.L_G / constants.eta),
-    )
-
-
-def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, num_blocks: int) -> np.ndarray:
-    """sqrt(sum_{j<=k} mu_j^2 sigma_tot^2 (j+1)^-alpha) for k = 0..max_iters-1,
-    with sigma_tot^2 summed over num_blocks blocks.
-
-    Exact oracles give zeros; mini-batch oracles have no closed form and
-    raise InvalidConfig, as for nu_curve_analytic."""
-    K = config.max_iters
-    if noise.kind is NoiseKind.EXACT:
-        return np.zeros(K)
-    if noise.kind is NoiseKind.MINI_BATCH:
-        raise InvalidConfig("theta_noise has no analytic form for mini-batch oracles")
-    j = np.arange(K, dtype=float)
-    mu = np.array([mu_schedule(int(t), config) for t in range(K)])
-    return np.sqrt(np.cumsum(mu**2 * noise.sigma_tot_sq(num_blocks) * (j + 1.0) ** (-noise.alpha)))
-
-
-def envelope_and_rate(
-    problem: Problem, noise: NoiseModel, config: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Theta_k and the averaged-gradient rate bound for k = 0..K-1, both
-    chosen by the momentum mode of the run.
-
-    None uses the analytic noise budget nu_k and the rate bound
-    kappa_circ Theta_k / sqrt(k+1).  M1 scales nu_k, replaces omega by the
-    first variant's constants and uses that variant's rate bound,
-    `m1_rate_bound`.  M2 uses the alternate envelope on the momentum-weighted
-    noise curve and kappa_circ Theta_k / sqrt(k+1).  Raises InvalidConfig
-    when a bound hypothesis is not available (no Lipschitz bound, no
-    analytic noise budget, or an unverified M2 stepsize).
-    """
-    K, B = config.max_iters, len(problem.shapes)
-    constants = bound_constants(problem, config, omega=noise.omega)
-    mode = config.momentum_mode
-    if mode is MomentumMode.M1:
-        mult, omega_m1 = m1_noise_constants(constants, config.mu_max)
-        m1 = replace(constants, omega=omega_m1)
-        theta = theta_curve(m1, mult * nu_curve_analytic(noise, B, K))
-        return theta, np.array([m1_rate_bound(m1, float(t), k) for k, t in enumerate(theta)])
-    if mode is MomentumMode.M2:
-        m2 = m2_constants(constants, config.mu_max)
-        th_noise = m2_theta_noise_curve(noise, config, B)
-        theta = np.array([compute_theta_m2(constants, m2, float(t)) for t in th_noise])
-    else:
-        theta = theta_curve(constants, nu_curve_analytic(noise, B, K))
-    return theta, KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
-
-
-# ---------------------------------------------------------------------------
 # trajectory-level bound audits
 # ---------------------------------------------------------------------------
-
-
-def _rate_slack(grad, rate_rhs, se=0.0):
-    """Normalized slack of avg_{j<=k} grad_j - avg_{j<=k} se_j <= rate_rhs_k at every k."""
-    count = np.arange(len(grad), dtype=float) + 1.0
-    avg = np.cumsum(grad) / count - np.cumsum(np.broadcast_to(se, count.shape)) / count
-    return (rate_rhs - avg) / (1.0 + np.abs(rate_rhs))
 
 
 def audit_master_and_theta(
@@ -574,10 +326,8 @@ def audit_master_and_theta(
     replicates: int = 1,
     context: str = "",
 ) -> AuditReport:
-    """Telescoping bound, Theta envelope, and the averaged-gradient rate bound.
-
-        eta sum_l tr(Gamma_k^1/2) <= kappa_gap + eta nu_k sqrt(Delta_k)
-                                     + (omega eta + L eta^2 / 2) Delta_k
+    """Telescoping bound (`bounds.master_slack`), Theta envelope, and the
+    averaged-gradient rate bound.
 
     Replicate means stand in for the expectations, nu_k comes from the
     analytic budget, and each comparison gains a three-standard-error
@@ -585,7 +335,7 @@ def audit_master_and_theta(
     so all three are asserted pathwise with float tolerance only.
     """
     noise = noise or NoiseModel()
-    constants = bound_constants(problem, config, omega=noise.omega)
+    constants = bounds.bound_constants(problem, config, omega=noise.omega)
     K = config.max_iters
     deterministic = noise.kind is NoiseKind.EXACT
     R = 1 if deterministic else replicates
@@ -596,20 +346,12 @@ def audit_master_and_theta(
     delta = res.mean["delta_k"]
     se_tr = 3.0 * res.se["trace_sqrt_total"]
     se_delta = 3.0 * res.se["delta_k"]
-    nu = nu_curve_analytic(noise, len(problem.shapes), K)
-    lhs = constants.eta * tr_sqrt - se_tr * constants.eta
-    coef = constants.omega * constants.eta + 0.5 * constants.L_G * constants.eta**2
-    rhs = (
-        constants.kappa_gap
-        + constants.eta * nu * np.sqrt(np.maximum(delta + se_delta, 0.0))
-        + coef * (delta + se_delta)
-    )
-    master = (rhs - lhs) / (1.0 + np.maximum(np.abs(lhs), np.abs(rhs)))
-
-    theta, rate_rhs = envelope_and_rate(problem, noise, config)
-    t_slack = (theta - (tr_sqrt - se_tr)) / (1.0 + np.abs(theta))
+    nu = bounds.nu_curve_analytic(noise, len(problem.shapes), K)
+    master = bounds.master_slack(constants, nu, tr_sqrt, delta, se_tr, se_delta)
+    theta, rate_rhs = bounds.envelope_and_rate(problem, noise, config)
+    t_slack = bounds.theta_slack(theta, tr_sqrt, se_tr)
     grad, se_grad = res.mean["grad_dual_norm"], 3.0 * res.se["grad_dual_norm"]
-    rate = _rate_slack(grad, rate_rhs, se_grad)
+    rate = bounds.rate_slack(grad, rate_rhs, se_grad)
     mode = "deterministic" if deterministic else f"statistical R={replicates}"
     ctx = f"{context} [{mode}] {problem.name}"
     return _report("master-theta", K, TOL_PATHWISE, ctx, master=master, theta=t_slack, rate=rate)
@@ -626,7 +368,7 @@ def audit_momentum_error(
     """
     if config.momentum_mode is not MomentumMode.M1:
         raise InvalidConfig("momentum-error audit needs the M1 mode")
-    _, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
+    _, rate_rhs = bounds.envelope_and_rate(problem, NoiseModel(), config)
     K = config.max_iters
     res = _replicates("momentum-m1", context, problem, NoiseModel(), config)
     if isinstance(res, AuditReport):
@@ -636,7 +378,7 @@ def audit_momentum_error(
     zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
     coef = 3.0 * problem.lipschitz**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
     e_slack = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
-    rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
+    rate = bounds.rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     ctx = f"{context} mu_max={config.mu_max}"
     return _report("momentum-m1", K, TOL_PATHWISE, ctx, errE=e_slack, rate=rate)
 
@@ -664,31 +406,31 @@ def audit_m2_deterministic(
     """Alternate Theta envelope and rate bound for the pure-gradient momentum
     variant, deterministic specialization (exact oracle, theta_noise = 0).
 
-    A stepsize above `m2_eta_limit` leaves the bound without its hypothesis:
-    the report then FAILs over all K trials (worst -inf), with
+    A stepsize above `bounds.m2_eta_limit` leaves the bound without its
+    hypothesis: the report then FAILs over all K trials (worst -inf), with
     small_eta_ok=False and the limit in its context."""
     if config.momentum_mode is not MomentumMode.M2:
         raise InvalidConfig("needs the M2 mode")
-    constants = bound_constants(problem, config)
+    constants = bounds.bound_constants(problem, config)
     K = config.max_iters
-    limit = m2_eta_limit(config.mu_max, constants.L_G, config.varsigma)
+    limit = bounds.m2_eta_limit(config.mu_max, constants.L_G, config.varsigma)
     small_eta_ok = config.eta <= limit
     head = f"{context} small_eta_ok={small_eta_ok}"
     if not small_eta_ok:
         ctx = f"{head} eta={config.eta} exceeds the limit {limit:.4g}"
         return AuditReport("m2-deterministic", K, -math.inf, False, ctx.strip())
-    m2 = m2_constants(constants, config.mu_max)
-    theta, rate_rhs = envelope_and_rate(problem, NoiseModel(), config)
+    m2 = bounds.m2_constants(constants, config.mu_max)
+    theta, rate_rhs = bounds.envelope_and_rate(problem, NoiseModel(), config)
     res = _replicates("m2-deterministic", context, problem, NoiseModel(), config)
     if isinstance(res, AuditReport):
         return res
-    t_slack = (theta - res.mean["trace_sqrt_total"]) / (1.0 + theta)
-    rate = _rate_slack(res.mean["grad_dual_norm"], rate_rhs)
+    t_slack = bounds.theta_slack(theta, res.mean["trace_sqrt_total"])
+    rate = bounds.rate_slack(res.mean["grad_dual_norm"], rate_rhs)
     return _report(
         "m2-deterministic",
         K,
         TOL_PATHWISE,
-        f"{head} theta={compute_theta_m2(constants, m2, 0.0):.4g} "
+        f"{head} theta={bounds.compute_theta_m2(constants, *m2, 0.0):.4g} "
         "(last envelope term uses omega^2 + L/eta as printed; the first "
         "variant's uses omega + L/eta)",
         bounds=np.minimum(t_slack, rate),
@@ -769,7 +511,7 @@ def audit_rate_regimes(
         # SE of the running-min statistic: the SE at its argmin iteration
         se_min = res.se["grad_dual_norm"][_running_argmin(res.mean["grad_dual_norm"])]
 
-        _, bound = envelope_and_rate(problem, noise, config)
+        _, bound = bounds.envelope_and_rate(problem, noise, config)
 
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audit import audit_rate_regimes, envelope_and_rate
+from .audit import audit_rate_regimes
 from .block_space import BlockShape
+from .bounds import envelope_and_rate
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
 from .problems import NoiseKind, NoiseModel, make_problem

@@ -371,17 +371,3 @@ def sample_gradient(
         blocks.append(B)
     return ProductPoint(blocks)
 
-
-def nu_curve_analytic(noise: NoiseModel, num_blocks: int, K: int) -> np.ndarray:
-    """Cumulative oracle noise budget nu_k for k = 0..K-1, additive noise models.
-
-    nu_k**2 = sigma_tot**2 * sum_{j=0}^{k} (j+1)**-alpha, with sigma_tot**2
-    summed over num_blocks blocks as the oracle draws them.  Exact oracles have
-    nu_k = 0; mini-batch oracles have no closed form and raise InvalidConfig.
-    """
-    if noise.kind is NoiseKind.EXACT:
-        return np.zeros(K)
-    if noise.kind is NoiseKind.MINI_BATCH:
-        raise InvalidConfig("nu_k has no analytic form for mini-batch oracles")
-    j = np.arange(1, K + 1, dtype=float)
-    return np.sqrt(noise.sigma_tot_sq(num_blocks) * np.cumsum(j ** (-noise.alpha)))

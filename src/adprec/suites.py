@@ -23,9 +23,9 @@ from .audit import (
     audit_structural_identities,
     audit_subadditivity_constants,
     audit_techn,
-    m2_eta_limit,
 )
 from .block_space import BlockShape, Geometry
+from .bounds import m2_eta_limit
 from .errors import InvalidConfig
 from .optimizer import MomentumMode, OptimizerConfig
 from .problems import NoiseKind, NoiseModel, make_problem

@@ -7,7 +7,6 @@ import pytest
 from adprec import audit, suites
 from adprec.audit import (
     AuditReport,
-    BoundConstants,
     RateRegimeResult,
     audit_log_increment,
     audit_m1_degenerate,
@@ -21,19 +20,12 @@ from adprec.audit import (
     audit_structural_identities,
     audit_subadditivity_constants,
     audit_techn,
-    bound_constants,
-    compute_theta,
-    compute_theta_m2,
-    envelope_and_rate,
     fit_loglog_slope,
-    kappa_0,
-    m1_noise_constants,
-    m2_constants,
-    m2_theta_noise_curve,
     path_potential_slacks,
     theory_exponent,
 )
 from adprec.block_space import BlockShape, Geometry
+from adprec.bounds import m2_eta_limit
 from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.optimizer import MomentumMode, OptimizerConfig, run_replicates, run_trajectory
 from adprec.problems import NoiseKind, NoiseModel, make_problem
@@ -135,88 +127,6 @@ def test_path_potentials_shampoo_sqrt_gap_is_detected():
     assert sl["log_pot"].min() >= -1e-6
     assert sl["delta_bound"].min() >= -1e-6
     assert sl["sqrt_pot"].min() < -1e-3  # structural, far beyond float noise
-
-
-# -- bound constants and Theta ------------------------------------------------
-
-
-def test_kappa_0_formula():
-    shapes = [BlockShape(2, 1, Geometry.ADANORM), BlockShape(3, 1, Geometry.DIAG_ADAGRAD)]
-    expect = -(2 * math.log(2) + 3 * math.log(3)) - 5 * math.log(0.5)
-    assert kappa_0(shapes, 0.5) == pytest.approx(expect, rel=1e-12)
-
-
-def test_compute_theta_hand_example():
-    # one 2-d block, unit constants, gap 1: the envelope is the last term
-    constants = BoundConstants(
-        shapes=(BlockShape(2, 1, Geometry.ADANORM),),
-        eta=1.0,
-        varsigma=1.0,
-        L_G=1.0,
-        f0=1.0,
-        f_low=0.0,
-    )
-    assert constants.kappa_gap == pytest.approx(3.0)
-    assert constants.kappa_0 == pytest.approx(-2 * math.log(2))
-    theta = compute_theta(constants, 0.0)
-    assert theta == pytest.approx(48 * math.log(48), rel=1e-12)
-    # term breakdown: e^1 and 3*kappa_gap both lose to the last term
-    assert math.exp(1.0) < 9.0 < theta
-
-
-def test_compute_theta_monotone_in_nu():
-    constants = BoundConstants(
-        shapes=(BlockShape(4, 1, Geometry.ADANORM),),
-        eta=1.0,
-        varsigma=1.0,
-        L_G=1.0,
-        f0=2.0,
-        f_low=0.0,
-    )
-    vals = [compute_theta(constants, nu) for nu in (0.0, 0.5, 1.0, 5.0, 50.0)]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-def test_bound_constants_requires_lipschitz():
-    problem = make_problem(
-        "matfact", [BlockShape(3, 2, Geometry.SHAMPOO), BlockShape(2, 2, Geometry.SHAMPOO)]
-    )
-    with pytest.raises(InvalidConfig):
-        bound_constants(problem, cfg())
-
-
-def test_m1_noise_constants():
-    constants = BoundConstants(
-        shapes=tuple(DIAG8), eta=0.5, varsigma=1.0, L_G=2.0, f0=1.0, f_low=0.0
-    )
-    mult, omega = m1_noise_constants(constants, 0.5)
-    assert mult == pytest.approx(math.sqrt(6 * 0.25 / 0.25 + 2))
-    assert omega == pytest.approx(math.sqrt(3) * 0.5 * 2.0 * 0.5 / 0.5)
-
-
-def test_m2_constants_hand_values():
-    constants = BoundConstants(
-        shapes=tuple(DIAG8), eta=0.25, varsigma=1.0, L_G=1.0, f0=1.0, f_low=0.0
-    )
-    m2 = m2_constants(constants, 0.5)
-    assert m2.small_eta_ok  # 0.25 <= (0.5/0.5) * sqrt(1/12) = 0.2887
-    assert m2.kappa_2z == 0.0
-    assert m2.kappa_1nu == pytest.approx(6 / 0.25 + 12 / 0.25)
-    assert m2.kappa_1z == pytest.approx(0.1875 + 0.375 + 2.0)
-    assert m2.kappa_2nu == pytest.approx(6 * 2.0 / 0.25)
-    assert m2.kappa_nudelta == pytest.approx(math.sqrt(2))
-    assert m2.kappa_delta == pytest.approx(2 * m2.kappa_1z + 0.25)
-    th = compute_theta_m2(constants, m2, 0.0)
-    assert th > 0
-
-    # violating the stepsize hypothesis without a cap is a config error
-    big_eta = BoundConstants(
-        shapes=tuple(DIAG8), eta=5.0, varsigma=1.0, L_G=1.0, f0=1.0, f_low=0.0
-    )
-    with pytest.raises(InvalidConfig):
-        m2_constants(big_eta, 0.5)
-    capped = m2_constants(big_eta, 0.5, kappa_mu_z=10.0)
-    assert not capped.small_eta_ok and capped.kappa_2z > 0
 
 
 # -- trajectory bound audits ---------------------------------------------------
@@ -388,7 +298,7 @@ def test_m2_deterministic_above_the_stepsize_limit_fails():
     # trials that names the unmet hypothesis, not an InvalidConfig
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=40, eta=5.0, momentum_mode=MomentumMode.M2, mu_max=0.5)
-    limit = audit.m2_eta_limit(0.5, problem.lipschitz, 1.0)
+    limit = m2_eta_limit(0.5, problem.lipschitz, 1.0)
     rep = audit_m2_deterministic(problem, c, context="lbl")
     assert (rep.passed, rep.trials, rep.worst_violation) == (False, 40, -math.inf)
     assert rep.context == f"lbl small_eta_ok=False eta=5.0 exceeds the limit {limit:.4g}"
@@ -457,31 +367,6 @@ def test_rate_regimes_need_three_iterations(K):
     problem = make_problem("quadratic", DIAG8, seed=0)
     with pytest.raises(InvalidConfig):
         audit_rate_regimes(problem, cfg(max_iters=K), alphas=(1.0,), sigma=0.5, replicates=2)
-
-
-def test_m2_envelope_rejects_mini_batch_oracle():
-    # the momentum-weighted noise curve has no closed form for a mini-batch
-    # oracle, exactly as nu_k has none
-    problem = make_problem("logistic", DIAG8, seed=0)
-    noise = NoiseModel(kind=NoiseKind.MINI_BATCH, batch=4)
-    c = cfg(max_iters=20, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
-    with pytest.raises(InvalidConfig):
-        m2_theta_noise_curve(noise, c, len(DIAG8))
-    with pytest.raises(InvalidConfig):
-        envelope_and_rate(problem, noise, c)
-
-
-def test_m2_envelope_counts_multiplicative_noise():
-    # the last term of the M2 envelope carries omega^2, so a multiplicative
-    # oracle must lift the published envelope above the additive-only one
-    problem = make_problem("quadratic", DIAG8, seed=7)
-    c = cfg(max_iters=5, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
-
-    def last(omega):
-        noise = NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(1.0,), omega=omega)
-        return envelope_and_rate(problem, noise, c)[0][-1]
-
-    assert last(5.0) > last(0.0)
 
 
 @pytest.mark.parametrize("failing_beta", [None, 0.0, 0.25])

@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adprec.audit import bound_constants, m1_noise_constants, m1_rate_bound
 from adprec.block_space import ProductPoint
+from adprec.bounds import bound_constants, m1_noise_constants, m1_rate_bound
 from adprec.cli import example_config, main, parse_experiment
 from adprec.errors import InvalidConfig, NonFiniteIterate
 
@@ -384,6 +384,25 @@ def test_unverified_momentum_hypothesis_noted(tmp_path):
     header, rows = read_csv(out / "records.csv")
     col = header.index("theta_k")
     assert all(r[col] == "nan" for r in rows)
+
+
+def test_m1_under_multiplicative_noise_has_no_bound(tmp_path):
+    # the first momentum variant's bound has no multiplicative-noise form:
+    # NaN bound columns and a note, and the run still succeeds
+    cfg_path, _ = write_config(
+        tmp_path,
+        overrides={
+            "optimizer": {"iterations": 5, "momentum": "M1", "mu_max": 0.5},
+            "noise": {"kind": "AdditivePlusMultiplicative", "sigma": 0.5, "omega": 5.0},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "multiplicative" in summary["bound_note"]
+    header, rows = read_csv(out / "records.csv")
+    for name in ("theta_k", "bound_curve"):
+        assert all(r[header.index(name)] == "nan" for r in rows)
 
 
 def test_sweep_bad_alphas_exit_2(tmp_path):

@@ -7,10 +7,14 @@ cases cover each geometry alone, Muon + AdaNorm under multiplicative noise
 (the dual norm of the previous preconditioned step), and both momentum
 modes on a quadratic (the `theta_k` / `bound_curve` columns).
 
-Regenerate only for an intended output change, and only the cases it
-changes (all cases when none is named):
+`audit_bounds.json` holds the reports of the `bounds`, `momentum` and
+`rates` suites at seed 5 and K = 300 (R = 4 for `rates`), which the bound
+audits must reproduce exactly.
 
-    PYTHONPATH=src python tests/test_golden.py [case ...]
+Regenerate only for an intended output change, and only the cases it
+changes (all cases and `audit_bounds` when none is named):
+
+    PYTHONPATH=src python tests/test_golden.py [case ... | audit_bounds]
 """
 
 import json
@@ -20,9 +24,11 @@ from pathlib import Path
 import pytest
 
 from adprec.cli import main
+from adprec.suites import suite_bounds, suite_momentum, suite_rates
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
+AUDIT_BOUNDS = GOLDEN / "audit_bounds.json"
 
 
 def run_case(case, out) -> dict:
@@ -61,8 +67,26 @@ def test_run_matches_golden(case, tmp_path):
     assert summary == json.loads((golden / "summary.json").read_text())
 
 
+def audit_bounds_text() -> str:
+    """The bound-audit suites' reports as the JSON text of audit_bounds.json."""
+    suites = {
+        "bounds": suite_bounds(seed=5, K=300),
+        "momentum": suite_momentum(seed=5, K=300),
+        "rates": suite_rates(seed=5, K=300, R=4),
+    }
+    reports = {name: [r.to_dict() for r in reps] for name, reps in suites.items()}
+    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+
+
+def test_bound_audits_match_golden():
+    assert audit_bounds_text() == AUDIT_BOUNDS.read_text()
+
+
 if __name__ == "__main__":
-    for case in sys.argv[1:] or CASES:
+    for case in sys.argv[1:] or [*CASES, "audit_bounds"]:
+        if case == "audit_bounds":
+            AUDIT_BOUNDS.write_text(audit_bounds_text())
+            continue
         summary = run_case(case, GOLDEN / case)
         with open(GOLDEN / case / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)

@@ -82,3 +82,20 @@ def test_no_dead_definitions(path):
     readers = [p.read_text() for p in READERS if p != path]
     dead = dead_definitions(path.read_text(), readers)
     assert not dead, f"{path.name}: definitions nothing uses: {', '.join(dead)}"
+
+
+def layout_modules(readme: str) -> set[str]:
+    """The `adprec.<module>` names that open a bullet of README's "Package
+    layout" section."""
+    section = readme.split("\n## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    return {
+        line[len("- `adprec.") :].split("`", 1)[0]
+        for line in section.splitlines()
+        if line.startswith("- `adprec.")
+    }
+
+
+def test_readme_lists_every_module():
+    listed = layout_modules((ROOT / "README.md").read_text())
+    missing = [p.stem for p in MODULES if p.stem not in listed]
+    assert not missing, f"README's Package layout has no bullet for: {', '.join(missing)}"

@@ -7,7 +7,6 @@ from adprec.problems import (
     NoiseKind,
     NoiseModel,
     make_problem,
-    nu_curve_analytic,
     sample_gradient,
 )
 
@@ -183,18 +182,6 @@ def test_minibatch_oracle_draws_subsets():
     with pytest.raises(InvalidConfig):
         # no component gradients on a non-finite-sum problem
         sample_gradient(make_problem("quadratic", VEC8), noise, problem.x0, 0, rng)
-
-
-def test_nu_k_analytic_values():
-    nu = nu_curve_analytic(NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0), 1, 1)
-    assert nu[0] == pytest.approx(1.0)
-    curve = nu_curve_analytic(
-        NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0), 1, 3
-    )
-    assert curve[2] ** 2 == pytest.approx(11.0 / 6.0, rel=1e-12)
-    np.testing.assert_array_equal(nu_curve_analytic(NoiseModel(), 1, 6), np.zeros(6))
-    with pytest.raises(InvalidConfig):
-        nu_curve_analytic(NoiseModel(kind=NoiseKind.MINI_BATCH), 1, 2)
 
 
 def test_sigma_per_block_validation():
