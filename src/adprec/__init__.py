@@ -6,10 +6,7 @@ from .block_space import (
     BlockShape,
     Geometry,
     ProductPoint,
-    axpy,
-    primal_product_norm,
     product_dual_norm_sq,
-    product_inner,
     total_dim,
 )
 from .errors import (
@@ -46,12 +43,10 @@ from .problems import (
     sample_gradient,
 )
 from .psd_linalg import (
-    SvdTriple,
     msign,
     nuclear_norm,
     psd_power,
     random_psd,
-    spectral_norm,
     trace_log_psd,
 )
 

@@ -1,6 +1,6 @@
 """The block-structured parameter space: a Cartesian product of vector and
-matrix blocks, each carrying its own geometry tag, plus the product inner
-product and the primal/dual product norms."""
+matrix blocks, each carrying its own geometry tag, plus the block and
+product dual norms."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch
-from .psd_linalg import nuclear_norm, spectral_norm
+from .psd_linalg import nuclear_norm
 
 
 class Geometry(str, enum.Enum):
@@ -82,9 +82,6 @@ class ProductPoint:
     def __len__(self):
         return len(self.blocks)
 
-    def __getitem__(self, i):
-        return self.blocks[i]
-
     def copy(self) -> "ProductPoint":
         return ProductPoint([b.copy() for b in self.blocks])
 
@@ -118,14 +115,6 @@ class ProductPoint:
         return ProductPoint([np.zeros((s.rows, s.cols)) for s in shapes])
 
 
-def check_same_shapes(U: ProductPoint, V: ProductPoint):
-    if len(U) != len(V):
-        raise ShapeMismatch(f"block counts differ: {len(U)} vs {len(V)}")
-    for a, b in zip(U.blocks, V.blocks):
-        if a.shape != b.shape:
-            raise ShapeMismatch(f"block shapes differ: {a.shape} vs {b.shape}")
-
-
 def check_point_matches(V: ProductPoint, shapes: Sequence[BlockShape]):
     if len(V) != len(shapes):
         raise ShapeMismatch(f"point has {len(V)} blocks, space has {len(shapes)}")
@@ -157,35 +146,9 @@ def squared(norm):
     return np.float_power(norm, 2.0)
 
 
-def block_primal_norm(geometry: Geometry, B) -> float:
-    """Primal norm of one block: spectral for Muon, Euclidean/Frobenius otherwise."""
-    if geometry is Geometry.MUON:
-        return spectral_norm(B)
-    return float(np.linalg.norm(B))
-
-
-def product_inner(U: ProductPoint, V: ProductPoint) -> float:
-    """Canonical pairing: sum of blockwise Frobenius inner products."""
-    check_same_shapes(U, V)
-    return float(sum(np.sum(a * b) for a, b in zip(U.blocks, V.blocks)))
-
-
 def product_dual_norm_sq(V: ProductPoint, shapes: Sequence[BlockShape]):
     """Squared dual product norm: sum over blocks of the squared block dual
     norm; one value per point of a stack."""
     check_point_matches(V, shapes)
     return sum(squared(block_dual_norm(s.geometry, b)) for b, s in zip(V.blocks, shapes))
 
-
-def primal_product_norm(V: ProductPoint, shapes: Sequence[BlockShape]) -> float:
-    """Primal product norm: sqrt of the sum of squared block primal norms."""
-    check_point_matches(V, shapes)
-    return float(
-        np.sqrt(sum(block_primal_norm(s.geometry, b) ** 2 for b, s in zip(V.blocks, shapes)))
-    )
-
-
-def axpy(point: ProductPoint, coeff: float, direction: ProductPoint) -> ProductPoint:
-    """Blockwise ``point + coeff * direction``."""
-    check_same_shapes(point, direction)
-    return ProductPoint([p + coeff * d for p, d in zip(point.blocks, direction.blocks)])

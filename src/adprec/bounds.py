@@ -218,7 +218,7 @@ def envelope_and_rate(
     constants = bound_constants(problem, config, omega=noise.omega)
     mode = config.momentum_mode
     if mode is MomentumMode.M1:
-        if noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0:
+        if noise.omega > 0.0:
             raise InvalidConfig(
                 f"the first momentum variant's bound has no form for multiplicative "
                 f"noise (omega={noise.omega})"

@@ -188,17 +188,17 @@ def load_experiment(path) -> Experiment:
     return parse_experiment(raw)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def format_column(values) -> list[str]:
+    """Each value as CSV text with 17 significant digits; integral values
+    print without a decimal point."""
+    return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
-def write_csv(path, columns, rows):
+def write_csv(path, columns):
+    """Write {name: formatted column} as a CSV file, one column per name."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
 
 
 def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
@@ -227,11 +227,18 @@ def cmd_run(config_path, out_dir) -> int:
 
     K = exp.config.max_iters
     theta, bound, bound_note = bound_curves(exp)
-    extra = {"k": np.arange(K), "theta_k": theta, "bound_curve": bound}
+    # the same in every file, so formatted once
+    shared = {
+        "k": format_column(np.arange(K)),
+        "theta_k": format_column(theta),
+        "bound_curve": format_column(bound),
+    }
 
     def write(path, fields):
-        columns = {**fields, **extra}
-        write_csv(path, CSV_COLUMNS, zip(*(columns[name] for name in CSV_COLUMNS)))
+        write_csv(path, {
+            name: shared[name] if name in shared else format_column(fields[name])
+            for name in CSV_COLUMNS
+        })
 
     write(out / "records.csv", res.mean)
     for r in range(exp.replicates):
@@ -273,19 +280,19 @@ def cmd_sweep(config_path, alphas, out_dir) -> int:
     exp = load_experiment(config_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    columns = ("alpha", "fitted_slope", "theoretical_exponent", "bound_dominates")
-    rows = []
-    ok = True
+    results = []
     if alphas:
         sigma = max(exp.noise.sigma) if exp.noise.sigma else 0.0
         results = audit_rate_regimes(
             exp.problem, exp.config, alphas=alphas, sigma=sigma, replicates=exp.replicates
         )
-        for r in results:
-            rows.append((r.alpha, r.fitted_slope, r.theory_slope, int(r.bound_dominates)))
-            ok = ok and r.report.passed
-    write_csv(out / "sweep.csv", columns, rows)
-    return 0 if ok else 1
+    write_csv(out / "sweep.csv", {
+        "alpha": format_column([r.alpha for r in results]),
+        "fitted_slope": format_column([r.fitted_slope for r in results]),
+        "theoretical_exponent": format_column([r.theory_slope for r in results]),
+        "bound_dominates": format_column([r.bound_dominates for r in results]),
+    })
+    return 0 if all(r.report.passed for r in results) else 1
 
 
 def build_parser():

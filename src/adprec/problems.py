@@ -46,6 +46,8 @@ class NoiseModel:
     deviation omega * |Z_{k-1,l}|_dual (the previous Z, which is measurable
     before the draw; the current one is not).  MiniBatch averages the
     component gradients of a finite-sum problem over a uniform subset.
+    omega > 0 is accepted only with AdditivePlusMultiplicative, the one kind
+    that draws it, so the published bounds never count noise that is absent.
     """
 
     kind: NoiseKind = NoiseKind.EXACT
@@ -61,6 +63,11 @@ class NoiseModel:
             raise InvalidConfig(f"alpha must be positive, got {self.alpha}")
         if not self.omega >= 0.0:
             raise InvalidConfig(f"omega must be nonnegative, got {self.omega}")
+        if self.omega > 0.0 and self.kind is not NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE:
+            raise InvalidConfig(
+                f"omega={self.omega} needs kind {NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE.value}, "
+                f"the only oracle that draws multiplicative noise; got {self.kind.value}"
+            )
         if self.batch < 1:
             raise InvalidConfig(f"batch must be at least 1, got {self.batch}")
 
@@ -356,7 +363,7 @@ def sample_gradient(
         decay = np.inf
     blocks = []
     lead = G.blocks[0].shape[:-2]
-    multiplicative = noise.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE and noise.omega > 0.0
+    multiplicative = noise.omega > 0.0
     for ell, (G_l, s_l, shape) in enumerate(zip(G.blocks, sig, shapes)):
         d, rc = shape.dim, (shape.rows, shape.cols)
         std = s_l / (decay * np.sqrt(d))

@@ -1,20 +1,18 @@
 """Dense symmetric/PSD matrix functions used by the block geometries.
 
-``sym``, ``eigh_clamped``, ``svd_triple``, ``msign`` and ``nuclear_norm``
-also take a stack of matrices (leading axes), which they factorize with one
-stacked LAPACK call; item i of the result equals the call on matrix i, bit
-for bit.  All functions are pure and factorize their input afresh on every
+``sym``, ``eigh_clamped``, ``msign`` and ``nuclear_norm`` also take a stack
+of matrices (leading axes); the last three factorize it with one stacked
+LAPACK call.  Item i of the result equals the call on matrix i, bit for
+bit.  All functions are pure and factorize their input afresh on every
 call; none of them caches.  Reuse lives with the callers: a geometry state
 factorizes itself at most once (see ``geometries``), and one optimizer step
-computes each block's SVDs once and passes the results on.  At the matrix sizes this
-package targets (block dims up to a few hundred) a fresh factorization per
-accumulated state is cheaper than maintaining incremental factorizations
-correctly.
+computes each block's SVDs once and passes the results on.  At the matrix
+sizes this package targets (block dims up to a few hundred) a fresh
+factorization per accumulated state is cheaper than maintaining incremental
+factorizations correctly.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +25,6 @@ SV_RTOL = 1e-12
 # Eigenvalues of a preconditioner state may dip below their theoretical
 # floor by rounding; clamp at floor * (1 - CLAMP_RTOL) before inversion.
 CLAMP_RTOL = 1e-8
-
-
-class SvdTriple(NamedTuple):
-    """Thin SVD ``A = U @ diag(sigma) @ V.T`` with sigma nonincreasing."""
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
 
 
 def sym(M):
@@ -93,12 +83,6 @@ def trace_log_psd(M):
     return float(np.sum(np.log(w)))
 
 
-def svd_triple(G) -> SvdTriple:
-    """Thin SVD of an arbitrary real matrix as an SvdTriple."""
-    U, s, Vt = np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
-    return SvdTriple(U, s, Vt.mT)
-
-
 def msign(G):
     """Orthogonal factor U @ V.T of the SVD, restricted to nonzero singular values.
 
@@ -108,16 +92,16 @@ def msign(G):
     ``<G, msign(G)>_F`` equal to the nuclear norm of G.
     """
     G = np.asarray(G, dtype=float)
-    U, s, V = svd_triple(G)
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
     kept = s > SV_RTOL * s[..., :1]  # none kept for the zero matrix
     if kept.all():
-        return U @ V.mT
+        return U @ Vt
     # the rank differs per matrix; a product over fewer terms rounds differently
     # from one padded with zeros, so each matrix keeps its own inner dimension
     out = np.empty(G.shape)
     for i in np.ndindex(G.shape[:-2]):
         r = int(np.sum(kept[i]))
-        out[i] = U[i][:, :r] @ V[i][:, :r].T
+        out[i] = U[i][:, :r] @ Vt[i][:r]
     return out
 
 
@@ -125,14 +109,6 @@ def nuclear_norm(G):
     """Sum of singular values, per matrix of a stack."""
     G = np.asarray(G, dtype=float)
     return np.add.reduce(np.linalg.svd(G, compute_uv=False), axis=-1)
-
-
-def spectral_norm(G):
-    """Largest singular value."""
-    G = np.asarray(G, dtype=float)
-    if G.size == 0 or not G.any():
-        return 0.0
-    return float(np.linalg.svd(G, compute_uv=False)[0])
 
 
 def random_psd(dim, condition_target, seed):

@@ -5,10 +5,7 @@ from adprec.block_space import (
     BlockShape,
     Geometry,
     ProductPoint,
-    axpy,
-    primal_product_norm,
     product_dual_norm_sq,
-    product_inner,
     total_dim,
 )
 from adprec.errors import InvalidConfig, ShapeMismatch
@@ -58,43 +55,6 @@ def test_dual_norm_homogeneity():
     for t in (0.5, 2.0, -3.0):
         scaled = ProductPoint([t * b for b in V.blocks])
         assert product_dual_norm_sq(scaled, shapes) == pytest.approx(t * t * base, rel=1e-12)
-
-
-def test_product_inner_examples():
-    U = ProductPoint([vec(1, 0, 0)])
-    assert product_inner(U, U) == pytest.approx(1.0)
-    assert product_inner(U, ProductPoint([vec(0, 1, 0)])) == 0.0
-    rng = np.random.default_rng(1)
-    A = ProductPoint([rng.standard_normal((3, 2)), rng.standard_normal((4, 1))])
-    B = ProductPoint([rng.standard_normal((3, 2)), rng.standard_normal((4, 1))])
-    assert product_inner(A, B) == pytest.approx(float(A.ravel() @ B.ravel()), rel=1e-12)
-
-
-def test_product_inner_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        product_inner(ProductPoint([vec(1, 2)]), ProductPoint([vec(1, 2, 3)]))
-
-
-def test_axpy():
-    rng = np.random.default_rng(2)
-    P = ProductPoint([rng.standard_normal((2, 2))])
-    D = ProductPoint([rng.standard_normal((2, 2))])
-    np.testing.assert_array_equal(axpy(P, 0.0, D).blocks[0], P.blocks[0])
-    neg = ProductPoint([-b for b in P.blocks])
-    np.testing.assert_array_equal(axpy(P, 1.0, neg).blocks[0], np.zeros((2, 2)))
-    np.testing.assert_allclose(axpy(P, 2.5, D).blocks[0], P.blocks[0] + 2.5 * D.blocks[0])
-
-
-def test_cauchy_schwarz_in_product_pairing():
-    # |<U,V>| <= |U|_dual * |V|_primal for Euclidean and nuclear/spectral pairs
-    shapes = [BlockShape(3, 1, Geometry.ADANORM), BlockShape(3, 2, Geometry.MUON)]
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        U = ProductPoint([rng.standard_normal((3, 1)), rng.standard_normal((3, 2))])
-        V = ProductPoint([rng.standard_normal((3, 1)), rng.standard_normal((3, 2))])
-        lhs = abs(product_inner(U, V))
-        rhs = np.sqrt(product_dual_norm_sq(U, shapes)) * primal_product_norm(V, shapes)
-        assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_flat_round_trip():

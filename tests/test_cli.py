@@ -6,7 +6,7 @@ import pytest
 
 from adprec.block_space import ProductPoint
 from adprec.bounds import bound_constants, m1_noise_constants, m1_rate_bound
-from adprec.cli import example_config, main, parse_experiment
+from adprec.cli import example_config, format_column, main, parse_experiment
 from adprec.errors import InvalidConfig, NonFiniteIterate
 
 
@@ -403,6 +403,32 @@ def test_m1_under_multiplicative_noise_has_no_bound(tmp_path):
     header, rows = read_csv(out / "records.csv")
     for name in ("theta_k", "bound_curve"):
         assert all(r[header.index(name)] == "nan" for r in rows)
+
+
+def test_omega_without_multiplicative_oracle_exits_2(tmp_path, capsys):
+    # an AdditiveDecaying oracle never draws omega's noise, so omega is refused
+    # rather than raising the published bound for identical draws
+    cfg_path, _ = write_config(
+        tmp_path,
+        overrides={
+            "optimizer": {"iterations": 5},
+            "noise": {"kind": "AdditiveDecaying", "sigma": 0.5, "omega": 5.0},
+        },
+    )
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: noise: omega" in capsys.readouterr().err
+
+
+def test_format_column_text():
+    # 17 significant digits; integral values (counters, 0/1 flags) print
+    # without a decimal point; signed zero and non-finite values keep their sign
+    values = [0, 3, np.int64(49), True, -0.0, 1.5, 0.1, -2e-300, np.nan, np.inf, -np.inf]
+    assert format_column(values) == [
+        "0", "3", "49", "1", "-0", "1.5", "0.10000000000000001", "-2.0000000000000001e-300",
+        "nan", "inf", "-inf",
+    ]
+    assert format_column(np.arange(3)) == ["0", "1", "2"]
+    assert format_column([]) == []
 
 
 def test_sweep_bad_alphas_exit_2(tmp_path):

@@ -84,6 +84,26 @@ def test_no_dead_definitions(path):
     assert not dead, f"{path.name}: definitions nothing uses: {', '.join(dead)}"
 
 
+# the program's own files; a re-export in the package root is not a use
+PROGRAM_READERS = sorted(
+    p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py") if p != SRC / "__init__.py"
+)
+# definitions that only tests read, each kept for a reason
+TEST_ONLY = {
+    "geom_state_eigenvalues": "oracle the geometry and optimizer tests check states against",
+    "kron_gamma_explicit": "materialized Shampoo preconditioner the tests compare against",
+    "example_config": "the config schema that the cli docstring points to",
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_test_only_definitions(path):
+    readers = [p.read_text() for p in PROGRAM_READERS if p != path]
+    dead = dead_definitions(path.read_text(), readers)
+    unlisted = [d for d in dead if d.rpartition(" ")[2] not in TEST_ONLY]
+    assert not unlisted, f"{path.name}: definitions only tests use: {', '.join(unlisted)}"
+
+
 def layout_modules(readme: str) -> set[str]:
     """The `adprec.<module>` names that open a bullet of README's "Package
     layout" section."""

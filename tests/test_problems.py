@@ -163,6 +163,18 @@ def test_multiplicative_noise_uses_previous_z():
     assert acc / draws == pytest.approx(noise.omega**2 * zn_sq, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "kind", [NoiseKind.EXACT, NoiseKind.ADDITIVE_DECAYING, NoiseKind.MINI_BATCH]
+)
+def test_omega_needs_the_multiplicative_oracle(kind):
+    # only AdditivePlusMultiplicative draws omega's noise, so no other kind
+    # may carry an omega the published bounds would count
+    NoiseModel(kind=kind, sigma=(0.5,), omega=0.0)
+    with pytest.raises(InvalidConfig, match="AdditivePlusMultiplicative"):
+        NoiseModel(kind=kind, sigma=(0.5,), omega=5.0)
+    NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.5,), omega=5.0)
+
+
 def test_minibatch_average_over_singletons_is_exact():
     problem = make_problem("logistic", VEC8, seed=2, samples=16, reg=0.05)
     X = problem.x0

@@ -10,8 +10,6 @@ from adprec.psd_linalg import (
     nuclear_norm,
     psd_power,
     random_psd,
-    spectral_norm,
-    svd_triple,
     trace_log_psd,
 )
 
@@ -85,7 +83,7 @@ def test_msign_orthogonality_and_duality():
     G = rng.standard_normal((3, 2))
     P = msign(G)
     np.testing.assert_allclose(P.T @ P, np.eye(2), atol=1e-10)
-    assert spectral_norm(P) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(P, 2) == pytest.approx(1.0, abs=1e-12)
     # the pairing <G, msign(G)> attains the nuclear norm
     assert float(np.sum(G * P)) == pytest.approx(nuclear_norm(G), rel=1e-9)
 
@@ -94,18 +92,18 @@ def test_msign_rank_deficient():
     u = np.array([[1.0], [2.0]])
     G = u @ np.array([[3.0, 0.0]])  # rank 1, 2x2
     P = msign(G)
-    assert spectral_norm(P) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(P, 2) == pytest.approx(1.0, abs=1e-12)
     assert float(np.sum(G * P)) == pytest.approx(nuclear_norm(G), rel=1e-10)
 
 
 def test_norms_hand_values():
     G = np.diag([3.0, -2.0])
     assert nuclear_norm(G) == pytest.approx(5.0)
-    assert spectral_norm(G) == pytest.approx(3.0)
+    assert np.linalg.norm(G, 2) == pytest.approx(3.0)
     u = np.array([[0.6], [0.8]])
     v = np.array([[1.0, 0.0]])
     assert nuclear_norm(u @ v) == pytest.approx(1.0)
-    assert spectral_norm(u @ v) == pytest.approx(1.0)
+    assert np.linalg.norm(u @ v, 2) == pytest.approx(1.0)
 
 
 def test_norm_ordering():
@@ -114,16 +112,7 @@ def test_norm_ordering():
         G = rng.standard_normal((4, 3))
         fro = np.linalg.norm(G)
         assert nuclear_norm(G) >= fro - 1e-12
-        assert fro >= spectral_norm(G) - 1e-12
-
-
-def test_svd_triple_reconstructs():
-    rng = np.random.default_rng(1)
-    G = rng.standard_normal((5, 3))
-    U, s, V = svd_triple(G)
-    assert np.all(np.diff(s) <= 1e-12)
-    rel = np.linalg.norm(U @ np.diag(s) @ V.T - G) / np.linalg.norm(G)
-    assert rel < 1e-10
+        assert fro >= np.linalg.norm(G, 2) - 1e-12
 
 
 def test_kron_precondition_identity_and_diagonal():
@@ -163,8 +152,8 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
     G[1] = rng.standard_normal((n, 1)) @ rng.standard_normal((1, m))
     G[2] = 0.0
     S = G @ G.mT + 0.5 * np.eye(n)
-    stacked = [msign(G), nuclear_norm(G), *svd_triple(G), *eigh_clamped(S, floor=0.5)]
+    stacked = [msign(G), nuclear_norm(G), *eigh_clamped(S, floor=0.5)]
     for i in range(len(G)):
-        alone = [msign(G[i]), nuclear_norm(G[i]), *svd_triple(G[i]), *eigh_clamped(S[i], floor=0.5)]
+        alone = [msign(G[i]), nuclear_norm(G[i]), *eigh_clamped(S[i], floor=0.5)]
         for a, b in zip(stacked, alone):
             np.testing.assert_array_equal(a[i], b)
