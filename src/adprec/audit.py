@@ -319,68 +319,61 @@ def audit_path_potentials(
 # ---------------------------------------------------------------------------
 
 
-def audit_master_and_theta(
+def audit_bounds(
+    name: str,
     problem: Problem,
     config: OptimizerConfig,
     noise: NoiseModel | None = None,
     replicates: int = 1,
     context: str = "",
 ) -> AuditReport:
-    """Telescoping bound (`bounds.master_slack`), Theta envelope, and the
-    averaged-gradient rate bound.
+    """The bounds `bounds.envelope_and_rate` publishes for this run, checked
+    against its records.
+
+    The Theta envelope and the rate bound are checked in every momentum
+    mode.  Without momentum the telescoping bound (`bounds.master_slack`)
+    is checked as well, and for M1 with an exact oracle the pathwise
+    momentum error bound
+
+        sum_j |M_j - Gt_j|^2 <= 3 L^2 eta^2 / (1-mu)^2 * sum_j mu_j^2 |Z_j|^2
 
     Replicate means stand in for the expectations, nu_k comes from the
     analytic budget, and each comparison gains a three-standard-error
     allowance.  An exact oracle is the single-replicate case (nu = se = 0),
-    so all three are asserted pathwise with float tolerance only.
+    so every bound is asserted pathwise with float tolerance only.  When
+    the run meets no hypothesis of a published bound (envelope_and_rate
+    raises InvalidConfig), the report FAILs over all K trials with worst
+    -inf, and the context is the label plus the error.
     """
     noise = noise or NoiseModel()
-    constants = bounds.bound_constants(problem, config, omega=noise.omega)
     K = config.max_iters
+    try:
+        theta, rate_rhs = bounds.envelope_and_rate(problem, noise, config)
+    except InvalidConfig as err:
+        return AuditReport(name, K, -math.inf, False, f"{context} {err}".strip())
     deterministic = noise.kind is NoiseKind.EXACT
-    R = 1 if deterministic else replicates
-    res = _replicates("master-theta", context, problem, noise, config, R)
+    res = _replicates(name, context, problem, noise, config, 1 if deterministic else replicates)
     if isinstance(res, AuditReport):
         return res
-    tr_sqrt = res.mean["trace_sqrt_total"]
-    delta = res.mean["delta_k"]
-    se_tr = 3.0 * res.se["trace_sqrt_total"]
-    se_delta = 3.0 * res.se["delta_k"]
-    nu = bounds.nu_curve_analytic(noise, len(problem.shapes), K)
-    master = bounds.master_slack(constants, nu, tr_sqrt, delta, se_tr, se_delta)
-    theta, rate_rhs = bounds.envelope_and_rate(problem, noise, config)
-    t_slack = bounds.theta_slack(theta, tr_sqrt, se_tr)
+    tr_sqrt, se_tr = res.mean["trace_sqrt_total"], 3.0 * res.se["trace_sqrt_total"]
+    slacks = {}
+    mode = config.momentum_mode
+    if mode is MomentumMode.NONE:
+        constants = bounds.bound_constants(problem, config, omega=noise.omega)
+        nu = bounds.nu_curve_analytic(noise, len(problem.shapes), K)
+        delta, se_delta = res.mean["delta_k"], 3.0 * res.se["delta_k"]
+        slacks["master"] = bounds.master_slack(constants, nu, tr_sqrt, delta, se_tr, se_delta)
+    if mode is MomentumMode.M1 and deterministic:
+        mu = np.array([mu_schedule(k, config) for k in range(K)])
+        err = np.cumsum(res.mean["mom_err_sq"])
+        zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
+        coef = 3.0 * problem.lipschitz**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
+        slacks["errE"] = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
+    slacks["theta"] = bounds.theta_slack(theta, tr_sqrt, se_tr)
     grad, se_grad = res.mean["grad_dual_norm"], 3.0 * res.se["grad_dual_norm"]
-    rate = bounds.rate_slack(grad, rate_rhs, se_grad)
-    mode = "deterministic" if deterministic else f"statistical R={replicates}"
-    ctx = f"{context} [{mode}] {problem.name}"
-    return _report("master-theta", K, TOL_PATHWISE, ctx, master=master, theta=t_slack, rate=rate)
-
-
-def audit_momentum_error(
-    problem: Problem, config: OptimizerConfig, context: str = ""
-) -> AuditReport:
-    """First momentum variant with an exact oracle: the accumulated momentum
-    error bound and the momentum rate bound, both pathwise.
-
-        sum_j |M_j - Gt_j|^2 <= 3 L^2 eta^2 / (1-mu)^2 * sum_j mu_j^2 |Z_j|^2
-        avg_j |G_j| <= (2 Theta + sqrt(2N log Theta) + omega sqrt(max(k0,1))) / sqrt(k+1)
-    """
-    if config.momentum_mode is not MomentumMode.M1:
-        raise InvalidConfig("momentum-error audit needs the M1 mode")
-    _, rate_rhs = bounds.envelope_and_rate(problem, NoiseModel(), config)
-    K = config.max_iters
-    res = _replicates("momentum-m1", context, problem, NoiseModel(), config)
-    if isinstance(res, AuditReport):
-        return res
-    mu = np.array([mu_schedule(k, config) for k in range(K)])
-    err = np.cumsum(res.mean["mom_err_sq"])
-    zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
-    coef = 3.0 * problem.lipschitz**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
-    e_slack = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
-    rate = bounds.rate_slack(res.mean["grad_dual_norm"], rate_rhs)
-    ctx = f"{context} mu_max={config.mu_max}"
-    return _report("momentum-m1", K, TOL_PATHWISE, ctx, errE=e_slack, rate=rate)
+    slacks["rate"] = bounds.rate_slack(grad, rate_rhs, se_grad)
+    oracle = "deterministic" if deterministic else f"statistical R={replicates}"
+    return _report(name, K, TOL_PATHWISE, f"{context} [{oracle}] {problem.name}", **slacks)
 
 
 def audit_m1_degenerate(problem: Problem, K=300, seed=0) -> AuditReport:
@@ -398,43 +391,6 @@ def audit_m1_degenerate(problem: Problem, K=300, seed=0) -> AuditReport:
     diffs = [a.arrays[n] - b.arrays[n] for n in a.arrays]
     diffs += [x - y for x, y in zip(a.final[0].blocks, b.final[0].blocks)]
     return _report(name, K, 0.0, ctx, slack=-np.abs(np.concatenate([d.ravel() for d in diffs])))
-
-
-def audit_m2_deterministic(
-    problem: Problem, config: OptimizerConfig, context: str = ""
-) -> AuditReport:
-    """Alternate Theta envelope and rate bound for the pure-gradient momentum
-    variant, deterministic specialization (exact oracle, theta_noise = 0).
-
-    A stepsize above `bounds.m2_eta_limit` leaves the bound without its
-    hypothesis: the report then FAILs over all K trials (worst -inf), with
-    small_eta_ok=False and the limit in its context."""
-    if config.momentum_mode is not MomentumMode.M2:
-        raise InvalidConfig("needs the M2 mode")
-    constants = bounds.bound_constants(problem, config)
-    K = config.max_iters
-    limit = bounds.m2_eta_limit(config.mu_max, constants.L_G, config.varsigma)
-    small_eta_ok = config.eta <= limit
-    head = f"{context} small_eta_ok={small_eta_ok}"
-    if not small_eta_ok:
-        ctx = f"{head} eta={config.eta} exceeds the limit {limit:.4g}"
-        return AuditReport("m2-deterministic", K, -math.inf, False, ctx.strip())
-    m2 = bounds.m2_constants(constants, config.mu_max)
-    theta, rate_rhs = bounds.envelope_and_rate(problem, NoiseModel(), config)
-    res = _replicates("m2-deterministic", context, problem, NoiseModel(), config)
-    if isinstance(res, AuditReport):
-        return res
-    t_slack = bounds.theta_slack(theta, res.mean["trace_sqrt_total"])
-    rate = bounds.rate_slack(res.mean["grad_dual_norm"], rate_rhs)
-    return _report(
-        "m2-deterministic",
-        K,
-        TOL_PATHWISE,
-        f"{head} theta={bounds.compute_theta_m2(constants, *m2, 0.0):.4g} "
-        "(last envelope term uses omega^2 + L/eta as printed; the first "
-        "variant's uses omega + L/eta)",
-        bounds=np.minimum(t_slack, rate),
-    )
 
 
 # ---------------------------------------------------------------------------

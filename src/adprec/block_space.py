@@ -82,9 +82,6 @@ class ProductPoint:
     def __len__(self):
         return len(self.blocks)
 
-    def copy(self) -> "ProductPoint":
-        return ProductPoint([b.copy() for b in self.blocks])
-
     def ravel(self) -> np.ndarray:
         """Flatten all blocks into one vector (column-major within blocks);
         (R, N) for a stack.  Computed once per point and read-only, since an

@@ -61,13 +61,11 @@ class ScalarState:
 
     gamma: np.ndarray  # () or (R,) positive
     dim: int
-    varsigma: float
 
 
 @dataclass(frozen=True)
 class DiagonalState:
     diag: np.ndarray  # (n,) or (R, n) positive
-    varsigma: float
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,9 @@ def geom_init(shape: BlockShape, varsigma: float, lead: tuple[int, ...] = ()) ->
     s = float(varsigma)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
-        return ScalarState(gamma=np.full(lead, s), dim=shape.dim, varsigma=s)
+        return ScalarState(gamma=np.full(lead, s), dim=shape.dim)
     if g is Geometry.DIAG_ADAGRAD:
-        return DiagonalState(diag=np.full((*lead, shape.rows), s), varsigma=s)
+        return DiagonalState(diag=np.full((*lead, shape.rows), s))
     if g is Geometry.FULL_ADAGRAD:
         return FullState(gram=_scaled_eye(s, shape.rows, lead), varsigma=s)
     return KroneckerState(
@@ -168,10 +166,10 @@ def geom_accumulate(
     _check_block(shape, V)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
-        return ScalarState(state.gamma + lmap_trace / shape.dim, state.dim, state.varsigma)
+        return ScalarState(state.gamma + lmap_trace / shape.dim, state.dim)
     v = V[..., 0]
     if g is Geometry.DIAG_ADAGRAD:
-        return DiagonalState(state.diag + v * v, state.varsigma)
+        return DiagonalState(state.diag + v * v)
     if g is Geometry.FULL_ADAGRAD:
         return FullState(state.gram + v[..., :, None] * v[..., None, :], state.varsigma)
     return KroneckerState(state.lfac + V @ V.mT, state.rfac + V.mT @ V, state.varsigma)

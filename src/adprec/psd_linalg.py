@@ -54,14 +54,14 @@ def eigh_clamped(M, floor=None):
     return w, Q
 
 
-def psd_power(M, p, floor=None):
+def psd_power(M, p):
     """Matrix power ``M**p`` of a symmetric PSD matrix via eigendecomposition.
 
-    For negative ``p`` the matrix must be positive definite (after the
-    optional clamping, see ``eigh_clamped``); otherwise NonPositiveDefinite
-    is raised.  For ``p >= 0`` tiny negative eigenvalues are clipped to zero.
+    For negative ``p`` the matrix must be positive definite; otherwise
+    NonPositiveDefinite is raised.  For ``p >= 0`` tiny negative eigenvalues
+    are clipped to zero.
     """
-    w, Q = eigh_clamped(M, floor)
+    w, Q = eigh_clamped(M)
     if p < 0:
         if np.any(w <= 0.0):
             raise NonPositiveDefinite(

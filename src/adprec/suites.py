@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .audit import (
     AuditReport,
+    audit_bounds,
     audit_log_increment,
     audit_m1_degenerate,
-    audit_m2_deterministic,
-    audit_master_and_theta,
-    audit_momentum_error,
     audit_path_potentials,
     audit_rate_regimes,
     audit_spectral_log,
@@ -117,16 +117,16 @@ def bound_configurations(K=2000, seed=0):
 
 
 def suite_bounds(trials=0, seed=0, K=2000):
-    reports = []
-    for label, problem, cfg in bound_configurations(K=K, seed=seed):
-        rep = audit_master_and_theta(problem, cfg, context=label)
-        reports.append(replace(rep, check_name=f"master-theta[{label}]"))
+    reports = [
+        audit_bounds(f"master-theta[{label}]", problem, cfg, context=label)
+        for label, problem, cfg in bound_configurations(K=K, seed=seed)
+    ]
     # statistical variant: replicate means with the analytic noise budget
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=400, seed=seed)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=2.0)
-    rep = audit_master_and_theta(problem, cfg, noise=noise, replicates=32, context="statistical")
-    reports.append(replace(rep, check_name="master-theta[quadratic/statistical]"))
+    name = "master-theta[quadratic/statistical]"
+    reports.append(audit_bounds(name, problem, cfg, noise, replicates=32, context="statistical"))
     return reports
 
 
@@ -142,8 +142,7 @@ def suite_momentum(trials=0, seed=0, K=2000):
             momentum_mode=MomentumMode.M1,
             mu_max=mu,
         )
-        rep = audit_momentum_error(problem, cfg, context=f"quadratic mu_max={mu}")
-        reports.append(replace(rep, check_name=f"momentum-m1[mu={mu}]"))
+        reports.append(audit_bounds(f"momentum-m1[mu={mu}]", problem, cfg, context=f"mu_max={mu}"))
     reports.append(audit_m1_degenerate(problem, K=min(K, 300), seed=seed))
     cfg2 = OptimizerConfig(
         eta=0.25,
@@ -153,7 +152,7 @@ def suite_momentum(trials=0, seed=0, K=2000):
         momentum_mode=MomentumMode.M2,
         mu_max=0.5,
     )
-    reports.append(audit_m2_deterministic(problem, cfg2, context="quadratic mu_max=0.5"))
+    reports.append(audit_bounds("m2-deterministic", problem, cfg2, context="mu_max=0.5"))
     return reports
 
 
@@ -199,7 +198,8 @@ def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
     return AuditReport(
         "m2-schedule-gap",
         2 * R * K,
-        min(out[0.0].report.worst_violation, out[0.25].report.worst_violation),
+        # np.min, not min: a NaN worst of either sub-report stays NaN
+        float(np.min([out[0.0].report.worst_violation, out[0.25].report.worst_violation])),
         ok,
         f"measured slopes beta0={out[0.0].fitted_slope:.3f} "
         f"beta025={out[0.25].fitted_slope:.3f} gap={gap:.3f} "

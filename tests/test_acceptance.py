@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 
 from adprec.audit import (
+    audit_bounds,
     audit_log_increment,
     audit_m1_degenerate,
-    audit_momentum_error,
-    audit_master_and_theta,
     audit_rate_regimes,
     audit_spectral_log,
     audit_sqrt_trace,
@@ -142,7 +141,7 @@ def test_criterion_5_deterministic_bounds():
     t0 = time.monotonic()
     failures = []
     for label, problem, cfg in bound_configurations(K=2000, seed=500):
-        rep = audit_master_and_theta(problem, cfg, context=label)
+        rep = audit_bounds("master-theta", problem, cfg, context=label)
         if not rep.passed:
             failures.append((label, rep.worst_violation))
     elapsed = time.monotonic() - t0
@@ -158,7 +157,7 @@ def test_criterion_6_momentum_m1():
             eta=1.0, varsigma=1.0, max_iters=2000, seed=600,
             momentum_mode=MomentumMode.M1, mu_max=mu,
         )
-        rep = audit_momentum_error(problem, cfg)
+        rep = audit_bounds("momentum-m1", problem, cfg)
         if not rep.passed:
             failures.append((mu, rep.worst_violation))
     bitexact = audit_m1_degenerate(problem, K=300, seed=600)

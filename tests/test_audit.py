@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from adprec import audit, suites
 from adprec.audit import (
     AuditReport,
     RateRegimeResult,
+    audit_bounds,
     audit_log_increment,
     audit_m1_degenerate,
-    audit_m2_deterministic,
-    audit_master_and_theta,
-    audit_momentum_error,
     audit_path_potentials,
     audit_rate_regimes,
     audit_spectral_log,
@@ -25,6 +24,7 @@ from adprec.audit import (
     theory_exponent,
 )
 from adprec.block_space import BlockShape, Geometry
+from adprec.cli import load_experiment
 from adprec.bounds import m2_eta_limit
 from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.optimizer import MomentumMode, OptimizerConfig, run_replicates, run_trajectory
@@ -134,20 +134,20 @@ def test_path_potentials_shampoo_sqrt_gap_is_detected():
 
 def test_master_theta_deterministic_quadratic():
     problem = make_problem("quadratic", DIAG8, seed=0)
-    rep = audit_master_and_theta(problem, cfg(max_iters=300))
+    rep = audit_bounds("master-theta", problem, cfg(max_iters=300))
     assert rep.passed, rep
 
 
 def test_master_theta_deterministic_trigquad():
     problem = make_problem("trigquad", DIAG8, seed=1)
-    rep = audit_master_and_theta(problem, cfg(max_iters=300))
+    rep = audit_bounds("master-theta", problem, cfg(max_iters=300))
     assert rep.passed, rep
 
 
 def test_master_theta_statistical():
     problem = make_problem("quadratic", DIAG8, seed=0)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=2.0)
-    rep = audit_master_and_theta(problem, cfg(max_iters=150), noise=noise, replicates=32)
+    rep = audit_bounds("master-theta", problem, cfg(max_iters=150), noise, replicates=32)
     assert rep.passed, rep
 
 
@@ -157,7 +157,7 @@ def test_master_theta_statistical_with_multiplicative_noise():
     noise = NoiseModel(
         kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.3,), alpha=2.0, omega=0.2
     )
-    rep = audit_master_and_theta(problem, cfg(max_iters=150), noise=noise, replicates=32)
+    rep = audit_bounds("master-theta", problem, cfg(max_iters=150), noise, replicates=32)
     assert rep.passed, rep
 
 
@@ -166,15 +166,21 @@ NOISY = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
 # its context with, audit); master-theta under both oracles (ids "exact" and
 # "noisy")
 TRAJECTORY_AUDITS = {
-    "exact": ("lbl", lambda p: audit_master_and_theta(p, cfg(max_iters=10), context="lbl")),
-    "noisy": ("lbl", lambda p: audit_master_and_theta(
-        p, cfg(max_iters=10), noise=NOISY, replicates=4, context="lbl"
+    "exact": ("lbl", lambda p: audit_bounds("master-theta", p, cfg(max_iters=10), context="lbl")),
+    "noisy": ("lbl", lambda p: audit_bounds(
+        "master-theta", p, cfg(max_iters=10), NOISY, replicates=4, context="lbl"
     )),
-    "momentum-m1": ("lbl", lambda p: audit_momentum_error(
-        p, cfg(max_iters=10, momentum_mode=MomentumMode.M1, mu_max=0.5), context="lbl"
+    "momentum-m1": ("lbl", lambda p: audit_bounds(
+        "momentum-m1",
+        p,
+        cfg(max_iters=10, momentum_mode=MomentumMode.M1, mu_max=0.5),
+        context="lbl",
     )),
-    "m2-deterministic": ("lbl", lambda p: audit_m2_deterministic(
-        p, cfg(max_iters=10, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5), context="lbl"
+    "m2-deterministic": ("lbl", lambda p: audit_bounds(
+        "m2-deterministic",
+        p,
+        cfg(max_iters=10, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5),
+        context="lbl",
     )),
     "path-potentials": ("lbl", lambda p: audit_path_potentials(
         p, NoiseModel(), cfg(max_iters=10), context="lbl"
@@ -221,7 +227,7 @@ def test_master_theta_nan_bounds_fail():
     # the theta and rate slacks are NaN, which must fail, not read as 0
     label, problem, config = suites.bound_configurations(K=50)[0]
     with np.errstate(invalid="ignore"):
-        rep = audit_master_and_theta(problem, replace(config, eta=1e-306), context=label)
+        rep = audit_bounds("master-theta", problem, replace(config, eta=1e-306), context=label)
     assert not rep.passed and math.isnan(rep.worst_violation), rep
     assert "theta=nan rate=nan" in rep.context
 
@@ -233,9 +239,9 @@ def test_trajectory_audits_at_zero_iterations():
     m2 = cfg(max_iters=0, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
     reports = [
         audit_path_potentials(problem, NoiseModel(), cfg(max_iters=0)),
-        audit_master_and_theta(problem, cfg(max_iters=0)),
-        audit_momentum_error(problem, m1),
-        audit_m2_deterministic(problem, m2),
+        audit_bounds("master-theta", problem, cfg(max_iters=0)),
+        audit_bounds("momentum-m1", problem, m1),
+        audit_bounds("m2-deterministic", problem, m2),
         audit_m1_degenerate(problem, K=0),
     ]
     for rep in reports:
@@ -273,10 +279,8 @@ def test_identity_audits_are_deterministic():
 def test_momentum_error_audit():
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=150, momentum_mode=MomentumMode.M1, mu_max=0.5)
-    rep = audit_momentum_error(problem, c)
+    rep = audit_bounds("momentum-m1", problem, c)
     assert rep.passed, rep
-    with pytest.raises(InvalidConfig):
-        audit_momentum_error(problem, cfg())
 
 
 def test_momentum_error_single_step_is_zero():
@@ -289,8 +293,23 @@ def test_momentum_error_single_step_is_zero():
 def test_m2_deterministic_audit():
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=200, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
-    rep = audit_m2_deterministic(problem, c)
+    rep = audit_bounds("m2-deterministic", problem, c)
     assert rep.passed, rep
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("case", ["quadratic_m1", "quadratic_m2"])
+def test_momentum_bounds_hold_under_a_noisy_oracle(case):
+    # the Theta envelope and the rate bound of both momentum modes, on the
+    # noisy runs of the momentum goldens; M1's error bound is pathwise, so an
+    # exact oracle only
+    exp = load_experiment(GOLDEN / case / "config.json")
+    rep = audit_bounds(case, exp.problem, exp.config, exp.noise, replicates=4)
+    assert rep.passed, rep
+    assert "[statistical R=4]" in rep.context
+    assert "theta=" in rep.context and "rate=" in rep.context and "errE=" not in rep.context
 
 
 def test_m2_deterministic_above_the_stepsize_limit_fails():
@@ -299,9 +318,21 @@ def test_m2_deterministic_above_the_stepsize_limit_fails():
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=40, eta=5.0, momentum_mode=MomentumMode.M2, mu_max=0.5)
     limit = m2_eta_limit(0.5, problem.lipschitz, 1.0)
-    rep = audit_m2_deterministic(problem, c, context="lbl")
+    rep = audit_bounds("m2-deterministic", problem, c, context="lbl")
     assert (rep.passed, rep.trials, rep.worst_violation) == (False, 40, -math.inf)
-    assert rep.context == f"lbl small_eta_ok=False eta=5.0 exceeds the limit {limit:.4g}"
+    assert rep.context == f"lbl eta=5.0 exceeds the stepsize hypothesis limit {limit:.4g}"
+
+
+def test_m1_under_multiplicative_noise_fails():
+    # the first momentum variant's bound has no multiplicative-noise form
+    problem = make_problem("quadratic", DIAG8, seed=0)
+    c = cfg(max_iters=20, momentum_mode=MomentumMode.M1, mu_max=0.5)
+    noise = NoiseModel(
+        kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.3,), alpha=2.0, omega=0.2
+    )
+    rep = audit_bounds("momentum-m1", problem, c, noise, replicates=4, context="lbl")
+    assert (rep.passed, rep.trials, rep.worst_violation) == (False, 20, -math.inf)
+    assert rep.context.startswith("lbl the first momentum variant's bound has no form")
 
 
 # -- rate regimes ---------------------------------------------------------------
@@ -369,21 +400,28 @@ def test_rate_regimes_need_three_iterations(K):
         audit_rate_regimes(problem, cfg(max_iters=K), alphas=(1.0,), sigma=0.5, replicates=2)
 
 
-@pytest.mark.parametrize("failing_beta", [None, 0.0, 0.25])
-def test_m2_schedule_gap_verdict_follows_subreports(monkeypatch, failing_beta):
+@pytest.mark.parametrize(
+    "failing_beta, bad_worst",
+    [(None, -0.3), (0.0, -0.3), (0.25, -0.3), (0.25, math.nan)],
+    ids=["None", "0.0", "0.25", "0.25-nan"],
+)
+def test_m2_schedule_gap_verdict_follows_subreports(monkeypatch, failing_beta, bad_worst):
     # the verdict gates the guarantees, not the measured slope gap: matching
-    # measured slopes pass, and a failing sub-report fails the whole report
+    # measured slopes pass, and a failing sub-report fails the whole report,
+    # with its worst, a NaN one included
     def fake_rate_regimes(problem, config, alphas, sigma, replicates):
         alpha, beta = alphas[0], config.beta
         passed = beta != failing_beta
-        rep = AuditReport(f"rate-regime-alpha={alpha}", replicates, 0.0 if passed else -0.3, passed)
+        worst = 0.0 if passed else bad_worst
+        rep = AuditReport(f"rate-regime-alpha={alpha}", replicates, worst, passed)
         th = theory_exponent(config.momentum_mode, alpha, beta)
         return [RateRegimeResult(alpha, -1.06, th, True, rep)]
 
     monkeypatch.setattr(suites, "audit_rate_regimes", fake_rate_regimes)
     rep = suites.m2_schedule_gap_report(make_problem("quadratic", DIAG8, seed=800), K=10, R=2)
     assert rep.passed is (failing_beta is None)
-    assert rep.worst_violation == (0.0 if failing_beta is None else -0.3)
+    want = 0.0 if failing_beta is None else bad_worst
+    assert rep.worst_violation == want or math.isnan(want) and math.isnan(rep.worst_violation)
     assert "beta0=-1.060 beta025=-1.060 gap=0.000" in rep.context
 
 

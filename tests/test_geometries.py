@@ -84,11 +84,11 @@ def test_accumulate_hand_values():
 
 def test_precondition_hand_values():
     sh = BlockShape(2, 1, Geometry.ADANORM)
-    st = ScalarState(gamma=4.0, dim=2, varsigma=1.0)
+    st = ScalarState(gamma=4.0, dim=2)
     np.testing.assert_allclose(geom_precondition(sh, st, vec(2, 0)), vec(1, 0))
 
     sh = BlockShape(2, 1, Geometry.DIAG_ADAGRAD)
-    st = DiagonalState(diag=np.array([2.0, 5.0]), varsigma=1.0)
+    st = DiagonalState(diag=np.array([2.0, 5.0]))
     np.testing.assert_allclose(
         geom_precondition(sh, st, vec(1, 2)), vec(1 / np.sqrt(2), 2 / np.sqrt(5))
     )
@@ -130,7 +130,7 @@ def test_step_direction_matches_definition():
 
 def test_diagnostics_hand_values():
     sh = BlockShape(2, 1, Geometry.ADANORM)
-    st = ScalarState(gamma=1.5, dim=2, varsigma=1.0)
+    st = ScalarState(gamma=1.5, dim=2)
     d = diagnostics(sh, st, vec(1, 0))
     assert d.weighted_inv == pytest.approx(1 / 1.5)
     assert d.trace_sqrt == pytest.approx(2 * np.sqrt(1.5))

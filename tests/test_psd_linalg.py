@@ -5,6 +5,7 @@ from adprec.block_space import BlockShape, Geometry
 from adprec.errors import NonPositiveDefinite
 from adprec.geometries import KroneckerState, geom_precondition
 from adprec.psd_linalg import (
+    CLAMP_RTOL,
     eigh_clamped,
     msign,
     nuclear_norm,
@@ -42,10 +43,16 @@ def test_psd_power_rejects_singular_for_negative_powers():
     M = np.diag([1.0, 0.0])
     with pytest.raises(NonPositiveDefinite):
         psd_power(M, -0.5)
-    # but a floor absorbs eigenvalues that dipped just below it
+    # but a positive definite input just below the identity inverts
     M2 = np.diag([1.0, 1.0 - 1e-12])
-    out = psd_power(M2, -0.5, floor=1.0)
+    out = psd_power(M2, -0.5)
     np.testing.assert_allclose(out, np.eye(2), atol=1e-8)
+
+
+def test_eigh_clamped_raises_eigenvalues_below_the_floor():
+    # 1 - 1e-6 is below the clamp level floor * (1 - CLAMP_RTOL) and is lifted to it
+    w, _ = eigh_clamped(np.diag([1.0, 1.0 - 1e-6]), floor=1.0)
+    assert w.tolist() == [1.0 * (1.0 - CLAMP_RTOL), 1.0]
 
 
 def test_trace_log_hand_values():
