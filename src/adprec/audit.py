@@ -6,17 +6,26 @@ whose worst_violation is the most negative normalized slack observed
 (0.0 when every trial had nonnegative slack).  Deterministic-oracle bound
 audits carry zero statistical slack; Monte Carlo variants widen the
 tolerance by three standard errors of the replicate mean.
+
+The algebraic audits on random matrices draw every trial's inputs in trial
+order from one generator, as a per-trial loop would, then evaluate the
+trials in groups of one shape with stacked calls (``_trial_groups``).  No
+evaluation draws, and item r of a stacked call equals the call on item r
+alone, so every slack is the per-trial loop's, bit for bit.  ``techn`` stays
+a scalar loop: its bisection and its bounds use ``math.log``, and ``np.log``
+rounds differently on some inputs, which could flip a comparison.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import bounds
-from .block_space import VECTOR_ONLY, BlockShape, Geometry, total_dim
+from .block_space import VECTOR_ONLY, BlockShape, Geometry, squared, total_dim
 from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
     geom_accumulate,
@@ -30,11 +39,12 @@ from .geometries import (
 )
 from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates
 from .problems import NoiseKind, NoiseModel, Problem
-from .psd_linalg import psd_power, random_psd, trace_log_psd
+from .psd_linalg import psd_from_draws, psd_power, random_psd_draws, trace_log_psd
 
 TOL_ALGEBRAIC = 1e-8  # identities and single-matrix trace inequalities
 TOL_PATHWISE = 1e-6  # inequalities accumulated over a whole trajectory
 DIM_RANGE = (1, 8)  # matrix dims drawn by the single-matrix trace audits
+TRIAL_CHUNK = 250  # trials drawn ahead of their evaluation (bounds the memory held)
 
 
 @dataclass
@@ -73,9 +83,52 @@ def _report(name, trials, tol, context="", **slacks):
 # ---------------------------------------------------------------------------
 
 
-def _tr_power(M, p):
-    w = np.linalg.eigvalsh(M)
-    return float(np.sum(np.clip(w, 0.0, None) ** p)) if p >= 0 else float(np.sum(w**p))
+def _trial_groups(trials, rng, draw):
+    """Draw every trial's inputs in trial order, then hand them out by group.
+
+    ``draw(t, rng)`` draws trial t's inputs from the one generator and
+    returns ``(key, inputs)``: a hashable group key (the shape) and a tuple
+    of arrays or floats, alike in shape for all trials of one key.  Yields
+    ``(trial numbers, key, stacked inputs)`` once per group, where input i
+    is stacked over the group's trials.  The draws of TRIAL_CHUNK trials
+    are held at a time.
+    """
+    for start in range(0, trials, TRIAL_CHUNK):
+        groups = {}
+        for t in range(start, min(start + TRIAL_CHUNK, trials)):
+            key, inputs = draw(t, rng)
+            groups.setdefault(key, []).append((t, inputs))
+        for key, members in groups.items():
+            numbers, inputs = zip(*members)
+            yield np.array(numbers), key, [np.stack(x) for x in zip(*inputs)]
+
+
+def _draw_psd_pair(t, rng):
+    """A dim d and the draws of two scaled random PSD d x d matrices A and B."""
+    d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
+    return d, (
+        *random_psd_draws(d, 10.0 ** rng.uniform(0, 3), rng), 10.0 ** rng.uniform(-1, 1),
+        *random_psd_draws(d, 10.0 ** rng.uniform(0, 3), rng), 10.0 ** rng.uniform(-1, 1),
+    )
+
+
+def _scaled_psd(normals, log_eigs, scale):
+    return psd_from_draws(normals, log_eigs) * scale[:, None, None]
+
+
+def _psd_pairs(trials, seed):
+    """(trial numbers, A, B) per group of equal dims, as ``_draw_psd_pair`` drew them."""
+    for t, _, draws in _trial_groups(trials, np.random.default_rng(seed), _draw_psd_pair):
+        yield t, _scaled_psd(*draws[:3]), _scaled_psd(*draws[3:])
+
+
+def _trace(M):
+    return np.trace(M, axis1=-2, axis2=-1)
+
+
+def _tr_sqrt(M):
+    """tr(M^1/2) from the eigenvalues of M clipped at 0, per matrix of a stack."""
+    return np.add.reduce(np.clip(np.linalg.eigvalsh(M), 0.0, None) ** 0.5, axis=-1)
 
 
 def audit_sqrt_trace(trials=1000, seed=0) -> AuditReport:
@@ -83,59 +136,56 @@ def audit_sqrt_trace(trials=1000, seed=0) -> AuditReport:
 
     Includes the degenerate equality witnesses A = 0 and B = 0.
     """
-    rng = np.random.default_rng(seed)
-    slacks = []
-    for t in range(trials):
-        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
-        A = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
-        B = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
-        if t % 50 == 0:
-            B = np.zeros((d, d))
-        elif t % 50 == 1:
-            A = np.zeros((d, d))
+    slacks = np.empty(trials)
+    for t, A, B in _psd_pairs(trials, seed):
+        B[t % 50 == 0] = 0.0
+        A[t % 50 == 1] = 0.0
         S = A + B
-        lhs = float(np.trace(psd_power(S, -0.5) @ B))
-        rhs = _tr_power(S, 0.5) - _tr_power(A, 0.5)
-        scale = 1.0 + _tr_power(S, 0.5)
-        slacks.append((lhs - rhs) / scale)
+        lhs = _trace(psd_power(S, -0.5) @ B)
+        tr_s = _tr_sqrt(S)
+        slacks[t] = (lhs - (tr_s - _tr_sqrt(A))) / (1.0 + tr_s)
     ctx = f"seed={seed} dims={DIM_RANGE}"
     return _report("sqrt-trace", trials, TOL_ALGEBRAIC, ctx, slack=slacks)
 
 
 def audit_log_increment(trials=1000, seed=0) -> AuditReport:
     """tr((A+B)^-1 B) <= tr(log(A+B) - log A) <= tr(A^-1 B) for PD A, PSD B."""
-    rng = np.random.default_rng(seed)
-    slacks = []
-    for t in range(trials):
-        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
-        A = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
-        B = random_psd(d, 10.0 ** rng.uniform(0, 3), rng) * 10.0 ** rng.uniform(-1, 1)
-        if t % 50 == 0:
-            B = np.zeros((d, d))
-        mid = trace_log_psd(A + B) - trace_log_psd(A)
-        low = float(np.trace(psd_power(A + B, -1.0) @ B))
-        high = float(np.trace(psd_power(A, -1.0) @ B))
-        scale = 1.0 + abs(low) + abs(mid) + abs(high)
-        slacks.append((mid - low) / scale)
-        slacks.append((high - mid) / scale)
+    slacks = np.empty((trials, 2))
+    for t, A, B in _psd_pairs(trials, seed):
+        B[t % 50 == 0] = 0.0
+        S = A + B
+        mid = trace_log_psd(S) - trace_log_psd(A)
+        low = _trace(psd_power(S, -1.0) @ B)
+        high = _trace(psd_power(A, -1.0) @ B)
+        scale = 1.0 + np.abs(low) + np.abs(mid) + np.abs(high)
+        slacks[t, 0] = (mid - low) / scale
+        slacks[t, 1] = (high - mid) / scale
     return _report(
-        "log-increment", trials, TOL_ALGEBRAIC, f"seed={seed} dims={DIM_RANGE}", slack=slacks
+        "log-increment", trials, TOL_ALGEBRAIC, f"seed={seed} dims={DIM_RANGE}",
+        slack=slacks.ravel(),
     )
+
+
+def _draw_spectral(t, rng):
+    """A dim d, the draws of a scaled random PSD d x d matrix, and on every
+    25th trial the scale c of the witness c I that replaces it (else 0)."""
+    d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
+    normals, log_eigs = random_psd_draws(d, 10.0 ** rng.uniform(0, 4), rng)
+    scale = 10.0 ** rng.uniform(-2, 2)
+    return d, (normals, log_eigs, scale, 10.0 ** rng.uniform(-2, 2) if t % 25 == 0 else 0.0)
 
 
 def audit_spectral_log(trials=1000, seed=0) -> AuditReport:
     """tr(log G) <= 2 d log(tr(G^1/2)) - d log d for random PD G."""
-    rng = np.random.default_rng(seed)
-    slacks = []
-    for t in range(trials):
-        d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
-        G = random_psd(d, 10.0 ** rng.uniform(0, 4), rng) * 10.0 ** rng.uniform(-2, 2)
-        if t % 25 == 0:
-            G = 10.0 ** rng.uniform(-2, 2) * np.eye(d)  # equality structure at d = 1
+    slacks = np.empty(trials)
+    for t, d, (*draws, c) in _trial_groups(trials, np.random.default_rng(seed), _draw_spectral):
+        G = _scaled_psd(*draws)
+        witness = t % 25 == 0  # equality structure at d = 1
+        G[witness] = c[witness][:, None, None] * np.eye(d)
         lhs = trace_log_psd(G)
-        rhs = 2.0 * d * math.log(_tr_power(G, 0.5)) - d * math.log(d)
-        scale = 1.0 + abs(lhs) + abs(rhs)
-        slacks.append((rhs - lhs) / scale)
+        # math.log, not np.log, which rounds differently on some inputs
+        rhs = np.array([2.0 * d * math.log(x) - d * math.log(d) for x in _tr_sqrt(G)])
+        slacks[t] = (rhs - lhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
     return _report("spectral-log", trials, 1e-9, f"seed={seed} dims={DIM_RANGE}", slack=slacks)
 
 
@@ -184,12 +234,20 @@ def _random_shape(geometry: Geometry, rng) -> BlockShape:
     return BlockShape(n, m, geometry)
 
 
-def _random_state(shape, rng, varsigma):
-    state = geom_init(shape, varsigma)
-    for _ in range(int(rng.integers(0, 4))):
-        V = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
-        state = geom_accumulate(shape, state, V, geom_lmap_trace(shape, V))
-    return state
+def _draw_identity_trial(geometry, t, rng):
+    """A shape, varsigma, and the 1-4 blocks that grow the state from
+    varsigma * I, the last of them the probe V; grouped by shape and count."""
+    shape = _random_shape(geometry, rng)
+    varsigma = 10.0 ** rng.uniform(-1, 1)
+    Vs = [
+        10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
+        for _ in range(int(rng.integers(0, 4)) + 1)
+    ]
+    return (shape, len(Vs)), (varsigma, *Vs)
+
+
+def _rel_gap(a, b):
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[AuditReport]:
@@ -201,29 +259,21 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
 
     with Z = Gamma^-1/2 V and V the same vector that grew Gamma last.
     """
-    rng = np.random.default_rng(seed)
-    r1, r2, rc = [], [], []
-    for _ in range(trials):
-        shape = _random_shape(geometry, rng)
-        varsigma = 10.0 ** rng.uniform(-1, 1)
-        state = _random_state(shape, rng, varsigma)
-        V = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
-        tr_l = geom_lmap_trace(shape, V)
-        state = geom_accumulate(shape, state, V, tr_l)
+    r1, r2, rc = np.empty(trials), np.empty(trials), np.empty(trials)
+    draw = partial(_draw_identity_trial, geometry)
+    for t, (shape, _), (varsigma, *Vs) in _trial_groups(trials, np.random.default_rng(seed), draw):
+        state = geom_init(shape, varsigma, lead=varsigma.shape)
+        for V in Vs:
+            tr_l = geom_lmap_trace(shape, V)
+            state = geom_accumulate(shape, state, V, tr_l)
         Z = geom_precondition(shape, state, V)
         zn = geom_dual_norm(shape, Z)
         diag = geom_diagnostics(shape, state, V, tr_l)
-
-        lhs1 = zn * float(np.sum(V * geom_selector(shape, Z, zn)))
-        s1 = max(abs(lhs1), abs(diag.weighted_invsqrt), 1e-300)
-        r1.append(TOL_ALGEBRAIC - abs(lhs1 - diag.weighted_invsqrt) / s1)
-
-        lhs2 = zn * zn
-        s2 = max(abs(lhs2), abs(diag.weighted_inv), 1e-300)
-        r2.append(TOL_ALGEBRAIC - abs(lhs2 - diag.weighted_inv) / s2)
-
-        dual_sq = geom_dual_norm(shape, V) ** 2
-        rc.append((bounds.KAPPA_CIRC**2 * tr_l - dual_sq) / max(1.0, dual_sq))
+        lhs1 = zn * np.add.reduce(V * geom_selector(shape, Z, zn), axis=(-2, -1))
+        r1[t] = TOL_ALGEBRAIC - _rel_gap(lhs1, diag.weighted_invsqrt)
+        r2[t] = TOL_ALGEBRAIC - _rel_gap(zn * zn, diag.weighted_inv)
+        dual_sq = squared(geom_dual_norm(shape, V))
+        rc[t] = (bounds.KAPPA_CIRC**2 * tr_l - dual_sq) / np.maximum(1.0, dual_sq)
     ctx = f"geometry={geometry.value} seed={seed}"
     return [
         _report(f"identity-ineq1-{geometry.value}", trials, 0.0, ctx, slack=r1),
@@ -232,28 +282,29 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
     ]
 
 
+def _draw_subadditivity_trial(geometry, t, rng):
+    """A shape, U, V (U itself on every 10th trial) and the draws of the
+    random PSD probe W; grouped by shape."""
+    shape = _random_shape(geometry, rng)
+    U = rng.standard_normal((shape.rows, shape.cols))
+    V = U if t % 10 == 0 else rng.standard_normal((shape.rows, shape.cols))
+    return shape, (U, V, *random_psd_draws(shape.dim, 10.0 ** rng.uniform(0, 2), rng))
+
+
 def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> AuditReport:
     """tr(W lmap(U+V)) <= 2 tr(W lmap(U)) + 2 tr(W lmap(V)) on random PSD probes W,
     plus the empirical trace-domination constant tr(lmap(U)) / |U|_dual^2."""
-    rng = np.random.default_rng(seed)
-    slacks = []
-    box_est = 0.0
-    dia_est = 0.0
-    for t in range(trials):
-        shape = _random_shape(geometry, rng)
-        U = rng.standard_normal((shape.rows, shape.cols))
-        V = U.copy() if t % 10 == 0 else rng.standard_normal((shape.rows, shape.cols))
-        W = random_psd(shape.dim, 10.0 ** rng.uniform(0, 2), rng)
-        a = float(np.sum(W * geom_lmap_matrix(shape, U)))
-        b = float(np.sum(W * geom_lmap_matrix(shape, V)))
-        c = float(np.sum(W * geom_lmap_matrix(shape, U + V)))
-        scale = 1.0 + abs(a) + abs(b) + abs(c)
-        slacks.append((bounds.KAPPA_BOX * (a + b) - c) / scale)
-        if a + b > 0:
-            box_est = max(box_est, c / (a + b))
-        du = geom_dual_norm(shape, U) ** 2
-        if du > 0:
-            dia_est = max(dia_est, geom_lmap_trace(shape, U) / du)
+    a, b, c, tr_u, du = (np.empty(trials) for _ in range(5))
+    draw = partial(_draw_subadditivity_trial, geometry)
+    for t, shape, (U, V, *w) in _trial_groups(trials, np.random.default_rng(seed), draw):
+        W = psd_from_draws(*w)
+        for out, X in ((a, U), (b, V), (c, U + V)):
+            out[t] = np.add.reduce(W * geom_lmap_matrix(shape, X), axis=(-2, -1))
+        tr_u[t] = geom_lmap_trace(shape, U)
+        du[t] = squared(geom_dual_norm(shape, U))
+    slacks = (bounds.KAPPA_BOX * (a + b) - c) / (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
+    box_est = np.max(np.divide(c, a + b, out=np.zeros(trials), where=a + b > 0), initial=0.0)
+    dia_est = np.max(np.divide(tr_u, du, out=np.zeros(trials), where=du > 0), initial=0.0)
     ctx = (
         f"geometry={geometry.value} seed={seed} "
         f"empirical kappa_box={box_est:.6f} kappa_diamond={dia_est:.6f}"

@@ -28,9 +28,10 @@ direction, lmap trace); elsewhere it shares AdaNorm's isotropic branch.
 
 Every operation takes one block, (rows, cols), or a stack of R blocks,
 (R, rows, cols), and returns per-item results; a state created with
-``lead=(R,)`` holds R states.  Item r of a stacked call equals the call on
-item r alone, bit for bit: the stacked forms are chosen to round exactly as
-the single-block ones (see ``block_space.squared`` and ``psd_linalg.msign``).
+``lead=(R,)`` holds R states, with one varsigma or one each.  Item r of a
+stacked call equals the call on item r alone, bit for bit: the stacked
+forms are chosen to round exactly as the single-block ones (see
+``block_space.squared`` and ``psd_linalg.msign``).
 
 States are immutable value types owned by one trajectory (or one stack of
 them); accumulation returns fresh states and never decreases eigenvalues.
@@ -131,17 +132,18 @@ def _check_block(shape: BlockShape, V):
         raise ShapeMismatch(f"block is {V.shape}, geometry declared {(shape.rows, shape.cols)}")
 
 
-def geom_init(shape: BlockShape, varsigma: float, lead: tuple[int, ...] = ()) -> GeometryState:
+def geom_init(shape: BlockShape, varsigma, lead: tuple[int, ...] = ()) -> GeometryState:
     """State representing ``varsigma * I`` in the variant's native form;
-    ``lead=(R,)`` gives a stack of R such states."""
-    if not varsigma > 0.0:
+    ``lead=(R,)`` gives a stack of R such states, with one varsigma for all
+    of them (a float) or one each (an array of shape ``lead``)."""
+    if not np.all(np.asarray(varsigma) > 0.0):
         raise InvalidConfig(f"varsigma must be positive, got {varsigma}")
-    s = float(varsigma)
+    s = float(varsigma) if np.ndim(varsigma) == 0 else np.asarray(varsigma, dtype=float)
     g = shape.geometry
     if g in (Geometry.ADANORM, Geometry.MUON):
         return ScalarState(gamma=np.full(lead, s), dim=shape.dim)
     if g is Geometry.DIAG_ADAGRAD:
-        return DiagonalState(diag=np.full((*lead, shape.rows), s))
+        return DiagonalState(diag=np.full((*lead, shape.rows), np.asarray(s)[..., None]))
     if g is Geometry.FULL_ADAGRAD:
         return FullState(gram=_scaled_eye(s, shape.rows, lead), varsigma=s)
     return KroneckerState(
@@ -149,10 +151,11 @@ def geom_init(shape: BlockShape, varsigma: float, lead: tuple[int, ...] = ()) ->
     )
 
 
-def _scaled_eye(s: float, n: int, lead: tuple[int, ...]) -> np.ndarray:
-    """s * I_n, repeated over the stack axes `lead` (a read-only view)."""
-    eye = s * np.eye(n)
-    return np.broadcast_to(eye, lead + eye.shape) if lead else eye
+def _scaled_eye(s, n: int, lead: tuple[int, ...]) -> np.ndarray:
+    """s * I_n over the stack axes `lead`, s a float or an array of shape
+    `lead` (a read-only view when a float is repeated)."""
+    eye = np.asarray(s)[..., None, None] * np.eye(n)
+    return eye if eye.shape[:-2] == lead else np.broadcast_to(eye, lead + (n, n))
 
 
 def geom_accumulate(
@@ -228,17 +231,20 @@ def geom_lmap_trace(shape: BlockShape, V):
 
 
 def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
-    """Materialize lmap(V) of one block as a dense d x d matrix (audit cross-checks only)."""
+    """Materialize lmap(V) as a dense d x d matrix, per block of a stack
+    (audit cross-checks only)."""
     _check_block(shape, V)
     g = shape.geometry
+    d = shape.dim
     if g in (Geometry.ADANORM, Geometry.MUON):
-        d = shape.dim
-        return (geom_lmap_trace(shape, V) / d) * np.eye(d)
+        return (geom_lmap_trace(shape, V) / d)[..., None, None] * np.eye(d)
     if g is Geometry.DIAG_ADAGRAD:
-        return np.diag(V[:, 0] ** 2)
-    # FullAdaGrad and Shampoo: vec(V) vec(V)^T
-    v = V.ravel(order="F")
-    return np.outer(v, v)
+        out = np.zeros(V.shape[:-2] + (d, d))
+        out[..., range(d), range(d)] = V[..., 0] ** 2
+        return out
+    # FullAdaGrad and Shampoo: vec(V) vec(V)^T, vec stacking the columns
+    v = V.mT.reshape(V.shape[:-2] + (d,))
+    return v[..., :, None] * v[..., None, :]
 
 
 def geom_diagnostics(

@@ -1,9 +1,12 @@
 """Dense symmetric/PSD matrix functions used by the block geometries.
 
-``sym``, ``eigh_clamped``, ``msign`` and ``nuclear_norm`` also take a stack
-of matrices (leading axes); the last three factorize it with one stacked
-LAPACK call.  Item i of the result equals the call on matrix i, bit for
-bit.  All functions are pure and factorize their input afresh on every
+Every function here except ``random_psd`` and ``random_psd_draws`` also
+takes a stack of matrices (leading axes): ``sym``, ``eigh_clamped``,
+``psd_power``, ``trace_log_psd``, ``msign``, ``nuclear_norm`` and
+``psd_from_draws``.  Those that factorize do so with one stacked LAPACK
+call.  Item i of the result equals the call on matrix i, bit for bit, and
+a stack with a failing item raises what that item alone raises.  All
+functions are pure and factorize their input afresh on every
 call; none of them caches.  Reuse lives with the callers: a geometry state
 factorizes itself at most once (see ``geometries``), and one optimizer step
 computes each block's SVDs once and passes the results on.  At the matrix
@@ -38,8 +41,8 @@ def eigh_clamped(M, floor=None):
 
     Parameters
     ----------
-    M : (d, d) array, symmetric.
-    floor : float or None
+    M : (..., d, d) array, symmetric.
+    floor : float, array of the stack's shape ``M.shape[:-2]``, or None
         Known lower bound on the eigenvalues (e.g. the initialization level
         of a preconditioner).  Eigenvalues are clamped from below at
         ``floor * (1 - CLAMP_RTOL)`` to absorb rounding in the eigensolver.
@@ -50,8 +53,19 @@ def eigh_clamped(M, floor=None):
     """
     w, Q = np.linalg.eigh(sym(M))
     if floor is not None:
-        w = np.maximum(w, floor * (1.0 - CLAMP_RTOL))
+        w = np.maximum(w, np.asarray(floor)[..., None] * (1.0 - CLAMP_RTOL))
     return w, Q
+
+
+def _require_positive(w, what):
+    """Raise NonPositiveDefinite for the first item of a stack of eigenvalue
+    rows with an eigenvalue <= 0, as that item alone would."""
+    bad = np.argwhere(np.any(w <= 0.0, axis=-1))
+    if len(bad):
+        first = w[tuple(bad[0])]
+        raise NonPositiveDefinite(
+            f"{what} needs a positive definite input (min eigenvalue {first.min():.3e})"
+        )
 
 
 def psd_power(M, p):
@@ -63,24 +77,17 @@ def psd_power(M, p):
     """
     w, Q = eigh_clamped(M)
     if p < 0:
-        if np.any(w <= 0.0):
-            raise NonPositiveDefinite(
-                f"matrix power {p} needs a positive definite input "
-                f"(min eigenvalue {w.min():.3e})"
-            )
+        _require_positive(w, f"matrix power {p}")
     else:
         w = np.clip(w, 0.0, None)
-    return (Q * w**p) @ Q.T
+    return (Q * (w**p)[..., None, :]) @ Q.mT
 
 
 def trace_log_psd(M):
     """``tr(log M)`` (= log det M) for a symmetric positive definite M."""
     w, _ = eigh_clamped(M)
-    if np.any(w <= 0.0):
-        raise NonPositiveDefinite(
-            f"tr(log M) needs a positive definite input (min eigenvalue {w.min():.3e})"
-        )
-    return float(np.sum(np.log(w)))
+    _require_positive(w, "tr(log M)")
+    return np.add.reduce(np.log(w), axis=-1)
 
 
 def msign(G):
@@ -118,13 +125,25 @@ def random_psd(dim, condition_target, seed):
     function of the seed) and the eigenvalues are log-uniform in
     ``[1/condition_target, 1]``.
     """
+    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    return psd_from_draws(*random_psd_draws(dim, condition_target, rng))
+
+
+def random_psd_draws(dim, condition_target, rng):
+    """The random numbers behind one ``random_psd`` matrix, drawn from the
+    generator rng: a (dim, dim) standard normal matrix and dim log-eigenvalues."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if condition_target < 1.0:
         raise ValueError("condition_target must be >= 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    A = rng.standard_normal((dim, dim))
-    Q, Rf = np.linalg.qr(A)
-    Q = Q * np.sign(np.diag(Rf))
-    lam = np.exp(rng.uniform(np.log(1.0 / condition_target), 0.0, size=dim))
-    return (Q * lam) @ Q.T
+    normals = rng.standard_normal((dim, dim))
+    return normals, rng.uniform(np.log(1.0 / condition_target), 0.0, size=dim)
+
+
+def psd_from_draws(normals, log_eigs):
+    """The ``random_psd`` matrix of ``random_psd_draws``' output, per item of
+    a stack: the sign-fixed Q of ``qr(normals)`` times ``diag(exp(log_eigs))``
+    times Q.T."""
+    Q, Rf = np.linalg.qr(normals)
+    Q = Q * np.sign(np.diagonal(Rf, axis1=-2, axis2=-1))[..., None, :]
+    return (Q * np.exp(log_eigs)[..., None, :]) @ Q.mT

@@ -264,7 +264,7 @@ def test_stacked_operations_equal_per_block_operations(geometry):
         Z = geom_precondition(sh, stacked, V)
         zn = geom_dual_norm(sh, Z)
         S = geom_selector(sh, Z, zn)
-        out = [tl, Z, zn, S, geom_step_direction(sh, Z, zn, S),
+        out = [tl, Z, zn, S, geom_step_direction(sh, Z, zn, S), geom_lmap_matrix(sh, V),
                *vars(geom_diagnostics(sh, stacked, V, tl)).values()]
         for r in range(R):
             tl_r = geom_lmap_trace(sh, V[r])
@@ -273,6 +273,28 @@ def test_stacked_operations_equal_per_block_operations(geometry):
             zn_r = geom_dual_norm(sh, Z_r)
             S_r = geom_selector(sh, Z_r, zn_r)
             expected = [tl_r, Z_r, zn_r, S_r, geom_step_direction(sh, Z_r, zn_r, S_r),
+                        geom_lmap_matrix(sh, V[r]),
                         *vars(geom_diagnostics(sh, alone[r], V[r], tl_r)).values()]
             for got, want in zip(out, expected):
                 np.testing.assert_array_equal(got[r], want)
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_stack_with_one_varsigma_per_state(geometry):
+    # geom_init with a varsigma per stacked state: item r grows, preconditions
+    # and diagnoses as the state initialized alone with varsigma[r], bit for bit
+    rng = np.random.default_rng(12)
+    sh = shape_for(geometry, rows=4, cols=3)
+    varsigma = np.array([0.7, 2.5, 1e-3])
+    V = rng.standard_normal((3, sh.rows, sh.cols))
+    tl = geom_lmap_trace(sh, V)
+    stacked = geom_accumulate(sh, geom_init(sh, varsigma, lead=(3,)), V, tl)
+    out = [geom_precondition(sh, stacked, V), *vars(geom_diagnostics(sh, stacked, V, tl)).values()]
+    for r in range(3):
+        alone = geom_accumulate(sh, geom_init(sh, float(varsigma[r])), V[r], tl[r])
+        expected = [geom_precondition(sh, alone, V[r]),
+                    *vars(geom_diagnostics(sh, alone, V[r], tl[r])).values()]
+        for got, want in zip(out, expected):
+            np.testing.assert_array_equal(got[r], want)
+    with pytest.raises(InvalidConfig):
+        geom_init(sh, np.array([1.0, 0.0]), lead=(2,))

@@ -9,12 +9,14 @@ modes on a quadratic (the `theta_k` / `bound_curve` columns).
 
 `audit_bounds.json` holds the reports of the `bounds`, `momentum` and
 `rates` suites at seed 5 and K = 300 (R = 4 for `rates`), which the bound
-audits must reproduce exactly.
+audits must reproduce exactly.  `audit_algebraic.json` holds the reports
+of the `trace` and `identities` suites at 300 trials and seed 5, which
+the algebraic audits must reproduce exactly.
 
 Regenerate only for an intended output change, and only the cases it
-changes (all cases and `audit_bounds` when none is named):
+changes (all cases and both audit files when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py [case ... | audit_bounds]
+    PYTHONPATH=src python tests/test_golden.py [case ... | audit_bounds | audit_algebraic]
 """
 
 import json
@@ -24,11 +26,18 @@ from pathlib import Path
 import pytest
 
 from adprec.cli import main
-from adprec.suites import suite_bounds, suite_momentum, suite_rates
+from adprec.suites import (
+    suite_bounds,
+    suite_identities,
+    suite_momentum,
+    suite_rates,
+    suite_trace,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
 AUDIT_BOUNDS = GOLDEN / "audit_bounds.json"
+AUDIT_ALGEBRAIC = GOLDEN / "audit_algebraic.json"
 
 
 def run_case(case, out) -> dict:
@@ -67,25 +76,44 @@ def test_run_matches_golden(case, tmp_path):
     assert summary == json.loads((golden / "summary.json").read_text())
 
 
+def reports_text(suites) -> str:
+    """Named suites' reports as the JSON text of an audit golden file."""
+    reports = {name: [r.to_dict() for r in reps] for name, reps in suites.items()}
+    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+
+
 def audit_bounds_text() -> str:
     """The bound-audit suites' reports as the JSON text of audit_bounds.json."""
-    suites = {
+    return reports_text({
         "bounds": suite_bounds(seed=5, K=300),
         "momentum": suite_momentum(seed=5, K=300),
         "rates": suite_rates(seed=5, K=300, R=4),
-    }
-    reports = {name: [r.to_dict() for r in reps] for name, reps in suites.items()}
-    return json.dumps(reports, indent=2, sort_keys=True) + "\n"
+    })
+
+
+def audit_algebraic_text() -> str:
+    """The algebraic suites' reports as the JSON text of audit_algebraic.json."""
+    return reports_text({
+        "trace": suite_trace(300, seed=5),
+        "identities": suite_identities(300, seed=5),
+    })
 
 
 def test_bound_audits_match_golden():
     assert audit_bounds_text() == AUDIT_BOUNDS.read_text()
 
 
+def test_algebraic_audits_match_golden():
+    assert audit_algebraic_text() == AUDIT_ALGEBRAIC.read_text()
+
+
 if __name__ == "__main__":
-    for case in sys.argv[1:] or [*CASES, "audit_bounds"]:
-        if case == "audit_bounds":
-            AUDIT_BOUNDS.write_text(audit_bounds_text())
+    audit_files = {"audit_bounds": (AUDIT_BOUNDS, audit_bounds_text),
+                   "audit_algebraic": (AUDIT_ALGEBRAIC, audit_algebraic_text)}
+    for case in sys.argv[1:] or [*CASES, *audit_files]:
+        if case in audit_files:
+            path, text = audit_files[case]
+            path.write_text(text())
             continue
         summary = run_case(case, GOLDEN / case)
         with open(GOLDEN / case / "summary.json", "w") as fh:

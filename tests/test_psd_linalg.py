@@ -9,8 +9,10 @@ from adprec.psd_linalg import (
     eigh_clamped,
     msign,
     nuclear_norm,
+    psd_from_draws,
     psd_power,
     random_psd,
+    random_psd_draws,
     trace_log_psd,
 )
 
@@ -159,8 +161,29 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
     G[1] = rng.standard_normal((n, 1)) @ rng.standard_normal((1, m))
     G[2] = 0.0
     S = G @ G.mT + 0.5 * np.eye(n)
-    stacked = [msign(G), nuclear_norm(G), *eigh_clamped(S, floor=0.5)]
+    powers = (-1.0, -0.5, 0.5)
+
+    def calls(G, S):
+        return [msign(G), nuclear_norm(G), *eigh_clamped(S, floor=0.5), trace_log_psd(S),
+                *(psd_power(S, p) for p in powers)]
+
+    stacked = calls(G, S)
     for i in range(len(G)):
-        alone = [msign(G[i]), nuclear_norm(G[i]), *eigh_clamped(S[i], floor=0.5)]
-        for a, b in zip(stacked, alone):
+        for a, b in zip(stacked, calls(G[i], S[i])):
             np.testing.assert_array_equal(a[i], b)
+    # the finish of random_psd: item i is random_psd on draw i's generator state
+    for d in (1, 8):
+        draws = [random_psd_draws(d, 50.0, np.random.default_rng(s)) for s in range(3)]
+        finished = psd_from_draws(*(np.stack(x) for x in zip(*draws)))
+        for s in range(3):
+            np.testing.assert_array_equal(finished[s], random_psd(d, 50.0, seed=s))
+    # a stack whose item 2 (and 3) is singular raises what item 2 alone raises
+    S[2] = 0.0
+    S[3] = -np.eye(n)
+    for f in (trace_log_psd, *(lambda M, p=p: psd_power(M, p) for p in powers[:2])):
+        with pytest.raises(NonPositiveDefinite) as alone:
+            f(S[2])
+        with pytest.raises(NonPositiveDefinite) as stack:
+            f(S)
+        assert str(stack.value) == str(alone.value)
+    np.testing.assert_array_equal(psd_power(S, 0.5)[2], np.zeros((n, n)))
