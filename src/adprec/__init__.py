@@ -33,6 +33,7 @@ from .optimizer import (
     adprec_step,
     mu_schedule,
     run_replicates,
+    run_rows,
     run_trajectory,
 )
 from .problems import (

@@ -37,7 +37,7 @@ from .geometries import (
     geom_precondition,
     geom_selector,
 )
-from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates
+from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates, run_rows
 from .problems import NoiseKind, NoiseModel, Problem
 from .psd_linalg import psd_from_draws, psd_power, random_psd_draws, trace_log_psd
 
@@ -189,24 +189,29 @@ def audit_spectral_log(trials=1000, seed=0) -> AuditReport:
     return _report("spectral-log", trials, 1e-9, f"seed={seed} dims={DIM_RANGE}", slack=slacks)
 
 
+def _bisect(lo, hi, c, sign):
+    """At most 200 halvings of [lo, hi] that keep sign * (t - c log t) > 0
+    on the lo side.  A step is a deterministic map of (lo, hi), so the first
+    one that leaves both endpoints as they were ends the loop: every later
+    one would repeat it.  A midpoint equal to lo still moves hi when it goes
+    to the hi side, and the other way round."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if sign * (mid - c * math.log(mid)) > 0:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return lo, hi
+
+
 def _techn_feasible_interval(c):
     # roots of t = c log t bracket the premise region {1 <= t <= c log t}
-    lo, hi = 1.0, math.e
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - c * math.log(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    r1 = hi
-    lo, hi = math.e, max(10.0 * c * math.log(10.0 * c), 10.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - c * math.log(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    r2 = lo
+    _, r1 = _bisect(1.0, math.e, c, 1.0)
+    r2, _ = _bisect(math.e, max(10.0 * c * math.log(10.0 * c), 10.0), c, -1.0)
     return r1, r2
 
 
@@ -344,25 +349,39 @@ def path_potential_slacks(columns, shapes, varsigma):
     return {"sqrt_pot": sqrt_slack, "log_pot": log_slack, "delta_bound": delta_slack}
 
 
+def _failed(name, K, context, err) -> AuditReport:
+    """The one FAIL report of every trajectory audit whose run cannot be
+    checked: worst_violation -inf over all K trials, and the context is the
+    label plus the error."""
+    return AuditReport(name, K, -math.inf, False, f"{context} {err}".strip())
+
+
 def _replicates(name, context, problem, noise, config, R=1):
-    """run_replicates, or the one FAIL report of every trajectory audit when a
-    replicate turns non-finite: worst_violation -inf over all K trials, and
-    the context is the label plus the error, which names the replicate and its seed."""
+    """run_replicates, or ``_failed`` when a replicate turns non-finite; the
+    error names the replicate and its seed."""
     try:
         return run_replicates(problem, noise, config, R)
     except NonFiniteIterate as err:
-        return AuditReport(name, config.max_iters, -math.inf, False, f"{context} {err}".strip())
+        return _failed(name, config.max_iters, context, err)
 
 
 def audit_path_potentials(
-    problem: Problem, noise: NoiseModel, config: OptimizerConfig, context: str = ""
-) -> AuditReport:
-    """Single report over all three potential inequalities of one trajectory."""
-    res = _replicates("path-potentials", context, problem, noise, config)
-    if isinstance(res, AuditReport):
-        return res
-    slacks = path_potential_slacks(res.mean, problem.shapes, config.varsigma)
-    return _report("path-potentials", config.max_iters, TOL_PATHWISE, context, **slacks)
+    problem: Problem, rows: dict[str, NoiseModel], config: OptimizerConfig
+) -> list[AuditReport]:
+    """One report `path-potentials[label]` over all three potential
+    inequalities per labelled noise model of rows.  The models run as the
+    rows of one stack (``run_rows``), and the r-th model's report, with its
+    label as context, is the one it gives alone at seed config.seed + r.
+    A non-finite row is ``_failed``."""
+    reports = []
+    for label, run in zip(rows, run_rows(problem, list(rows.values()), config)):
+        name = f"path-potentials[{label}]"
+        if isinstance(run, NonFiniteIterate):
+            reports.append(_failed(name, config.max_iters, label, run))
+            continue
+        slacks = path_potential_slacks(run.mean, problem.shapes, config.varsigma)
+        reports.append(_report(name, config.max_iters, TOL_PATHWISE, label, **slacks))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +420,7 @@ def audit_bounds(
     try:
         theta, rate_rhs = bounds.envelope_and_rate(problem, noise, config)
     except InvalidConfig as err:
-        return AuditReport(name, K, -math.inf, False, f"{context} {err}".strip())
+        return _failed(name, K, context, err)
     deterministic = noise.kind is NoiseKind.EXACT
     res = _replicates(name, context, problem, noise, config, 1 if deterministic else replicates)
     if isinstance(res, AuditReport):

@@ -25,13 +25,19 @@ by one stacked eigh or SVD, and the records fill (R, K) columns in place.
 Each replicate keeps its own Generator, and every stacked operation rounds
 as the single-point one does, so replicate r of a stack is bit for bit the
 trajectory that seed + r gives alone; ``run_trajectory`` is the R = 1 case.
+
+Each row of a stack has its own noise model.  ``run_replicates`` gives all
+R rows one model; ``run_rows`` runs different models side by side, such as
+the exact and the noisy trajectory of one space.  Rows that share a model
+draw their Gtilde as one sub-stack, exact rows keep the exact gradient, and
+row r still draws from seed + r, so each row is still its solo trajectory.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +65,7 @@ from .geometries import (
     geom_step_direction,
     geom_take,
 )
-from .problems import NoiseModel, Problem, sample_gradient
+from .problems import NoiseKind, NoiseModel, Problem, sample_gradient
 
 
 class MomentumMode(str, enum.Enum):
@@ -270,32 +276,84 @@ def _first_overflow(P: ProductPoint) -> int | None:
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _head(P: ProductPoint | None, n: int) -> ProductPoint | None:
-    """The first n points of a stack."""
-    return None if P is None else ProductPoint([b[:n] for b in P.blocks])
+def _take(P: ProductPoint | None, rows) -> ProductPoint | None:
+    """The points of a stack that rows (a slice or an index array) selects."""
+    return None if P is None else ProductPoint([b[rows] for b in P.blocks])
+
+
+def _cut(z_norms, rows):
+    """Per-block dual norms of a stack cut to rows."""
+    return None if z_norms is None else [z[rows] for z in z_norms]
 
 
 def _keep(n: int, X, states, M, z_norms, rngs):
     """The driver's per-replicate carry cut to replicates 0..n-1."""
-    z_norms = None if z_norms is None else [z[:n] for z in z_norms]
-    return _head(X, n), [geom_take(st, slice(n)) for st in states], _head(M, n), z_norms, rngs[:n]
+    rows = slice(n)
+    states = [geom_take(st, rows) for st in states]
+    return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows), rngs[:n]
 
 
-def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int) -> _Run:
-    """Advance replicates r = 0..R-1 (seed + r) from problem.x0 for max_iters
-    steps as one stack.
+def _sampling_plan(noises: Sequence[NoiseModel], rngs):
+    """How the oracle draws a stack whose row r has model noises[r] and
+    Generator rngs[r] (for one row, rngs is its Generator): a list of
+    (model, rows, Generators) whose rows is None when every row shares the
+    one model.  Otherwise there is one entry per noisy model, in order of
+    its first row, with rows its row indices (a slice when contiguous); the
+    exact rows of such a stack keep the exact gradient and have no entry."""
+    models = []
+    for nz in noises:
+        if nz not in models:
+            models.append(nz)
+    if len(models) == 1:
+        return [(models[0], None, rngs)]
+    plan = []
+    for model in models:
+        if model.kind is NoiseKind.EXACT:
+            continue
+        idx = [r for r, nz in enumerate(noises) if nz == model]
+        contiguous = idx[-1] - idx[0] == len(idx) - 1
+        rows = slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx)
+        plan.append((model, rows, [rngs[r] for r in idx]))
+    return plan
 
-    A replicate fails at iteration k when its iterate or record (f_value
-    only when eval_objective is set) is non-finite after the step, or
-    already before it, when Gtilde's sum of squares overflows: that sum is
+
+def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: ProductPoint):
+    """Gtilde for every row of X: one ``sample_gradient`` call per entry of
+    the sampling plan, on the sub-stack of its rows, with z_prev_norms cut
+    to them; the exact rows of a mixed stack keep G."""
+    noise, rows, rngs = plan[0]
+    if rows is None:
+        return sample_gradient(problem, noise, X, k, rngs, z_prev_norms=z_prev_norms, exact_grad=G)
+    blocks = [np.copy(b) for b in G.blocks]
+    for noise, rows, rngs in plan:
+        sub = sample_gradient(
+            problem, noise, _take(X, rows), k, rngs,
+            z_prev_norms=_cut(z_prev_norms, rows), exact_grad=_take(G, rows),
+        )
+        for b, s in zip(blocks, sub.blocks):
+            b[rows] = s
+    return ProductPoint(blocks)
+
+
+def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConfig) -> _Run:
+    """Advance rows r = 0..R-1, R = len(noises), from problem.x0 for
+    max_iters steps as one stack.  Row r samples its Gtilde from noises[r]
+    with its own Generator, seeded seed + r: rows sharing a model are drawn
+    together (see ``_sampling_plan``), and an exact row's Generator is never
+    drawn from.  Whether a row is exact decides its grad_dual_norm (that of
+    Gtilde itself when exact) and the fields its failure names.
+
+    A row fails at iteration k when its iterate or record (f_value only
+    when eval_objective is set) is non-finite after the step, or already
+    before it, when Gtilde's sum of squares overflows: that sum is
     gtilde_dual_norm**2 on Euclidean blocks and at most it on Muon blocks,
     and in the step it would reach a Gram matrix, on which eigh raises, or
-    an SVD, which may not return.  The replicate then leaves the stack, with
-    every replicate above it: none of them can be the lowest failure any
-    more, and their non-finite values never reach a stacked factorization.
+    an SVD, which may not return.  The row then leaves the stack, with every
+    row above it: none of them can be the lowest failure any more, and
+    their non-finite values never reach a stacked factorization.
     """
     shapes = problem.shapes
-    K = config.max_iters
+    K, R = config.max_iters, len(noises)
     # One replicate runs on the point itself, without the replicate axis: its
     # per-replicate values are then numpy scalars, whose arithmetic is several
     # times cheaper than that of one-element arrays.
@@ -307,6 +365,8 @@ def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int)
     rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
     if not lead:
         rngs = rngs[0]
+    plan = _sampling_plan(noises, rngs)
+    exact = np.array([nz.kind is NoiseKind.EXACT for nz in noises])
     z_prev_norms = None
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     # f_value is the first record field, NaN by design when not evaluated
@@ -316,14 +376,11 @@ def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int)
 
     for k in range(K):
         G = problem.eval_grad(X)
-        gtilde = sample_gradient(
-            problem, noise, X, k, rngs, z_prev_norms=z_prev_norms, exact_grad=G
-        )
-        exact = gtilde is G
+        gtilde = _oracle(problem, plan, X, k, z_prev_norms, G)
         fval = problem.eval_f(X) if config.eval_objective else math.nan
         r = _first_overflow(gtilde)
         if r is not None:
-            bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact else ["gtilde_dual_norm"]
+            bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact[r] else ["gtilde_dual_norm"]
             if config.eval_objective and not np.isfinite(np.reshape(fval, -1)[r]):
                 bad.insert(0, "f_value")
             failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
@@ -331,15 +388,18 @@ def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int)
                 return _Run(columns, X, states, failure)
             n = r
             X, states, M, z_prev_norms, rngs = _keep(n, X, states, M, z_prev_norms, rngs)
-            G, gtilde = _head(G, n), _head(gtilde, n)
+            G, gtilde = _take(G, slice(n)), _take(gtilde, slice(n))
+            plan, exact = _sampling_plan(noises[:n], rngs), exact[:n]
             if config.eval_objective:
                 fval = fval[:n]
         X_next, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
         rec.f_value = fval
-        # an exact oracle's Gtilde is G, whose norm the step already took
-        rec.grad_dual_norm = (
-            rec.gtilde_dual_norm if exact else np.sqrt(product_dual_norm_sq(G, shapes))
-        )
+        # an exact row's Gtilde is G, whose norm the step already took
+        if exact.all():
+            rec.grad_dual_norm = rec.gtilde_dual_norm
+        else:
+            grad = np.sqrt(product_dual_norm_sq(G, shapes))
+            rec.grad_dual_norm = np.where(exact, rec.gtilde_dual_norm, grad) if exact.any() else grad
         step = columns[:, :n, k]
         for i, name in enumerate(_RECORD_FIELDS):
             step[i] = getattr(rec, name)
@@ -360,6 +420,7 @@ def _drive(problem: Problem, noise: NoiseModel, config: OptimizerConfig, R: int)
             return _Run(columns, X_next, states, failure)
         n = r
         X, states, M, z_prev_norms, rngs = _keep(n, X_next, states, M, z_prev_norms, rngs)
+        plan, exact = _sampling_plan(noises[:n], rngs), exact[:n]
     return _Run(columns, X, states, failure)
 
 
@@ -389,7 +450,7 @@ def run_trajectory(
     sum of squares overflowed before it) and the failure message in
     ``failed``.
     """
-    run = _drive(problem, noise, config, 1)
+    run = _drive(problem, [noise], config)
     K, failed = config.max_iters, None
     if run.failure is not None:
         _, K, failed = run.failure
@@ -414,6 +475,24 @@ class ReplicateResult:
     final: list[ProductPoint]
 
 
+def _points(X: ProductPoint, stacked: bool) -> list[ProductPoint]:
+    """The points of a stack, or [X] for one point."""
+    return [ProductPoint(list(p)) for p in zip(*X.blocks)] if stacked else [X]
+
+
+def _result(columns: np.ndarray, final: list[ProductPoint]) -> ReplicateResult:
+    """The ReplicateResult of the (fields, R, K) columns of R replicates."""
+    R = len(final)
+    arrays = dict(zip(_RECORD_FIELDS, columns))
+    mean = {name: a.mean(axis=0) for name, a in arrays.items()}
+    se = {
+        name: (a.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(a.shape[1]))
+        for name, a in arrays.items()
+    }
+    min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
+    return ReplicateResult(arrays, mean, min_grad, se, final)
+
+
 def run_replicates(
     problem: Problem,
     noise: NoiseModel,
@@ -425,17 +504,53 @@ def run_replicates(
     lowest one that failed and its seed."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
-    run = _drive(problem, noise, config, R)
+    run = _drive(problem, [noise] * R, config)
     if run.failure is not None:
         r, _, message = run.failure
         raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {message}")
+    return _result(run.columns, _points(run.X, R > 1))
 
-    arrays = dict(zip(_RECORD_FIELDS, run.columns))
-    mean = {name: a.mean(axis=0) for name, a in arrays.items()}
-    se = {
-        name: (a.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(a.shape[1]))
-        for name, a in arrays.items()
-    }
-    min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
-    final = [ProductPoint([b[r] for b in run.X.blocks]) for r in range(R)] if R > 1 else [run.X]
-    return ReplicateResult(arrays, mean, min_grad, se, final)
+
+def _layout(problem: Problem, noise: NoiseModel) -> tuple[bool, ...]:
+    """Whether each item of a Gtilde drawn at x0 (G itself when exact) is
+    laid out column by column, on the blocks where that changes the
+    rounding: the norms and traces of a Euclidean block sum its entries in
+    memory order, which is the same for both layouts only when the block is
+    a vector.  Muon's go through SVDs, which copy every item to one layout.
+    The draw uses a Generator of its own."""
+    gtilde = sample_gradient(problem, noise, problem.x0, 0, np.random.default_rng(0))
+    return tuple(
+        b.strides[-2] < b.strides[-1]
+        for b, s in zip(gtilde.blocks, problem.shapes)
+        if s.geometry is not Geometry.MUON and min(s.rows, s.cols) > 1
+    )
+
+
+def run_rows(
+    problem: Problem,
+    noises: Sequence[NoiseModel],
+    config: OptimizerConfig,
+) -> list[ReplicateResult | NonFiniteIterate]:
+    """Run row r with noises[r] from seed config.seed + r and return per row
+    what ``run_replicates`` gives for that model and seed at R = 1: its
+    ReplicateResult, or the NonFiniteIterate it raises.
+
+    Consecutive rows whose Gtilde is laid out alike (``_layout``) run as one
+    stack, so that every row rounds as it does alone; on the five geometries
+    an exact and a noisy row differ only on Euclidean matrix blocks whose
+    exact gradient is laid out column by column.  A failure drops the rows
+    above it from the stack, and they run on as stacks of their own.
+    """
+    if not noises:
+        return []
+    layout, R = _layout(problem, noises[0]), 1
+    while R < len(noises) and (noises[R] == noises[0] or _layout(problem, noises[R]) == layout):
+        R += 1
+    run = _drive(problem, noises[:R], config)
+    n = R if run.failure is None else run.failure[0]  # rows 0..n-1 finished
+    final = _points(run.X, R > 1)
+    rows = [_result(run.columns[:, r : r + 1], [final[r]]) for r in range(n)]
+    if run.failure is not None:
+        rows.append(NonFiniteIterate(f"replicate 0 (seed {config.seed + n}): {run.failure[2]}"))
+        n += 1
+    return rows + run_rows(problem, noises[n:], replace(config, seed=config.seed + n))

@@ -7,8 +7,6 @@ fixed iteration budgets.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .audit import (
@@ -93,13 +91,15 @@ def potential_configurations(K=500, seed=0):
 
 
 def suite_potentials(trials=0, seed=0, K=500):
-    return [
-        replace(
-            audit_path_potentials(problem, noise, cfg, context=label),
-            check_name=f"path-potentials[{label}]",
-        )
-        for label, problem, noise, cfg in potential_configurations(K=K, seed=seed)
-    ]
+    runs = potential_configurations(K=K, seed=seed)
+    reports = []
+    # a space's exact and noisy run share its problem and config: one
+    # two-row stack, with the noisy run in row 0 so that it keeps the seed
+    for (exact, problem, exact_noise, cfg), (noisy, _, noisy_noise, _) in zip(runs[::2], runs[1::2]):
+        rows = {noisy: noisy_noise, exact: exact_noise}
+        noisy_report, exact_report = audit_path_potentials(problem, rows, cfg)
+        reports += [exact_report, noisy_report]
+    return reports
 
 
 def bound_configurations(K=2000, seed=0):
@@ -219,6 +219,10 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> list[AuditReport]:
+    if trials < 0:
+        raise InvalidConfig(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be nonnegative, got {seed}")
     if name == "all":
         reports = []
         for n, fn in SUITES.items():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adprec import audit, suites
+from adprec import audit, optimizer, suites
 from adprec.audit import (
     AuditReport,
     RateRegimeResult,
@@ -77,6 +77,35 @@ def test_techn_audit_and_boundary():
     assert math.e <= 2 * math.e * math.log(2 * math.e)
 
 
+def techn_interval_200_steps(c):
+    """The feasible interval of techn with both bisections run all 200 steps."""
+    lo, hi = 1.0, math.e
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - c * math.log(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    r1 = hi
+    lo, hi = math.e, max(10.0 * c * math.log(10.0 * c), 10.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid - c * math.log(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return r1, lo
+
+
+def test_techn_bisection_stops_once_converged():
+    # stopping at the first step that moves neither endpoint gives the
+    # 200-step interval, bit for bit, at c = e and on the audit's c range
+    rng = np.random.default_rng(0)
+    cs = [math.e, *np.exp(rng.uniform(1.0, math.log(1e3), size=500)).tolist()]
+    for c in cs:
+        assert audit._techn_feasible_interval(c) == techn_interval_200_steps(c), c
+
+
 def test_audits_are_reproducible():
     a = audit_sqrt_trace(trials=100, seed=9)
     b = audit_sqrt_trace(trials=100, seed=9)
@@ -104,7 +133,7 @@ def test_subadditivity_audits(geometry):
 
 def test_path_potentials_empty_is_vacuous():
     problem = make_problem("quadratic", DIAG8, seed=0)
-    rep = audit_path_potentials(problem, NoiseModel(), cfg(max_iters=0))
+    [rep] = audit_path_potentials(problem, {"": NoiseModel()}, cfg(max_iters=0))
     assert rep.passed and rep.trials == 0
 
 
@@ -127,6 +156,21 @@ def test_path_potentials_shampoo_sqrt_gap_is_detected():
     assert sl["log_pot"].min() >= -1e-6
     assert sl["delta_bound"].min() >= -1e-6
     assert sl["sqrt_pot"].min() < -1e-3  # structural, far beyond float noise
+
+
+def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
+    # the exact and the noisy run of each of the six spaces share one
+    # two-row stack: their Gtilde blocks are laid out alike
+    stacks = []
+
+    def counted(problem, noises, config):
+        stacks.append(len(noises))
+        return drive(problem, noises, config)
+
+    drive = optimizer._drive
+    monkeypatch.setattr(optimizer, "_drive", counted)
+    assert len(suites.suite_potentials(K=5)) == 12
+    assert stacks == [2] * 6
 
 
 # -- trajectory bound audits ---------------------------------------------------
@@ -183,8 +227,8 @@ TRAJECTORY_AUDITS = {
         context="lbl",
     )),
     "path-potentials": ("lbl", lambda p: audit_path_potentials(
-        p, NoiseModel(), cfg(max_iters=10), context="lbl"
-    )),
+        p, {"lbl": NoiseModel()}, cfg(max_iters=10)
+    )[0]),
     "rate-regime": ("mode=None beta=0.0", lambda p: audit_rate_regimes(
         p, cfg(max_iters=10), alphas=(1.0,), sigma=0.5, replicates=2
     )[0].report),
@@ -199,9 +243,10 @@ def test_master_theta_nonfinite_is_fail_report(monkeypatch, which):
     message = "replicate 0 (seed 0): non-finite at iteration 3: iterate"
 
     def blow_up(*args, **kwargs):
-        raise NonFiniteIterate(message)
+        return optimizer._Run(None, None, None, (0, 3, "non-finite at iteration 3: iterate"))
 
-    monkeypatch.setattr(audit, "run_replicates", blow_up)
+    # the one trajectory driver, behind run_replicates and run_rows alike
+    monkeypatch.setattr(optimizer, "_drive", blow_up)
     label, run_audit = TRAJECTORY_AUDITS[which]
     rep = run_audit(make_problem("quadratic", DIAG8, seed=0))
     assert (rep.trials, rep.worst_violation, rep.passed) == (10, -math.inf, False)
@@ -238,7 +283,7 @@ def test_trajectory_audits_at_zero_iterations():
     m1 = cfg(max_iters=0, momentum_mode=MomentumMode.M1, mu_max=0.5)
     m2 = cfg(max_iters=0, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
     reports = [
-        audit_path_potentials(problem, NoiseModel(), cfg(max_iters=0)),
+        *audit_path_potentials(problem, {"": NoiseModel()}, cfg(max_iters=0)),
         audit_bounds("master-theta", problem, cfg(max_iters=0)),
         audit_bounds("momentum-m1", problem, m1),
         audit_bounds("m2-deterministic", problem, m2),

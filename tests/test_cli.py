@@ -313,6 +313,23 @@ def test_audit_unknown_suite_exits_2(tmp_path):
     assert not (tmp_path / "audit_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "suite, trials, seed, message",
+    [
+        ("trace", "-5", "0", "trials must be nonnegative, got -5"),
+        ("trace", "10", "-1", "seed must be nonnegative, got -1"),
+        ("potentials", "0", "-3", "seed must be nonnegative, got -3"),
+    ],
+)
+def test_audit_negative_trials_or_seed_exit_2(tmp_path, capsys, suite, trials, seed, message):
+    # a config error, not a failed report (exit 1) or a traceback
+    out = tmp_path / "audit"
+    code = main(["audit", "--suite", suite, "--trials", trials, "--seed", seed, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "audit_report.json").exists()
+
+
 def test_audit_potentials_suite_exits_1_with_documented_findings(tmp_path):
     # the Kronecker-factored sqrt-potential finding makes this suite exit 1
     out = tmp_path / "audit"

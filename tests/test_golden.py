@@ -11,12 +11,15 @@ modes on a quadratic (the `theta_k` / `bound_curve` columns).
 `rates` suites at seed 5 and K = 300 (R = 4 for `rates`), which the bound
 audits must reproduce exactly.  `audit_algebraic.json` holds the reports
 of the `trace` and `identities` suites at 300 trials and seed 5, which
-the algebraic audits must reproduce exactly.
+the algebraic audits must reproduce exactly.  `audit_potentials.json` holds
+the 12 `path-potentials[*]` reports of the `potentials` suite at seed 5 and
+K = 300, which the pathwise potential audits must reproduce exactly.
 
 Regenerate only for an intended output change, and only the cases it
-changes (all cases and both audit files when none is named):
+changes (all cases and every audit file when none is named):
 
-    PYTHONPATH=src python tests/test_golden.py [case ... | audit_bounds | audit_algebraic]
+    PYTHONPATH=src python tests/test_golden.py \
+        [case ... | audit_bounds | audit_algebraic | audit_potentials]
 """
 
 import json
@@ -30,6 +33,7 @@ from adprec.suites import (
     suite_bounds,
     suite_identities,
     suite_momentum,
+    suite_potentials,
     suite_rates,
     suite_trace,
 )
@@ -38,6 +42,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
 AUDIT_BOUNDS = GOLDEN / "audit_bounds.json"
 AUDIT_ALGEBRAIC = GOLDEN / "audit_algebraic.json"
+AUDIT_POTENTIALS = GOLDEN / "audit_potentials.json"
 
 
 def run_case(case, out) -> dict:
@@ -99,6 +104,11 @@ def audit_algebraic_text() -> str:
     })
 
 
+def audit_potentials_text() -> str:
+    """The potentials suite's reports as the JSON text of audit_potentials.json."""
+    return reports_text({"potentials": suite_potentials(seed=5, K=300)})
+
+
 def test_bound_audits_match_golden():
     assert audit_bounds_text() == AUDIT_BOUNDS.read_text()
 
@@ -107,9 +117,14 @@ def test_algebraic_audits_match_golden():
     assert audit_algebraic_text() == AUDIT_ALGEBRAIC.read_text()
 
 
+def test_potential_audits_match_golden():
+    assert audit_potentials_text() == AUDIT_POTENTIALS.read_text()
+
+
 if __name__ == "__main__":
     audit_files = {"audit_bounds": (AUDIT_BOUNDS, audit_bounds_text),
-                   "audit_algebraic": (AUDIT_ALGEBRAIC, audit_algebraic_text)}
+                   "audit_algebraic": (AUDIT_ALGEBRAIC, audit_algebraic_text),
+                   "audit_potentials": (AUDIT_POTENTIALS, audit_potentials_text)}
     for case in sys.argv[1:] or [*CASES, *audit_files]:
         if case in audit_files:
             path, text = audit_files[case]

@@ -7,20 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adprec import optimizer
+from adprec.audit import audit_path_potentials
 from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, ProductPoint
 from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.geometries import geom_init
 from adprec.optimizer import (
+    _RECORD_FIELDS,
     IterationRecord,
     MomentumMode,
     OptimizerConfig,
+    _drive,
+    _layout,
     _momentum,
     adprec_step,
     mu_schedule,
     run_replicates,
+    run_rows,
     run_trajectory,
 )
-from adprec.problems import NoiseKind, NoiseModel, Problem, make_problem
+from adprec.problems import NoiseKind, NoiseModel, Problem, make_problem, sample_gradient
 from adprec.psd_linalg import eigh_clamped
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
@@ -434,6 +440,95 @@ def test_replicate_r_of_a_stack_is_the_solo_run_at_seed_plus_r(space, noise, mod
             np.testing.assert_array_equal(stacked, alone)
 
 
+def assert_rows_are_solo_runs(monkeypatch, problem, noises, config):
+    """Row r of run_rows equals run_trajectory of noises[r] at seed + r: every
+    record column and the final iterate, bit for bit.  Returns the number
+    of stacks the rows ran in."""
+    stacks = []
+
+    def counted(problem, noises, config):
+        stacks.append(len(noises))
+        return _drive(problem, noises, config)
+
+    monkeypatch.setattr(optimizer, "_drive", counted)
+    rows = run_rows(problem, noises, config)
+    monkeypatch.undo()
+    assert sum(stacks) == len(noises)
+    for r, (noise, row) in enumerate(zip(noises, rows)):
+        solo = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
+        assert solo.failed is None
+        for name in _RECORD_FIELDS:
+            np.testing.assert_array_equal(row.arrays[name][0], solo.column(name), err_msg=name)
+        for stacked, alone in zip(row.final[0].blocks, solo.final.blocks):
+            np.testing.assert_array_equal(stacked, alone)
+    return len(stacks)
+
+
+# every noisy STACK_NOISES entry on every space it applies to (matfact has no
+# component gradients for MiniBatch)
+MIXED_STACKS = [
+    pytest.param(space, noise, id=f"{space}-{name}")
+    for space, (kind, _) in STACK_SPACES.items()
+    for name, noise in STACK_NOISES.items()
+    if noise.kind is not NoiseKind.EXACT
+    and (noise.kind is not NoiseKind.MINI_BATCH or kind == "logistic")
+]
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("space, noise", MIXED_STACKS)
+def test_rows_of_a_mixed_stack_are_their_solo_runs(monkeypatch, space, noise, mode):
+    # a noisy row 0 and an exact row 1: the noisy row draws as a sub-stack
+    # (multiplicative noise reads its own z_prev_norms), the exact row keeps
+    # G, and each row's grad_dual_norm is decided for that row
+    kind, blocks = STACK_SPACES[space]
+    problem = make_problem(kind, [BlockShape(*b) for b in blocks], seed=3)
+    config = cfg(max_iters=6, eta=0.4, seed=5, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    stacks = assert_rows_are_solo_runs(monkeypatch, problem, [noise, NoiseModel()], config)
+    # one stack unless a Euclidean matrix block's exact gradient is laid out
+    # column by column and the noisy one row by row (Shampoo on logistic)
+    layouts = {_layout(problem, n) for n in (noise, NoiseModel())}
+    assert stacks == len(layouts)
+
+
+def test_rows_sharing_a_model_need_not_be_contiguous(monkeypatch):
+    # two noisy models, one of them on rows 0 and 2 around an exact row
+    problem = make_problem("logistic", [BlockShape(*b) for b in STACK_SPACES["muon"][1]], seed=3)
+    additive = STACK_NOISES["additive"]
+    noises = [additive, NoiseModel(), additive, MULTIPLICATIVE]
+    assert assert_rows_are_solo_runs(monkeypatch, problem, noises, cfg(max_iters=6, eta=0.4, seed=5)) == 1
+
+
+@pytest.mark.parametrize(
+    "noises, calls_per_step",
+    [
+        ([NoiseModel()] * 3, 1),
+        ([STACK_NOISES["additive"]] * 3, 1),
+        ([STACK_NOISES["additive"], NoiseModel()], 1),
+        ([STACK_NOISES["additive"], NoiseModel(), MULTIPLICATIVE], 2),
+    ],
+    ids=["exact", "additive", "additive+exact", "additive+exact+multiplicative"],
+)
+def test_sample_gradient_calls_per_step(monkeypatch, noises, calls_per_step):
+    # one call per step for a single-model stack (run_replicates' path), and
+    # one per noisy model for a mixed one, whose exact rows draw nothing
+    calls = Counter()
+
+    def counted(*args, **kwargs):
+        calls[args[3]] += 1
+        return sample_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "sample_gradient", counted)
+    problem = make_problem("quadratic", [BlockShape(4, 1, Geometry.DIAG_ADAGRAD)], seed=1)
+    K = 5
+    if len(set(noises)) == 1:
+        run_replicates(problem, noises[0], cfg(max_iters=K), len(noises))
+    else:
+        _drive(problem, noises, cfg(max_iters=K))
+    assert calls == {k: calls_per_step for k in range(K)}
+
+
 def walk_problem(geometry, overflow=np.inf):
     """A flat objective whose iterate is moved by the oracle noise alone, from
     just below the largest double: a replicate whose walk goes up overflows.
@@ -481,6 +576,32 @@ def test_lowest_failing_replicate_is_named():
             run_replicates(problem, noise, config, 4)
     assert failed == [None] + [f"non-finite at iteration {k}: iterate" for k in (7, 3, 2)]
     assert str(err.value) == f"replicate 1 (seed 1): {failed[1]}"
+
+
+def test_a_nonfinite_row_fails_alone():
+    # the noisy row 0 (seed 3) overflows at iteration 2 and drops the exact
+    # row 1 from the stack, which is rerun alone: each row's result, and its
+    # path-potentials report, is the one it gets alone
+    problem = walk_problem(Geometry.DIAG_ADAGRAD)
+    noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    config = cfg(max_iters=8, eta=1e307, seed=3, eval_objective=False)
+    rows = {"noisy": noisy, "exact": NoiseModel()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        failed, exact = run_rows(problem, list(rows.values()), config)
+        reports = audit_path_potentials(problem, rows, config)
+        with pytest.raises(NonFiniteIterate) as err:
+            run_replicates(problem, noisy, config, 1)
+        alone = [
+            audit_path_potentials(problem, {label: noise}, replace(config, seed=3 + r))[0]
+            for r, (label, noise) in enumerate(rows.items())
+        ]
+        solo = run_replicates(problem, NoiseModel(), config, 1)
+    assert str(failed) == str(err.value) == "replicate 0 (seed 3): non-finite at iteration 2: iterate"
+    for name in _RECORD_FIELDS:
+        np.testing.assert_array_equal(exact.arrays[name], solo.arrays[name], err_msg=name)
+    assert (reports[0].trials, reports[0].worst_violation, reports[0].passed) == (8, -math.inf, False)
+    assert reports[0].context == f"noisy {err.value}"
+    assert reports == alone and reports[1].passed
 
 
 def test_gradient_overflow_fails_its_replicate_before_the_step():
