@@ -41,7 +41,14 @@ Because a state never changes, it factorizes itself at most once:
 and read by both precondition and diagnostics.  Factorizations of a block
 (Muon's SVDs) are shared through arguments instead: accumulate and
 diagnostics take ``geom_lmap_trace(V)``, and ``geom_step_direction`` takes
-the dual norm and selector of Z.
+the dual norm and selector of Z.  A step factorizes a Muon direction block D
+once, with ``geom_factor(D)``: one thin SVD gives D's nuclear norm and
+selector.  Z = D / sqrt(gamma) is a positive multiple of D, and the nuclear
+norm is 1-homogeneous and the selector 0-homogeneous, so ``geom_dual_norm``
+and ``geom_selector`` given that factor read Z's from it, and
+``geom_lmap_trace`` reads D's from it when D is also the accumulated block.
+The audits call them without a factor, so they factorize Z itself and check
+that homogeneity independently.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ import numpy as np
 
 from .block_space import BlockShape, Geometry, block_dual_norm, squared
 from .errors import InvalidConfig, ShapeMismatch
-from .psd_linalg import eigh_clamped, msign, nuclear_norm
+from .psd_linalg import eigh_clamped, msign, nuclear_norm, polar, svd_factors
 
 
 @dataclass(frozen=True)
@@ -197,18 +204,36 @@ def geom_precondition(shape: BlockShape, state: GeometryState, V):
     return Ql @ core @ Qr.mT
 
 
-def geom_selector(shape: BlockShape, Z, dual_norm):
+def geom_factor(shape: BlockShape, D):
+    """The factorization of a direction block D that one step shares: for
+    Muon, D's nuclear norm and selector ``polar(*svd_factors(D))``, from one
+    thin SVD; None for the Euclidean variants, which factorize no block."""
+    if shape.geometry is Geometry.MUON:
+        return polar(*svd_factors(D))
+    return None
+
+
+def geom_selector(shape: BlockShape, Z, dual_norm, factor=None):
     """Normalizing selector: primal-unit maximizer of <Z, .>, with S(0) = 0.
 
-    dual_norm is ``geom_dual_norm(shape, Z)``, which Euclidean blocks divide by.
+    dual_norm is ``geom_dual_norm(shape, Z)``, which Euclidean blocks divide
+    by.  factor, when given, is ``geom_factor(shape, D)`` of the direction D
+    that Z preconditions; Muon then takes S(D), which is S(Z) because Z is a
+    positive multiple of D and the selector is 0-homogeneous.
     """
     if shape.geometry is Geometry.MUON:
-        return msign(Z)
+        return msign(Z) if factor is None else factor[1]
     nrm = np.asarray(dual_norm)[..., None, None]
     return np.divide(Z, nrm, out=np.zeros_like(Z), where=nrm != 0.0)
 
 
-def geom_dual_norm(shape: BlockShape, V):
+def geom_dual_norm(shape: BlockShape, V, state=None, factor=None):
+    """Block dual norm of V.  Given the state and ``geom_factor(shape, D)``
+    of the direction D with ``V = geom_precondition(shape, state, D)``, Muon
+    reads it from D's factor: ``V = D / sqrt(gamma)`` and the nuclear norm is
+    1-homogeneous, so ``|V|_* = |D|_* / sqrt(gamma)``."""
+    if factor is not None:
+        return factor[0] / np.sqrt(state.gamma)
     return block_dual_norm(shape.geometry, V)
 
 
@@ -223,10 +248,12 @@ def geom_step_direction(shape: BlockShape, Z, dual_norm, selector):
     return Z
 
 
-def geom_lmap_trace(shape: BlockShape, V):
-    """``tr(lmap(V))``; equals the squared block dual norm for all five variants."""
+def geom_lmap_trace(shape: BlockShape, V, factor=None):
+    """``tr(lmap(V))``; equals the squared block dual norm for all five
+    variants.  factor, when given, is ``geom_factor(shape, V)``, whose
+    nuclear norm Muon squares instead of factorizing V again."""
     if shape.geometry is Geometry.MUON:
-        return squared(nuclear_norm(V))
+        return squared(nuclear_norm(V) if factor is None else factor[0])
     return np.add.reduce(V * V, axis=(-2, -1))
 
 

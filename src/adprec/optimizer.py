@@ -58,6 +58,7 @@ from .geometries import (
     geom_accumulate,
     geom_diagnostics,
     geom_dual_norm,
+    geom_factor,
     geom_init,
     geom_lmap_trace,
     geom_precondition,
@@ -163,10 +164,12 @@ def adprec_step(
     previous momentum M_{k-1}: None before the first step, and returned
     unchanged when momentum is off.  z_norms are the block dual norms of the
     preconditioned direction Z (the oracle for multiplicative noise needs
-    them at the next iteration).  Each block is factorized once: its lmap
-    trace feeds accumulate and diagnostics (and Gtilde's dual norm when
-    Gtilde is the accumulated block), and Z's dual norm and selector feed
-    both the identity residual and the step.  The record's f_value /
+    them at the next iteration).  A Muon direction block D is factorized
+    once (``geom_factor``): its one SVD gives Z's dual norm and selector,
+    which feed both the identity residual and the step, and, when D is the
+    accumulated block, the lmap trace.  The lmap trace feeds accumulate and
+    diagnostics (and Gtilde's dual norm when Gtilde is the accumulated
+    block).  The record's f_value /
     grad_dual_norm fields are NaN here; the trajectory driver fills them in
     (they need the problem, which the step itself must not consult) and
     checks X_next and the record for non-finite values.
@@ -193,12 +196,13 @@ def adprec_step(
     # record sums over blocks; columns 1-6 are all summed
     terms = []
     for ell, shape in enumerate(shapes):
-        A = acc.blocks[ell]
-        tl = geom_lmap_trace(shape, A)
+        A, D = acc.blocks[ell], direction.blocks[ell]
+        f = geom_factor(shape, D)
+        tl = geom_lmap_trace(shape, A, f if A is D else None)
         st = geom_accumulate(shape, states[ell], A, tl)
-        Z = geom_precondition(shape, st, direction.blocks[ell])
-        zn = geom_dual_norm(shape, Z)
-        S = geom_selector(shape, Z, zn)
+        Z = geom_precondition(shape, st, D)
+        zn = geom_dual_norm(shape, Z, st, f)
+        S = geom_selector(shape, Z, zn, f)
         diag = geom_diagnostics(shape, st, A, tl)
         # Muon's lmap trace of Gtilde is its squared nuclear norm, the same
         # float; a Euclidean block's sum of squares is not its squared norm

@@ -2,17 +2,21 @@
 
 Every function here except ``random_psd`` and ``random_psd_draws`` also
 takes a stack of matrices (leading axes): ``sym``, ``eigh_clamped``,
-``psd_power``, ``trace_log_psd``, ``msign``, ``nuclear_norm`` and
-``psd_from_draws``.  Those that factorize do so with one stacked LAPACK
-call.  Item i of the result equals the call on matrix i, bit for bit, and
-a stack with a failing item raises what that item alone raises.  All
-functions are pure and factorize their input afresh on every
+``psd_power``, ``trace_log_psd``, ``svd_factors``, ``polar``, ``msign``,
+``nuclear_norm`` and ``psd_from_draws``.  Those that factorize do so with
+one stacked LAPACK call.  Item i of the result equals the call on matrix i,
+bit for bit, and a stack with a failing item raises what that item alone
+raises.  All functions are pure and factorize their input afresh on every
 call; none of them caches.  Reuse lives with the callers: a geometry state
 factorizes itself at most once (see ``geometries``), and one optimizer step
-computes each block's SVDs once and passes the results on.  At the matrix
-sizes this package targets (block dims up to a few hundred) a fresh
-factorization per accumulated state is cheaper than maintaining incremental
-factorizations correctly.
+factorizes each Muon direction block once, with ``svd_factors``, and reads
+its nuclear norm and msign from those factors with ``polar``.  Because the
+nuclear norm is 1-homogeneous and msign 0-homogeneous, the same factors
+serve every positive multiple of the block, such as its preconditioned
+``Z = D / sqrt(gamma)``.  ``msign``, ``polar`` and ``nuclear_norm`` share
+one rank cutoff (``SV_RTOL``).  At the matrix sizes this package targets
+(block dims up to a few hundred) a fresh factorization per accumulated
+state is cheaper than maintaining incremental factorizations correctly.
 """
 
 from __future__ import annotations
@@ -90,6 +94,46 @@ def trace_log_psd(M):
     return np.add.reduce(np.log(w), axis=-1)
 
 
+def svd_factors(G):
+    """Thin SVD ``(U, s, Vt)`` of G, per matrix of a stack, s descending;
+    ``polar`` reads G's nuclear norm and msign from it."""
+    return np.linalg.svd(np.asarray(G, dtype=float), full_matrices=False)
+
+
+def _kept(s):
+    """The rank cutoff: which singular values (descending, per matrix) are
+    above SV_RTOL * sigma_max; none of the zero matrix's.  NaNs (the SVD of
+    a matrix with an infinite entry) are kept, so that they reach the result."""
+    return ~(s <= SV_RTOL * s[..., :1])
+
+
+def _kept_sum(s, kept):
+    """Per matrix, the sum of the kept singular values (the dropped ones add
+    0.0, so a full-rank matrix sums exactly as ``np.add.reduce(s)``)."""
+    return np.add.reduce(np.where(kept, s, 0.0), axis=-1)
+
+
+def polar(U, s, Vt):
+    """``(nuclear_norm(G), msign(G))`` from the thin SVD factors of G.
+
+    Both read the kept rank of the cutoff in ``_kept``.  Scaling G by c > 0
+    scales its singular values by c and leaves U and Vt, so the factors of G
+    also give ``(c * nuclear_norm(G), msign(G))`` for cG: the nuclear norm is
+    1-homogeneous, msign 0-homogeneous.
+    """
+    kept = _kept(s)
+    nuclear = _kept_sum(s, kept)
+    if kept.all():
+        return nuclear, U @ Vt
+    # the rank differs per matrix; a product over fewer terms rounds differently
+    # from one padded with zeros, so each matrix keeps its own inner dimension
+    out = np.empty(U.shape[:-1] + Vt.shape[-1:])
+    for i in np.ndindex(s.shape[:-1]):
+        r = int(np.sum(kept[i]))
+        out[i] = U[i][:, :r] @ Vt[i][:r]
+    return nuclear, out
+
+
 def msign(G):
     """Orthogonal factor U @ V.T of the SVD, restricted to nonzero singular values.
 
@@ -98,24 +142,14 @@ def msign(G):
     nonzero input and maximizes ``<G, P>_F`` over spectral-norm-unit P, with
     ``<G, msign(G)>_F`` equal to the nuclear norm of G.
     """
-    G = np.asarray(G, dtype=float)
-    U, s, Vt = np.linalg.svd(G, full_matrices=False)
-    kept = s > SV_RTOL * s[..., :1]  # none kept for the zero matrix
-    if kept.all():
-        return U @ Vt
-    # the rank differs per matrix; a product over fewer terms rounds differently
-    # from one padded with zeros, so each matrix keeps its own inner dimension
-    out = np.empty(G.shape)
-    for i in np.ndindex(G.shape[:-2]):
-        r = int(np.sum(kept[i]))
-        out[i] = U[i][:, :r] @ Vt[i][:r]
-    return out
+    return polar(*svd_factors(G))[1]
 
 
 def nuclear_norm(G):
-    """Sum of singular values, per matrix of a stack."""
-    G = np.asarray(G, dtype=float)
-    return np.add.reduce(np.linalg.svd(G, compute_uv=False), axis=-1)
+    """Sum of the singular values kept by msign's cutoff, per matrix of a
+    stack, from a values-only SVD."""
+    s = np.linalg.svd(np.asarray(G, dtype=float), compute_uv=False)
+    return _kept_sum(s, _kept(s))
 
 
 def random_psd(dim, condition_target, seed):

@@ -11,7 +11,14 @@ from adprec import optimizer
 from adprec.audit import audit_path_potentials
 from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, ProductPoint
 from adprec.errors import InvalidConfig, NonFiniteIterate
-from adprec.geometries import geom_init
+from adprec.geometries import (
+    geom_accumulate,
+    geom_dual_norm,
+    geom_init,
+    geom_lmap_trace,
+    geom_precondition,
+    geom_selector,
+)
 from adprec.optimizer import (
     _RECORD_FIELDS,
     IterationRecord,
@@ -27,7 +34,7 @@ from adprec.optimizer import (
     run_trajectory,
 )
 from adprec.problems import NoiseKind, NoiseModel, Problem, make_problem, sample_gradient
-from adprec.psd_linalg import eigh_clamped
+from adprec.psd_linalg import SV_RTOL, eigh_clamped
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
 
@@ -294,12 +301,20 @@ MULTIPLICATIVE = NoiseModel(
 )
 
 
+# Muon SVDs per block-step under a noisy oracle.  The direction D gets the one
+# full SVD, which gives |Z|_* and S(Z) (Z is a positive multiple of D) and, in
+# modes None and M1, where D is the accumulated block, its lmap trace.  The
+# rest are values-only: the true gradient, the accumulated block when it is
+# not D (M2: Gtilde, which gives Gtilde's norm too), Gtilde when it is neither
+# (M1) and the momentum error (M1, M2).  An exact oracle drops the true
+# gradient, whose norm is the sampled one.
+MUON_SVDS = {MomentumMode.NONE: 2, MomentumMode.M1: 4, MomentumMode.M2: 4}
+
+
 def check_factorizations(monkeypatch, geometry, noise, mode):
     # per block-step: Shampoo one eigh per Kronecker factor, FullAdaGrad one
-    # eigh of its Gram matrix, Muon at most four SVDs (the true gradient, the
-    # accumulated block, which in modes None and M2 is the sampled gradient
-    # and gives its norm too, |Z|_* and msign(Z)) of which one, for msign(Z),
-    # computes singular vectors; M2 adds one for the momentum error
+    # eigh of its Gram matrix, Muon at most MUON_SVDS[mode] SVDs, of which
+    # exactly one, of the direction, computes singular vectors
     if geometry is Geometry.FULL_ADAGRAD:
         problem = make_problem("quadratic", [BlockShape(6, 1, geometry)], seed=2)
     else:
@@ -313,7 +328,7 @@ def check_factorizations(monkeypatch, geometry, noise, mode):
     assert traj.failed is None
     block_steps = K * len(problem.shapes)
     if geometry is Geometry.MUON:
-        svds = 4 if mode is MomentumMode.NONE else 5
+        svds = MUON_SVDS[mode] - (noise.kind is NoiseKind.EXACT)
         assert counts["eigh"] == 0
         assert counts["svd_vectors"] == block_steps
         assert counts["svd_values"] + counts["svd_vectors"] <= svds * block_steps
@@ -322,25 +337,97 @@ def check_factorizations(monkeypatch, geometry, noise, mode):
         assert counts == Counter(eigh=eighs * block_steps)
 
 
-NOISY = pytest.mark.parametrize(
-    "noise", [NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), MULTIPLICATIVE],
-    ids=["additive", "multiplicative"],
+ORACLES = pytest.mark.parametrize(
+    "noise",
+    [NoiseModel(), NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), MULTIPLICATIVE],
+    ids=["exact", "additive", "multiplicative"],
 )
 FACTORIZED = pytest.mark.parametrize(
     "geometry", [Geometry.SHAMPOO, Geometry.FULL_ADAGRAD, Geometry.MUON]
 )
 
 
-@NOISY
+@ORACLES
 @FACTORIZED
 def test_one_factorization_per_block_step(monkeypatch, geometry, noise):
     check_factorizations(monkeypatch, geometry, noise, MomentumMode.NONE)
 
 
-@NOISY
+@ORACLES
+@FACTORIZED
+def test_one_factorization_per_block_step_m1(monkeypatch, geometry, noise):
+    check_factorizations(monkeypatch, geometry, noise, MomentumMode.M1)
+
+
+@ORACLES
 @FACTORIZED
 def test_one_factorization_per_block_step_m2(monkeypatch, geometry, noise):
     check_factorizations(monkeypatch, geometry, noise, MomentumMode.M2)
+
+
+def _singular(*values, rows, seed):
+    """A rows x len(values) matrix with the given singular values."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((rows, len(values))))[0]
+    V = np.linalg.qr(rng.standard_normal((len(values), len(values))))[0]
+    return (U * np.array(values)) @ V.T
+
+
+# Muon direction blocks: random, zero, rank 2 in 4 x 3, and a square block
+# whose third singular value sits just above the SV_RTOL cutoff (square, so
+# that its singular vectors are well-conditioned: in a tall block the left
+# one would move by rounding over the tiny singular value)
+MUON_DIRECTIONS = {
+    "random": np.random.default_rng(3).standard_normal((4, 3)),
+    "zero": np.zeros((4, 3)),
+    "rank 2": np.random.default_rng(4).standard_normal((4, 2))
+    @ np.random.default_rng(5).standard_normal((2, 3)),
+    "near cutoff": _singular(2.0, 0.7, 1.5 * SV_RTOL * 2.0, rows=3, seed=6),
+}
+
+
+def _close(a, b, rtol=1e-13):
+    return np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", MUON_DIRECTIONS)
+def test_muon_step_reads_z_from_the_directions_svd(case, mode):
+    # the step takes |Z|_*, S(Z) and (for D accumulated) the lmap trace from
+    # D's SVD; geom_* on an independently preconditioned Z must agree.  The
+    # random case has a Gtilde of its own, the others Gtilde = M_0 = B, so
+    # that D = mu B + (1 - mu) B is B up to rounding.
+    B = MUON_DIRECTIONS[case]
+    shape = BlockShape(*B.shape, Geometry.MUON)
+    gtilde = np.random.default_rng(8).standard_normal(B.shape) if case == "random" else B
+    config = cfg(momentum_mode=mode, mu_max=0.5, varsigma=0.7)
+    state = geom_init(shape, config.varsigma)
+    X = ProductPoint([np.zeros(B.shape)])
+    X1, states, M, rec, z_norms = adprec_step(
+        [shape], X, ProductPoint([gtilde]), [state], ProductPoint([B]), config, 1
+    )
+    D = gtilde if mode is MomentumMode.NONE else M.blocks[0]
+    A = D if mode is MomentumMode.M1 else gtilde
+    tl = geom_lmap_trace(shape, A)
+    st = geom_accumulate(shape, state, A, tl)
+    Z = geom_precondition(shape, st, D)
+    zn = geom_dual_norm(shape, Z)
+    S = geom_selector(shape, Z, zn)
+
+    assert _close(states[0].gamma, st.gamma)
+    assert _close(rec.weighted_inv * states[0].gamma, tl)
+    assert _close(z_norms[0], zn)
+    if case == "zero":
+        assert zn == 0.0 and not S.any() and not X1.blocks[0].any()
+        return
+    # X = 0 and eta = 1: the step is -|Z|_* S(Z)
+    step_selector = -X1.blocks[0] / z_norms[0]
+    assert np.linalg.norm(step_selector - S) <= 1e-13 * np.linalg.norm(S)
+    # S keeps the rank of D: the near-cutoff singular value is kept
+    rank = 2 if case == "rank 2" else 3
+    sv = np.linalg.svd(S, compute_uv=False)
+    np.testing.assert_allclose(sv[:rank], 1.0, rtol=1e-13)
+    assert np.all(sv[rank:] < 1e-13)
 
 
 MIXED = [BlockShape(4, 3, Geometry.SHAMPOO), BlockShape(3, 5, Geometry.MUON)]

@@ -6,13 +6,16 @@ from adprec.errors import NonPositiveDefinite
 from adprec.geometries import KroneckerState, geom_precondition
 from adprec.psd_linalg import (
     CLAMP_RTOL,
+    SV_RTOL,
     eigh_clamped,
     msign,
     nuclear_norm,
+    polar,
     psd_from_draws,
     psd_power,
     random_psd,
     random_psd_draws,
+    svd_factors,
     trace_log_psd,
 )
 
@@ -105,6 +108,35 @@ def test_msign_rank_deficient():
     assert float(np.sum(G * P)) == pytest.approx(nuclear_norm(G), rel=1e-10)
 
 
+def test_polar_gives_nuclear_norm_and_msign_of_every_positive_multiple():
+    # one thin SVD of G gives the nuclear norm and msign of G, and of c G for
+    # c > 0 after scaling the norm by c; the sum and the kept vectors share
+    # one cutoff, so a singular value below it counts in neither
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((5, 3))
+    U, s, Vt = svd_factors(G)
+    np.testing.assert_allclose((U * s[None, :]) @ Vt, G, atol=1e-14)
+    nuclear, P = polar(U, s, Vt)
+    np.testing.assert_array_equal(P, msign(G))
+    assert nuclear == pytest.approx(nuclear_norm(G), rel=1e-14)
+    for c in (1e-3, 0.37, 5e4):
+        assert c * nuclear == pytest.approx(nuclear_norm(c * G), rel=1e-13)
+        np.testing.assert_allclose(P, msign(c * G), atol=1e-13)
+    below = np.diag([1.0, 0.5, 0.5 * SV_RTOL])
+    nuclear, P = polar(*svd_factors(below))
+    np.testing.assert_array_equal(np.diag(P), [1.0, 1.0, 0.0])
+    assert nuclear == nuclear_norm(below) == 1.5
+
+
+def test_infinite_entry_gives_nan_nuclear_norm():
+    # the SVD of a matrix with an infinite entry returns NaN singular values,
+    # which the rank cutoff keeps: the nuclear norm is NaN, never 0
+    G = np.ones((3, 2))
+    G[0, 0] = np.inf
+    assert np.isnan(nuclear_norm(G))
+    assert np.isnan(polar(*svd_factors(G))[0])
+
+
 def test_norms_hand_values():
     G = np.diag([3.0, -2.0])
     assert nuclear_norm(G) == pytest.approx(5.0)
@@ -164,7 +196,8 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
     powers = (-1.0, -0.5, 0.5)
 
     def calls(G, S):
-        return [msign(G), nuclear_norm(G), *eigh_clamped(S, floor=0.5), trace_log_psd(S),
+        return [msign(G), nuclear_norm(G), *polar(*svd_factors(G)),
+                *eigh_clamped(S, floor=0.5), trace_log_psd(S),
                 *(psd_power(S, p) for p in powers)]
 
     stacked = calls(G, S)
