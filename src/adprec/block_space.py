@@ -66,6 +66,11 @@ class ProductPoint:
     a single code path; a stack of points holds (R, rows, cols) blocks, item
     r being point r.  The trajectory driver advances R replicates as one
     stack.
+
+    Every (rows, cols) item the package builds is row-major.  A Euclidean
+    block's norm sums its entries in memory order, so one layout makes a
+    block round alike whichever function made it: an exact gradient, a
+    noisy draw, a stack or its rows.  ``from_flat`` owns the layout.
     """
 
     __slots__ = ("blocks", "_flat")
@@ -83,9 +88,9 @@ class ProductPoint:
         return len(self.blocks)
 
     def ravel(self) -> np.ndarray:
-        """Flatten all blocks into one vector (column-major within blocks);
-        (R, N) for a stack.  Computed once per point and read-only, since an
-        objective and its gradient both read it."""
+        """Flatten all blocks into one vector (column-major within blocks, the
+        problems' flat vector); (R, N) for a stack.  Computed once per point
+        and read-only, since an objective and its gradient both read it."""
         if self._flat is None:
             flats = [b.mT.reshape(b.shape[:-2] + (-1,)) for b in self.blocks]
             flat = flats[0].copy() if len(flats) == 1 else np.concatenate(flats, axis=-1)
@@ -95,15 +100,17 @@ class ProductPoint:
 
     @staticmethod
     def from_flat(x, shapes: Sequence[BlockShape]) -> "ProductPoint":
-        """The point of a flat vector, or the stack of an (R, N) array of them.
-        Blocks are column-major views of x."""
+        """The point of a flat vector, or the stack of an (R, N) array of them:
+        the inverse of ``ravel``.  Matrix items are row-major copies; vector
+        items (n x 1, alike in either layout) are views of x."""
         x = np.asarray(x, dtype=float)
         need = total_dim(shapes)
         if x.ndim == 0 or x.shape[-1] != need:
             raise ShapeMismatch(f"flat vector has {x.size} entries, shapes need {need}")
         blocks, off, lead = [], 0, x.shape[:-1]
         for s in shapes:
-            blocks.append(x[..., off : off + s.dim].reshape(lead + (s.cols, s.rows)).mT)
+            b = x[..., off : off + s.dim].reshape(lead + (s.cols, s.rows)).mT
+            blocks.append(b if s.cols == 1 else np.ascontiguousarray(b))
             off += s.dim
         return ProductPoint(blocks)
 
@@ -120,20 +127,12 @@ def check_point_matches(V: ProductPoint, shapes: Sequence[BlockShape]):
             raise ShapeMismatch(f"block shape {b.shape} != declared {(s.rows, s.cols)}")
 
 
-def _ravel_items(B) -> np.ndarray:
-    """Each (rows, cols) item of B flattened in its own memory order, the
-    order in which ``np.linalg.norm`` sums it; (..., rows * cols)."""
-    if B.strides[-2] < B.strides[-1]:
-        B = B.mT
-    return B.reshape(B.shape[:-2] + (-1,))
-
-
 def block_dual_norm(geometry: Geometry, B):
     """Dual norm of one block, per item of a stack: nuclear for Muon,
     Euclidean/Frobenius otherwise (``np.linalg.norm``'s sqrt of a dot)."""
     if geometry is Geometry.MUON:
         return nuclear_norm(B)
-    flat = _ravel_items(B)
+    flat = B.reshape(B.shape[:-2] + (-1,))
     return np.sqrt(np.vecdot(flat, flat))
 
 

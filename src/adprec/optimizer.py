@@ -166,13 +166,13 @@ def adprec_step(
     preconditioned direction Z (the oracle for multiplicative noise needs
     them at the next iteration).  A Muon direction block D is factorized
     once (``geom_factor``): its one SVD gives Z's dual norm and selector,
-    which feed both the identity residual and the step, and, when D is the
-    accumulated block, the lmap trace.  The lmap trace feeds accumulate and
-    diagnostics (and Gtilde's dual norm when Gtilde is the accumulated
-    block).  The record's f_value /
-    grad_dual_norm fields are NaN here; the trajectory driver fills them in
-    (they need the problem, which the step itself must not consult) and
-    checks X_next and the record for non-finite values.
+    so Z itself is never formed; they feed both the identity residual and
+    the step, and, when D is the accumulated block, the lmap trace.  The
+    lmap trace feeds accumulate and diagnostics (and Gtilde's dual norm when
+    Gtilde is the accumulated block).  The record's f_value / grad_dual_norm
+    fields are NaN here; the trajectory driver fills them in (they need the
+    problem, which the step itself must not consult) and checks X_next and
+    the record for non-finite values.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -200,7 +200,8 @@ def adprec_step(
         f = geom_factor(shape, D)
         tl = geom_lmap_trace(shape, A, f if A is D else None)
         st = geom_accumulate(shape, states[ell], A, tl)
-        Z = geom_precondition(shape, st, D)
+        # Muon reads |Z| and S(Z) from D's factor and never needs Z itself
+        Z = geom_precondition(shape, st, D) if f is None else None
         zn = geom_dual_norm(shape, Z, st, f)
         S = geom_selector(shape, Z, zn, f)
         diag = geom_diagnostics(shape, st, A, tl)
@@ -362,7 +363,6 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     # per-replicate values are then numpy scalars, whose arithmetic is several
     # times cheaper than that of one-element arrays.
     lead = (R,) if R > 1 else ()
-    # C order, as x0.copy() lays out one point: products see the layout
     X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
     states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
     M = None
@@ -515,21 +515,6 @@ def run_replicates(
     return _result(run.columns, _points(run.X, R > 1))
 
 
-def _layout(problem: Problem, noise: NoiseModel) -> tuple[bool, ...]:
-    """Whether each item of a Gtilde drawn at x0 (G itself when exact) is
-    laid out column by column, on the blocks where that changes the
-    rounding: the norms and traces of a Euclidean block sum its entries in
-    memory order, which is the same for both layouts only when the block is
-    a vector.  Muon's go through SVDs, which copy every item to one layout.
-    The draw uses a Generator of its own."""
-    gtilde = sample_gradient(problem, noise, problem.x0, 0, np.random.default_rng(0))
-    return tuple(
-        b.strides[-2] < b.strides[-1]
-        for b, s in zip(gtilde.blocks, problem.shapes)
-        if s.geometry is not Geometry.MUON and min(s.rows, s.cols) > 1
-    )
-
-
 def run_rows(
     problem: Problem,
     noises: Sequence[NoiseModel],
@@ -539,18 +524,14 @@ def run_rows(
     what ``run_replicates`` gives for that model and seed at R = 1: its
     ReplicateResult, or the NonFiniteIterate it raises.
 
-    Consecutive rows whose Gtilde is laid out alike (``_layout``) run as one
-    stack, so that every row rounds as it does alone; on the five geometries
-    an exact and a noisy row differ only on Euclidean matrix blocks whose
-    exact gradient is laid out column by column.  A failure drops the rows
-    above it from the stack, and they run on as stacks of their own.
+    All rows run as one stack, and every row rounds as it does alone.  A
+    failure drops the rows above it from the stack, and they run on as a
+    stack of their own.
     """
     if not noises:
         return []
-    layout, R = _layout(problem, noises[0]), 1
-    while R < len(noises) and (noises[R] == noises[0] or _layout(problem, noises[R]) == layout):
-        R += 1
-    run = _drive(problem, noises[:R], config)
+    R = len(noises)
+    run = _drive(problem, noises, config)
     n = R if run.failure is None else run.failure[0]  # rows 0..n-1 finished
     final = _points(run.X, R > 1)
     rows = [_result(run.columns[:, r : r + 1], [final[r]]) for r in range(n)]

@@ -119,19 +119,24 @@ def polar(U, s, Vt):
     Both read the kept rank of the cutoff in ``_kept``.  Scaling G by c > 0
     scales its singular values by c and leaves U and Vt, so the factors of G
     also give ``(c * nuclear_norm(G), msign(G))`` for cG: the nuclear norm is
-    1-homogeneous, msign 0-homogeneous.
+    1-homogeneous, msign 0-homogeneous.  A matrix whose nuclear norm is NaN
+    (one with an infinite entry) gets an all-NaN msign: its SVD has NaN
+    singular values but finite U and Vt.
     """
     kept = _kept(s)
     nuclear = _kept_sum(s, kept)
     if kept.all():
-        return nuclear, U @ Vt
-    # the rank differs per matrix; a product over fewer terms rounds differently
-    # from one padded with zeros, so each matrix keeps its own inner dimension
-    out = np.empty(U.shape[:-1] + Vt.shape[-1:])
-    for i in np.ndindex(s.shape[:-1]):
-        r = int(np.sum(kept[i]))
-        out[i] = U[i][:, :r] @ Vt[i][:r]
-    return nuclear, out
+        out = U @ Vt
+    else:
+        # the rank differs per matrix; a product over fewer terms rounds
+        # differently from one padded with zeros, so each matrix keeps its
+        # own inner dimension
+        out = np.empty(U.shape[:-1] + Vt.shape[-1:])
+        for i in np.ndindex(s.shape[:-1]):
+            r = int(np.sum(kept[i]))
+            out[i] = U[i][:, :r] @ Vt[i][:r]
+    nan = np.isnan(nuclear)
+    return nuclear, np.where(nan[..., None, None], np.nan, out) if nan.any() else out
 
 
 def msign(G):

@@ -160,7 +160,7 @@ def test_path_potentials_shampoo_sqrt_gap_is_detected():
 
 def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
     # the exact and the noisy run of each of the six spaces share one
-    # two-row stack: their Gtilde blocks are laid out alike
+    # two-row stack
     stacks = []
 
     def counted(problem, noises, config):

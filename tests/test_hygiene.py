@@ -119,3 +119,30 @@ def test_readme_lists_every_module():
     listed = layout_modules((ROOT / "README.md").read_text())
     missing = [p.stem for p in MODULES if p.stem not in listed]
     assert not missing, f"README's Package layout has no bullet for: {', '.join(missing)}"
+
+
+def layout_reads(source: str) -> list[str]:
+    """Where `source` reads an array's `.strides` or passes `order=`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "strides":
+            found.append(f"line {node.lineno}: .strides")
+        elif isinstance(node, ast.keyword) and node.arg == "order":
+            found.append(f"line {node.lineno}: order=")
+    return found
+
+
+def test_layout_read_detector():
+    src = "a.strides\nnp.copy(a, order='F')\nb.reshape(-1)\n"
+    assert layout_reads(src) == ["line 1: .strides", "line 2: order="]
+
+
+def test_layout_lives_in_block_space():
+    # block_space.ProductPoint owns the memory layout of every block item
+    found = [
+        f"{path.name} {where}"
+        for path in MODULES
+        if path.name != "block_space.py"
+        for where in layout_reads(path.read_text())
+    ]
+    assert not found, f"layout read outside block_space: {', '.join(found)}"

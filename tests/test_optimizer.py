@@ -25,7 +25,6 @@ from adprec.optimizer import (
     MomentumMode,
     OptimizerConfig,
     _drive,
-    _layout,
     _momentum,
     adprec_step,
     mu_schedule,
@@ -573,10 +572,7 @@ def test_rows_of_a_mixed_stack_are_their_solo_runs(monkeypatch, space, noise, mo
     config = cfg(max_iters=6, eta=0.4, seed=5, momentum_mode=mode,
                  mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
     stacks = assert_rows_are_solo_runs(monkeypatch, problem, [noise, NoiseModel()], config)
-    # one stack unless a Euclidean matrix block's exact gradient is laid out
-    # column by column and the noisy one row by row (Shampoo on logistic)
-    layouts = {_layout(problem, n) for n in (noise, NoiseModel())}
-    assert stacks == len(layouts)
+    assert stacks == 1
 
 
 def test_rows_sharing_a_model_need_not_be_contiguous(monkeypatch):

@@ -235,3 +235,40 @@ def test_stacked_points_equal_points_alone(kind):
                                     z_prev_norms=[z[r] for z in z_prev])
             for got, want in zip(draw.blocks, alone.blocks):
                 np.testing.assert_array_equal(got[r], want)
+
+
+def row_major_items(P):
+    """Whether every (rows, cols) item of every block of P is row-major."""
+    return all(item.flags.c_contiguous for b in P.blocks for item in (b if b.ndim == 3 else [b]))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "trigquad", "logistic", "matfact"])
+def test_every_block_the_program_returns_has_row_major_items(kind):
+    # a Euclidean block sums its entries in memory order, so an exact
+    # gradient and a noisy draw round alike only in one layout
+    shapes = [BlockShape(3, 2, Geometry.SHAMPOO), BlockShape(2, 4, Geometry.MUON)]
+    problem = make_problem(kind, shapes, seed=5)
+    point = problem.x0
+    rng = np.random.default_rng(6)
+    stack = ProductPoint.from_flat(rng.standard_normal((3, total_dim(shapes))), shapes)
+    noises = [
+        NoiseModel(),
+        NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)),
+        NoiseModel(kind=NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE, sigma=(0.5,), omega=0.7),
+        NoiseModel(kind=NoiseKind.MINI_BATCH, batch=3),
+    ]
+    assert {n.kind for n in noises} == set(NoiseKind)
+    for X, rngs, z_prev in [
+        (point, np.random.default_rng(7), [1.5, 2.0]),
+        (stack, [np.random.default_rng(s) for s in range(3)], [np.array([0.0, 1.5, 2.0])] * 2),
+    ]:
+        assert row_major_items(X)
+        assert row_major_items(problem.eval_grad(X))
+        if problem.component_grad is not None:
+            idx = np.arange(4) if X is point else np.arange(12).reshape(3, 4)
+            assert row_major_items(problem.component_grad(X, idx))
+        for noise in noises:
+            if noise.kind is NoiseKind.MINI_BATCH and problem.component_grad is None:
+                continue
+            draw = sample_gradient(problem, noise, X, 2, rngs, z_prev_norms=z_prev)
+            assert row_major_items(draw), noise.kind

@@ -135,6 +135,14 @@ def test_infinite_entry_gives_nan_nuclear_norm():
     G[0, 0] = np.inf
     assert np.isnan(nuclear_norm(G))
     assert np.isnan(polar(*svd_factors(G))[0])
+    # U and Vt stay finite, so msign is made NaN from the nuclear norm
+    assert np.isnan(msign(G)).all()
+    # in a stack, only the item with the infinite entry turns NaN; the rank-1
+    # item takes the per-matrix path of the rank cutoff
+    F = np.ones((3, 2))
+    stacked = msign(np.stack([F, G]))
+    np.testing.assert_array_equal(stacked[0], msign(F))
+    assert np.isnan(stacked[1]).all()
 
 
 def test_norms_hand_values():
