@@ -39,6 +39,7 @@ from .optimizer import (
 from .problems import (
     NoiseKind,
     NoiseModel,
+    NormalStreams,
     Problem,
     make_problem,
     sample_gradient,

@@ -21,9 +21,12 @@ strictly sequential; replicates are independent (seed + replicate index)
 and run together as one array program.  Every block of the iterate, the
 gradient and the geometry state carries a leading replicate axis, so one
 call of ``adprec_step`` advances all R replicates, each block is factorized
-by one stacked eigh or SVD, and the records fill (R, K) columns in place.
-Each replicate keeps its own Generator, and every stacked operation rounds
-as the single-point one does, so replicate r of a stack is bit for bit the
+by one stacked eigh or SVD, and the step returns its record values as one
+(fields, R) array, which the driver stores in its (fields, R, K) columns
+with one assignment; only ``run_trajectory`` builds ``IterationRecord``s.
+Each replicate keeps its own Generator, whose normals it reads in chunks
+(``problems.NormalStreams``), and every stacked operation rounds as the
+single-point one does, so replicate r of a stack is bit for bit the
 trajectory that seed + r gives alone; ``run_trajectory`` is the R = 1 case.
 
 Each row of a stack has its own noise model.  ``run_replicates`` gives all
@@ -66,7 +69,7 @@ from .geometries import (
     geom_step_direction,
     geom_take,
 )
-from .problems import NoiseKind, NoiseModel, Problem, sample_gradient
+from .problems import NoiseKind, NoiseModel, NormalStreams, Problem, sample_gradient
 
 
 class MomentumMode(str, enum.Enum):
@@ -125,8 +128,9 @@ class IterationRecord:
     record stream.  resid_ineq1/2 are relative residuals of the structural
     identities, evaluated with the accumulated vector; for mode m2 these
     mix Gamma (grown from the raw gradient) with Z (preconditioned
-    momentum) and are genuinely nonzero perturbations.  Fields are floats
-    for one trajectory and (R,) arrays for the step of a stack.
+    momentum) and are genuinely nonzero perturbations.  ``run_trajectory``
+    returns one per iteration; the step and the drivers keep the same
+    fields as the rows of an array (see ``_RECORD_FIELDS``).
     """
 
     k: int
@@ -144,7 +148,8 @@ class IterationRecord:
     mom_err_sq: float = 0.0
 
 
-# every per-step quantity of IterationRecord except the iteration index
+# every per-step quantity of IterationRecord except the iteration index: the
+# rows of adprec_step's record array and of the driver's columns
 _RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
 
 
@@ -160,7 +165,9 @@ def adprec_step(
     """One iteration; returns (X_next, new_states, M_k, record, z_norms).
 
     X, gtilde, M and the states are one point or a stack of R (see
-    ``ProductPoint``); the record then holds one value per point.  M is the
+    ``ProductPoint``).  The record is an array whose row i is field
+    _RECORD_FIELDS[i], one value per point: (fields,) for one point,
+    (fields, R) for a stack.  M is the
     previous momentum M_{k-1}: None before the first step, and returned
     unchanged when momentum is off.  z_norms are the block dual norms of the
     preconditioned direction Z (the oracle for multiplicative noise needs
@@ -170,7 +177,7 @@ def adprec_step(
     the step, and, when D is the accumulated block, the lmap trace.  The
     lmap trace feeds accumulate and diagnostics (and Gtilde's dual norm when
     Gtilde is the accumulated block).  The record's f_value / grad_dual_norm
-    fields are NaN here; the trajectory driver fills them in (they need the
+    rows are NaN here; the trajectory driver fills them in (they need the
     problem, which the step itself must not consult) and checks X_next and
     the record for non-finite values.
     """
@@ -191,9 +198,10 @@ def adprec_step(
     new_states = []
     new_blocks = []
     z_norms = []
-    # per block: |Z| <A, S(Z)> and |Z|^2, the traces each should equal,
-    # tr(Gamma^-1/2 lmap A) and tr(Gamma^-1 lmap A), then the other terms the
-    # record sums over blocks; columns 1-6 are all summed
+    # per block: |Z| <A, S(Z)>, then what the record sums over blocks, in
+    # the order of its fields gtilde_dual_norm ... weighted_invsqrt: |Gtilde|^2,
+    # |Z|^2, the trace and log-det terms, and the traces that |Z|^2 and
+    # |Z| <A, S(Z)> should equal, tr(Gamma^-1 lmap A) and tr(Gamma^-1/2 lmap A)
     terms = []
     for ell, shape in enumerate(shapes):
         A, D = acc.blocks[ell], direction.blocks[ell]
@@ -212,46 +220,37 @@ def adprec_step(
         else:
             gtilde_sq = squared(block_dual_norm(shape.geometry, gtilde.blocks[ell]))
         terms.append((
-            zn * np.add.reduce(A * S, axis=(-2, -1)), zn * zn,
-            diag.weighted_invsqrt, diag.weighted_inv,
-            diag.trace_sqrt, diag.trace_log, gtilde_sq,
+            zn * np.add.reduce(A * S, axis=(-2, -1)), gtilde_sq, zn * zn,
+            diag.trace_sqrt, diag.trace_log, diag.weighted_inv, diag.weighted_invsqrt,
         ))
         new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
         new_states.append(st)
         z_norms.append(zn)
 
     terms = np.array(terms)  # (blocks, 7) + the stack's shape
-    # block sums in block order, rounded as 0.0 + b_0 + b_1 + ...
-    total = 0.0 + terms[0, 1:]
+    record = np.empty((len(_RECORD_FIELDS),) + terms.shape[2:])
+    record[:2] = math.nan  # f_value and grad_dual_norm, the driver's
+    # block sums in block order, rounded as 0.0 + b_0 + b_1 + ..., into
+    # rows 2-7; then the norm is the root of its square, and delta_k is the
+    # log-det term less its value at Gamma_0 = varsigma I
+    total = record[2:8]
+    np.add(0.0, terms[0, 1:], out=total)
     for t in terms[1:]:
-        total = total + t[1:]
-    z_sq, w_invsqrt, w_inv, trace_sqrt, trace_log, gtilde_sq = total
-    # identity residuals |lhs - rhs| / max(|lhs|, |rhs|), worst over blocks;
-    # a NaN residual (0/0 included) counts as 0, as a running max(0.0, ...)
-    # over blocks leaves it
-    pairs = terms[:, :4]
-    size = np.abs(pairs)
-    scale = np.maximum(size[:, 0:2], size[:, 2:4])
-    resid = np.abs(pairs[:, 0:2] - pairs[:, 2:4])
+        np.add(total, t[1:], out=total)
+    record[2] = np.sqrt(record[2])
+    record[5] -= total_dim(shapes) * math.log(config.varsigma)
+    # identity residuals |lhs - rhs| / max(|lhs|, |rhs|), worst over blocks,
+    # for |Z| <A, S(Z)> against column 6 and |Z|^2 against column 5; a NaN
+    # residual (0/0 included) counts as 0, as a running max(0.0, ...) over
+    # blocks leaves it
+    lhs, rhs = terms[:, 0:3:2], terms[:, 6:4:-1]
+    size = np.abs(terms)
+    scale = np.maximum(size[:, 0:3:2], size[:, 6:4:-1])
+    resid = np.abs(lhs - rhs)
     np.divide(resid, scale, out=resid, where=scale > 0.0)
-    resid1, resid2 = np.fmax.reduce(resid, axis=0, initial=0.0)
-
-    N = total_dim(shapes)
-    record = IterationRecord(
-        k=k,
-        f_value=math.nan,
-        grad_dual_norm=math.nan,
-        gtilde_dual_norm=np.sqrt(gtilde_sq),
-        z_dual_norm_sq=z_sq,
-        trace_sqrt_total=trace_sqrt,
-        delta_k=trace_log - N * math.log(config.varsigma),
-        weighted_inv=w_inv,
-        weighted_invsqrt=w_invsqrt,
-        resid_ineq1=resid1,
-        resid_ineq2=resid2,
-        step_dual_norm=config.eta * np.sqrt(z_sq),
-        mom_err_sq=mom_err_sq,
-    )
+    np.fmax.reduce(resid, axis=0, initial=0.0, out=record[8:10])
+    record[10] = config.eta * np.sqrt(record[3])
+    record[11] = mom_err_sq
     return ProductPoint(new_blocks), new_states, M, record, z_norms
 
 
@@ -291,49 +290,73 @@ def _cut(z_norms, rows):
     return None if z_norms is None else [z[rows] for z in z_norms]
 
 
-def _keep(n: int, X, states, M, z_norms, rngs):
+def _keep(n: int, X, states, M, z_norms):
     """The driver's per-replicate carry cut to replicates 0..n-1."""
     rows = slice(n)
     states = [geom_take(st, rows) for st in states]
-    return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows), rngs[:n]
+    return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows)
+
+
+def _rows(idx, R: int):
+    """Rows idx (increasing) of a stack of R: None for all of them, else a
+    slice when they are contiguous, else an index array."""
+    if len(idx) == R:
+        return None
+    contiguous = idx[-1] - idx[0] == len(idx) - 1
+    return slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else np.array(idx)
 
 
 def _sampling_plan(noises: Sequence[NoiseModel], rngs):
     """How the oracle draws a stack whose row r has model noises[r] and
-    Generator rngs[r] (for one row, rngs is its Generator): a list of
-    (model, rows, Generators) whose rows is None when every row shares the
-    one model.  Otherwise there is one entry per noisy model, in order of
-    its first row, with rows its row indices (a slice when contiguous); the
-    exact rows of such a stack keep the exact gradient and have no entry."""
+    Generator rngs[r]: a list of (model, rows, draws).  For one row, rngs
+    is its Generator and so are the draws of the one entry.  A stack whose
+    rows share one model has one entry with rows None and draws the
+    ``NormalStreams`` of all rows.  Otherwise there is one entry per noisy
+    model, in order of its first row, with rows its rows (see ``_rows``)
+    and draws their streams; the exact rows of such a stack keep the exact
+    gradient and have no entry."""
     models = []
     for nz in noises:
         if nz not in models:
             models.append(nz)
-    if len(models) == 1:
+    if isinstance(rngs, np.random.Generator):
         return [(models[0], None, rngs)]
     plan = []
     for model in models:
-        if model.kind is NoiseKind.EXACT:
+        if model.kind is NoiseKind.EXACT and len(models) > 1:
             continue
         idx = [r for r, nz in enumerate(noises) if nz == model]
-        contiguous = idx[-1] - idx[0] == len(idx) - 1
-        rows = slice(idx[0], idx[-1] + 1) if contiguous else np.array(idx)
-        plan.append((model, rows, [rngs[r] for r in idx]))
+        plan.append((model, _rows(idx, len(noises)), NormalStreams([rngs[r] for r in idx])))
     return plan
+
+
+def _cut_plan(plan, R: int, n: int):
+    """The sampling plan of a stack of R rows cut to rows 0..n-1: each
+    model keeps its rows below n, whose streams go on where they are."""
+    cut = []
+    for model, rows, streams in plan:
+        idx = np.arange(R)[slice(None) if rows is None else rows]
+        idx = idx[idx < n]
+        if len(idx):
+            cut.append((model, _rows(idx, n), streams.head(len(idx))))
+    return cut
 
 
 def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: ProductPoint):
     """Gtilde for every row of X: one ``sample_gradient`` call per entry of
-    the sampling plan, on the sub-stack of its rows, with z_prev_norms cut
-    to them; the exact rows of a mixed stack keep G."""
-    noise, rows, rngs = plan[0]
+    the sampling plan, on the sub-stack of its rows (of G, and of X only for
+    MiniBatch, the one oracle that reads X), with z_prev_norms cut to them;
+    rows no entry draws for keep G."""
+    if not plan:
+        return G
+    noise, rows, draws = plan[0]
     if rows is None:
-        return sample_gradient(problem, noise, X, k, rngs, z_prev_norms=z_prev_norms, exact_grad=G)
+        return sample_gradient(problem, noise, X, k, draws, z_prev_norms=z_prev_norms, exact_grad=G)
     blocks = [np.copy(b) for b in G.blocks]
-    for noise, rows, rngs in plan:
+    for noise, rows, draws in plan:
         sub = sample_gradient(
-            problem, noise, _take(X, rows), k, rngs,
-            z_prev_norms=_cut(z_prev_norms, rows), exact_grad=_take(G, rows),
+            problem, noise, _take(X, rows) if noise.kind is NoiseKind.MINI_BATCH else None,
+            k, draws, z_prev_norms=_cut(z_prev_norms, rows), exact_grad=_take(G, rows),
         )
         for b, s in zip(blocks, sub.blocks):
             b[rows] = s
@@ -343,10 +366,12 @@ def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: Pr
 def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConfig) -> _Run:
     """Advance rows r = 0..R-1, R = len(noises), from problem.x0 for
     max_iters steps as one stack.  Row r samples its Gtilde from noises[r]
-    with its own Generator, seeded seed + r: rows sharing a model are drawn
-    together (see ``_sampling_plan``), and an exact row's Generator is never
-    drawn from.  Whether a row is exact decides its grad_dual_norm (that of
-    Gtilde itself when exact) and the fields its failure names.
+    with its own Generator, seeded seed + r and read in chunks (see
+    ``NormalStreams``): rows sharing a model are drawn together (see
+    ``_sampling_plan``), and an exact row's Generator is never drawn from.
+    Whether a row is exact decides its grad_dual_norm (that of Gtilde
+    itself when exact) and the fields its failure names.  Each step's
+    record array fills the rows' column of ``_Run.columns`` at once.
 
     A row fails at iteration k when its iterate or record (f_value only
     when eval_objective is set) is non-finite after the step, or already
@@ -377,6 +402,7 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     first = 0 if config.eval_objective else 1
     failure = None
     n = R  # replicates 0..n-1 are still running
+    rows = slice(n) if lead else 0  # their column of a step's records
 
     for k in range(K):
         G = problem.eval_grad(X)
@@ -390,28 +416,26 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
             failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
             if r == 0:
                 return _Run(columns, X, states, failure)
-            n = r
-            X, states, M, z_prev_norms, rngs = _keep(n, X, states, M, z_prev_norms, rngs)
-            G, gtilde = _take(G, slice(n)), _take(gtilde, slice(n))
-            plan, exact = _sampling_plan(noises[:n], rngs), exact[:n]
+            plan, exact = _cut_plan(plan, n, r), exact[:r]
+            n, rows = r, slice(r)
+            X, states, M, z_prev_norms = _keep(n, X, states, M, z_prev_norms)
+            G, gtilde = _take(G, rows), _take(gtilde, rows)
             if config.eval_objective:
                 fval = fval[:n]
         X_next, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
-        rec.f_value = fval
+        rec[0] = fval
         # an exact row's Gtilde is G, whose norm the step already took
         if exact.all():
-            rec.grad_dual_norm = rec.gtilde_dual_norm
+            rec[1] = rec[2]
         else:
             grad = np.sqrt(product_dual_norm_sq(G, shapes))
-            rec.grad_dual_norm = np.where(exact, rec.gtilde_dual_norm, grad) if exact.any() else grad
-        step = columns[:, :n, k]
-        for i, name in enumerate(_RECORD_FIELDS):
-            step[i] = getattr(rec, name)
+            rec[1] = np.where(exact, rec[2], grad) if exact.any() else grad
+        columns[:, rows, k] = rec
         # the flat iterate is checked here and cached for the next gradient
-        if np.isfinite(step[first:]).all() and np.isfinite(X_next.ravel()).all():
+        if np.isfinite(rec[first:]).all() and np.isfinite(X_next.ravel()).all():
             X = X_next
             continue
-        finite = np.isfinite(step[first:])
+        finite = np.isfinite(columns[first:, :n, k])
         iterate = np.logical_and.reduce(
             [np.isfinite(b).all(axis=(-2, -1)) for b in X_next.blocks]
         ).reshape(-1)
@@ -422,9 +446,9 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
         failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
         if r == 0:
             return _Run(columns, X_next, states, failure)
-        n = r
-        X, states, M, z_prev_norms, rngs = _keep(n, X_next, states, M, z_prev_norms, rngs)
-        plan, exact = _sampling_plan(noises[:n], rngs), exact[:n]
+        plan, exact = _cut_plan(plan, n, r), exact[:r]
+        n, rows = r, slice(r)
+        X, states, M, z_prev_norms = _keep(n, X_next, states, M, z_prev_norms)
     return _Run(columns, X, states, failure)
 
 
@@ -488,11 +512,11 @@ def _result(columns: np.ndarray, final: list[ProductPoint]) -> ReplicateResult:
     """The ReplicateResult of the (fields, R, K) columns of R replicates."""
     R = len(final)
     arrays = dict(zip(_RECORD_FIELDS, columns))
-    mean = {name: a.mean(axis=0) for name, a in arrays.items()}
-    se = {
-        name: (a.std(axis=0, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(a.shape[1]))
-        for name, a in arrays.items()
-    }
+    # each field's replicate axis is reduced in replicate order, as a
+    # reduction of that field's (R, K) array alone would
+    mean = dict(zip(_RECORD_FIELDS, columns.mean(axis=1)))
+    se = columns.std(axis=1, ddof=1) / np.sqrt(R) if R > 1 else np.zeros(columns.shape[::2])
+    se = dict(zip(_RECORD_FIELDS, se))
     min_grad = np.minimum.accumulate(mean["grad_dual_norm"])
     return ReplicateResult(arrays, mean, min_grad, se, final)
 

@@ -6,13 +6,18 @@ oracle take one point or a stack of R points (see ``ProductPoint``) and
 answer per point; each stacked product is a stack of the products one point
 makes (``np.matmul`` over a leading axis, ``np.vecdot`` for a dot), so point
 r of a stack gets the same bits as point r alone.  Oracles draw from
-caller-supplied numpy Generators, one stream per trajectory; there is no
+caller-supplied numpy Generators, one stream per trajectory: the oracle of
+one point from its Generator, that of a stack from a ``NormalStreams``,
+which reads each row's own Generator in chunks of NORMAL_CHUNK normals, so
+a step's draw for the whole stack is one slice of a buffer.  There is no
 hidden global RNG anywhere in the package.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -303,23 +308,89 @@ def make_problem(kind: str, shapes, **params) -> Problem:
     return builder(shapes, **params)
 
 
-def _normals(rng, shape, draw=None) -> np.ndarray:
-    """Standard normals of `shape` from a Generator, or one such array per
-    Generator of a sequence, stacked; a Generator whose `draw` entry is False
-    draws nothing and gets zeros."""
+# standard normals each row of a NormalStreams draws ahead (bounds the memory held)
+NORMAL_CHUNK = 1024
+
+
+class NormalStreams:
+    """The standard normal streams of R Generators, one per row of a stack.
+
+    ``read(n)`` gives each row the next n numbers of its own Generator's
+    ``standard_normal`` stream: the stream of n + m numbers is that of n
+    followed by that of m, so how the reads split a row's stream does not
+    change its numbers.  Each row draws NORMAL_CHUNK numbers at a time into
+    its row of one (R, NORMAL_CHUNK) buffer; a read that needs more than a
+    chunk beyond what is buffered draws only that read.  While the rows have
+    read alike they share one cursor, and a read is one slice of the buffer.
+    ``rngs`` are the Generators themselves, for draws that are not normals
+    (they are never mixed with normals on one row).
+    """
+
+    def __init__(self, rngs):
+        self.rngs = list(rngs)
+        self._buf = np.empty((len(self.rngs), NORMAL_CHUNK))
+        self._at = NORMAL_CHUNK  # the rows' common cursor, or None when they differ
+        self._pos = None  # per-row cursors when they differ
+
+    def read(self, n: int, rows=None) -> np.ndarray:
+        """The next n numbers of each row, as an (R, n) array that the next
+        read may overwrite; with rows (a boolean mask) only those rows read,
+        and the others get zeros."""
+        at = self._at
+        if at is not None and at + n <= NORMAL_CHUNK and (rows is None or rows.all()):
+            self._at = at + n
+            return self._buf[:, at : at + n]
+        pos = [at] * len(self.rngs) if at is not None else self._pos
+        out = np.zeros((len(self.rngs), n))
+        for r, g in enumerate(self.rngs):
+            if rows is not None and not rows[r]:
+                continue
+            have = min(NORMAL_CHUNK - pos[r], n)
+            out[r, :have] = self._buf[r, pos[r] : pos[r] + have]
+            pos[r] += have
+            rest = n - have
+            if rest > NORMAL_CHUNK:
+                g.standard_normal(out=out[r, have:])
+            elif rest:
+                g.standard_normal(out=self._buf[r])
+                out[r, have:] = self._buf[r, :rest]
+                pos[r] = rest
+        self._settle(pos)
+        return out
+
+    def head(self, n: int) -> "NormalStreams":
+        """The streams of rows 0..n-1, each continuing where it is."""
+        cut = NormalStreams.__new__(NormalStreams)
+        cut.rngs, cut._buf = self.rngs[:n], self._buf[:n]
+        cut._settle([self._at] * n if self._at is not None else self._pos[:n])
+        return cut
+
+    def _settle(self, pos):
+        self._at = pos[0] if pos.count(pos[0]) == len(pos) else None
+        self._pos = None if self._at is not None else pos
+
+
+@functools.lru_cache(maxsize=128)
+def _block_noise(noise: NoiseModel, shapes: tuple[BlockShape, ...]):
+    """The oracle's constants of a run: per block (sigma_l, sqrt(d_l), d_l,
+    (rows, cols)), and the total dimension."""
+    sig = noise.sigma_for(len(shapes))
+    per_block = tuple((s_l, math.sqrt(b.dim), b.dim, (b.rows, b.cols)) for s_l, b in zip(sig, shapes))
+    return per_block, total_dim(shapes)
+
+
+def _normals(rng, n, rows=None) -> np.ndarray:
+    """The next n standard normals of a Generator, (n,), or of each row of
+    a NormalStreams, (R, n); rows as in ``NormalStreams.read``."""
     if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    out = np.zeros((len(rng),) + shape)
-    for i, g in enumerate(rng):
-        if draw is None or draw[i]:
-            g.standard_normal(out=out[i])
-    return out
+        return rng.standard_normal(n)
+    return rng.read(n, rows)
 
 
 def sample_gradient(
     problem: Problem,
     noise: NoiseModel,
-    X: ProductPoint,
+    X: ProductPoint | None,
     k: int,
     rng,
     z_prev_norms=None,
@@ -328,19 +399,22 @@ def sample_gradient(
     """Draw an unbiased gradient estimate at iterate X, iteration k.
 
     X is one point, with rng a numpy Generator, or a stack of R points, with
-    rng a sequence of R Generators: point r draws from rng[r] exactly what
-    it would draw alone, block by block in block order.  z_prev_norms are
-    the block dual norms of the previous preconditioned step Z_{k-1} (one
-    value, or one per point, per block; None before the first step); only
-    AdditivePlusMultiplicative noise reads them.  The caller may pass the
-    already-computed exact gradient to avoid a second evaluation.  Noise is
-    Gaussian per entry; per-entry standard deviations are scaled by
+    rng a ``NormalStreams`` of R rows: point r draws from row r's Generator
+    exactly what it would draw alone, block by block in block order (an
+    additive draw reads all blocks at once, the same numbers).  z_prev_norms
+    are the block dual norms of the previous preconditioned step Z_{k-1}
+    (one value, or one per point, per block; None before the first step);
+    only AdditivePlusMultiplicative noise reads them.  The caller may pass
+    the already-computed exact gradient to avoid a second evaluation; X may
+    then be None unless the oracle is MiniBatch, which reads X itself.  Noise
+    is Gaussian per entry; per-entry standard deviations are scaled by
     1/sqrt(d_l) so the *block* dual-norm variance matches the model on
     Euclidean/Frobenius blocks (for nuclear-norm blocks the bound holds up
     to the rank factor).
     """
     shapes = problem.shapes
-    check_point_matches(X, shapes)
+    reads_x = exact_grad is None or noise.kind is NoiseKind.MINI_BATCH
+    check_point_matches(X if reads_x else exact_grad, shapes)
 
     if noise.kind is NoiseKind.MINI_BATCH:
         if problem.component_grad is None:
@@ -349,32 +423,37 @@ def sample_gradient(
         if isinstance(rng, np.random.Generator):
             idx = rng.choice(problem.num_components, size=b, replace=False)
         else:
-            idx = np.stack([g.choice(problem.num_components, size=b, replace=False) for g in rng])
+            idx = np.stack([g.choice(problem.num_components, size=b, replace=False)
+                            for g in rng.rngs])
         return problem.component_grad(X, idx)
 
     G = exact_grad if exact_grad is not None else problem.eval_grad(X)
     if noise.kind is NoiseKind.EXACT:
         return G
 
-    sig = noise.sigma_for(len(shapes))
+    per_block, N = _block_noise(noise, tuple(shapes))
     try:
         decay = (k + 1) ** (noise.alpha / 2.0)
     except OverflowError:  # the variance sigma**2 / (k+1)**alpha underflows to 0
         decay = np.inf
-    blocks = []
     lead = G.blocks[0].shape[:-2]
-    multiplicative = noise.omega > 0.0
-    for ell, (G_l, s_l, shape) in enumerate(zip(G.blocks, sig, shapes)):
-        d, rc = shape.dim, (shape.rows, shape.cols)
-        std = s_l / (decay * np.sqrt(d))
-        B = G_l + std * _normals(rng, rc)
-        if multiplicative and z_prev_norms is not None:
+    # multiplicative draws follow their block's additive one, so only an
+    # additive-only draw reads every block at once
+    multiplicative = noise.omega > 0.0 and z_prev_norms is not None
+    if not multiplicative:
+        flat = _normals(rng, N)
+    blocks, off = [], 0
+    for ell, (G_l, (s_l, sqrt_d, d, rc)) in enumerate(zip(G.blocks, per_block)):
+        std = s_l / (decay * sqrt_d)
+        normals = _normals(rng, d) if multiplicative else flat[..., off : off + d]
+        off += d
+        B = G_l + std * normals.reshape(lead + rc)
+        if multiplicative:
             zn = np.reshape(z_prev_norms[ell], lead)
             moved = zn > 0.0
             if moved.any():
-                extra = _normals(rng, rc, draw=moved.reshape(-1))
-                coef = (noise.omega * zn / np.sqrt(d))[..., None, None]
+                extra = _normals(rng, d, rows=moved.reshape(-1)).reshape(lead + rc)
+                coef = (noise.omega * zn / sqrt_d)[..., None, None]
                 B = np.where(moved[..., None, None], B + coef * extra, B)
         blocks.append(B)
     return ProductPoint(blocks)
-

@@ -1,9 +1,17 @@
-"""Source hygiene checks on the package modules, using the stdlib `ast` only."""
+"""Source hygiene checks on the package modules, using the stdlib `ast`
+only, and the package entry points that the benchmark under `perfbench/`
+calls."""
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
+
+from adprec import cli, optimizer
+from adprec.block_space import BlockShape, Geometry
+from adprec.problems import NoiseKind, NoiseModel, make_problem
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "adprec"
@@ -146,3 +154,38 @@ def test_layout_lives_in_block_space():
         for where in layout_reads(path.read_text())
     ]
     assert not found, f"layout read outside block_space: {', '.join(found)}"
+
+
+def test_benchmark_entry_points(monkeypatch):
+    # perfbench counts steps by the span of optimizer.adprec_step, which its
+    # tracer wraps in the optimizer's namespace; it checks every replicate
+    # of a run against the records of a solo run_trajectory; and it names
+    # the spans of the cli's and the optimizer's own functions
+    steps = []
+    step = optimizer.adprec_step
+
+    def counted(*args, **kwargs):
+        steps.append(args[-1])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "adprec_step", counted)
+    problem = make_problem("quadratic", [BlockShape(4, 1, Geometry.DIAG_ADAGRAD)], seed=1)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
+    config = optimizer.OptimizerConfig(eta=0.5, varsigma=1.0, max_iters=3)
+    optimizer.run_replicates(problem, noise, config, 2)
+    assert steps == [0, 1, 2]
+    monkeypatch.undo()
+
+    traj = optimizer.run_trajectory(problem, noise, config)
+    columns = set(cli.CSV_COLUMNS) - {"theta_k", "bound_curve"}
+    assert traj.failed is None and len(traj.records) == 3
+    assert all(columns <= set(vars(record)) for record in traj.records)
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"cli": cli, "optimizer": optimizer}
+    for name, internal in spans.INTERNAL.items():
+        for attr in internal:
+            fn = getattr(modules[name], attr, None)
+            assert inspect.isfunction(fn) and fn.__module__ == f"adprec.{name}", f"{name}.{attr}"

@@ -32,7 +32,14 @@ from adprec.optimizer import (
     run_rows,
     run_trajectory,
 )
-from adprec.problems import NoiseKind, NoiseModel, Problem, make_problem, sample_gradient
+from adprec.problems import (
+    NORMAL_CHUNK,
+    NoiseKind,
+    NoiseModel,
+    Problem,
+    make_problem,
+    sample_gradient,
+)
 from adprec.psd_linalg import SV_RTOL, eigh_clamped
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
@@ -40,6 +47,11 @@ VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
 
 def vec(*xs):
     return np.array(xs, dtype=float).reshape(-1, 1)
+
+
+def field(record, name):
+    """Field `name` of an adprec_step record array."""
+    return record[_RECORD_FIELDS.index(name)]
 
 
 def cfg(**kw):
@@ -76,9 +88,9 @@ def test_step_hand_example():
     X1, states1, _, rec, _ = adprec_step(VEC2, X, G, states, None, cfg(), 0)
     assert states1[0].gamma == pytest.approx(1.5)
     np.testing.assert_allclose(X1.blocks[0], vec(-1 / math.sqrt(1.5), 0))
-    assert rec.z_dual_norm_sq == pytest.approx(1 / 1.5)
-    assert rec.step_dual_norm == pytest.approx(1 / math.sqrt(1.5))
-    assert rec.resid_ineq1 < 1e-12 and rec.resid_ineq2 < 1e-12
+    assert field(rec, "z_dual_norm_sq") == pytest.approx(1 / 1.5)
+    assert field(rec, "step_dual_norm") == pytest.approx(1 / math.sqrt(1.5))
+    assert field(rec, "resid_ineq1") < 1e-12 and field(rec, "resid_ineq2") < 1e-12
 
 
 def test_step_zero_gradient():
@@ -88,7 +100,7 @@ def test_step_zero_gradient():
     X1, states1, _, rec, _ = adprec_step(VEC2, X, Z0, states, None, cfg(), 0)
     np.testing.assert_array_equal(X1.blocks[0], X.blocks[0])
     assert states1[0].gamma == 1.0
-    assert rec.z_dual_norm_sq == 0.0 and rec.step_dual_norm == 0.0
+    assert field(rec, "z_dual_norm_sq") == 0.0 and field(rec, "step_dual_norm") == 0.0
 
 
 def test_momentum_recursion():
@@ -414,7 +426,7 @@ def test_muon_step_reads_z_from_the_directions_svd(case, mode):
     S = geom_selector(shape, Z, zn)
 
     assert _close(states[0].gamma, st.gamma)
-    assert _close(rec.weighted_inv * states[0].gamma, tl)
+    assert _close(field(rec, "weighted_inv") * states[0].gamma, tl)
     assert _close(z_norms[0], zn)
     if case == "zero":
         assert zn == 0.0 and not S.any() and not X1.blocks[0].any()
@@ -441,12 +453,11 @@ def check_degenerate_steps(gradients, mode):
     for k, G in enumerate(gradients):
         X, states, M, rec, z_norms = adprec_step(MIXED, X, G, states, M, config, k)
         # f_value and grad_dual_norm are NaN until the trajectory driver fills them
-        filled = [f.name for f in fields(IterationRecord)
-                  if f.name not in ("f_value", "grad_dual_norm")]
-        assert all(math.isfinite(getattr(rec, name)) for name in filled)
+        filled = [name for name in _RECORD_FIELDS if name not in ("f_value", "grad_dual_norm")]
+        assert all(math.isfinite(field(rec, name)) for name in filled)
         assert all(math.isfinite(z) for z in z_norms)
         if mode is not MomentumMode.M2:  # m2 mixes Gamma(Gtilde) with Z(M) by design
-            assert rec.resid_ineq1 <= 1e-12 and rec.resid_ineq2 <= 1e-12
+            assert field(rec, "resid_ineq1") <= 1e-12 and field(rec, "resid_ineq2") <= 1e-12
         shampoo = states[0]
         for (w, Q), factor in [(shampoo.left_eig, shampoo.lfac),
                                (shampoo.right_eig, shampoo.rfac)]:
@@ -612,6 +623,31 @@ def test_sample_gradient_calls_per_step(monkeypatch, noises, calls_per_step):
     assert calls == {k: calls_per_step for k in range(K)}
 
 
+def test_a_stack_draws_its_noise_in_chunks(monkeypatch):
+    # each row reads its Generator in chunks: an additive R = 16, K = 50 run
+    # on two blocks makes one standard_normal call per row and chunk, where
+    # one call per row, block and step would make 1600, and its records are
+    # those of the uncounted run
+    calls = Counter()
+
+    class Counting(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            calls["standard_normal"] += 1
+            return super().standard_normal(*args, **kwargs)
+
+    shapes = [BlockShape(8, 1, Geometry.DIAG_ADAGRAD), BlockShape(6, 1, Geometry.ADANORM)]
+    problem = make_problem("quadratic", shapes, seed=0)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=0.5)
+    R, K, N = 16, 50, 14
+    config = cfg(max_iters=K, eta=0.25, seed=3)
+    want = run_replicates(problem, noise, config, R)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+    got = run_replicates(problem, noise, config, R)
+    assert 0 < calls["standard_normal"] <= R * (math.ceil(K * N / NORMAL_CHUNK) + 1)
+    for name in _RECORD_FIELDS:
+        np.testing.assert_array_equal(got.arrays[name], want.arrays[name], err_msg=name)
+
+
 def walk_problem(geometry, overflow=np.inf):
     """A flat objective whose iterate is moved by the oracle noise alone, from
     just below the largest double: a replicate whose walk goes up overflows.
@@ -685,6 +721,31 @@ def test_a_nonfinite_row_fails_alone():
     assert (reports[0].trials, reports[0].worst_violation, reports[0].passed) == (8, -math.inf, False)
     assert reports[0].context == f"noisy {err.value}"
     assert reports == alone and reports[1].passed
+
+
+def test_rows_below_a_failure_read_on_from_their_streams():
+    # a noisy row overflows and leaves the stack: in [noisy, exact, noisy]
+    # at seed 0, row 2 (seed 2) at iteration 3, and row 0, which shares its
+    # model, reads on from its buffered stream; in [exact, noisy] at seed 2,
+    # row 1 (seed 3) at iteration 2, and the exact row draws nothing after.
+    # Each row below the failure is still its solo run.
+    problem = walk_problem(Geometry.DIAG_ADAGRAD)
+    noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    for seed, noises, k in [(0, [noisy, NoiseModel(), noisy], 3), (2, [NoiseModel(), noisy], 2)]:
+        config = cfg(max_iters=8, eta=1e307, seed=seed, eval_objective=False)
+        n = len(noises) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = run_rows(problem, noises, config)
+            solo = [run_replicates(problem, noises[r], replace(config, seed=seed + r), 1)
+                    for r in range(n)]
+            with pytest.raises(NonFiniteIterate) as err:
+                run_replicates(problem, noisy, replace(config, seed=seed + n), 1)
+        want = f"replicate 0 (seed {seed + n}): non-finite at iteration {k}: iterate"
+        assert str(rows[n]) == str(err.value) == want
+        for row, alone in zip(rows, solo):
+            for name in _RECORD_FIELDS:
+                np.testing.assert_array_equal(row.arrays[name], alone.arrays[name], err_msg=name)
+            np.testing.assert_array_equal(row.final[0].blocks[0], alone.final[0].blocks[0])
 
 
 def test_gradient_overflow_fails_its_replicate_before_the_step():

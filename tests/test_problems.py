@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from adprec.block_space import BlockShape, Geometry, ProductPoint, product_dual_norm_sq, total_dim
 from adprec.errors import InvalidConfig
 from adprec.problems import (
+    NORMAL_CHUNK,
     NoiseKind,
     NoiseModel,
+    NormalStreams,
     make_problem,
     sample_gradient,
 )
@@ -224,7 +228,8 @@ def test_stacked_points_equal_points_alone(kind):
     if problem.component_grad is not None:
         noises.append(NoiseModel(kind=NoiseKind.MINI_BATCH, batch=3))
     z_prev = [np.array([0.0, 1.5, 2.0]), np.array([0.3, 0.0, 1.0])]
-    draws = [sample_gradient(problem, n, stack, 2, [np.random.default_rng(s) for s in range(3)],
+    draws = [sample_gradient(problem, n, stack, 2,
+                             NormalStreams([np.random.default_rng(s) for s in range(3)]),
                              z_prev_norms=z_prev) for n in noises]
     for r, point in enumerate(points):
         assert f[r] == problem.eval_f(point)
@@ -260,7 +265,8 @@ def test_every_block_the_program_returns_has_row_major_items(kind):
     assert {n.kind for n in noises} == set(NoiseKind)
     for X, rngs, z_prev in [
         (point, np.random.default_rng(7), [1.5, 2.0]),
-        (stack, [np.random.default_rng(s) for s in range(3)], [np.array([0.0, 1.5, 2.0])] * 2),
+        (stack, NormalStreams([np.random.default_rng(s) for s in range(3)]),
+         [np.array([0.0, 1.5, 2.0])] * 2),
     ]:
         assert row_major_items(X)
         assert row_major_items(problem.eval_grad(X))
@@ -272,3 +278,49 @@ def test_every_block_the_program_returns_has_row_major_items(kind):
                 continue
             draw = sample_gradient(problem, noise, X, 2, rngs, z_prev_norms=z_prev)
             assert row_major_items(draw), noise.kind
+
+
+def test_row_streams_read_each_generators_own_numbers():
+    # three rows over vector and matrix blocks, read through a chunk
+    # boundary (and, in the second space, with a block longer than a chunk)
+    # and cut to two rows halfway, as the driver cuts a stack after a
+    # failure: row r of every draw is what default_rng(seed + r) gives
+    # block by block.  sigma_l = sqrt(d_l) and alpha ~ 0 make the additive
+    # scale exactly 1, and z_prev = sqrt(d_l) with omega = 1 the
+    # multiplicative one, so a draw with G = 0 is the normals themselves.
+    spaces = [
+        [BlockShape(5, 1, Geometry.DIAG_ADAGRAD), BlockShape(3, 4, Geometry.SHAMPOO),
+         BlockShape(2, 3, Geometry.MUON)],
+        [BlockShape(5, 1, Geometry.ADANORM), BlockShape(40, 30, Geometry.MUON)],
+    ]
+    seed = 11
+    for shapes in spaces:
+        problem = make_problem("quadratic", shapes, seed=0)
+        dims = [s.dim for s in shapes]
+        K = 3 * NORMAL_CHUNK // sum(dims) + 2
+        for kind in (NoiseKind.ADDITIVE_DECAYING, NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE):
+            multiplicative = kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE
+            noise = NoiseModel(kind=kind, sigma=tuple(math.sqrt(d) for d in dims), alpha=1e-300,
+                               omega=1.0 if multiplicative else 0.0)
+            streams = NormalStreams([np.random.default_rng(seed + r) for r in range(3)])
+            alone = [np.random.default_rng(seed + r) for r in range(3)]
+            R, read = 3, 0
+            for k in range(K):
+                if k == K // 2:
+                    streams, R = streams.head(2), 2
+                # rows whose masks differ from step to step and block to block
+                z_prev = None
+                if multiplicative and k > 0:
+                    z_prev = [np.array([math.sqrt(d) if (k + r + ell) % 3 else 0.0
+                                        for r in range(R)]) for ell, d in enumerate(dims)]
+                zeros = ProductPoint([np.zeros((R, s.rows, s.cols)) for s in shapes])
+                draw = sample_gradient(problem, noise, zeros, k, streams,
+                                       z_prev_norms=z_prev, exact_grad=zeros)
+                for r in range(R):
+                    for ell, s in enumerate(shapes):
+                        want = alone[r].standard_normal((s.rows, s.cols))
+                        if z_prev is not None and z_prev[ell][r] > 0.0:
+                            want = want + alone[r].standard_normal((s.rows, s.cols))
+                        np.testing.assert_array_equal(draw.blocks[ell][r], want)
+                read += sum(dims)
+            assert read > 2 * NORMAL_CHUNK
