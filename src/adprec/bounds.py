@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,9 @@ def kappa_0(shapes, varsigma) -> float:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Constants entering the telescoping and Theta bounds."""
+    """Constants entering the telescoping and Theta bounds.  The derived
+    ones are computed once per instance: an envelope reads them at every
+    iteration."""
 
     shapes: tuple[BlockShape, ...]
     eta: float
@@ -39,17 +42,23 @@ class BoundConstants:
     f_low: float
     omega: float = 0.0
 
-    @property
+    @cached_property
     def N(self) -> int:
         return total_dim(self.shapes)
 
-    @property
+    @cached_property
     def kappa_gap(self) -> float:
         return self.f0 - self.f_low + self.eta * self.varsigma * self.N
 
-    @property
+    @cached_property
     def kappa_0(self) -> float:
         return kappa_0(self.shapes, self.varsigma)
+
+    @cached_property
+    def theta_floor(self) -> float:
+        """e^max(1, 1/2N, kappa_0/2N), the first term of both Theta envelopes."""
+        N = self.N
+        return math.exp(max(1.0, 1.0 / (2 * N), self.kappa_0 / (2 * N)))
 
 
 def bound_constants(problem: Problem, config: OptimizerConfig, omega=0.0) -> BoundConstants:
@@ -101,11 +110,9 @@ def m2_theta_noise_curve(noise: NoiseModel, config: OptimizerConfig, num_blocks:
 def _theta(constants: BoundConstants, gap: float, a: float, y: float) -> float:
     """max[ e^max(1, 1/2N, kappa_0/2N), 3 gap / eta, a sqrt(max(1, log a)), y log y ],
     the shape shared by both Theta envelopes; a <= 0 and y <= 0 contribute 0."""
-    N = constants.N
-    term1 = math.exp(max(1.0, 1.0 / (2 * N), constants.kappa_0 / (2 * N)))
     t_k = a * math.sqrt(max(1.0, math.log(a))) if a > 0.0 else 0.0
     y_k = y * math.log(y) if y > 0.0 else 0.0
-    return max(term1, 3.0 * gap / constants.eta, t_k, y_k)
+    return max(constants.theta_floor, 3.0 * gap / constants.eta, t_k, y_k)
 
 
 def compute_theta(constants: BoundConstants, nu_k: float) -> float:

@@ -14,6 +14,7 @@ Exit codes: 0 ok, 1 audit failures, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -194,11 +195,23 @@ def format_column(values) -> list[str]:
     return [f"{v:.17g}" for v in np.asarray(values, dtype=float).tolist()]
 
 
+def _write_new(path, text: str):
+    """Replace whatever is at `path` by a new file holding `text`.
+
+    The old file (or symlink) is removed first, never truncated: on ext4,
+    closing a truncated file starts its writeback, and truncating it again
+    waits for that writeback, so rewriting the same outputs in place stalls
+    a rerun.  Writing a temporary file and renaming it over the output
+    starts the same writeback."""
+    Path(path).unlink(missing_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def write_csv(path, columns):
     """Write {name: formatted column} as a CSV file, one column per name."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
+    lines = [",".join(columns), *map(",".join, zip(*columns.values()))]
+    _write_new(path, "\n".join(lines) + "\n")
 
 
 def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
@@ -255,9 +268,7 @@ def cmd_run(config_path, out_dir) -> int:
     }
     if bound_note:
         summary["bound_note"] = bound_note
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_new(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -265,9 +276,8 @@ def cmd_audit(suite, trials, seed, out_dir) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = run_suite(suite, trials=trials, seed=seed)
-    with open(out / "audit_report.json", "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    text = json.dumps([r.to_dict() for r in reports], indent=2) + "\n"
+    _write_new(out / "audit_report.json", text)
     ok = True
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -320,8 +330,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser `main` reuses for every call in this process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args.config, args.out)

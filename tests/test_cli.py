@@ -71,6 +71,63 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def run_argvs(cfg_path, iterations, seed, alphas, out):
+    """Set the config's iterations, then return the argvs of run, audit
+    --suite trace and sweep into one --out."""
+    cfg = json.loads(cfg_path.read_text())
+    cfg["optimizer"]["iterations"] = iterations
+    cfg_path.write_text(json.dumps(cfg))
+    return [
+        ["run", "--config", str(cfg_path), "--out", str(out)],
+        ["audit", "--suite", "trace", "--trials", "50", "--seed", str(seed), "--out", str(out)],
+        ["sweep", "--config", str(cfg_path), "--alphas", alphas, "--out", str(out)],
+    ]
+
+
+def output_texts(out):
+    """Every output file's bytes, with summary.json's wall_time_s dropped."""
+    texts = {}
+    for path in sorted(out.iterdir()):
+        if path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            del summary["wall_time_s"]
+            texts[path.name] = summary
+        else:
+            texts[path.name] = path.read_bytes()
+    return texts
+
+
+def test_rerun_into_the_same_out_matches_a_fresh_run(tmp_path):
+    # the first pass writes longer files than the second: more iterations,
+    # more sweep rows, another audit seed
+    cfg_path, _ = write_config(
+        tmp_path,
+        overrides={"noise": {"kind": "AdditiveDecaying", "sigma": 0.5, "alpha": 1.0}},
+        replicates=2,
+    )
+    same, fresh = tmp_path / "same", tmp_path / "fresh"
+    first = [main(argv) for argv in run_argvs(cfg_path, 40, 1, "2.0", same)]
+    assert first == [0, 0, 0]
+    second = [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", same)]
+    assert second == [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", fresh)]
+    assert output_texts(same) == output_texts(fresh)
+
+
+def test_run_replaces_a_symlinked_output_by_a_new_file(tmp_path):
+    cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"iterations": 5}})
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"not an output\n")
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    out.mkdir()
+    (out / "records.csv").symlink_to(target)
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(fresh)]) == 0
+    assert target.read_bytes() == b"not an output\n"
+    records = out / "records.csv"
+    assert records.is_file() and not records.is_symlink()
+    assert records.read_bytes() == (fresh / "records.csv").read_bytes()
+
+
 def test_theta_column_nondecreasing_under_additive_noise(tmp_path):
     cfg_path, _ = write_config(
         tmp_path,

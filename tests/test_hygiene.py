@@ -156,6 +156,46 @@ def test_layout_lives_in_block_space():
     assert not found, f"layout read outside block_space: {', '.join(found)}"
 
 
+def file_writes(source: str) -> list[str]:
+    """Where `source` opens a file to write it (an `open` whose mode is not
+    a constant free of w, x and a) or writes one by `write_text` /
+    `write_bytes`, each as "<top-level definition>: line <n>"."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "open":
+                # builtin open(file, mode) or Path.open(mode)
+                at = 1 if isinstance(node.func, ast.Name) else 0
+                mode = node.args[at] if len(node.args) > at else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r")
+                )
+                read_only = isinstance(mode, ast.Constant) and not set(mode.value) & set("wxa")
+                writes = not read_only
+            else:
+                writes = name in ("write_text", "write_bytes")
+            if writes:
+                found.append(f"{getattr(top, 'name', '<module>')}: line {node.lineno}")
+    return found
+
+
+def test_file_write_detector():
+    src = (
+        "def f(p, m):\n    open(p)\n    open(p, 'rb')\n    open(p, 'w')\n    open(p, m)\n\n"
+        "def g(p):\n    p.open(mode='a')\n    p.open()\n    p.write_text('x')\n"
+    )
+    assert file_writes(src) == ["f: line 4", "f: line 5", "g: line 8", "g: line 10"]
+
+
+def test_cli_writes_only_through_its_writer():
+    # _write_new removes an output before writing it anew; an `open(path,
+    # "w")` elsewhere would truncate old outputs in place again
+    writes = file_writes((SRC / "cli.py").read_text())
+    assert [w.partition(":")[0] for w in writes] == ["_write_new"], writes
+
+
 def test_benchmark_entry_points(monkeypatch):
     # perfbench counts steps by the span of optimizer.adprec_step, which its
     # tracer wraps in the optimizer's namespace; it checks every replicate
