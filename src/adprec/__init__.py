@@ -35,6 +35,7 @@ from .optimizer import (
     run_replicates,
     run_rows,
     run_trajectory,
+    step_record,
 )
 from .problems import (
     NoiseKind,

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -214,6 +215,23 @@ def write_csv(path, columns):
     _write_new(path, "\n".join(lines) + "\n")
 
 
+def _replicate_file(r: int) -> str:
+    """The name of replicate r's records file."""
+    return f"records_rep{r:03d}.csv"
+
+
+def _remove_stale_replicates(out: Path, R: int):
+    """Remove the replicate records files of an earlier run with more than R
+    replicates: every entry of `out` named ``_replicate_file(r)`` for some
+    r >= R, and nothing else."""
+    for name in os.listdir(out):
+        digits = name.removeprefix("records_rep").removesuffix(".csv")
+        if digits.isdecimal() and name == _replicate_file(int(digits)) and int(digits) >= R:
+            path = out / name
+            if path.is_symlink() or not path.is_dir():
+                path.unlink()
+
+
 def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
     """Per-iteration Theta envelope and rate bound for the configured run;
     NaN (with an explanatory note) when no Lipschitz bound, no analytic
@@ -255,7 +273,8 @@ def cmd_run(config_path, out_dir) -> int:
 
     write(out / "records.csv", res.mean)
     for r in range(exp.replicates):
-        write(out / f"records_rep{r:03d}.csv", {name: a[r] for name, a in res.arrays.items()})
+        write(out / _replicate_file(r), {name: a[r] for name, a in res.arrays.items()})
+    _remove_stale_replicates(out, exp.replicates)
 
     summary = {
         "final_min_grad": float(res.min_grad_curve[-1]) if K else None,

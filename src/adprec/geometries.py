@@ -38,8 +38,11 @@ them); accumulation returns fresh states and never decreases eigenvalues.
 Because a state never changes, it factorizes itself at most once:
 ``FullState.eig`` and ``KroneckerState.left_eig`` / ``right_eig`` hold
 ``eigh_clamped(gram | lfac | rfac, floor=varsigma)``, computed on first use
-and read by both precondition and diagnostics.  Factorizations of a block
-(Muon's SVDs) are shared through arguments instead: accumulate and
+and read by both precondition and diagnostics; ``geom_stack`` joins states
+into one stack with the factorizations they cached, so the diagnostics of
+many steps' states, taken at once, factorize nothing again.
+Factorizations of a block (Muon's SVDs) are shared through arguments
+instead: accumulate and
 diagnostics take ``geom_lmap_trace(V)``, and ``geom_step_direction`` takes
 the dual norm and selector of Z.  A step factorizes a Muon direction block D
 once, with ``geom_factor(D)``: one thin SVD gives D's nuclear norm and
@@ -107,13 +110,40 @@ class KroneckerState:
 GeometryState = ScalarState | DiagonalState | FullState | KroneckerState
 
 
+def _arrays(state: GeometryState) -> list[str]:
+    """The names of a state's fields that hold one value per item of a stack."""
+    return [
+        f.name for f in fields(state)
+        if isinstance(getattr(state, f.name), (np.ndarray, np.generic))
+    ]
+
+
 def geom_take(state: GeometryState, index) -> GeometryState:
     """The states of a stacked state at ``index`` (an int or a slice of the stack axis)."""
-    return replace(state, **{
-        f.name: getattr(state, f.name)[index]
-        for f in fields(state)
-        if isinstance(getattr(state, f.name), np.ndarray)
-    })
+    return replace(state, **{name: getattr(state, name)[index] for name in _arrays(state)})
+
+
+# ndim of the first array field of one block's state: a stack has one more
+_ITEM_NDIM = {ScalarState: 0, DiagonalState: 1, FullState: 2, KroneckerState: 2}
+_CACHED = ("eig", "left_eig", "right_eig")
+
+
+def geom_stack(states) -> GeometryState:
+    """One state holding the items of ``states`` (one kind, alike in shape)
+    in order, the counterpart of ``geom_take``: states of one block become a
+    stack of len(states), stacks of R are joined along their stack axis.
+    The factorizations the items have cached are stacked with them, so the
+    stack factorizes nothing again; each item's values keep their bits."""
+    first = states[0]
+    names = _arrays(first)
+    item = getattr(first, names[0]).ndim == _ITEM_NDIM[type(first)]
+    join = np.stack if item else np.concatenate
+    stacked = replace(first, **{n: join([getattr(s, n) for s in states]) for n in names})
+    for name in _CACHED:
+        if all(name in vars(s) for s in states):
+            w, Q = zip(*(vars(s)[name] for s in states))
+            vars(stacked)[name] = (join(w), join(Q))
+    return stacked
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,22 @@ update; setting eval_objective=False skips it entirely.  A trajectory is
 strictly sequential; replicates are independent (seed + replicate index)
 and run together as one array program.  Every block of the iterate, the
 gradient and the geometry state carries a leading replicate axis, so one
-call of ``adprec_step`` advances all R replicates, each block is factorized
-by one stacked eigh or SVD, and the step returns its record values as one
-(fields, R) array, which the driver stores in its (fields, R, K) columns
-with one assignment; only ``run_trajectory`` builds ``IterationRecord``s.
-Each replicate keeps its own Generator, whose normals it reads in chunks
+call of ``adprec_step`` advances all R replicates and each block is
+factorized by one stacked eigh or SVD.  The step computes only what the
+next step reads; its record (``step_record``) is computed from the values
+it kept, once per chunk of steps.  The driver keeps each step's record
+inputs by reference and, every C steps, computes the records of those
+steps with one call per operation on arrays whose stack axis holds all of
+them, then stores them in its (fields, R, K) columns with one assignment.
+C is as many steps as fit in RECORD_CHUNK_BYTES, from the bytes the first
+step keeps; a step of large blocks is recorded alone, on its own arrays.
+Only ``run_trajectory`` builds ``IterationRecord``s.  Each replicate keeps
+its own Generator, whose normals it reads in chunks
 (``problems.NormalStreams``), and every stacked operation rounds as the
 single-point one does, so replicate r of a stack is bit for bit the
-trajectory that seed + r gives alone; ``run_trajectory`` is the R = 1 case.
+trajectory that seed + r gives alone, and every record value has the bits
+it has when recorded right after its step; ``run_trajectory`` is the R = 1
+case.
 
 Each row of a stack has its own noise model.  ``run_replicates`` gives all
 R rows one model; ``run_rows`` runs different models side by side, such as
@@ -40,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -66,6 +75,7 @@ from .geometries import (
     geom_lmap_trace,
     geom_precondition,
     geom_selector,
+    geom_stack,
     geom_step_direction,
     geom_take,
 )
@@ -149,7 +159,7 @@ class IterationRecord:
 
 
 # every per-step quantity of IterationRecord except the iteration index: the
-# rows of adprec_step's record array and of the driver's columns
+# rows of step_record's array and of the driver's columns
 _RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord) if f.name != "k")
 
 
@@ -162,60 +172,84 @@ def adprec_step(
     config: OptimizerConfig,
     k: int,
 ):
-    """One iteration; returns (X_next, new_states, M_k, record, z_norms).
+    """One iteration, cut down to what the next one reads; returns
+    (X_next, new_states, M_k, z_norms, kept).
 
     X, gtilde, M and the states are one point or a stack of R (see
-    ``ProductPoint``).  The record is an array whose row i is field
-    _RECORD_FIELDS[i], one value per point: (fields,) for one point,
-    (fields, R) for a stack.  M is the
-    previous momentum M_{k-1}: None before the first step, and returned
-    unchanged when momentum is off.  z_norms are the block dual norms of the
-    preconditioned direction Z (the oracle for multiplicative noise needs
-    them at the next iteration).  A Muon direction block D is factorized
-    once (``geom_factor``): its one SVD gives Z's dual norm and selector,
-    so Z itself is never formed; they feed both the identity residual and
-    the step, and, when D is the accumulated block, the lmap trace.  The
-    lmap trace feeds accumulate and diagnostics (and Gtilde's dual norm when
-    Gtilde is the accumulated block).  The record's f_value / grad_dual_norm
-    rows are NaN here; the trajectory driver fills them in (they need the
-    problem, which the step itself must not consult) and checks X_next and
-    the record for non-finite values.
+    ``ProductPoint``).  M is the previous momentum M_{k-1}: None before the
+    first step, and returned unchanged when momentum is off.  z_norms are
+    the block dual norms of the preconditioned direction Z (the oracle for
+    multiplicative noise needs them at the next iteration).  A Muon
+    direction block D is factorized once (``geom_factor``): its one SVD
+    gives Z's dual norm and selector, so Z itself is never formed, and,
+    when D is the accumulated block, the lmap trace, which feeds accumulate.
+    kept is what the step's record (``step_record``) reads of the blocks
+    besides the new states and z_norms: per block, Z (S(Z) for Muon) and the
+    lmap trace.  The record itself is no part of the step.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
     mode = config.momentum_mode
-    mu_k = mu_schedule(k, config)
-
     acc = direction = gtilde
-    mom_err_sq = 0.0
     if mode is not MomentumMode.NONE:
-        M = direction = _momentum(M, mu_k, gtilde)
+        M = direction = _momentum(M, mu_schedule(k, config), gtilde)
         if mode is MomentumMode.M1:
             acc = M
-        E = ProductPoint([m - g for m, g in zip(M.blocks, gtilde.blocks)])
-        mom_err_sq = product_dual_norm_sq(E, shapes)
 
-    new_states = []
-    new_blocks = []
-    z_norms = []
+    new_states, new_blocks, z_norms, moves, traces = [], [], [], [], []
+    for ell, shape in enumerate(shapes):
+        A, D = acc.blocks[ell], direction.blocks[ell]
+        f = geom_factor(shape, D)
+        tl = geom_lmap_trace(shape, A, f if A is D else None)
+        st = geom_accumulate(shape, states[ell], A, tl)
+        # Muon reads |Z| and S(Z) from D's factor and never needs Z itself;
+        # a Euclidean step is Z, whose selector only the record reads
+        Z = geom_precondition(shape, st, D) if f is None else None
+        zn = geom_dual_norm(shape, Z, st, f)
+        S = None if f is None else geom_selector(shape, Z, zn, f)
+        new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
+        new_states.append(st)
+        z_norms.append(zn)
+        moves.append(Z if f is None else S)
+        traces.append(tl)
+    return ProductPoint(new_blocks), new_states, M, z_norms, (moves, traces)
+
+
+def step_record(
+    shapes: Sequence[BlockShape],
+    config: OptimizerConfig,
+    gtilde: ProductPoint,
+    M: ProductPoint | None,
+    states: list[GeometryState],
+    z_norms,
+    kept,
+) -> np.ndarray:
+    """The record of a step from what ``adprec_step`` returned: its Gtilde,
+    M_k, new states, z_norms and kept values.  The result is an array whose
+    row i is field _RECORD_FIELDS[i], one value per point: (fields,) for
+    one point, (fields, R) for a stack.  A stack of several steps' values
+    (points joined along their stack axis, states by ``geom_stack``) gives
+    the records of all of them at once, each value with the bits of its
+    own step's.  The f_value / grad_dual_norm rows are NaN here; the
+    trajectory driver fills them in (they need the problem, which the step
+    itself must not consult).
+    """
+    moves, traces = kept
+    mode = config.momentum_mode
+    acc = M if mode is MomentumMode.M1 else gtilde
     # per block: |Z| <A, S(Z)>, then what the record sums over blocks, in
     # the order of its fields gtilde_dual_norm ... weighted_invsqrt: |Gtilde|^2,
     # |Z|^2, the trace and log-det terms, and the traces that |Z|^2 and
     # |Z| <A, S(Z)> should equal, tr(Gamma^-1 lmap A) and tr(Gamma^-1/2 lmap A)
     terms = []
     for ell, shape in enumerate(shapes):
-        A, D = acc.blocks[ell], direction.blocks[ell]
-        f = geom_factor(shape, D)
-        tl = geom_lmap_trace(shape, A, f if A is D else None)
-        st = geom_accumulate(shape, states[ell], A, tl)
-        # Muon reads |Z| and S(Z) from D's factor and never needs Z itself
-        Z = geom_precondition(shape, st, D) if f is None else None
-        zn = geom_dual_norm(shape, Z, st, f)
-        S = geom_selector(shape, Z, zn, f)
-        diag = geom_diagnostics(shape, st, A, tl)
+        A, zn, tl = acc.blocks[ell], z_norms[ell], traces[ell]
+        muon = shape.geometry is Geometry.MUON
+        S = moves[ell] if muon else geom_selector(shape, moves[ell], zn)
+        diag = geom_diagnostics(shape, states[ell], A, tl)
         # Muon's lmap trace of Gtilde is its squared nuclear norm, the same
         # float; a Euclidean block's sum of squares is not its squared norm
-        if acc is gtilde and shape.geometry is Geometry.MUON:
+        if acc is gtilde and muon:
             gtilde_sq = tl
         else:
             gtilde_sq = squared(block_dual_norm(shape.geometry, gtilde.blocks[ell]))
@@ -223,9 +257,6 @@ def adprec_step(
             zn * np.add.reduce(A * S, axis=(-2, -1)), gtilde_sq, zn * zn,
             diag.trace_sqrt, diag.trace_log, diag.weighted_inv, diag.weighted_invsqrt,
         ))
-        new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
-        new_states.append(st)
-        z_norms.append(zn)
 
     terms = np.array(terms)  # (blocks, 7) + the stack's shape
     record = np.empty((len(_RECORD_FIELDS),) + terms.shape[2:])
@@ -250,8 +281,81 @@ def adprec_step(
     np.divide(resid, scale, out=resid, where=scale > 0.0)
     np.fmax.reduce(resid, axis=0, initial=0.0, out=record[8:10])
     record[10] = config.eta * np.sqrt(record[3])
-    record[11] = mom_err_sq
-    return ProductPoint(new_blocks), new_states, M, record, z_norms
+    if mode is MomentumMode.NONE:
+        record[11] = 0.0
+    else:
+        E = ProductPoint([m - g for m, g in zip(M.blocks, gtilde.blocks)])
+        record[11] = product_dual_norm_sq(E, shapes)
+    return record
+
+
+# Bytes of record inputs the driver keeps before it computes their records:
+# a run records its steps in chunks of as many steps as fit (at least one)
+RECORD_CHUNK_BYTES = 128 * 1024
+
+
+def _nbytes(obj) -> int:
+    """Bytes that obj keeps alive: its own size, an array's data (a view's
+    too), and the sizes of the points, states (with their cached
+    factorizations), lists and tuples in it.  A step of small blocks keeps
+    several times as much in array headers and Python objects as in array
+    data, so both count."""
+    size = sys.getsizeof(obj)
+    if isinstance(obj, np.ndarray):
+        return size if obj.base is None else size + obj.nbytes
+    if isinstance(obj, ProductPoint):
+        return size + _nbytes(obj.blocks)
+    if isinstance(obj, (list, tuple)):
+        return size + sum(_nbytes(o) for o in obj)
+    if hasattr(obj, "__dict__"):
+        return size + _nbytes(list(vars(obj).values()))
+    return size
+
+
+def _joined(points, join) -> ProductPoint | None:
+    """The points of several steps as one stack, block by block."""
+    if points[0] is None:
+        return None
+    return ProductPoint([join(bs) for bs in zip(*(P.blocks for P in points))])
+
+
+def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stacked: bool):
+    """The records of consecutive steps of the driver, each kept as (X, G,
+    Gtilde, M_k, new states, z_norms, kept), with one call per operation:
+    (fields, C * R) for C steps of a stack of R, (fields, C) for C steps of
+    one point, and for one step the ``step_record`` shape, computed on the
+    step's own arrays.  Row r of a stack has an exact oracle when exact[r]
+    (a tuple of bools, which Python tests faster than numpy does).
+
+    The first step of M1 is recorded on its own: its M_0 is Gtilde_0
+    itself, the accumulated block, so its record reads a Muon block's
+    Gtilde norm from the lmap trace (the direction's SVD), where later
+    steps take a values-only SVD of Gtilde, which may differ in the last
+    bit."""
+    shapes = problem.shapes
+    if len(steps) > 1 and steps[0][3] is steps[0][2] and config.momentum_mode is MomentumMode.M1:
+        head = _chunk_record(problem, config, exact, steps[:1], stacked)
+        rest = _chunk_record(problem, config, exact, steps[1:], stacked)
+        return np.concatenate([head.reshape(len(head), -1), rest], axis=1)
+    if len(steps) == 1:
+        X, G, gtilde, M, states, z_norms, kept = steps[0]
+    else:
+        join = np.concatenate if stacked else np.stack
+        Xs, Gs, gtildes, Ms, statess, z_normss, kepts = zip(*steps)
+        X, G, gtilde, M = (_joined(P, join) for P in (Xs, Gs, gtildes, Ms))
+        states = [geom_stack(st) for st in zip(*statess)]
+        z_norms = [join(z) for z in zip(*z_normss)]
+        kept = tuple([join(v) for v in zip(*part)] for part in zip(*kepts))
+    record = step_record(shapes, config, gtilde, M, states, z_norms, kept)
+    if config.eval_objective:
+        record[0] = problem.eval_f(X)
+    # an exact row's Gtilde is G, whose norm the record already took
+    if all(exact):
+        record[1] = record[2]
+    else:
+        grad = np.sqrt(product_dual_norm_sq(G, shapes))
+        record[1] = np.where(np.tile(exact, len(steps)), record[2], grad) if any(exact) else grad
+    return record
 
 
 @dataclass
@@ -306,15 +410,17 @@ def _rows(idx, R: int):
     return slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else np.array(idx)
 
 
-def _sampling_plan(noises: Sequence[NoiseModel], rngs):
+def _sampling_plan(noises: Sequence[NoiseModel], rngs, steps: int, dim: int):
     """How the oracle draws a stack whose row r has model noises[r] and
-    Generator rngs[r]: a list of (model, rows, draws).  For one row, rngs
-    is its Generator and so are the draws of the one entry.  A stack whose
-    rows share one model has one entry with rows None and draws the
-    ``NormalStreams`` of all rows.  Otherwise there is one entry per noisy
-    model, in order of its first row, with rows its rows (see ``_rows``)
-    and draws their streams; the exact rows of such a stack keep the exact
-    gradient and have no entry."""
+    Generator rngs[r], over `steps` steps in a space of dimension dim: a
+    list of (model, rows, draws).  For one row, rngs is its Generator and
+    so are the draws of the one entry.  A stack whose rows share one model
+    has one entry with rows None and draws the ``NormalStreams`` of all
+    rows.  Otherwise there is one entry per noisy model, in order of its
+    first row, with rows its rows (see ``_rows``) and draws their streams;
+    the exact rows of such a stack keep the exact gradient and have no
+    entry.  Each stream is told the most normals its model reads in the
+    run, so that no row draws more."""
     models = []
     for nz in noises:
         if nz not in models:
@@ -326,7 +432,8 @@ def _sampling_plan(noises: Sequence[NoiseModel], rngs):
         if model.kind is NoiseKind.EXACT and len(models) > 1:
             continue
         idx = [r for r, nz in enumerate(noises) if nz == model]
-        plan.append((model, _rows(idx, len(noises)), NormalStreams([rngs[r] for r in idx])))
+        streams = NormalStreams([rngs[r] for r in idx], steps * model.normals_per_step(dim))
+        plan.append((model, _rows(idx, len(noises)), streams))
     return plan
 
 
@@ -370,17 +477,30 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     ``NormalStreams``): rows sharing a model are drawn together (see
     ``_sampling_plan``), and an exact row's Generator is never drawn from.
     Whether a row is exact decides its grad_dual_norm (that of Gtilde
-    itself when exact) and the fields its failure names.  Each step's
-    record array fills the rows' column of ``_Run.columns`` at once.
+    itself when exact) and the fields its failure names.
+
+    The loop carries only what the next step reads (``adprec_step``) and
+    keeps each step's record inputs by reference.  Every C steps, with C as
+    many steps as RECORD_CHUNK_BYTES holds of the first step's inputs (at
+    least one), ``_chunk_record`` computes the records of those steps at
+    once and fills their columns of ``_Run.columns``; each value rounds as
+    it would step by step.
 
     A row fails at iteration k when its iterate or record (f_value only
     when eval_objective is set) is non-finite after the step, or already
     before it, when Gtilde's sum of squares overflows: that sum is
     gtilde_dual_norm**2 on Euclidean blocks and at most it on Muon blocks,
     and in the step it would reach a Gram matrix, on which eigh raises, or
-    an SVD, which may not return.  The row then leaves the stack, with every
-    row above it: none of them can be the lowest failure any more, and
-    their non-finite values never reach a stacked factorization.
+    an SVD, which may not return.  The loop checks Gtilde and the iterate;
+    a row that fails either check leaves the stack at once, with every row
+    above it: none of them can be the lowest failure any more, and their
+    non-finite values never reach a stacked factorization.  Records are
+    checked when their chunk is computed, first of all when a row leaves
+    the stack.  So a row whose record failed runs on at most to the end of
+    its chunk, and only with a finite iterate and a Gtilde that passed the
+    overflow check: the same inputs that its steps factorize when each
+    record is checked after its step.  The failure is the lowest row that
+    failed, at its first failing step, as when every step is checked.
     """
     shapes = problem.shapes
     K, R = config.max_iters, len(noises)
@@ -394,8 +514,8 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
     if not lead:
         rngs = rngs[0]
-    plan = _sampling_plan(noises, rngs)
-    exact = np.array([nz.kind is NoiseKind.EXACT for nz in noises])
+    plan = _sampling_plan(noises, rngs, K, total_dim(shapes))
+    exact = tuple(nz.kind is NoiseKind.EXACT for nz in noises)
     z_prev_norms = None
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     # f_value is the first record field, NaN by design when not evaluated
@@ -403,49 +523,83 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     failure = None
     n = R  # replicates 0..n-1 are still running
     rows = slice(n) if lead else 0  # their column of a step's records
+    steps = []  # the record inputs of the steps not yet recorded
+    chunk = None  # steps per record chunk, from the first step's inputs
+
+    def record(end, X_after, iterate=None):
+        """Record the kept steps, end - len(steps) .. end - 1, and drop
+        them.  X_after is what the last of them left, and iterate, when its
+        iterate is non-finite, says per row whether it is finite.  Returns
+        the lowest row that failed in them as (r, k, bad, X, states): its
+        first failing step k, what is non-finite there, and what that step
+        left; or None."""
+        C, k0 = len(steps), end - len(steps)
+        rec = _chunk_record(problem, config, exact, steps, bool(lead))
+        if C == 1:
+            columns[:, rows, k0] = rec
+        elif lead:
+            columns[:, rows, k0:end] = np.moveaxis(rec.reshape(len(rec), C, -1), 1, -1)
+        else:
+            columns[:, rows, k0:end] = rec
+        found = None
+        if iterate is not None or not np.isfinite(rec[first:]).all():
+            finite = np.isfinite(rec[first:]).reshape(len(rec) - first, C, -1)
+            ok = finite.all(axis=0)  # (steps, rows)
+            if iterate is not None:
+                ok[-1] &= iterate
+            r = int(np.argmin(ok.all(axis=0)))
+            j = int(np.argmin(ok[:, r]))
+            bad = [name for name, f in zip(_RECORD_FIELDS[first:], finite[:, j, r]) if not f]
+            if iterate is not None and j == C - 1 and not iterate[r]:
+                bad.insert(0, "iterate")
+            found = (r, k0 + j, bad, steps[j + 1][0] if j + 1 < C else X_after, steps[j][4])
+        steps.clear()
+        return found
 
     for k in range(K):
         G = problem.eval_grad(X)
         gtilde = _oracle(problem, plan, X, k, z_prev_norms, G)
-        fval = problem.eval_f(X) if config.eval_objective else math.nan
         r = _first_overflow(gtilde)
         if r is not None:
-            bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact[r] else ["gtilde_dual_norm"]
-            if config.eval_objective and not np.isfinite(np.reshape(fval, -1)[r]):
-                bad.insert(0, "f_value")
-            failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
+            # a lower row may have failed in the steps not yet recorded
+            found = record(k, X) if steps else None
+            if found is None or found[0] > r:
+                bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact[r] else ["gtilde_dual_norm"]
+                if config.eval_objective and not np.isfinite(np.reshape(problem.eval_f(X), -1)[r]):
+                    bad.insert(0, "f_value")
+                found = (r, k, bad, X, states)
+            r, kf, bad, X_failed, states_failed = found
+            failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
             if r == 0:
-                return _Run(columns, X, states, failure)
+                return _Run(columns, X_failed, states_failed, failure)
             plan, exact = _cut_plan(plan, n, r), exact[:r]
             n, rows = r, slice(r)
             X, states, M, z_prev_norms = _keep(n, X, states, M, z_prev_norms)
             G, gtilde = _take(G, rows), _take(gtilde, rows)
-            if config.eval_objective:
-                fval = fval[:n]
-        X_next, states, M, rec, z_prev_norms = adprec_step(shapes, X, gtilde, states, M, config, k)
-        rec[0] = fval
-        # an exact row's Gtilde is G, whose norm the step already took
-        if exact.all():
-            rec[1] = rec[2]
-        else:
-            grad = np.sqrt(product_dual_norm_sq(G, shapes))
-            rec[1] = np.where(exact, rec[2], grad) if exact.any() else grad
-        columns[:, rows, k] = rec
+        X_next, states_next, M, z_prev_norms, kept = adprec_step(
+            shapes, X, gtilde, states, M, config, k
+        )
+        steps.append((X, G, gtilde, M, states_next, z_prev_norms, kept))
+        if chunk is None:
+            chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(steps[0])))
+        states = states_next
         # the flat iterate is checked here and cached for the next gradient
-        if np.isfinite(rec[first:]).all() and np.isfinite(X_next.ravel()).all():
+        if np.isfinite(X_next.ravel()).all():
             X = X_next
+            if len(steps) < chunk and k + 1 < K:
+                continue
+            found = record(k + 1, X_next)
+        else:
+            iterate = np.logical_and.reduce(
+                [np.isfinite(b).all(axis=(-2, -1)) for b in X_next.blocks]
+            ).reshape(-1)
+            found = record(k + 1, X_next, iterate)
+        if found is None:
             continue
-        finite = np.isfinite(columns[first:, :n, k])
-        iterate = np.logical_and.reduce(
-            [np.isfinite(b).all(axis=(-2, -1)) for b in X_next.blocks]
-        ).reshape(-1)
-        r = int(np.argmin(finite.all(axis=0) & iterate))
-        bad = [name for name, f in zip(_RECORD_FIELDS[first:], finite[:, r]) if not f]
-        if not iterate[r]:
-            bad.insert(0, "iterate")
-        failure = (r, k, f"non-finite at iteration {k}: {', '.join(bad)}")
+        r, kf, bad, X_failed, states_failed = found
+        failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
         if r == 0:
-            return _Run(columns, X_next, states, failure)
+            return _Run(columns, X_failed, states_failed, failure)
         plan, exact = _cut_plan(plan, n, r), exact[:r]
         n, rows = r, slice(r)
         X, states, M, z_prev_norms = _keep(n, X_next, states, M, z_prev_norms)

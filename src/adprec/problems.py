@@ -87,6 +87,16 @@ class NoiseModel:
             )
         return np.asarray(self.sigma, dtype=float)
 
+    def normals_per_step(self, dim: int) -> int:
+        """The most standard normals the oracle reads per point and step, for
+        a space of total dimension dim: dim for an additive draw, as many
+        again for the multiplicative one, none for the other kinds."""
+        if self.kind is NoiseKind.ADDITIVE_DECAYING:
+            return dim
+        if self.kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE:
+            return 2 * dim
+        return 0
+
     def sigma_tot_sq(self, num_blocks: int) -> float:
         """sum_l sigma_l**2 over num_blocks blocks, broadcast as by sigma_for."""
         return float(np.sum(self.sigma_for(num_blocks) ** 2))
@@ -318,26 +328,28 @@ class NormalStreams:
     ``read(n)`` gives each row the next n numbers of its own Generator's
     ``standard_normal`` stream: the stream of n + m numbers is that of n
     followed by that of m, so how the reads split a row's stream does not
-    change its numbers.  Each row draws NORMAL_CHUNK numbers at a time into
-    its row of one (R, NORMAL_CHUNK) buffer; a read that needs more than a
-    chunk beyond what is buffered draws only that read.  While the rows have
-    read alike they share one cursor, and a read is one slice of the buffer.
+    change its numbers.  Each row draws a chunk of numbers at a time into
+    its row of one (R, chunk) buffer; a read that needs more than a chunk
+    beyond what is buffered draws only that read.  The chunk is NORMAL_CHUNK
+    numbers, or ``most`` when fewer: the most numbers a row reads in all, so
+    that no row draws numbers it never reads.  While the rows have read
+    alike they share one cursor, and a read is one slice of the buffer.
     ``rngs`` are the Generators themselves, for draws that are not normals
     (they are never mixed with normals on one row).
     """
 
-    def __init__(self, rngs):
+    def __init__(self, rngs, most: int = NORMAL_CHUNK):
         self.rngs = list(rngs)
-        self._buf = np.empty((len(self.rngs), NORMAL_CHUNK))
-        self._at = NORMAL_CHUNK  # the rows' common cursor, or None when they differ
+        self._buf = np.empty((len(self.rngs), min(most, NORMAL_CHUNK)))
+        self._at = self._buf.shape[1]  # the rows' common cursor, or None when they differ
         self._pos = None  # per-row cursors when they differ
 
     def read(self, n: int, rows=None) -> np.ndarray:
         """The next n numbers of each row, as an (R, n) array that the next
         read may overwrite; with rows (a boolean mask) only those rows read,
         and the others get zeros."""
-        at = self._at
-        if at is not None and at + n <= NORMAL_CHUNK and (rows is None or rows.all()):
+        at, chunk = self._at, self._buf.shape[1]
+        if at is not None and at + n <= chunk and (rows is None or rows.all()):
             self._at = at + n
             return self._buf[:, at : at + n]
         pos = [at] * len(self.rngs) if at is not None else self._pos
@@ -345,11 +357,11 @@ class NormalStreams:
         for r, g in enumerate(self.rngs):
             if rows is not None and not rows[r]:
                 continue
-            have = min(NORMAL_CHUNK - pos[r], n)
+            have = min(chunk - pos[r], n)
             out[r, :have] = self._buf[r, pos[r] : pos[r] + have]
             pos[r] += have
             rest = n - have
-            if rest > NORMAL_CHUNK:
+            if rest > chunk:
                 g.standard_normal(out=out[r, have:])
             elif rest:
                 g.standard_normal(out=self._buf[r])

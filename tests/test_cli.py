@@ -111,6 +111,21 @@ def test_rerun_into_the_same_out_matches_a_fresh_run(tmp_path):
     second = [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", same)]
     assert second == [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", fresh)]
     assert output_texts(same) == output_texts(fresh)
+    # a rerun with fewer replicates removes the replicate files it does not
+    # write, and no file of another name
+    others = ["records_rep0001.csv", "records_rep1.csv", "records_rep001.csv.bak", "notes.csv"]
+    for name in others:
+        (same / name).write_text("kept\n")
+    cfg = json.loads(cfg_path.read_text())
+    cfg["replicates"] = 1
+    cfg_path.write_text(json.dumps(cfg))
+    fewer = tmp_path / "fewer"
+    third = [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", same)]
+    assert third == [main(argv) for argv in run_argvs(cfg_path, 12, 2, "", fewer)]
+    assert not (same / "records_rep001.csv").exists()
+    texts = output_texts(same)
+    assert all(texts.pop(name) == b"kept\n" for name in others)
+    assert texts == output_texts(fewer)
 
 
 def test_run_replaces_a_symlinked_output_by_a_new_file(tmp_path):

@@ -229,3 +229,23 @@ def test_benchmark_entry_points(monkeypatch):
         for attr in internal:
             fn = getattr(modules[name], attr, None)
             assert inspect.isfunction(fn) and fn.__module__ == f"adprec.{name}", f"{name}.{attr}"
+
+
+def calls_in(source: str, function: str) -> set[str]:
+    """The names that the top-level function `function` of `source` calls,
+    as plain names or as attributes."""
+    tree = ast.parse(source)
+    top = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_step_computes_no_record():
+    # the step carries what the next step reads; the per-step diagnostics
+    # and norms belong to the record pass, which runs once per chunk of steps
+    calls = calls_in((SRC / "optimizer.py").read_text(), "adprec_step")
+    assert "geom_accumulate" in calls
+    assert not calls & {"geom_diagnostics", "product_dual_norm_sq"}, calls

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from adprec import optimizer
 from adprec.audit import audit_path_potentials
-from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, ProductPoint
+from adprec.block_space import (
+    VECTOR_ONLY,
+    BlockShape,
+    Geometry,
+    ProductPoint,
+    product_dual_norm_sq,
+    total_dim,
+)
 from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.geometries import (
     geom_accumulate,
@@ -31,6 +38,7 @@ from adprec.optimizer import (
     run_replicates,
     run_rows,
     run_trajectory,
+    step_record,
 )
 from adprec.problems import (
     NORMAL_CHUNK,
@@ -41,6 +49,7 @@ from adprec.problems import (
     sample_gradient,
 )
 from adprec.psd_linalg import SV_RTOL, eigh_clamped
+from adprec.suites import _potential_spaces
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
 
@@ -50,8 +59,15 @@ def vec(*xs):
 
 
 def field(record, name):
-    """Field `name` of an adprec_step record array."""
+    """Field `name` of a step_record array."""
     return record[_RECORD_FIELDS.index(name)]
+
+
+def step(shapes, X, gtilde, states, M, config, k):
+    """adprec_step followed by its record pass: (X_next, states, M_k,
+    record, z_norms)."""
+    X1, states1, M1, z_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
+    return X1, states1, M1, step_record(shapes, config, gtilde, M1, states1, z_norms, kept), z_norms
 
 
 def cfg(**kw):
@@ -85,7 +101,7 @@ def test_step_hand_example():
     X = ProductPoint([vec(0, 0)])
     G = ProductPoint([vec(1, 0)])
     states = [geom_init(VEC2[0], 1.0)]
-    X1, states1, _, rec, _ = adprec_step(VEC2, X, G, states, None, cfg(), 0)
+    X1, states1, _, rec, _ = step(VEC2, X, G, states, None, cfg(), 0)
     assert states1[0].gamma == pytest.approx(1.5)
     np.testing.assert_allclose(X1.blocks[0], vec(-1 / math.sqrt(1.5), 0))
     assert field(rec, "z_dual_norm_sq") == pytest.approx(1 / 1.5)
@@ -97,7 +113,7 @@ def test_step_zero_gradient():
     X = ProductPoint([vec(0.3, -0.7)])
     Z0 = ProductPoint([vec(0, 0)])
     states = [geom_init(VEC2[0], 1.0)]
-    X1, states1, _, rec, _ = adprec_step(VEC2, X, Z0, states, None, cfg(), 0)
+    X1, states1, _, rec, _ = step(VEC2, X, Z0, states, None, cfg(), 0)
     np.testing.assert_array_equal(X1.blocks[0], X.blocks[0])
     assert states1[0].gamma == 1.0
     assert field(rec, "z_dual_norm_sq") == 0.0 and field(rec, "step_dual_norm") == 0.0
@@ -414,7 +430,7 @@ def test_muon_step_reads_z_from_the_directions_svd(case, mode):
     config = cfg(momentum_mode=mode, mu_max=0.5, varsigma=0.7)
     state = geom_init(shape, config.varsigma)
     X = ProductPoint([np.zeros(B.shape)])
-    X1, states, M, rec, z_norms = adprec_step(
+    X1, states, M, rec, z_norms = step(
         [shape], X, ProductPoint([gtilde]), [state], ProductPoint([B]), config, 1
     )
     D = gtilde if mode is MomentumMode.NONE else M.blocks[0]
@@ -445,13 +461,13 @@ MIXED = [BlockShape(4, 3, Geometry.SHAMPOO), BlockShape(3, 5, Geometry.MUON)]
 
 
 def check_degenerate_steps(gradients, mode):
-    """Run gradients through adprec_step on MIXED; check records and caches."""
+    """Run gradients through adprec_step and its record on MIXED; check records and caches."""
     config = cfg(momentum_mode=mode, mu_max=0.5 if mode is not MomentumMode.NONE else 0.0)
     X = ProductPoint([np.ones((s.rows, s.cols)) for s in MIXED])
     states = [geom_init(s, config.varsigma) for s in MIXED]
     M = None
     for k, G in enumerate(gradients):
-        X, states, M, rec, z_norms = adprec_step(MIXED, X, G, states, M, config, k)
+        X, states, M, rec, z_norms = step(MIXED, X, G, states, M, config, k)
         # f_value and grad_dual_norm are NaN until the trajectory driver fills them
         filled = [name for name in _RECORD_FIELDS if name not in ("f_value", "grad_dual_norm")]
         assert all(math.isfinite(field(rec, name)) for name in filled)
@@ -626,13 +642,15 @@ def test_sample_gradient_calls_per_step(monkeypatch, noises, calls_per_step):
 def test_a_stack_draws_its_noise_in_chunks(monkeypatch):
     # each row reads its Generator in chunks: an additive R = 16, K = 50 run
     # on two blocks makes one standard_normal call per row and chunk, where
-    # one call per row, block and step would make 1600, and its records are
+    # one call per row, block and step would make 1600, each row draws the
+    # K * N = 700 normals the run reads and no more, and its records are
     # those of the uncounted run
     calls = Counter()
 
     class Counting(np.random.Generator):
         def standard_normal(self, *args, **kwargs):
             calls["standard_normal"] += 1
+            calls["normals"] += kwargs["out"].size
             return super().standard_normal(*args, **kwargs)
 
     shapes = [BlockShape(8, 1, Geometry.DIAG_ADAGRAD), BlockShape(6, 1, Geometry.ADANORM)]
@@ -644,6 +662,7 @@ def test_a_stack_draws_its_noise_in_chunks(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
     got = run_replicates(problem, noise, config, R)
     assert 0 < calls["standard_normal"] <= R * (math.ceil(K * N / NORMAL_CHUNK) + 1)
+    assert calls["normals"] == R * K * N
     for name in _RECORD_FIELDS:
         np.testing.assert_array_equal(got.arrays[name], want.arrays[name], err_msg=name)
 
@@ -785,3 +804,154 @@ def test_finite_gradient_whose_square_overflows_fails_before_the_step():
     assert traj.records == []
     assert traj.failed == "non-finite at iteration 0: f_value, grad_dual_norm, gtilde_dual_norm"
     np.testing.assert_array_equal(traj.final.blocks[0], problem.x0.blocks[0])
+
+
+# -- the record pass -------------------------------------------------------------
+
+# the six spaces of the potentials suite and that of the vec_replicates benchmark
+RECORD_SPACES = {name: (kind, shapes) for name, kind, shapes in _potential_spaces()} | {
+    "vec_replicates": (
+        "quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD), BlockShape(6, 1, Geometry.ADANORM)]
+    ),
+}
+
+
+def stepwise(problem, noises, config):
+    """What _drive gives for a run that does not fail, with every step's
+    record taken right after the step: (columns, X, states)."""
+    shapes, K, R = problem.shapes, config.max_iters, len(noises)
+    lead = (R,) if R > 1 else ()
+    X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
+    states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
+    rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
+    plan = optimizer._sampling_plan(noises, rngs if lead else rngs[0], K, total_dim(shapes))
+    exact = np.array([nz.kind is NoiseKind.EXACT for nz in noises])
+    columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
+    M = z_norms = None
+    for k in range(K):
+        G = problem.eval_grad(X)
+        gtilde = optimizer._oracle(problem, plan, X, k, z_norms, G)
+        X_next, states, M, z_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
+        rec = step_record(shapes, config, gtilde, M, states, z_norms, kept)
+        rec[0] = problem.eval_f(X)
+        grad = np.where(exact, rec[2], np.sqrt(product_dual_norm_sq(G, shapes)))
+        rec[1] = grad if lead else grad[0]
+        columns[:, slice(None) if lead else 0, k] = rec
+        X = X_next
+    return columns, X, states
+
+
+def assert_same_run(a, b):
+    """Two (columns, X, states) are equal bit for bit, state arrays included."""
+    np.testing.assert_array_equal(a[0], b[0])
+    for x, y in zip(a[1].blocks, b[1].blocks):
+        np.testing.assert_array_equal(x, y)
+    for s, t in zip(a[2], b[2]):
+        assert type(s) is type(t)
+        for f in fields(s):
+            np.testing.assert_array_equal(getattr(s, f.name), getattr(t, f.name), err_msg=f.name)
+
+
+RECORD_ORACLES = {
+    "exact": NoiseModel(),
+    "additive": STACK_NOISES["additive"],
+    "multiplicative": MULTIPLICATIVE,
+}
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "kind, shapes, oracles",
+    [pytest.param(kind, shapes, RECORD_ORACLES, id=name)
+     for name, (kind, shapes) in RECORD_SPACES.items()]
+    + [pytest.param("logistic", [BlockShape(*b) for b in STACK_SPACES["muon"][1]],
+                    {"minibatch": STACK_NOISES["minibatch"]}, id="logistic-minibatch")],
+)
+def test_record_chunks_do_not_change_a_bit(monkeypatch, kind, shapes, oracles, mode):
+    # one-step chunks and one chunk of the whole run give the columns, X and
+    # states of the step-by-step record, on one row and on a mixed stack
+    problem = make_problem(kind, shapes, seed=3)
+    config = cfg(max_iters=12, eta=0.4, seed=5, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    for noise in oracles.values():
+        for noises in ([noise], [noise, NoiseModel(), noise]):
+            want = stepwise(problem, noises, config)
+            for budget in (1, 2**62):
+                monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", budget)
+                run = _drive(problem, noises, config)
+                assert run.failure is None
+                assert_same_run((run.columns, run.X, run.states), want)
+
+
+def flat_problem():
+    """A flat objective on one DiagAdaGrad block of 4 at the origin: only
+    the oracle moves the iterate."""
+    shapes = (BlockShape(4, 1, Geometry.DIAG_ADAGRAD),)
+
+    def f(X):
+        return np.add.reduce(0.0 * X.blocks[0], axis=(-2, -1))
+
+    def grad(X):
+        return ProductPoint([np.zeros_like(X.blocks[0])])
+
+    return Problem("flat", shapes, f, grad, 0.0, None, ProductPoint([np.zeros((4, 1))]))
+
+
+# the model whose rows the kicking oracle kicks; every other row keeps G = 0
+KICKED = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(7.0,))
+QUIET = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
+
+
+def kicking_oracle(k_kick):
+    """An oracle that returns G, except for the KICKED model at iteration
+    k_kick: 1e3 per entry.  There Z is near 1 per entry, so with eta =
+    1e308 the step's norm overflows while the iterate, about -1e308 per
+    entry, stays finite, and with Z = 0 after it the row stays there."""
+
+    def oracle(problem, noise, X, k, rng, z_prev_norms=None, exact_grad=None):
+        if noise == KICKED and k == k_kick:
+            return ProductPoint([np.full_like(b, 1e3) for b in exact_grad.blocks])
+        return exact_grad
+
+    return oracle
+
+
+@pytest.mark.parametrize("k_kick", [5, 3, 4], ids=["inside", "chunk end", "chunk start"])
+def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_kick):
+    # row 2 of 4 fails only in its record, at iteration k_kick of chunks of
+    # 4 steps: the run names it as the step-by-step check does, rows 0-1
+    # are their solo runs, and a solo run of row 2 returns the records, X
+    # and states of the one-step chunks
+    problem = flat_problem()
+    config = cfg(max_iters=10, eta=1e308, seed=3)
+    noises = [QUIET, QUIET, KICKED, QUIET]
+    monkeypatch.setattr(optimizer, "sample_gradient", kicking_oracle(k_kick))
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
+    want = f"non-finite at iteration {k_kick}: step_dual_norm"
+
+    def runs(chunk):
+        monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", chunk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (
+                _drive(problem, noises, config),
+                run_rows(problem, noises, config),
+                run_trajectory(problem, KICKED, replace(config, seed=5)),
+                [run_trajectory(problem, QUIET, replace(config, seed=3 + r)) for r in range(2)],
+            )
+
+    stepwise_run, stepwise_rows, stepwise_solo, _ = runs(1)
+    run, rows, solo, quiet = runs(4)
+    assert run.failure == stepwise_run.failure == (2, k_kick, want)
+    np.testing.assert_array_equal(run.columns[:, :2], stepwise_run.columns[:, :2])
+    assert str(rows[2]) == str(stepwise_rows[2]) == f"replicate 0 (seed 5): {want}"
+    for r in (0, 1, 3):
+        alone = quiet[r] if r < 2 else run_trajectory(problem, QUIET, replace(config, seed=6))
+        for name in _RECORD_FIELDS:
+            np.testing.assert_array_equal(rows[r].arrays[name][0], alone.column(name), err_msg=name)
+        np.testing.assert_array_equal(rows[r].final[0].blocks[0], alone.final.blocks[0])
+    assert solo.failed == stepwise_solo.failed == want
+    assert len(solo.records) == k_kick
+    assert solo.records == stepwise_solo.records
+    np.testing.assert_array_equal(solo.final.blocks[0], stepwise_solo.final.blocks[0])
+    assert np.isfinite(solo.final.blocks[0]).all() and solo.final.blocks[0].min() < -1e307
+    np.testing.assert_array_equal(solo.states[0].diag, stepwise_solo.states[0].diag)
