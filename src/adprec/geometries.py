@@ -123,21 +123,18 @@ def geom_take(state: GeometryState, index) -> GeometryState:
     return replace(state, **{name: getattr(state, name)[index] for name in _arrays(state)})
 
 
-# ndim of the first array field of one block's state: a stack has one more
-_ITEM_NDIM = {ScalarState: 0, DiagonalState: 1, FullState: 2, KroneckerState: 2}
 _CACHED = ("eig", "left_eig", "right_eig")
 
 
-def geom_stack(states) -> GeometryState:
+def geom_stack(states, join) -> GeometryState:
     """One state holding the items of ``states`` (one kind, alike in shape)
-    in order, the counterpart of ``geom_take``: states of one block become a
-    stack of len(states), stacks of R are joined along their stack axis.
-    The factorizations the items have cached are stacked with them, so the
+    in order, the counterpart of ``geom_take``.  join is ``np.stack`` for
+    states of one block each, which become a stack of len(states), and
+    ``np.concatenate`` for stacks, joined along their stack axis.  The
+    factorizations the items have cached are stacked with them, so the
     stack factorizes nothing again; each item's values keep their bits."""
     first = states[0]
     names = _arrays(first)
-    item = getattr(first, names[0]).ndim == _ITEM_NDIM[type(first)]
-    join = np.stack if item else np.concatenate
     stacked = replace(first, **{n: join([getattr(s, n) for s in states]) for n in names})
     for name in _CACHED:
         if all(name in vars(s) for s in states):

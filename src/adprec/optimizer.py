@@ -299,7 +299,12 @@ def _nbytes(obj) -> int:
     too), and the sizes of the points, states (with their cached
     factorizations), lists and tuples in it.  A step of small blocks keeps
     several times as much in array headers and Python objects as in array
-    data, so both count."""
+    data, so both count: a step of the potentials suite's stacks keeps 2.3-6.9
+    KB, of which 0.4-2.2 KB are array data, where a vec_replicates step keeps
+    14 KB, 10.6 KB of it data.  No budget of array data alone bounds both:
+    128 KiB of it lets the potentials suite's chunks reach 300 steps and its
+    peak traced memory 1.2 MiB (0.45 MiB counting objects), and 32 KiB keeps
+    that peak but cuts vec_replicates to 3-step chunks, a quarter slower."""
     size = sys.getsizeof(obj)
     if isinstance(obj, np.ndarray):
         return size if obj.base is None else size + obj.nbytes
@@ -319,33 +324,14 @@ def _joined(points, join) -> ProductPoint | None:
     return ProductPoint([join(bs) for bs in zip(*(P.blocks for P in points))])
 
 
-def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stacked: bool):
-    """The records of consecutive steps of the driver, each kept as (X, G,
-    Gtilde, M_k, new states, z_norms, kept), with one call per operation:
-    (fields, C * R) for C steps of a stack of R, (fields, C) for C steps of
-    one point, and for one step the ``step_record`` shape, computed on the
-    step's own arrays.  Row r of a stack has an exact oracle when exact[r]
-    (a tuple of bools, which Python tests faster than numpy does).
-
-    The first step of M1 is recorded on its own: its M_0 is Gtilde_0
-    itself, the accumulated block, so its record reads a Muon block's
-    Gtilde norm from the lmap trace (the direction's SVD), where later
-    steps take a values-only SVD of Gtilde, which may differ in the last
-    bit."""
+def _record(problem: Problem, config: OptimizerConfig, exact, X, G, gtilde, M, states, z_norms,
+            kept, steps: int = 1):
+    """``step_record`` of what the driver kept of one step, (X, G, Gtilde,
+    M_k, new states, z_norms, kept), or of `steps` steps joined along the
+    stack axis, with the driver's f_value and grad_dual_norm rows filled
+    in.  Row r of a stack has an exact oracle when exact[r] (a tuple of
+    bools, which Python tests faster than numpy does)."""
     shapes = problem.shapes
-    if len(steps) > 1 and steps[0][3] is steps[0][2] and config.momentum_mode is MomentumMode.M1:
-        head = _chunk_record(problem, config, exact, steps[:1], stacked)
-        rest = _chunk_record(problem, config, exact, steps[1:], stacked)
-        return np.concatenate([head.reshape(len(head), -1), rest], axis=1)
-    if len(steps) == 1:
-        X, G, gtilde, M, states, z_norms, kept = steps[0]
-    else:
-        join = np.concatenate if stacked else np.stack
-        Xs, Gs, gtildes, Ms, statess, z_normss, kepts = zip(*steps)
-        X, G, gtilde, M = (_joined(P, join) for P in (Xs, Gs, gtildes, Ms))
-        states = [geom_stack(st) for st in zip(*statess)]
-        z_norms = [join(z) for z in zip(*z_normss)]
-        kept = tuple([join(v) for v in zip(*part)] for part in zip(*kepts))
     record = step_record(shapes, config, gtilde, M, states, z_norms, kept)
     if config.eval_objective:
         record[0] = problem.eval_f(X)
@@ -354,8 +340,34 @@ def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stack
         record[1] = record[2]
     else:
         grad = np.sqrt(product_dual_norm_sq(G, shapes))
-        record[1] = np.where(np.tile(exact, len(steps)), record[2], grad) if any(exact) else grad
+        record[1] = np.where(np.tile(exact, steps), record[2], grad) if any(exact) else grad
     return record
+
+
+def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stacked: bool):
+    """The records of consecutive steps of the driver, each kept as
+    ``_record`` reads it, with one call per operation: (fields, C * R) for C
+    steps of a stack of R (step-major), (fields, C) for C steps of one
+    point.  stacked says whether the steps' points are stacks, which decides
+    how they are joined.
+
+    The first step of M1 is recorded on its own: its M_0 is Gtilde_0
+    itself, the accumulated block, so its record reads a Muon block's
+    Gtilde norm from the lmap trace (the direction's SVD), where later
+    steps take a values-only SVD of Gtilde, which may differ in the last
+    bit."""
+    if len(steps) > 1 and steps[0][3] is steps[0][2] and config.momentum_mode is MomentumMode.M1:
+        parts = (_chunk_record(problem, config, exact, s, stacked) for s in (steps[:1], steps[1:]))
+        return np.concatenate([p.reshape(len(p), -1) for p in parts], axis=1)
+    if len(steps) == 1:
+        return _record(problem, config, exact, *steps[0]).reshape(len(_RECORD_FIELDS), -1)
+    join = np.concatenate if stacked else np.stack
+    Xs, Gs, gtildes, Ms, statess, z_normss, kepts = zip(*steps)
+    X, G, gtilde, M = (_joined(P, join) for P in (Xs, Gs, gtildes, Ms))
+    states = [geom_stack(st, join) for st in zip(*statess)]
+    z_norms = [join(z) for z in zip(*z_normss)]
+    kept = tuple([join(v) for v in zip(*part)] for part in zip(*kepts))
+    return _record(problem, config, exact, X, G, gtilde, M, states, z_norms, kept, len(steps))
 
 
 @dataclass
@@ -382,6 +394,11 @@ def _first_overflow(P: ProductPoint) -> int | None:
     # per point: the sum over a whole stack may overflow where no point's does
     ok = np.isfinite(sum(np.add.reduce(b * b, axis=(-2, -1)) for b in P.blocks)).reshape(-1)
     return None if ok.all() else int(np.argmin(ok))
+
+
+def _finite_rows(X: ProductPoint) -> np.ndarray:
+    """Per point of a stack (one entry for one point): is it finite?"""
+    return np.logical_and.reduce([np.isfinite(b).all(axis=(-2, -1)) for b in X.blocks]).reshape(-1)
 
 
 def _take(P: ProductPoint | None, rows) -> ProductPoint | None:
@@ -484,7 +501,8 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     many steps as RECORD_CHUNK_BYTES holds of the first step's inputs (at
     least one), ``_chunk_record`` computes the records of those steps at
     once and fills their columns of ``_Run.columns``; each value rounds as
-    it would step by step.
+    it would step by step.  When C is 1 the loop records each step right
+    after it (``_record``), as it would without chunks.
 
     A row fails at iteration k when its iterate or record (f_value only
     when eval_objective is set) is non-finite after the step, or already
@@ -527,20 +545,24 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     chunk = None  # steps per record chunk, from the first step's inputs
 
     def record(end, X_after, iterate=None):
-        """Record the kept steps, end - len(steps) .. end - 1, and drop
-        them.  X_after is what the last of them left, and iterate, when its
-        iterate is non-finite, says per row whether it is finite.  Returns
-        the lowest row that failed in them as (r, k, bad, X, states): its
-        first failing step k, what is non-finite there, and what that step
-        left; or None."""
+        """Record the kept steps, end - len(steps) .. end - 1, with one
+        ``_chunk_record``, and ``check`` them."""
         C, k0 = len(steps), end - len(steps)
         rec = _chunk_record(problem, config, exact, steps, bool(lead))
-        if C == 1:
-            columns[:, rows, k0] = rec
-        elif lead:
+        if lead:
             columns[:, rows, k0:end] = np.moveaxis(rec.reshape(len(rec), C, -1), 1, -1)
         else:
             columns[:, rows, k0:end] = rec
+        return check(rec, k0, X_after, iterate)
+
+    def check(rec, k0, X_after, iterate=None):
+        """Drop the kept steps, k0 .. k0 + len(steps) - 1, whose records are
+        rec (as ``_chunk_record`` gives them).  X_after is what the last of
+        them left, and iterate, when its iterate is non-finite, says per row
+        whether it is finite.  Returns the lowest row that failed in them as
+        (r, k, bad, X, states): its first failing step k, what is non-finite
+        there, and what that step left; or None."""
+        C = len(steps)
         found = None
         if iterate is not None or not np.isfinite(rec[first:]).all():
             finite = np.isfinite(rec[first:]).reshape(len(rec) - first, C, -1)
@@ -576,24 +598,32 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
             n, rows = r, slice(r)
             X, states, M, z_prev_norms = _keep(n, X, states, M, z_prev_norms)
             G, gtilde = _take(G, rows), _take(gtilde, rows)
-        X_next, states_next, M, z_prev_norms, kept = adprec_step(
-            shapes, X, gtilde, states, M, config, k
-        )
-        steps.append((X, G, gtilde, M, states_next, z_prev_norms, kept))
+        X_next, states, M, z_prev_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
+        step = (X, G, gtilde, M, states, z_prev_norms, kept)
         if chunk is None:
-            chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(steps[0])))
-        states = states_next
+            chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(step)))
         # the flat iterate is checked here and cached for the next gradient
-        if np.isfinite(X_next.ravel()).all():
-            X = X_next
-            if len(steps) < chunk and k + 1 < K:
+        finite = np.isfinite(X_next.ravel()).all()
+        if chunk == 1:
+            # a step that is its own chunk is recorded right after it, on
+            # its own arrays
+            rec = _record(problem, config, exact, *step)
+            columns[:, rows, k] = rec
+            if finite and np.isfinite(rec[first:]).all():
+                X = X_next
                 continue
-            found = record(k + 1, X_next)
+            steps.append(step)
+            iterate = None if finite else _finite_rows(X_next)
+            found = check(rec.reshape(len(rec), -1), k, X_next, iterate)
         else:
-            iterate = np.logical_and.reduce(
-                [np.isfinite(b).all(axis=(-2, -1)) for b in X_next.blocks]
-            ).reshape(-1)
-            found = record(k + 1, X_next, iterate)
+            steps.append(step)
+            if finite:
+                X = X_next
+                if len(steps) < chunk and k + 1 < K:
+                    continue
+                found = record(k + 1, X_next)
+            else:
+                found = record(k + 1, X_next, _finite_rows(X_next))
         if found is None:
             continue
         r, kf, bad, X_failed, states_failed = found

@@ -868,19 +868,22 @@ RECORD_ORACLES = {
                     {"minibatch": STACK_NOISES["minibatch"]}, id="logistic-minibatch")],
 )
 def test_record_chunks_do_not_change_a_bit(monkeypatch, kind, shapes, oracles, mode):
-    # one-step chunks and one chunk of the whole run give the columns, X and
-    # states of the step-by-step record, on one row and on a mixed stack
+    # chunks of 1, 2 and 5 steps and one chunk of the whole run give the
+    # columns, X and states of the step-by-step record, on one row and on a
+    # mixed stack, over 12 steps and over 2 (one chunk of two steps)
     problem = make_problem(kind, shapes, seed=3)
     config = cfg(max_iters=12, eta=0.4, seed=5, momentum_mode=mode,
                  mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
     for noise in oracles.values():
         for noises in ([noise], [noise, NoiseModel(), noise]):
-            want = stepwise(problem, noises, config)
-            for budget in (1, 2**62):
-                monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", budget)
-                run = _drive(problem, noises, config)
-                assert run.failure is None
-                assert_same_run((run.columns, run.X, run.states), want)
+            for K, chunks in ((12, (1, 2, 5, 12)), (2, (2,))):
+                want = stepwise(problem, noises, replace(config, max_iters=K))
+                for chunk in chunks:
+                    monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", chunk)
+                    run = _drive(problem, noises, replace(config, max_iters=K))
+                    assert run.failure is None
+                    assert_same_run((run.columns, run.X, run.states), want)
 
 
 def flat_problem():
@@ -902,15 +905,16 @@ KICKED = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(7.0,))
 QUIET = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,))
 
 
-def kicking_oracle(k_kick):
+def kicking_oracle(k_kick, kick=1e3):
     """An oracle that returns G, except for the KICKED model at iteration
-    k_kick: 1e3 per entry.  There Z is near 1 per entry, so with eta =
-    1e308 the step's norm overflows while the iterate, about -1e308 per
-    entry, stays finite, and with Z = 0 after it the row stays there."""
+    k_kick: `kick` per entry.  With the default kick, Z is near 1 per entry
+    there, so with eta = 1e308 the step's norm overflows while the iterate,
+    about -1e308 per entry, stays finite, and with Z = 0 after it the row
+    stays there (without momentum)."""
 
     def oracle(problem, noise, X, k, rng, z_prev_norms=None, exact_grad=None):
         if noise == KICKED and k == k_kick:
-            return ProductPoint([np.full_like(b, 1e3) for b in exact_grad.blocks])
+            return ProductPoint([np.full_like(b, kick) for b in exact_grad.blocks])
         return exact_grad
 
     return oracle
@@ -955,3 +959,34 @@ def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_
     np.testing.assert_array_equal(solo.final.blocks[0], stepwise_solo.final.blocks[0])
     assert np.isfinite(solo.final.blocks[0]).all() and solo.final.blocks[0].min() < -1e307
     np.testing.assert_array_equal(solo.states[0].diag, stepwise_solo.states[0].diag)
+
+
+@pytest.mark.parametrize(
+    "kick, eta, k_kick, chunk, want",
+    [(1e3, 1e308, 1, 2, "non-finite at iteration 1: step_dual_norm"),
+     (1e200, 0.5, 2, 4, "non-finite at iteration 2: gtilde_dual_norm")],
+    ids=["record", "gtilde overflow"],
+)
+def test_an_m1_point_fails_in_a_short_chunk_as_step_by_step(monkeypatch, kick, eta, k_kick,
+                                                             chunk, want):
+    # one point in M1, whose first step is recorded apart from the rest of
+    # its chunk: a record failure at k = 1 ends a chunk of two steps, and a
+    # Gtilde that overflows at k = 2 records the two steps kept before it;
+    # either run returns the records, X and states of one-step chunks
+    problem = flat_problem()
+    config = cfg(max_iters=6, eta=eta, seed=3, momentum_mode=MomentumMode.M1,
+                 mu_max=0.6, beta=0.5)
+    monkeypatch.setattr(optimizer, "sample_gradient", kicking_oracle(k_kick, kick))
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
+
+    def run(c):
+        monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_trajectory(problem, KICKED, config)
+
+    stepwise_run, got = run(1), run(chunk)
+    assert got.failed == stepwise_run.failed == want
+    assert len(got.records) == k_kick
+    assert got.records == stepwise_run.records
+    np.testing.assert_array_equal(got.final.blocks[0], stepwise_run.final.blocks[0])
+    np.testing.assert_array_equal(got.states[0].diag, stepwise_run.states[0].diag)
