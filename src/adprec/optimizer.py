@@ -37,11 +37,12 @@ trajectory that seed + r gives alone, and every record value has the bits
 it has when recorded right after its step; ``run_trajectory`` is the R = 1
 case.
 
-Each row of a stack has its own noise model.  ``run_replicates`` gives all
-R rows one model; ``run_rows`` runs different models side by side, such as
-the exact and the noisy trajectory of one space.  Rows that share a model
-draw their Gtilde as one sub-stack, exact rows keep the exact gradient, and
-row r still draws from seed + r, so each row is still its solo trajectory.
+Each row of a stack is a spec, ``_Row(noise, seed)``, and draws from its
+own seed.  ``run_trajectory`` runs one row at seed, ``run_replicates`` R
+rows of one model at seed + r, and ``run_rows`` different models at
+seed + r, such as the exact and the noisy run of one space.  Rows that
+share a model draw their Gtilde as one sub-stack; exact rows keep the
+exact gradient.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -370,15 +371,22 @@ def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stack
     return _record(problem, config, exact, X, G, gtilde, M, states, z_norms, kept, len(steps))
 
 
+@dataclass(frozen=True)
+class _Row:
+    """A row of the driver's stack: its oracle's noise model and its seed."""
+
+    noise: NoiseModel
+    seed: int
+
+
 @dataclass
 class _Run:
     """What the driver returns.  columns[i, r, k] is field _RECORD_FIELDS[i]
-    of replicate r at iteration k.  failure is None or (r, k, message) for
-    the lowest replicate that turned non-finite; the driver stops advancing
-    it and every replicate above it.  X and states are what the last step
-    left (the stack of all R replicates, or the one point when R = 1), or,
-    after a failure of replicate 0, what the failing step left (what it
-    started from, when it failed before the step)."""
+    of row r at iteration k.  failure is None or (r, k, message) for the
+    lowest row that turned non-finite, which stops it and every row above
+    it.  X and states are what the last step left of the rows still running
+    (the one point when R = 1), or, when row 0 failed, what the failing step
+    left (what it started from, when it failed before the step)."""
 
     columns: np.ndarray
     X: ProductPoint
@@ -411,14 +419,7 @@ def _cut(z_norms, rows):
     return None if z_norms is None else [z[rows] for z in z_norms]
 
 
-def _keep(n: int, X, states, M, z_norms):
-    """The driver's per-replicate carry cut to replicates 0..n-1."""
-    rows = slice(n)
-    states = [geom_take(st, rows) for st in states]
-    return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows)
-
-
-def _rows(idx, R: int):
+def _row_index(idx, R: int):
     """Rows idx (increasing) of a stack of R: None for all of them, else a
     slice when they are contiguous, else an index array."""
     if len(idx) == R:
@@ -427,30 +428,25 @@ def _rows(idx, R: int):
     return slice(int(idx[0]), int(idx[-1]) + 1) if contiguous else np.array(idx)
 
 
-def _sampling_plan(noises: Sequence[NoiseModel], rngs, steps: int, dim: int):
-    """How the oracle draws a stack whose row r has model noises[r] and
-    Generator rngs[r], over `steps` steps in a space of dimension dim: a
-    list of (model, rows, draws).  For one row, rngs is its Generator and
-    so are the draws of the one entry.  A stack whose rows share one model
-    has one entry with rows None and draws the ``NormalStreams`` of all
-    rows.  Otherwise there is one entry per noisy model, in order of its
-    first row, with rows its rows (see ``_rows``) and draws their streams;
-    the exact rows of such a stack keep the exact gradient and have no
-    entry.  Each stream is told the most normals its model reads in the
-    run, so that no row draws more."""
-    models = []
-    for nz in noises:
-        if nz not in models:
-            models.append(nz)
-    if isinstance(rngs, np.random.Generator):
-        return [(models[0], None, rngs)]
+def _sampling_plan(specs: Sequence[_Row], K: int, dim: int):
+    """How the oracle draws the rows specs over K steps in a space of
+    dimension dim: a list of (model, rows, draws), where each row draws from
+    a Generator seeded by its spec.  One row's one entry draws from its
+    Generator.  A stack whose rows share one model has one entry with rows
+    None and draws the ``NormalStreams`` of all rows.  Otherwise there is
+    one entry per noisy model, in order of its first row, with its rows
+    (``_row_index``) and their streams; exact rows keep the exact gradient
+    and have no entry.  Each stream is told the most normals its model
+    reads in the run, so that no row draws more."""
+    models = list(dict.fromkeys(spec.noise for spec in specs))
     plan = []
     for model in models:
         if model.kind is NoiseKind.EXACT and len(models) > 1:
             continue
-        idx = [r for r, nz in enumerate(noises) if nz == model]
-        streams = NormalStreams([rngs[r] for r in idx], steps * model.normals_per_step(dim))
-        plan.append((model, _rows(idx, len(noises)), streams))
+        idx = [r for r, spec in enumerate(specs) if spec.noise == model]
+        rngs = [np.random.default_rng(specs[r].seed) for r in idx]
+        draws = NormalStreams(rngs, K * model.normals_per_step(dim)) if len(specs) > 1 else rngs[0]
+        plan.append((model, _row_index(idx, len(specs)), draws))
     return plan
 
 
@@ -462,7 +458,7 @@ def _cut_plan(plan, R: int, n: int):
         idx = np.arange(R)[slice(None) if rows is None else rows]
         idx = idx[idx < n]
         if len(idx):
-            cut.append((model, _rows(idx, n), streams.head(len(idx))))
+            cut.append((model, _row_index(idx, n), streams.head(len(idx))))
     return cut
 
 
@@ -487,12 +483,11 @@ def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: Pr
     return ProductPoint(blocks)
 
 
-def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConfig) -> _Run:
-    """Advance rows r = 0..R-1, R = len(noises), from problem.x0 for
-    max_iters steps as one stack.  Row r samples its Gtilde from noises[r]
-    with its own Generator, seeded seed + r and read in chunks (see
-    ``NormalStreams``): rows sharing a model are drawn together (see
-    ``_sampling_plan``), and an exact row's Generator is never drawn from.
+def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> _Run:
+    """Advance the rows specs from problem.x0 for max_iters steps as one
+    stack.  Row r samples its Gtilde from specs[r].noise with a Generator
+    seeded specs[r].seed, read in chunks (``NormalStreams``); rows sharing a
+    model draw together (``_sampling_plan``), and an exact row never draws.
     Whether a row is exact decides its grad_dual_norm (that of Gtilde
     itself when exact) and the fields its failure names.
 
@@ -521,28 +516,39 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     failed, at its first failing step, as when every step is checked.
     """
     shapes = problem.shapes
-    K, R = config.max_iters, len(noises)
+    K, R = config.max_iters, len(specs)
     # One replicate runs on the point itself, without the replicate axis: its
     # per-replicate values are then numpy scalars, whose arithmetic is several
     # times cheaper than that of one-element arrays.
     lead = (R,) if R > 1 else ()
     X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
     states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
-    M = None
-    rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
-    if not lead:
-        rngs = rngs[0]
-    plan = _sampling_plan(noises, rngs, K, total_dim(shapes))
-    exact = tuple(nz.kind is NoiseKind.EXACT for nz in noises)
-    z_prev_norms = None
+    M = z_prev_norms = None
+    plan = _sampling_plan(specs, K, total_dim(shapes))
+    exact = tuple(spec.noise.kind is NoiseKind.EXACT for spec in specs)
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     # f_value is the first record field, NaN by design when not evaluated
     first = 0 if config.eval_objective else 1
     failure = None
-    n = R  # replicates 0..n-1 are still running
+    n = R  # rows 0..n-1 are still running
     rows = slice(n) if lead else 0  # their column of a step's records
     steps = []  # the record inputs of the steps not yet recorded
     chunk = None  # steps per record chunk, from the first step's inputs
+
+    def fail(found, X, states, M, z_norms):
+        """Fail row found[0] = r and the rows above it: set ``failure``, cut
+        the plan, exact and the row slice to rows 0..r-1 and return the
+        carry cut to them, or, when r = 0 stops the run (n = 0), what the
+        failing step left."""
+        nonlocal failure, plan, exact, n, rows
+        r, kf, bad, X_failed, states_failed = found
+        failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
+        if r == 0:
+            n = 0
+            return X_failed, states_failed, None, None
+        plan, exact, n, rows = _cut_plan(plan, n, r), exact[:r], r, slice(r)
+        states = [geom_take(st, rows) for st in states]
+        return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows)
 
     def record(end, X_after, iterate=None):
         """Record the kept steps, end - len(steps) .. end - 1, with one
@@ -558,10 +564,10 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
     def check(rec, k0, X_after, iterate=None):
         """Drop the kept steps, k0 .. k0 + len(steps) - 1, whose records are
         rec (as ``_chunk_record`` gives them).  X_after is what the last of
-        them left, and iterate, when its iterate is non-finite, says per row
-        whether it is finite.  Returns the lowest row that failed in them as
-        (r, k, bad, X, states): its first failing step k, what is non-finite
-        there, and what that step left; or None."""
+        them left; iterate, when that is non-finite, says per row whether it
+        is finite.  Returns the lowest row that failed in them as (r, k, bad,
+        X, states), its first failing step k, what is non-finite there and
+        what that step left, for ``fail``; or None."""
         C = len(steps)
         found = None
         if iterate is not None or not np.isfinite(rec[first:]).all():
@@ -590,13 +596,9 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
                 if config.eval_objective and not np.isfinite(np.reshape(problem.eval_f(X), -1)[r]):
                     bad.insert(0, "f_value")
                 found = (r, k, bad, X, states)
-            r, kf, bad, X_failed, states_failed = found
-            failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
-            if r == 0:
-                return _Run(columns, X_failed, states_failed, failure)
-            plan, exact = _cut_plan(plan, n, r), exact[:r]
-            n, rows = r, slice(r)
-            X, states, M, z_prev_norms = _keep(n, X, states, M, z_prev_norms)
+            X, states, M, z_prev_norms = fail(found, X, states, M, z_prev_norms)
+            if not n:
+                break
             G, gtilde = _take(G, rows), _take(gtilde, rows)
         X_next, states, M, z_prev_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
         step = (X, G, gtilde, M, states, z_prev_norms, kept)
@@ -624,15 +626,10 @@ def _drive(problem: Problem, noises: Sequence[NoiseModel], config: OptimizerConf
                 found = record(k + 1, X_next)
             else:
                 found = record(k + 1, X_next, _finite_rows(X_next))
-        if found is None:
-            continue
-        r, kf, bad, X_failed, states_failed = found
-        failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
-        if r == 0:
-            return _Run(columns, X_failed, states_failed, failure)
-        plan, exact = _cut_plan(plan, n, r), exact[:r]
-        n, rows = r, slice(r)
-        X, states, M, z_prev_norms = _keep(n, X_next, states, M, z_prev_norms)
+        if found is not None:
+            X, states, M, z_prev_norms = fail(found, X_next, states, M, z_prev_norms)
+            if not n:
+                break
     return _Run(columns, X, states, failure)
 
 
@@ -642,9 +639,6 @@ class TrajectoryResult:
     final: ProductPoint
     states: list[GeometryState]
     failed: str | None = None
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
 
 
 def run_trajectory(
@@ -662,7 +656,7 @@ def run_trajectory(
     sum of squares overflowed before it) and the failure message in
     ``failed``.
     """
-    run = _drive(problem, [noise], config)
+    run = _drive(problem, [_Row(noise, config.seed)], config)
     K, failed = config.max_iters, None
     if run.failure is not None:
         _, K, failed = run.failure
@@ -716,10 +710,11 @@ def run_replicates(
     lowest one that failed and its seed."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
-    run = _drive(problem, [noise] * R, config)
+    specs = [_Row(noise, config.seed + r) for r in range(R)]
+    run = _drive(problem, specs, config)
     if run.failure is not None:
         r, _, message = run.failure
-        raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {message}")
+        raise NonFiniteIterate(f"replicate {r} (seed {specs[r].seed}): {message}")
     return _result(run.columns, _points(run.X, R > 1))
 
 
@@ -732,18 +727,20 @@ def run_rows(
     what ``run_replicates`` gives for that model and seed at R = 1: its
     ReplicateResult, or the NonFiniteIterate it raises.
 
-    All rows run as one stack, and every row rounds as it does alone.  A
-    failure drops the rows above it from the stack, and they run on as a
-    stack of their own.
+    Each row is a spec of its model and its seed, and all rows run as one
+    stack, in which every row rounds as it does alone.  A failure drops the
+    rows above it from the stack, and their specs run on as a stack of
+    their own.
     """
-    if not noises:
-        return []
-    R = len(noises)
-    run = _drive(problem, noises, config)
-    n = R if run.failure is None else run.failure[0]  # rows 0..n-1 finished
-    final = _points(run.X, R > 1)
-    rows = [_result(run.columns[:, r : r + 1], [final[r]]) for r in range(n)]
-    if run.failure is not None:
-        rows.append(NonFiniteIterate(f"replicate 0 (seed {config.seed + n}): {run.failure[2]}"))
-        n += 1
-    return rows + run_rows(problem, noises[n:], replace(config, seed=config.seed + n))
+    rows = [_Row(noise, config.seed + r) for r, noise in enumerate(noises)]
+    results = []
+    while rows:
+        run = _drive(problem, rows, config)
+        n = len(rows) if run.failure is None else run.failure[0]  # rows 0..n-1 finished
+        final = _points(run.X, len(rows) > 1)
+        results += [_result(run.columns[:, r : r + 1], [final[r]]) for r in range(n)]
+        if run.failure is not None:
+            results.append(NonFiniteIterate(f"replicate 0 (seed {rows[n].seed}): {run.failure[2]}"))
+            n += 1
+        rows = rows[n:]
+    return results

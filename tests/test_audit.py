@@ -163,9 +163,9 @@ def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
     # two-row stack
     stacks = []
 
-    def counted(problem, noises, config):
-        stacks.append(len(noises))
-        return drive(problem, noises, config)
+    def counted(problem, rows, config):
+        stacks.append(len(rows))
+        return drive(problem, rows, config)
 
     drive = optimizer._drive
     monkeypatch.setattr(optimizer, "_drive", counted)

@@ -50,32 +50,47 @@ def test_no_unused_imports(path):
 
 def referenced_names(tree, skip=None) -> set[str]:
     """Identifiers, attribute names and imported names that `tree` mentions,
-    outside the top-level definition named `skip`."""
+    outside the definition node `skip`."""
     names = set()
-    for top in tree.body:
-        if isinstance(top, DEFINITIONS) and top.name == skip:
+    nodes = [tree]
+    while nodes:
+        node = nodes.pop()
+        if node is skip:
             continue
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        nodes.extend(ast.iter_child_nodes(node))
     return names
 
 
+def definitions(tree):
+    """(name, node) of the top-level functions and classes of `tree`, and of
+    the non-dunder methods of its public classes, named `Class.method`."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                method = isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                if method and not (item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def dead_definitions(source: str, readers: list[str]) -> list[str]:
-    """Top-level functions and classes of `source` that neither the rest of
-    `source` nor any of the `readers` sources mention."""
+    """The ``definitions`` of `source` that neither the rest of `source` nor
+    any of the `readers` sources mention; a method is mentioned by its name
+    alone, as an attribute of whatever object."""
     tree = ast.parse(source)
     used = set().union(*(referenced_names(ast.parse(r)) for r in readers))
     return [
-        f"line {node.lineno}: {node.name}"
-        for node in tree.body
-        if isinstance(node, DEFINITIONS)
-        and node.name not in used
-        and node.name not in referenced_names(tree, skip=node.name)
+        f"line {node.lineno}: {name}"
+        for name, node in definitions(tree)
+        if node.name not in used and node.name not in referenced_names(tree, skip=node)
     ]
 
 
@@ -83,6 +98,14 @@ def test_dead_definition_detector():
     src = "def f(n):\n    return f(n - 1)\n\nclass C:\n    pass\n\ndef g():\n    return C()\n"
     assert dead_definitions(src, []) == ["line 1: f", "line 7: g"]
     assert dead_definitions(src, ["from m import g\n", "m.f(1)\n"]) == []
+    # methods of public classes count, dunders and private classes do not
+    src = (
+        "class C:\n    def __init__(self):\n        pass\n\n    def m(self):\n"
+        "        return self.m()\n\n    def n(self):\n        pass\n\n"
+        "class _P:\n    def q(self):\n        pass\n\nC(), _P()\n"
+    )
+    assert dead_definitions(src, []) == ["line 5: C.m", "line 8: C.n"]
+    assert dead_definitions(src, ["c.m()\n", "n = 1\n"]) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -241,6 +264,41 @@ def calls_in(source: str, function: str) -> set[str]:
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
     }
+
+
+def callers(source: str, callee: str) -> list[str]:
+    """The name of the function of `source` (nested ones included) around
+    each call of `callee`, as a plain name or as an attribute; a call in a
+    nested function counts for that function only."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                if getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_caller_detector():
+    src = "def f():\n    g()\n\n    def h():\n        m.g(g())\n\n    return h\n"
+    assert callers(src, "g") == ["f", "h", "h"]
+    assert callers(src, "h") == []
+
+
+def test_one_failure_cut():
+    # the driver cuts its sampling plan, and so its rows, in one place: the
+    # failure-cut helper, which both of its checks call (Gtilde's overflow
+    # before the step, the iterate and the record after it)
+    source = (SRC / "optimizer.py").read_text()
+    assert callers(source, "_cut_plan") == ["fail"]
+    assert callers(source, "fail") == ["_drive", "_drive"]
 
 
 def test_step_computes_no_record():

@@ -32,6 +32,7 @@ from adprec.optimizer import (
     MomentumMode,
     OptimizerConfig,
     _drive,
+    _Row,
     _momentum,
     adprec_step,
     mu_schedule,
@@ -61,6 +62,17 @@ def vec(*xs):
 def field(record, name):
     """Field `name` of a step_record array."""
     return record[_RECORD_FIELDS.index(name)]
+
+
+def column(traj, name):
+    """Field `name` of every record of a run_trajectory result."""
+    return np.array([getattr(r, name) for r in traj.records])
+
+
+def drive(problem, noises, config):
+    """_drive on the rows noises[r] at seed config.seed + r, as run_rows
+    stacks them."""
+    return _drive(problem, [_Row(nz, config.seed + r) for r, nz in enumerate(noises)], config)
 
 
 def step(shapes, X, gtilde, states, M, config, k):
@@ -162,7 +174,7 @@ def test_geometry_name_runs_as_its_member(geometry):
         for shape in (by_name, by_member)
     )
     for name in (f.name for f in fields(IterationRecord)):
-        np.testing.assert_array_equal(a.column(name), b.column(name))
+        np.testing.assert_array_equal(column(a, name), column(b, name))
     np.testing.assert_array_equal(a.final.blocks[0], b.final.blocks[0])
 
 
@@ -172,7 +184,7 @@ def test_trajectory_determinism_under_noise():
     a = run_trajectory(problem, noise, cfg(max_iters=30, seed=5))
     b = run_trajectory(problem, noise, cfg(max_iters=30, seed=5))
     np.testing.assert_array_equal(a.final.blocks[0], b.final.blocks[0])
-    assert a.column("gtilde_dual_norm").tolist() == b.column("gtilde_dual_norm").tolist()
+    assert column(a, "gtilde_dual_norm").tolist() == column(b, "gtilde_dual_norm").tolist()
 
 
 def test_m1_zero_momentum_matches_none_bitwise():
@@ -183,7 +195,7 @@ def test_m1_zero_momentum_matches_none_bitwise():
     )
     np.testing.assert_array_equal(a.final.blocks[0], b.final.blocks[0])
     for name in ("z_dual_norm_sq", "trace_sqrt_total", "step_dual_norm"):
-        assert a.column(name).tolist() == b.column(name).tolist()
+        assert column(a, name).tolist() == column(b, name).tolist()
 
 
 def test_m2_accumulates_raw_gradient():
@@ -207,20 +219,20 @@ def test_m2_mixed_residuals_are_reported_not_zero():
     m2 = run_trajectory(
         problem, noise, cfg(max_iters=40, momentum_mode=MomentumMode.M2, mu_max=0.8)
     )
-    resid = m2.column("resid_ineq2")
+    resid = column(m2, "resid_ineq2")
     assert np.max(resid) > 1e-6  # genuine perturbation once M != Gt
     m1 = run_trajectory(
         problem, noise, cfg(max_iters=40, momentum_mode=MomentumMode.M1, mu_max=0.8)
     )
-    assert np.max(m1.column("resid_ineq1")) < 1e-8
-    assert np.max(m1.column("resid_ineq2")) < 1e-8
+    assert np.max(column(m1, "resid_ineq1")) < 1e-8
+    assert np.max(column(m1, "resid_ineq2")) < 1e-8
 
 
 def test_trace_sqrt_total_nondecreasing():
     problem = make_problem("trigquad", [BlockShape(6, 1, Geometry.DIAG_ADAGRAD)], seed=2)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.3,), alpha=1.0)
     traj = run_trajectory(problem, noise, cfg(max_iters=60))
-    ts = traj.column("trace_sqrt_total")
+    ts = column(traj, "trace_sqrt_total")
     assert np.all(np.diff(ts) >= -1e-12)
 
 
@@ -257,7 +269,7 @@ def test_replicates_basic():
     problem = make_problem("quadratic", [BlockShape(4, 1, Geometry.DIAG_ADAGRAD)], seed=0)
     res1 = run_replicates(problem, NoiseModel(), cfg(max_iters=20), R=1)
     single = run_trajectory(problem, NoiseModel(), cfg(max_iters=20))
-    np.testing.assert_array_equal(res1.mean["grad_dual_norm"], single.column("grad_dual_norm"))
+    np.testing.assert_array_equal(res1.mean["grad_dual_norm"], column(single, "grad_dual_norm"))
     # deterministic oracle: every replicate identical
     res3 = run_replicates(problem, NoiseModel(), cfg(max_iters=20), R=3)
     for name, arr in res3.arrays.items():
@@ -271,7 +283,7 @@ def test_replicate_averaging_reduces_noise():
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(2.0,), alpha=0.5)
     K = 80
     res = run_replicates(problem, noise, cfg(max_iters=K, seed=11), R=8)
-    ref = run_trajectory(problem, NoiseModel(), cfg(max_iters=K)).column("gtilde_dual_norm")
+    ref = column(run_trajectory(problem, NoiseModel(), cfg(max_iters=K)), "gtilde_dual_norm")
     dev_mean = np.var(res.mean["gtilde_dual_norm"] - ref)
     dev_single = [np.var(res.arrays["gtilde_dual_norm"][r] - ref) for r in range(8)]
     assert dev_mean < min(dev_single)
@@ -548,7 +560,7 @@ def test_replicate_r_of_a_stack_is_the_solo_run_at_seed_plus_r(space, noise, mod
         solo = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
         assert solo.failed is None
         for name in res.arrays:
-            np.testing.assert_array_equal(res.arrays[name][r], solo.column(name), err_msg=name)
+            np.testing.assert_array_equal(res.arrays[name][r], column(solo, name), err_msg=name)
         for stacked, alone in zip(res.final[r].blocks, solo.final.blocks):
             np.testing.assert_array_equal(stacked, alone)
 
@@ -559,9 +571,9 @@ def assert_rows_are_solo_runs(monkeypatch, problem, noises, config):
     of stacks the rows ran in."""
     stacks = []
 
-    def counted(problem, noises, config):
-        stacks.append(len(noises))
-        return _drive(problem, noises, config)
+    def counted(problem, rows, config):
+        stacks.append(len(rows))
+        return _drive(problem, rows, config)
 
     monkeypatch.setattr(optimizer, "_drive", counted)
     rows = run_rows(problem, noises, config)
@@ -571,7 +583,7 @@ def assert_rows_are_solo_runs(monkeypatch, problem, noises, config):
         solo = run_trajectory(problem, noise, replace(config, seed=config.seed + r))
         assert solo.failed is None
         for name in _RECORD_FIELDS:
-            np.testing.assert_array_equal(row.arrays[name][0], solo.column(name), err_msg=name)
+            np.testing.assert_array_equal(row.arrays[name][0], column(solo, name), err_msg=name)
         for stacked, alone in zip(row.final[0].blocks, solo.final.blocks):
             np.testing.assert_array_equal(stacked, alone)
     return len(stacks)
@@ -635,7 +647,7 @@ def test_sample_gradient_calls_per_step(monkeypatch, noises, calls_per_step):
     if len(set(noises)) == 1:
         run_replicates(problem, noises[0], cfg(max_iters=K), len(noises))
     else:
-        _drive(problem, noises, cfg(max_iters=K))
+        drive(problem, noises, cfg(max_iters=K))
     assert calls == {k: calls_per_step for k in range(K)}
 
 
@@ -767,6 +779,38 @@ def test_rows_below_a_failure_read_on_from_their_streams():
             np.testing.assert_array_equal(row.final[0].blocks[0], alone.final[0].blocks[0])
 
 
+def test_rows_above_each_of_two_failures_rerun_as_their_own_stack(monkeypatch):
+    # in [noisy, noisy, exact, noisy, exact] at seed 0, row 3 (seed 3)
+    # overflows at iteration 2 and row 1 (seed 1) at iteration 7: the stack
+    # drops both, rows 2-4 rerun as a stack of their own, in which row 3
+    # fails again, and row 4 reruns alone.  Rows 0, 2 and 4 are their solo
+    # runs, and each failing row gets the error its solo run raises.
+    problem = walk_problem(Geometry.DIAG_ADAGRAD)
+    noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    noises = [noisy, noisy, NoiseModel(), noisy, NoiseModel()]
+    config = cfg(max_iters=8, eta=1e307, seed=0, eval_objective=False)
+    stacks = []
+    drive = optimizer._drive
+
+    def counted(*args):
+        stacks.append(len(args[1]))
+        return drive(*args)
+
+    monkeypatch.setattr(optimizer, "_drive", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run_rows(problem, noises, config)
+        monkeypatch.undo()
+        solo = {r: run_replicates(problem, noises[r], replace(config, seed=r), 1) for r in (0, 2, 4)}
+    assert stacks == [5, 3, 1]
+    for r, k in ((1, 7), (3, 2)):
+        assert isinstance(rows[r], NonFiniteIterate)
+        assert str(rows[r]) == f"replicate 0 (seed {r}): non-finite at iteration {k}: iterate"
+    for r, alone in solo.items():
+        for name in _RECORD_FIELDS:
+            np.testing.assert_array_equal(rows[r].arrays[name], alone.arrays[name], err_msg=name)
+        np.testing.assert_array_equal(rows[r].final[0].blocks[0], alone.final[0].blocks[0])
+
+
 def test_gradient_overflow_fails_its_replicate_before_the_step():
     # at a finite iterate above 1.75e308 the gradient overflows to inf:
     # replicate 3's does at iteration 1 and replicate 0's, the lowest
@@ -823,8 +867,8 @@ def stepwise(problem, noises, config):
     lead = (R,) if R > 1 else ()
     X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
     states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
-    rngs = [np.random.default_rng(config.seed + r) for r in range(R)]
-    plan = optimizer._sampling_plan(noises, rngs if lead else rngs[0], K, total_dim(shapes))
+    specs = [_Row(nz, config.seed + r) for r, nz in enumerate(noises)]
+    plan = optimizer._sampling_plan(specs, K, total_dim(shapes))
     exact = np.array([nz.kind is NoiseKind.EXACT for nz in noises])
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     M = z_norms = None
@@ -881,7 +925,7 @@ def test_record_chunks_do_not_change_a_bit(monkeypatch, kind, shapes, oracles, m
                 want = stepwise(problem, noises, replace(config, max_iters=K))
                 for chunk in chunks:
                     monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", chunk)
-                    run = _drive(problem, noises, replace(config, max_iters=K))
+                    run = drive(problem, noises, replace(config, max_iters=K))
                     assert run.failure is None
                     assert_same_run((run.columns, run.X, run.states), want)
 
@@ -937,7 +981,7 @@ def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_
         monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", chunk)
         with np.errstate(over="ignore", invalid="ignore"):
             return (
-                _drive(problem, noises, config),
+                drive(problem, noises, config),
                 run_rows(problem, noises, config),
                 run_trajectory(problem, KICKED, replace(config, seed=5)),
                 [run_trajectory(problem, QUIET, replace(config, seed=3 + r)) for r in range(2)],
@@ -951,7 +995,7 @@ def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_
     for r in (0, 1, 3):
         alone = quiet[r] if r < 2 else run_trajectory(problem, QUIET, replace(config, seed=6))
         for name in _RECORD_FIELDS:
-            np.testing.assert_array_equal(rows[r].arrays[name][0], alone.column(name), err_msg=name)
+            np.testing.assert_array_equal(rows[r].arrays[name][0], column(alone, name), err_msg=name)
         np.testing.assert_array_equal(rows[r].final[0].blocks[0], alone.final.blocks[0])
     assert solo.failed == stepwise_solo.failed == want
     assert len(solo.records) == k_kick
