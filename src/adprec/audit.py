@@ -529,6 +529,9 @@ def audit_rate_regimes(
         )
         name = f"rate-regime-alpha={alpha}"
         th_slope = theory_exponent(config.momentum_mode, float(alpha), config.beta)
+        # before the run: a problem without the constants the envelope needs
+        # is a config error, which no replicate should wait for
+        _, bound = bounds.envelope_and_rate(problem, noise, config)
         res = _replicates(name, label, problem, noise, config, replicates)
         if isinstance(res, AuditReport):
             results.append(RateRegimeResult(float(alpha), math.nan, th_slope, False, res))
@@ -536,9 +539,6 @@ def audit_rate_regimes(
         min_curve = res.min_grad_curve
         # SE of the running-min statistic: the SE at its argmin iteration
         se_min = res.se["grad_dual_norm"][_running_argmin(res.mean["grad_dual_norm"])]
-
-        _, bound = bounds.envelope_and_rate(problem, noise, config)
-
         dom_slack = (bound + 3.0 * se_min - min_curve) / (1.0 + bound)
         dominates = bool(np.all(dom_slack >= -TOL_PATHWISE))
         slope = fit_loglog_slope(min_curve, max(K // 10, 1), K)

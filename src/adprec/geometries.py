@@ -118,21 +118,16 @@ def _arrays(state: GeometryState) -> list[str]:
     ]
 
 
-def geom_take(state: GeometryState, index) -> GeometryState:
-    """The states of a stacked state at ``index`` (an int or a slice of the stack axis)."""
-    return replace(state, **{name: getattr(state, name)[index] for name in _arrays(state)})
-
-
 _CACHED = ("eig", "left_eig", "right_eig")
 
 
 def geom_stack(states, join) -> GeometryState:
     """One state holding the items of ``states`` (one kind, alike in shape)
-    in order, the counterpart of ``geom_take``.  join is ``np.stack`` for
-    states of one block each, which become a stack of len(states), and
-    ``np.concatenate`` for stacks, joined along their stack axis.  The
-    factorizations the items have cached are stacked with them, so the
-    stack factorizes nothing again; each item's values keep their bits."""
+    in order.  join is ``np.stack`` for states of one block each, which
+    become a stack of len(states), and ``np.concatenate`` for stacks,
+    joined along their stack axis.  The factorizations the items have
+    cached are stacked with them, so the stack factorizes nothing again;
+    each item's values keep their bits."""
     first = states[0]
     names = _arrays(first)
     stacked = replace(first, **{n: join([getattr(s, n) for s in states]) for n in names})

@@ -42,7 +42,9 @@ own seed.  ``run_trajectory`` runs one row at seed, ``run_replicates`` R
 rows of one model at seed + r, and ``run_rows`` different models at
 seed + r, such as the exact and the noisy run of one space.  Rows that
 share a model draw their Gtilde as one sub-stack; exact rows keep the
-exact gradient.
+exact gradient.  A row that turns non-finite stops the stack at once, and
+the caller reruns the rows it still needs from their specs, which gives
+each row the run it has alone, so no state of a stack is ever cut.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .geometries import (
     geom_selector,
     geom_stack,
     geom_step_direction,
-    geom_take,
 )
 from .problems import NoiseKind, NoiseModel, NormalStreams, Problem, sample_gradient
 
@@ -101,14 +102,14 @@ class OptimizerConfig:
     eval_objective: bool = True
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise InvalidConfig(f"eta must be positive, got {self.eta}")
-        if not self.varsigma > 0.0:
-            raise InvalidConfig(f"varsigma must be positive, got {self.varsigma}")
+        if not 0.0 < self.eta < math.inf:
+            raise InvalidConfig(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 < self.varsigma < math.inf:
+            raise InvalidConfig(f"varsigma must be positive and finite, got {self.varsigma}")
         if not 0.0 <= self.mu_max < 1.0:
             raise InvalidConfig(f"mu_max must lie in [0, 1), got {self.mu_max}")
-        if self.beta < 0.0:
-            raise InvalidConfig(f"beta must be nonnegative, got {self.beta}")
+        if not 0.0 <= self.beta < math.inf:
+            raise InvalidConfig(f"beta must be nonnegative and finite, got {self.beta}")
         if self.max_iters < 0:
             raise InvalidConfig(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.seed < 0:
@@ -383,10 +384,12 @@ class _Row:
 class _Run:
     """What the driver returns.  columns[i, r, k] is field _RECORD_FIELDS[i]
     of row r at iteration k.  failure is None or (r, k, message) for the
-    lowest row that turned non-finite, which stops it and every row above
-    it.  X and states are what the last step left of the rows still running
-    (the one point when R = 1), or, when row 0 failed, what the failing step
-    left (what it started from, when it failed before the step)."""
+    row that stopped the run, the lowest that failed at the check that
+    stopped it, and its first failing step k; the columns of all rows are
+    filled up to the steps that check covered.  X and states are what the
+    last step left of the stack (the one point when R = 1), or, after a
+    failure, what the failing step left (what it started from, when it
+    failed before the step)."""
 
     columns: np.ndarray
     X: ProductPoint
@@ -412,11 +415,6 @@ def _finite_rows(X: ProductPoint) -> np.ndarray:
 def _take(P: ProductPoint | None, rows) -> ProductPoint | None:
     """The points of a stack that rows (a slice or an index array) selects."""
     return None if P is None else ProductPoint([b[rows] for b in P.blocks])
-
-
-def _cut(z_norms, rows):
-    """Per-block dual norms of a stack cut to rows."""
-    return None if z_norms is None else [z[rows] for z in z_norms]
 
 
 def _row_index(idx, R: int):
@@ -450,18 +448,6 @@ def _sampling_plan(specs: Sequence[_Row], K: int, dim: int):
     return plan
 
 
-def _cut_plan(plan, R: int, n: int):
-    """The sampling plan of a stack of R rows cut to rows 0..n-1: each
-    model keeps its rows below n, whose streams go on where they are."""
-    cut = []
-    for model, rows, streams in plan:
-        idx = np.arange(R)[slice(None) if rows is None else rows]
-        idx = idx[idx < n]
-        if len(idx):
-            cut.append((model, _row_index(idx, n), streams.head(len(idx))))
-    return cut
-
-
 def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: ProductPoint):
     """Gtilde for every row of X: one ``sample_gradient`` call per entry of
     the sampling plan, on the sub-stack of its rows (of G, and of X only for
@@ -474,9 +460,10 @@ def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: Pr
         return sample_gradient(problem, noise, X, k, draws, z_prev_norms=z_prev_norms, exact_grad=G)
     blocks = [np.copy(b) for b in G.blocks]
     for noise, rows, draws in plan:
+        z_prev = None if z_prev_norms is None else [z[rows] for z in z_prev_norms]
         sub = sample_gradient(
             problem, noise, _take(X, rows) if noise.kind is NoiseKind.MINI_BATCH else None,
-            k, draws, z_prev_norms=_cut(z_prev_norms, rows), exact_grad=_take(G, rows),
+            k, draws, z_prev_norms=z_prev, exact_grad=_take(G, rows),
         )
         for b, s in zip(blocks, sub.blocks):
             b[rows] = s
@@ -504,16 +491,15 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     before it, when Gtilde's sum of squares overflows: that sum is
     gtilde_dual_norm**2 on Euclidean blocks and at most it on Muon blocks,
     and in the step it would reach a Gram matrix, on which eigh raises, or
-    an SVD, which may not return.  The loop checks Gtilde and the iterate;
-    a row that fails either check leaves the stack at once, with every row
-    above it: none of them can be the lowest failure any more, and their
-    non-finite values never reach a stacked factorization.  Records are
-    checked when their chunk is computed, first of all when a row leaves
-    the stack.  So a row whose record failed runs on at most to the end of
-    its chunk, and only with a finite iterate and a Gtilde that passed the
-    overflow check: the same inputs that its steps factorize when each
-    record is checked after its step.  The failure is the lowest row that
-    failed, at its first failing step, as when every step is checked.
+    an SVD, which may not return.  The loop checks Gtilde and the iterate
+    every step, and the records when their chunk is computed, first of all
+    before a step whose Gtilde overflows.  The run stops at the first check
+    that any row fails: it names the lowest row that failed in the steps
+    that check covers, at that row's first failing step.  A failed iterate
+    or Gtilde never reaches a factorization, and a row whose record failed
+    runs on at most to the end of its chunk, on a finite iterate and a
+    Gtilde that passed the overflow check.  The rows that did not fail are
+    rerun by the caller, each from its own spec.
     """
     shapes = problem.shapes
     K, R = config.max_iters, len(specs)
@@ -529,77 +515,56 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     # f_value is the first record field, NaN by design when not evaluated
     first = 0 if config.eval_objective else 1
-    failure = None
-    n = R  # rows 0..n-1 are still running
-    rows = slice(n) if lead else 0  # their column of a step's records
+    rows = slice(None) if lead else 0  # a step's records in columns[:, :, k]
     steps = []  # the record inputs of the steps not yet recorded
     chunk = None  # steps per record chunk, from the first step's inputs
-
-    def fail(found, X, states, M, z_norms):
-        """Fail row found[0] = r and the rows above it: set ``failure``, cut
-        the plan, exact and the row slice to rows 0..r-1 and return the
-        carry cut to them, or, when r = 0 stops the run (n = 0), what the
-        failing step left."""
-        nonlocal failure, plan, exact, n, rows
-        r, kf, bad, X_failed, states_failed = found
-        failure = (r, kf, f"non-finite at iteration {kf}: {', '.join(bad)}")
-        if r == 0:
-            n = 0
-            return X_failed, states_failed, None, None
-        plan, exact, n, rows = _cut_plan(plan, n, r), exact[:r], r, slice(r)
-        states = [geom_take(st, rows) for st in states]
-        return _take(X, rows), states, _take(M, rows), _cut(z_norms, rows)
 
     def record(end, X_after, iterate=None):
         """Record the kept steps, end - len(steps) .. end - 1, with one
         ``_chunk_record``, and ``check`` them."""
         C, k0 = len(steps), end - len(steps)
         rec = _chunk_record(problem, config, exact, steps, bool(lead))
-        if lead:
-            columns[:, rows, k0:end] = np.moveaxis(rec.reshape(len(rec), C, -1), 1, -1)
-        else:
-            columns[:, rows, k0:end] = rec
+        columns[:, :, k0:end] = np.moveaxis(rec.reshape(len(rec), C, -1), 1, -1)
         return check(rec, k0, X_after, iterate)
 
     def check(rec, k0, X_after, iterate=None):
-        """Drop the kept steps, k0 .. k0 + len(steps) - 1, whose records are
-        rec (as ``_chunk_record`` gives them).  X_after is what the last of
-        them left; iterate, when that is non-finite, says per row whether it
-        is finite.  Returns the lowest row that failed in them as (r, k, bad,
-        X, states), its first failing step k, what is non-finite there and
-        what that step left, for ``fail``; or None."""
+        """The ``_Run`` that stops at the kept steps, k0 .. k0 + len(steps) - 1,
+        whose records are rec (as ``_chunk_record`` gives them), when a row
+        failed in them, or None.  X_after is what the last of them left;
+        iterate, when that is non-finite, says per row whether it is finite."""
         C = len(steps)
-        found = None
-        if iterate is not None or not np.isfinite(rec[first:]).all():
-            finite = np.isfinite(rec[first:]).reshape(len(rec) - first, C, -1)
-            ok = finite.all(axis=0)  # (steps, rows)
-            if iterate is not None:
-                ok[-1] &= iterate
-            r = int(np.argmin(ok.all(axis=0)))
-            j = int(np.argmin(ok[:, r]))
-            bad = [name for name, f in zip(_RECORD_FIELDS[first:], finite[:, j, r]) if not f]
-            if iterate is not None and j == C - 1 and not iterate[r]:
-                bad.insert(0, "iterate")
-            found = (r, k0 + j, bad, steps[j + 1][0] if j + 1 < C else X_after, steps[j][4])
-        steps.clear()
-        return found
+        if iterate is None and np.isfinite(rec[first:]).all():
+            steps.clear()
+            return None
+        finite = np.isfinite(rec[first:]).reshape(len(rec) - first, C, -1)
+        ok = finite.all(axis=0)  # (steps, rows)
+        if iterate is not None:
+            ok[-1] &= iterate
+        r = int(np.argmin(ok.all(axis=0)))
+        j = int(np.argmin(ok[:, r]))
+        bad = [name for name, f in zip(_RECORD_FIELDS[first:], finite[:, j, r]) if not f]
+        if iterate is not None and j == C - 1 and not iterate[r]:
+            bad.insert(0, "iterate")
+        return stop(r, k0 + j, bad, steps[j + 1][0] if j + 1 < C else X_after, steps[j][4])
+
+    def stop(r, k, bad, X, states):
+        """The ``_Run`` of a stack whose row r failed at iteration k, where
+        the fields bad are non-finite and the step left X and states."""
+        return _Run(columns, X, states, (r, k, f"non-finite at iteration {k}: {', '.join(bad)}"))
 
     for k in range(K):
         G = problem.eval_grad(X)
         gtilde = _oracle(problem, plan, X, k, z_prev_norms, G)
         r = _first_overflow(gtilde)
         if r is not None:
-            # a lower row may have failed in the steps not yet recorded
-            found = record(k, X) if steps else None
-            if found is None or found[0] > r:
-                bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact[r] else ["gtilde_dual_norm"]
-                if config.eval_objective and not np.isfinite(np.reshape(problem.eval_f(X), -1)[r]):
-                    bad.insert(0, "f_value")
-                found = (r, k, bad, X, states)
-            X, states, M, z_prev_norms = fail(found, X, states, M, z_prev_norms)
-            if not n:
-                break
-            G, gtilde = _take(G, rows), _take(gtilde, rows)
+            # a row may have failed in the steps not yet recorded
+            failed = record(k, X) if steps else None
+            if failed is not None:
+                return failed
+            bad = ["grad_dual_norm", "gtilde_dual_norm"] if exact[r] else ["gtilde_dual_norm"]
+            if config.eval_objective and not np.isfinite(np.reshape(problem.eval_f(X), -1)[r]):
+                bad.insert(0, "f_value")
+            return stop(r, k, bad, X, states)
         X_next, states, M, z_prev_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
         step = (X, G, gtilde, M, states, z_prev_norms, kept)
         if chunk is None:
@@ -616,21 +581,16 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
                 continue
             steps.append(step)
             iterate = None if finite else _finite_rows(X_next)
-            found = check(rec.reshape(len(rec), -1), k, X_next, iterate)
-        else:
-            steps.append(step)
-            if finite:
-                X = X_next
-                if len(steps) < chunk and k + 1 < K:
-                    continue
-                found = record(k + 1, X_next)
-            else:
-                found = record(k + 1, X_next, _finite_rows(X_next))
-        if found is not None:
-            X, states, M, z_prev_norms = fail(found, X_next, states, M, z_prev_norms)
-            if not n:
-                break
-    return _Run(columns, X, states, failure)
+            return check(rec.reshape(len(rec), -1), k, X_next, iterate)
+        steps.append(step)
+        if not finite:
+            return record(k + 1, X_next, _finite_rows(X_next))
+        X = X_next
+        if len(steps) == chunk or k + 1 == K:
+            failed = record(k + 1, X_next)
+            if failed is not None:
+                return failed
+    return _Run(columns, X, states, None)
 
 
 @dataclass
@@ -707,14 +667,22 @@ def run_replicates(
 ) -> ReplicateResult:
     """Run R independent trajectories (seed + r) as one stack and average
     the records.  A non-finite replicate raises NonFiniteIterate naming the
-    lowest one that failed and its seed."""
+    lowest one that failed and its seed: when replicate r stops the stack,
+    replicates 0..r-1, which may fail later, rerun as a stack of their own,
+    until none of them fails."""
     if R < 1:
         raise InvalidConfig(f"need at least one replicate, got {R}")
     specs = [_Row(noise, config.seed + r) for r in range(R)]
-    run = _drive(problem, specs, config)
-    if run.failure is not None:
-        r, _, message = run.failure
-        raise NonFiniteIterate(f"replicate {r} (seed {specs[r].seed}): {message}")
+    failure = None
+    while specs:
+        run = _drive(problem, specs, config)
+        if run.failure is None:
+            break
+        failure = run.failure
+        specs = specs[: failure[0]]
+    if failure is not None:
+        r, _, message = failure
+        raise NonFiniteIterate(f"replicate {r} (seed {config.seed + r}): {message}")
     return _result(run.columns, _points(run.X, R > 1))
 
 
@@ -728,19 +696,21 @@ def run_rows(
     ReplicateResult, or the NonFiniteIterate it raises.
 
     Each row is a spec of its model and its seed, and all rows run as one
-    stack, in which every row rounds as it does alone.  A failure drops the
-    rows above it from the stack, and their specs run on as a stack of
-    their own.
+    stack, in which every row rounds as it does alone.  A row that fails
+    stops the stack; it gets its error, and all the other rows rerun from
+    their specs as one stack, until a stack runs to the end.
     """
-    rows = [_Row(noise, config.seed + r) for r, noise in enumerate(noises)]
-    results = []
-    while rows:
-        run = _drive(problem, rows, config)
-        n = len(rows) if run.failure is None else run.failure[0]  # rows 0..n-1 finished
-        final = _points(run.X, len(rows) > 1)
-        results += [_result(run.columns[:, r : r + 1], [final[r]]) for r in range(n)]
-        if run.failure is not None:
-            results.append(NonFiniteIterate(f"replicate 0 (seed {rows[n].seed}): {run.failure[2]}"))
-            n += 1
-        rows = rows[n:]
+    specs = [_Row(noise, config.seed + r) for r, noise in enumerate(noises)]
+    results = [None] * len(specs)
+    todo = list(range(len(specs)))  # the rows without a result, in order
+    while todo:
+        run = _drive(problem, [specs[i] for i in todo], config)
+        if run.failure is None:
+            final = _points(run.X, len(todo) > 1)
+            for j, i in enumerate(todo):
+                results[i] = _result(run.columns[:, j : j + 1], [final[j]])
+            break
+        j, _, message = run.failure
+        i = todo.pop(j)
+        results[i] = NonFiniteIterate(f"replicate 0 (seed {specs[i].seed}): {message}")
     return results

@@ -62,12 +62,12 @@ class NoiseModel:
     batch: int = 1
 
     def __post_init__(self):
-        if not all(s >= 0.0 for s in self.sigma):
-            raise InvalidConfig(f"sigma entries must be nonnegative, got {self.sigma}")
-        if not self.alpha > 0.0:
-            raise InvalidConfig(f"alpha must be positive, got {self.alpha}")
-        if not self.omega >= 0.0:
-            raise InvalidConfig(f"omega must be nonnegative, got {self.omega}")
+        if not all(0.0 <= s < math.inf for s in self.sigma):
+            raise InvalidConfig(f"sigma entries must be nonnegative and finite, got {self.sigma}")
+        if not 0.0 < self.alpha < math.inf:
+            raise InvalidConfig(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.omega < math.inf:
+            raise InvalidConfig(f"omega must be nonnegative and finite, got {self.omega}")
         if self.omega > 0.0 and self.kind is not NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE:
             raise InvalidConfig(
                 f"omega={self.omega} needs kind {NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE.value}, "
@@ -369,13 +369,6 @@ class NormalStreams:
                 pos[r] = rest
         self._settle(pos)
         return out
-
-    def head(self, n: int) -> "NormalStreams":
-        """The streams of rows 0..n-1, each continuing where it is."""
-        cut = NormalStreams.__new__(NormalStreams)
-        cut.rngs, cut._buf = self.rngs[:n], self._buf[:n]
-        cut._settle([self._at] * n if self._at is not None else self._pos[:n])
-        return cut
 
     def _settle(self, pos):
         self._at = pos[0] if pos.count(pos[0]) == len(pos) else None

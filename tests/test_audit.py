@@ -437,6 +437,19 @@ def test_rate_regime_nan_bound_makes_the_worst_nan():
     assert not r.report.passed and math.isnan(r.report.worst_violation), r.report
 
 
+def test_rate_regimes_without_an_envelope_run_nothing(monkeypatch):
+    # the shipped matfact config has no Lipschitz bound, so no envelope: the
+    # sweep is a config error before its first replicate runs
+    exp = load_experiment(Path(__file__).resolve().parents[1] / "configs" / "matfact_shampoo.json")
+
+    def no_run(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(audit, "run_replicates", no_run)
+    with pytest.raises(InvalidConfig, match="has no Lipschitz bound"):
+        audit_rate_regimes(exp.problem, exp.config, alphas=(1.0,), sigma=0.5, replicates=2)
+
+
 @pytest.mark.parametrize("K", [0, 1, 2])
 def test_rate_regimes_need_three_iterations(K):
     # the slope fit needs at least two points in its window [max(K // 10, 1), K)

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -254,6 +255,33 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, path, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("optimizer", "eta"), math.inf),
+        (("optimizer", "varsigma"), math.inf),
+        (("optimizer", "beta"), math.nan),
+        (("noise", "sigma"), math.inf),
+        (("noise", "alpha"), math.inf),
+        (("noise", "omega"), math.inf),
+    ],
+    ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v),
+)
+def test_nonfinite_config_values_exit_2(tmp_path, capsys, path, value):
+    # JSON's NaN and Infinity parse as floats; a config holding one is a
+    # config error naming the key, before anything runs
+    raw = example_config()
+    raw["noise"] = {"kind": "AdditivePlusMultiplicative", "sigma": 0.5, "alpha": 1.0, "omega": 0.5}
+    raw["optimizer"].update(iterations=5, momentum="M1", mu_max=0.5)
+    _set(raw, path, value)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and path[-1] in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_too_few_iterations_exit_2(tmp_path):
     # a slope cannot be fitted to fewer than three iterations
     cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"iterations": 0}})
@@ -330,10 +358,12 @@ def test_failing_replicate_names_its_seed(tmp_path, monkeypatch, capsys):
 
     def nan_for_replicate_2(problem, noise, X, k, rng, **kw):
         G = real(problem, noise, X, k, rng, **kw)
-        if k != 2:
+        # row 2 of the stack of all 4 is replicate 2; the rerun of
+        # replicates 0-1 stays finite
+        if k != 2 or G.blocks[0].shape[:-2] != (4,):
             return G
         blocks = [b.copy() for b in G.blocks]
-        blocks[0][2] = np.nan  # the stack's row 2 is replicate 2
+        blocks[0][2] = np.nan
         return ProductPoint(blocks)
 
     monkeypatch.setattr(opt_mod, "sample_gradient", nan_for_replicate_2)

@@ -266,41 +266,6 @@ def calls_in(source: str, function: str) -> set[str]:
     }
 
 
-def callers(source: str, callee: str) -> list[str]:
-    """The name of the function of `source` (nested ones included) around
-    each call of `callee`, as a plain name or as an attribute; a call in a
-    nested function counts for that function only."""
-    found = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call):
-                if getattr(child.func, "id", getattr(child.func, "attr", None)) == callee:
-                    found.append(owner)
-            visit(child, owner)
-
-    visit(ast.parse(source), None)
-    return found
-
-
-def test_caller_detector():
-    src = "def f():\n    g()\n\n    def h():\n        m.g(g())\n\n    return h\n"
-    assert callers(src, "g") == ["f", "h", "h"]
-    assert callers(src, "h") == []
-
-
-def test_one_failure_cut():
-    # the driver cuts its sampling plan, and so its rows, in one place: the
-    # failure-cut helper, which both of its checks call (Gtilde's overflow
-    # before the step, the iterate and the record after it)
-    source = (SRC / "optimizer.py").read_text()
-    assert callers(source, "_cut_plan") == ["fail"]
-    assert callers(source, "fail") == ["_drive", "_drive"]
-
-
 def test_step_computes_no_record():
     # the step carries what the next step reads; the per-step diagnostics
     # and norms belong to the record pass, which runs once per chunk of steps

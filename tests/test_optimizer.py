@@ -781,10 +781,11 @@ def test_rows_below_a_failure_read_on_from_their_streams():
 
 def test_rows_above_each_of_two_failures_rerun_as_their_own_stack(monkeypatch):
     # in [noisy, noisy, exact, noisy, exact] at seed 0, row 3 (seed 3)
-    # overflows at iteration 2 and row 1 (seed 1) at iteration 7: the stack
-    # drops both, rows 2-4 rerun as a stack of their own, in which row 3
-    # fails again, and row 4 reruns alone.  Rows 0, 2 and 4 are their solo
-    # runs, and each failing row gets the error its solo run raises.
+    # overflows at iteration 2 and row 1 (seed 1) at iteration 7: row 3
+    # stops the stack, rows 0, 1, 2 and 4 rerun as one, in which row 1
+    # stops it, and rows 0, 2 and 4 rerun to the end.  Rows 0, 2 and 4 are
+    # their solo runs, and each failing row gets the error its solo run
+    # raises.
     problem = walk_problem(Geometry.DIAG_ADAGRAD)
     noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
     noises = [noisy, noisy, NoiseModel(), noisy, NoiseModel()]
@@ -801,7 +802,7 @@ def test_rows_above_each_of_two_failures_rerun_as_their_own_stack(monkeypatch):
         rows = run_rows(problem, noises, config)
         monkeypatch.undo()
         solo = {r: run_replicates(problem, noises[r], replace(config, seed=r), 1) for r in (0, 2, 4)}
-    assert stacks == [5, 3, 1]
+    assert stacks == [5, 4, 3]
     for r, k in ((1, 7), (3, 2)):
         assert isinstance(rows[r], NonFiniteIterate)
         assert str(rows[r]) == f"replicate 0 (seed {r}): non-finite at iteration {k}: iterate"
@@ -829,6 +830,35 @@ def test_gradient_overflow_fails_its_replicate_before_the_step():
     ]
     assert len(solo[0].records) == 5
     assert str(err.value) == f"replicate 0 (seed 10): {solo[0].failed}"
+
+
+def test_a_failing_replicate_stops_the_stack_and_the_rows_below_it_rerun(monkeypatch):
+    # the case above: replicate 3 stops the stack of 4 at iteration 1,
+    # replicates 0-2 rerun and replicate 1 stops them at iteration 4, and
+    # replicate 0 reruns alone and fails at iteration 5.  No stack is cut:
+    # every step of a driver call advances the rows that call started with.
+    problem = walk_problem(Geometry.FULL_ADAGRAD, overflow=1.75e308)
+    noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
+    config = cfg(max_iters=8, eta=1e307, seed=10, eval_objective=False)
+    stacks, seen = [], []
+    drive, step = optimizer._drive, optimizer.adprec_step
+
+    def counted(problem, rows, config):
+        stacks.append(len(rows))
+        seen.append(set())
+        return drive(problem, rows, config)
+
+    def watched(shapes, X, gtilde, *args):
+        seen[-1].add((X.blocks[0].shape[:-2], gtilde.blocks[0].shape[:-2]))
+        return step(shapes, X, gtilde, *args)
+
+    monkeypatch.setattr(optimizer, "_drive", counted)
+    monkeypatch.setattr(optimizer, "adprec_step", watched)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteIterate) as err:
+        run_replicates(problem, noise, config, 4)
+    assert stacks == [4, 3, 1]
+    assert seen == [{((n,), (n,))} if n > 1 else {((), ())} for n in stacks]
+    assert str(err.value) == "replicate 0 (seed 10): non-finite at iteration 5: gtilde_dual_norm"
 
 
 def test_finite_gradient_whose_square_overflows_fails_before_the_step():
@@ -967,9 +997,10 @@ def kicking_oracle(k_kick, kick=1e3):
 @pytest.mark.parametrize("k_kick", [5, 3, 4], ids=["inside", "chunk end", "chunk start"])
 def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_kick):
     # row 2 of 4 fails only in its record, at iteration k_kick of chunks of
-    # 4 steps: the run names it as the step-by-step check does, rows 0-1
-    # are their solo runs, and a solo run of row 2 returns the records, X
-    # and states of the one-step chunks
+    # 4 steps: the run names it as the step-by-step check does, with the
+    # same columns of rows 0-1 up to it, the rows of run_rows are their solo
+    # runs, and a solo run of row 2 returns the records, X and states of the
+    # one-step chunks
     problem = flat_problem()
     config = cfg(max_iters=10, eta=1e308, seed=3)
     noises = [QUIET, QUIET, KICKED, QUIET]
@@ -990,7 +1021,8 @@ def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_
     stepwise_run, stepwise_rows, stepwise_solo, _ = runs(1)
     run, rows, solo, quiet = runs(4)
     assert run.failure == stepwise_run.failure == (2, k_kick, want)
-    np.testing.assert_array_equal(run.columns[:, :2], stepwise_run.columns[:, :2])
+    np.testing.assert_array_equal(run.columns[:, :2, : k_kick + 1],
+                                  stepwise_run.columns[:, :2, : k_kick + 1])
     assert str(rows[2]) == str(stepwise_rows[2]) == f"replicate 0 (seed 5): {want}"
     for r in (0, 1, 3):
         alone = quiet[r] if r < 2 else run_trajectory(problem, QUIET, replace(config, seed=6))

@@ -282,10 +282,9 @@ def test_every_block_the_program_returns_has_row_major_items(kind):
 
 def test_row_streams_read_each_generators_own_numbers():
     # three rows over vector and matrix blocks, read through a chunk
-    # boundary (and, in the second space, with a block longer than a chunk)
-    # and cut to two rows halfway, as the driver cuts a stack after a
-    # failure: row r of every draw is what default_rng(seed + r) gives
-    # block by block.  sigma_l = sqrt(d_l) and alpha ~ 0 make the additive
+    # boundary (and, in the second space, with a block longer than a chunk):
+    # row r of every draw is what default_rng(seed + r) gives block by
+    # block.  sigma_l = sqrt(d_l) and alpha ~ 0 make the additive
     # scale exactly 1, and z_prev = sqrt(d_l) with omega = 1 the
     # multiplicative one, so a draw with G = 0 is the normals themselves.
     spaces = [
@@ -302,12 +301,10 @@ def test_row_streams_read_each_generators_own_numbers():
             multiplicative = kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE
             noise = NoiseModel(kind=kind, sigma=tuple(math.sqrt(d) for d in dims), alpha=1e-300,
                                omega=1.0 if multiplicative else 0.0)
-            streams = NormalStreams([np.random.default_rng(seed + r) for r in range(3)])
-            alone = [np.random.default_rng(seed + r) for r in range(3)]
             R, read = 3, 0
+            streams = NormalStreams([np.random.default_rng(seed + r) for r in range(R)])
+            alone = [np.random.default_rng(seed + r) for r in range(R)]
             for k in range(K):
-                if k == K // 2:
-                    streams, R = streams.head(2), 2
                 # rows whose masks differ from step to step and block to block
                 z_prev = None
                 if multiplicative and k > 0:
