@@ -28,7 +28,8 @@ inputs by reference and, every C steps, computes the records of those
 steps with one call per operation on arrays whose stack axis holds all of
 them, then stores them in its (fields, R, K) columns with one assignment.
 C is as many steps as fit in RECORD_CHUNK_BYTES, from the bytes the first
-step keeps; a step of large blocks is recorded alone, on its own arrays.
+step keeps, and at least one: a step of large blocks is a chunk of its own,
+which takes the same path, on its own arrays.
 Only ``run_trajectory`` builds ``IterationRecord``s.  Each replicate keeps
 its own Generator, whose normals it reads in chunks
 (``problems.NormalStreams``), and every stacked operation rounds as the
@@ -250,7 +251,11 @@ def step_record(
         S = moves[ell] if muon else geom_selector(shape, moves[ell], zn)
         diag = geom_diagnostics(shape, states[ell], A, tl)
         # Muon's lmap trace of Gtilde is its squared nuclear norm, the same
-        # float; a Euclidean block's sum of squares is not its squared norm
+        # float; a Euclidean block's sum of squares is not its squared norm.
+        # acc is Gtilde in modes None and M2, and in M1 only at step 0 alone
+        # (M_0 is Gtilde_0): its trace comes from the direction's SVD, where
+        # the norm of joined steps takes a values-only SVD, which may differ
+        # in the last bit, so the driver records M1's step 0 by itself
         if acc is gtilde and muon:
             gtilde_sq = tl
         else:
@@ -326,13 +331,24 @@ def _joined(points, join) -> ProductPoint | None:
     return ProductPoint([join(bs) for bs in zip(*(P.blocks for P in points))])
 
 
-def _record(problem: Problem, config: OptimizerConfig, exact, X, G, gtilde, M, states, z_norms,
-            kept, steps: int = 1):
-    """``step_record`` of what the driver kept of one step, (X, G, Gtilde,
-    M_k, new states, z_norms, kept), or of `steps` steps joined along the
-    stack axis, with the driver's f_value and grad_dual_norm rows filled
-    in.  Row r of a stack has an exact oracle when exact[r] (a tuple of
-    bools, which Python tests faster than numpy does)."""
+def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stacked: bool):
+    """The records of consecutive steps of the driver, each kept as (X, G,
+    Gtilde, M_k, new states, z_norms, kept): one ``step_record`` array with
+    the driver's f_value and grad_dual_norm rows filled in, whose stack axis
+    holds the C steps' points, step-major (no axis for one step of one
+    point).  Several steps are joined along the stack axis (stacked says
+    whether their points are stacks, which decides how); one step is
+    recorded on its own arrays.  Row r of a stack has an exact oracle when
+    exact[r] (a tuple of bools, which Python tests faster than numpy does)."""
+    if len(steps) == 1:
+        X, G, gtilde, M, states, z_norms, kept = steps[0]
+    else:
+        join = np.concatenate if stacked else np.stack
+        Xs, Gs, gtildes, Ms, statess, z_normss, kepts = zip(*steps)
+        X, G, gtilde, M = (_joined(P, join) for P in (Xs, Gs, gtildes, Ms))
+        states = [geom_stack(st, join) for st in zip(*statess)]
+        z_norms = [join(z) for z in zip(*z_normss)]
+        kept = tuple([join(v) for v in zip(*part)] for part in zip(*kepts))
     shapes = problem.shapes
     record = step_record(shapes, config, gtilde, M, states, z_norms, kept)
     if config.eval_objective:
@@ -342,34 +358,8 @@ def _record(problem: Problem, config: OptimizerConfig, exact, X, G, gtilde, M, s
         record[1] = record[2]
     else:
         grad = np.sqrt(product_dual_norm_sq(G, shapes))
-        record[1] = np.where(np.tile(exact, steps), record[2], grad) if any(exact) else grad
+        record[1] = np.where(np.tile(exact, len(steps)), record[2], grad) if any(exact) else grad
     return record
-
-
-def _chunk_record(problem: Problem, config: OptimizerConfig, exact, steps, stacked: bool):
-    """The records of consecutive steps of the driver, each kept as
-    ``_record`` reads it, with one call per operation: (fields, C * R) for C
-    steps of a stack of R (step-major), (fields, C) for C steps of one
-    point.  stacked says whether the steps' points are stacks, which decides
-    how they are joined.
-
-    The first step of M1 is recorded on its own: its M_0 is Gtilde_0
-    itself, the accumulated block, so its record reads a Muon block's
-    Gtilde norm from the lmap trace (the direction's SVD), where later
-    steps take a values-only SVD of Gtilde, which may differ in the last
-    bit."""
-    if len(steps) > 1 and steps[0][3] is steps[0][2] and config.momentum_mode is MomentumMode.M1:
-        parts = (_chunk_record(problem, config, exact, s, stacked) for s in (steps[:1], steps[1:]))
-        return np.concatenate([p.reshape(len(p), -1) for p in parts], axis=1)
-    if len(steps) == 1:
-        return _record(problem, config, exact, *steps[0]).reshape(len(_RECORD_FIELDS), -1)
-    join = np.concatenate if stacked else np.stack
-    Xs, Gs, gtildes, Ms, statess, z_normss, kepts = zip(*steps)
-    X, G, gtilde, M = (_joined(P, join) for P in (Xs, Gs, gtildes, Ms))
-    states = [geom_stack(st, join) for st in zip(*statess)]
-    z_norms = [join(z) for z in zip(*z_normss)]
-    kept = tuple([join(v) for v in zip(*part)] for part in zip(*kepts))
-    return _record(problem, config, exact, X, G, gtilde, M, states, z_norms, kept, len(steps))
 
 
 @dataclass(frozen=True)
@@ -483,8 +473,8 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     many steps as RECORD_CHUNK_BYTES holds of the first step's inputs (at
     least one), ``_chunk_record`` computes the records of those steps at
     once and fills their columns of ``_Run.columns``; each value rounds as
-    it would step by step.  When C is 1 the loop records each step right
-    after it (``_record``), as it would without chunks.
+    it would step by step.  Every chunk takes this one path, a chunk of one
+    step too (C is 1 for large blocks); in M1, step 0 is a chunk of its own.
 
     A row fails at iteration k when its iterate or record (f_value only
     when eval_objective is set) is non-finite after the step, or already
@@ -515,24 +505,17 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     columns = np.full((len(_RECORD_FIELDS), R, K), math.nan)
     # f_value is the first record field, NaN by design when not evaluated
     first = 0 if config.eval_objective else 1
-    rows = slice(None) if lead else 0  # a step's records in columns[:, :, k]
     steps = []  # the record inputs of the steps not yet recorded
     chunk = None  # steps per record chunk, from the first step's inputs
 
     def record(end, X_after, iterate=None):
-        """Record the kept steps, end - len(steps) .. end - 1, with one
-        ``_chunk_record``, and ``check`` them."""
+        """Record the kept steps, k0 = end - len(steps) .. end - 1, with one
+        ``_chunk_record``, and return the ``_Run`` that stops at them when a
+        row failed in them, or None.  X_after is what the last of them left;
+        iterate, when that is non-finite, says per row whether it is finite."""
         C, k0 = len(steps), end - len(steps)
         rec = _chunk_record(problem, config, exact, steps, bool(lead))
-        columns[:, :, k0:end] = np.moveaxis(rec.reshape(len(rec), C, -1), 1, -1)
-        return check(rec, k0, X_after, iterate)
-
-    def check(rec, k0, X_after, iterate=None):
-        """The ``_Run`` that stops at the kept steps, k0 .. k0 + len(steps) - 1,
-        whose records are rec (as ``_chunk_record`` gives them), when a row
-        failed in them, or None.  X_after is what the last of them left;
-        iterate, when that is non-finite, says per row whether it is finite."""
-        C = len(steps)
+        columns[:, :, k0:end] = rec.reshape(len(rec), C, -1).transpose(0, 2, 1)
         if iterate is None and np.isfinite(rec[first:]).all():
             steps.clear()
             return None
@@ -566,27 +549,16 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
                 bad.insert(0, "f_value")
             return stop(r, k, bad, X, states)
         X_next, states, M, z_prev_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
-        step = (X, G, gtilde, M, states, z_prev_norms, kept)
+        steps.append((X, G, gtilde, M, states, z_prev_norms, kept))
         if chunk is None:
-            chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(step)))
+            chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(steps[0])))
         # the flat iterate is checked here and cached for the next gradient
-        finite = np.isfinite(X_next.ravel()).all()
-        if chunk == 1:
-            # a step that is its own chunk is recorded right after it, on
-            # its own arrays
-            rec = _record(problem, config, exact, *step)
-            columns[:, rows, k] = rec
-            if finite and np.isfinite(rec[first:]).all():
-                X = X_next
-                continue
-            steps.append(step)
-            iterate = None if finite else _finite_rows(X_next)
-            return check(rec.reshape(len(rec), -1), k, X_next, iterate)
-        steps.append(step)
-        if not finite:
+        if not np.isfinite(X_next.ravel()).all():
             return record(k + 1, X_next, _finite_rows(X_next))
         X = X_next
-        if len(steps) == chunk or k + 1 == K:
+        # M1's step 0 is a chunk of its own (see step_record)
+        if (len(steps) == chunk or k + 1 == K
+                or k == 0 and config.momentum_mode is MomentumMode.M1):
             failed = record(k + 1, X_next)
             if failed is not None:
                 return failed

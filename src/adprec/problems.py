@@ -310,11 +310,15 @@ _BUILDERS = {
 
 
 def make_problem(kind: str, shapes, **params) -> Problem:
-    """Build a named problem over the given block shapes."""
+    """Build a named problem over the given block shapes.  A float
+    parameter must be finite."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:
         raise InvalidConfig(f"unknown problem kind {kind!r}; have {sorted(_BUILDERS)}")
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"problem parameter {key!r} must be finite, got {value}")
     return builder(shapes, **params)
 
 

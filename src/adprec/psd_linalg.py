@@ -173,8 +173,8 @@ def random_psd_draws(dim, condition_target, rng):
     generator rng: a (dim, dim) standard normal matrix and dim log-eigenvalues."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if condition_target < 1.0:
-        raise ValueError("condition_target must be >= 1")
+    if not 1.0 <= condition_target < np.inf:
+        raise ValueError(f"condition_target must be finite and >= 1, got {condition_target}")
     normals = rng.standard_normal((dim, dim))
     return normals, rng.uniform(np.log(1.0 / condition_target), 0.0, size=dim)
 

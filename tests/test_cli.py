@@ -282,6 +282,29 @@ def test_nonfinite_config_values_exit_2(tmp_path, capsys, path, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "kind, key",
+    [("quadratic", "condition"), ("quadratic", "b_scale"), ("trigquad", "cos_weight"),
+     ("logistic", "reg"), ("matfact", "target_scale")],
+)
+def test_nonfinite_problem_parameters_exit_2(tmp_path, capsys, kind, key, value):
+    # a non-finite problem parameter is a config error naming the key, not a
+    # traceback from the problem's random draws or a run that fails later
+    raw = example_config()
+    raw["problem"] = {"kind": kind, key: value}
+    if kind == "matfact":
+        raw["blocks"] = [{"rows": 3, "cols": 2, "geometry": "Shampoo"},
+                         {"rows": 2, "cols": 4, "geometry": "Muon"}]
+    raw["optimizer"]["iterations"] = 5
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_too_few_iterations_exit_2(tmp_path):
     # a slope cannot be fitted to fewer than three iterations
     cfg_path, _ = write_config(tmp_path, overrides={"optimizer": {"iterations": 0}})

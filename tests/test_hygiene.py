@@ -254,21 +254,50 @@ def test_benchmark_entry_points(monkeypatch):
             assert inspect.isfunction(fn) and fn.__module__ == f"adprec.{name}", f"{name}.{attr}"
 
 
-def calls_in(source: str, function: str) -> set[str]:
-    """The names that the top-level function `function` of `source` calls,
-    as plain names or as attributes."""
-    tree = ast.parse(source)
-    top = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
-    return {
-        getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-    }
+def call_sites(source: str) -> list[tuple[str, str]]:
+    """(caller, callee) for every call inside a function or class of
+    `source`: caller is the dotted path of the innermost definition around
+    the call (``outer.inner`` for a nested function), callee the plain or
+    attribute name called."""
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFINITIONS):
+                visit(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and path:
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                found.append((".".join(path), callee))
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_call_site_detector():
+    src = (
+        "def f():\n    g()\n\n    def h():\n        m.g(k())\n\n    return h\n\n"
+        "class C:\n    def m(self):\n        f()\n\ng()\n"
+    )
+    assert call_sites(src) == [("f", "g"), ("f.h", "g"), ("f.h", "k"), ("C.m", "f")]
 
 
 def test_step_computes_no_record():
     # the step carries what the next step reads; the per-step diagnostics
     # and norms belong to the record pass, which runs once per chunk of steps
-    calls = calls_in((SRC / "optimizer.py").read_text(), "adprec_step")
+    sites = call_sites((SRC / "optimizer.py").read_text())
+    calls = {callee for caller, callee in sites if caller == "adprec_step"}
     assert "geom_accumulate" in calls
     assert not calls & {"geom_diagnostics", "product_dual_norm_sq"}, calls
+
+
+def test_one_record_path():
+    # every chunk of steps the trajectory driver records, one step or many,
+    # takes one path: the nested record helper of _drive calls the one
+    # function that calls step_record
+    sites = [site for path in MODULES for site in call_sites(path.read_text())]
+    callers = {caller for caller, callee in sites if callee == "step_record"}
+    assert len(callers) == 1, callers
+    helper = callers.pop().rpartition(".")[2]
+    assert [caller for caller, callee in sites if callee == helper] == ["_drive.record"]

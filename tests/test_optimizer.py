@@ -960,6 +960,53 @@ def test_record_chunks_do_not_change_a_bit(monkeypatch, kind, shapes, oracles, m
                     assert_same_run((run.columns, run.X, run.states), want)
 
 
+def counted_records(monkeypatch) -> list:
+    """Patch in a step_record that logs each call; return the log, one
+    entry per call."""
+    calls, real = [], optimizer.step_record
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "step_record", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(MomentumMode), ids=lambda m: m.value)
+def test_record_chunks_partition_the_run(monkeypatch, mode):
+    # K steps in chunks of C take ceil(K / C) records; in M1, step 0 is a
+    # chunk of its own and the other K - 1 steps fall into chunks of C
+    problem = make_problem("quadratic", RECORD_SPACES["vec_replicates"][1], seed=3)
+    K, noise = 7, STACK_NOISES["additive"]
+    config = cfg(max_iters=K, eta=0.4, seed=5, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
+    calls = counted_records(monkeypatch)
+    for C in (1, 3):
+        monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", C)
+        want = 1 + math.ceil((K - 1) / C) if mode is MomentumMode.M1 else math.ceil(K / C)
+        for noises in ([noise], [noise, NoiseModel(), noise]):
+            calls.clear()
+            assert drive(problem, noises, config).failure is None
+            assert len(calls) == want, (C, len(noises))
+
+
+def test_a_step_of_large_blocks_is_a_chunk_of_its_own(monkeypatch):
+    # on the space of the matrix_blocks benchmark, a step keeps more than
+    # RECORD_CHUNK_BYTES, so each step is recorded alone, with the bits of
+    # the step-by-step record
+    shapes = [BlockShape(64, 32, Geometry.SHAMPOO), BlockShape(32, 48, Geometry.MUON)]
+    problem = make_problem("matfact", shapes, seed=3)
+    noises = [STACK_NOISES["additive"]]
+    config = cfg(max_iters=3, eta=0.5, seed=5)
+    want = stepwise(problem, noises, config)
+    calls = counted_records(monkeypatch)
+    run = drive(problem, noises, config)
+    assert run.failure is None and len(calls) == config.max_iters
+    assert_same_run((run.columns, run.X, run.states), want)
+
+
 def flat_problem():
     """A flat objective on one DiagAdaGrad block of 4 at the origin: only
     the oracle moves the iterate."""

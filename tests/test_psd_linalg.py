@@ -188,6 +188,9 @@ def test_random_psd_contracts():
     np.testing.assert_array_equal(a, b)
     w = np.linalg.eigvalsh(a)
     assert w.min() >= 1.0 / 100.0 - 1e-12 and w.max() <= 1.0 + 1e-12
+    for bad in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="condition_target"):
+            random_psd(3, bad, seed=0)
 
 
 @pytest.mark.parametrize("dims", [(4, 3), (3, 5), (6, 6), (1, 4)])
