@@ -41,14 +41,18 @@ Because a state never changes, it factorizes itself at most once:
 and read by both precondition and diagnostics; ``geom_stack`` joins states
 into one stack with the factorizations they cached, so the diagnostics of
 many steps' states, taken at once, factorize nothing again.
+A step may also hand a state the eighs it would compute: it lists them
+with ``geom_factor_calls``, runs them with those of its other blocks, and
+``geom_factor`` puts each where the state caches it.
 Factorizations of a block (Muon's SVDs) are shared through arguments
 instead: accumulate and
 diagnostics take ``geom_lmap_trace(V)``, and ``geom_step_direction`` takes
 the dual norm and selector of Z.  A step factorizes a Muon direction block D
-once, with ``geom_factor(D)``: one thin SVD gives D's nuclear norm and
-selector.  Z = D / sqrt(gamma) is a positive multiple of D, and the nuclear
-norm is 1-homogeneous and the selector 0-homogeneous, so ``geom_dual_norm``
-and ``geom_selector`` given that factor read Z's from it, and
+once: ``geom_factor_calls`` lists its thin SVD, and ``geom_factor`` gives
+D's nuclear norm and selector from it.  Z = D / sqrt(gamma) is a positive
+multiple of D, and the nuclear norm is 1-homogeneous and the selector
+0-homogeneous, so ``geom_dual_norm`` and ``geom_selector`` given that
+factor read Z's from it, and
 ``geom_lmap_trace`` reads D's from it when D is also the accumulated block.
 The audits call them without a factor, so they factorize Z itself and check
 that homogeneity independently.
@@ -63,7 +67,7 @@ import numpy as np
 
 from .block_space import BlockShape, Geometry, block_dual_norm, squared
 from .errors import InvalidConfig, ShapeMismatch
-from .psd_linalg import eigh_clamped, msign, nuclear_norm, polar, svd_factors
+from .psd_linalg import eigh_clamped, msign, nuclear_norm, polar
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,10 @@ def _arrays(state: GeometryState) -> list[str]:
     ]
 
 
-_CACHED = ("eig", "left_eig", "right_eig")
+# the cached properties that hold a state's eighs, in the order
+# geom_factor_calls lists them
+_CACHED_EIGHS = {Geometry.FULL_ADAGRAD: ("eig",), Geometry.SHAMPOO: ("left_eig", "right_eig")}
+_CACHED = sum(_CACHED_EIGHS.values(), ())
 
 
 def geom_stack(states, join) -> GeometryState:
@@ -226,12 +233,31 @@ def geom_precondition(shape: BlockShape, state: GeometryState, V):
     return Ql @ core @ Qr.mT
 
 
-def geom_factor(shape: BlockShape, D):
-    """The factorization of a direction block D that one step shares: for
-    Muon, D's nuclear norm and selector ``polar(*svd_factors(D))``, from one
-    thin SVD; None for the Euclidean variants, which factorize no block."""
+def geom_factor_calls(shape: BlockShape, state: GeometryState, D) -> list:
+    """The factorizations one step of the block makes, as calls of
+    ``psd_linalg.factorize``, in the order the step reads them: for Muon the
+    thin SVD of the direction block D, whatever the state; for FullAdaGrad
+    and Shampoo the eighs of the accumulated state that it caches (Shampoo's
+    left factor first); none for AdaNorm and DiagAdaGrad."""
+    g = shape.geometry
+    if g is Geometry.MUON:
+        return [("svd", D)]
+    if g is Geometry.FULL_ADAGRAD:
+        return [("eigh", state.gram, state.varsigma)]
+    if g is Geometry.SHAMPOO:
+        return [("eigh", state.lfac, state.varsigma), ("eigh", state.rfac, state.varsigma)]
+    return []
+
+
+def geom_factor(shape: BlockShape, state: GeometryState, results):
+    """Take the results of ``geom_factor_calls`` for the block.  A FullAdaGrad
+    or Shampoo state caches its eighs, as if it had computed them on first
+    use, and the result is None.  For Muon the result is the factorization
+    of D that one step shares: D's nuclear norm and selector,
+    ``polar(U, s, Vt)`` of its SVD."""
     if shape.geometry is Geometry.MUON:
-        return polar(*svd_factors(D))
+        return polar(*results[0])
+    vars(state).update(zip(_CACHED_EIGHS.get(shape.geometry, ()), results))
     return None
 
 
@@ -239,7 +265,7 @@ def geom_selector(shape: BlockShape, Z, dual_norm, factor=None):
     """Normalizing selector: primal-unit maximizer of <Z, .>, with S(0) = 0.
 
     dual_norm is ``geom_dual_norm(shape, Z)``, which Euclidean blocks divide
-    by.  factor, when given, is ``geom_factor(shape, D)`` of the direction D
+    by.  factor, when given, is ``geom_factor`` of the direction D
     that Z preconditions; Muon then takes S(D), which is S(Z) because Z is a
     positive multiple of D and the selector is 0-homogeneous.
     """
@@ -250,7 +276,7 @@ def geom_selector(shape: BlockShape, Z, dual_norm, factor=None):
 
 
 def geom_dual_norm(shape: BlockShape, V, state=None, factor=None):
-    """Block dual norm of V.  Given the state and ``geom_factor(shape, D)``
+    """Block dual norm of V.  Given the state and ``geom_factor``
     of the direction D with ``V = geom_precondition(shape, state, D)``, Muon
     reads it from D's factor: ``V = D / sqrt(gamma)`` and the nuclear norm is
     1-homogeneous, so ``|V|_* = |D|_* / sqrt(gamma)``."""
@@ -272,7 +298,7 @@ def geom_step_direction(shape: BlockShape, Z, dual_norm, selector):
 
 def geom_lmap_trace(shape: BlockShape, V, factor=None):
     """``tr(lmap(V))``; equals the squared block dual norm for all five
-    variants.  factor, when given, is ``geom_factor(shape, V)``, whose
+    variants.  factor, when given, is ``geom_factor`` of V, whose
     nuclear norm Muon squares instead of factorizing V again."""
     if shape.geometry is Geometry.MUON:
         return squared(nuclear_norm(V) if factor is None else factor[0])

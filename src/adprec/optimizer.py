@@ -21,7 +21,12 @@ strictly sequential; replicates are independent (seed + replicate index)
 and run together as one array program.  Every block of the iterate, the
 gradient and the geometry state carries a leading replicate axis, so one
 call of ``adprec_step`` advances all R replicates and each block is
-factorized by one stacked eigh or SVD.  The step computes only what the
+factorized by one stacked eigh or SVD.  A step's factorizations do not
+depend on each other, so the step lists them all, between a pass that grows
+the states they factorize and a pass that uses them, and runs them together
+(``psd_linalg.factorize``): when two of them are large enough and BLAS
+leaves a CPU idle, the largest runs on a worker thread at the same time as
+the rest.  The step computes only what the
 next step reads; its record (``step_record``) is computed from the values
 it kept, once per chunk of steps.  The driver keeps each step's record
 inputs by reference and, every C steps, computes the records of those
@@ -75,6 +80,7 @@ from .geometries import (
     geom_diagnostics,
     geom_dual_norm,
     geom_factor,
+    geom_factor_calls,
     geom_init,
     geom_lmap_trace,
     geom_precondition,
@@ -83,6 +89,7 @@ from .geometries import (
     geom_step_direction,
 )
 from .problems import NoiseKind, NoiseModel, NormalStreams, Problem, sample_gradient
+from .psd_linalg import factorize
 
 
 class MomentumMode(str, enum.Enum):
@@ -183,12 +190,22 @@ def adprec_step(
     first step, and returned unchanged when momentum is off.  z_norms are
     the block dual norms of the preconditioned direction Z (the oracle for
     multiplicative noise needs them at the next iteration).  A Muon
-    direction block D is factorized once (``geom_factor``): its one SVD
-    gives Z's dual norm and selector, so Z itself is never formed, and,
-    when D is the accumulated block, the lmap trace, which feeds accumulate.
+    direction block D is factorized once: its one SVD gives Z's dual norm
+    and selector (``geom_factor``), so Z itself is never formed, and, when
+    D is the accumulated block, the lmap trace, which feeds accumulate.
     kept is what the step's record (``step_record``) reads of the blocks
     besides the new states and z_norms: per block, Z (S(Z) for Muon) and the
     lmap trace.  The record itself is no part of the step.
+
+    The step makes two passes over the blocks.  The first grows every state
+    that no factorization feeds (all but Muon's) and lists the step's
+    factorizations (``geom_factor_calls``), which are independent of each
+    other; ``psd_linalg.factorize`` runs them together, the largest on a
+    worker thread when the blocks are large enough.  The second puts each
+    result where the state would have cached it (``geom_factor``) and
+    finishes the blocks in order.  Every factorization is the call the
+    state or block would make for itself, so no bit depends on which
+    thread ran it.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -199,22 +216,42 @@ def adprec_step(
         if mode is MomentumMode.M1:
             acc = M
 
-    new_states, new_blocks, z_norms, moves, traces = [], [], [], [], []
+    # pass 1: grow every state that no factorization feeds (Muon's may grow
+    # from the lmap trace of D's SVD) and list the step's factorizations
+    new_states, traces, calls, counts = [], [], [], []
     for ell, shape in enumerate(shapes):
-        A, D = acc.blocks[ell], direction.blocks[ell]
-        f = geom_factor(shape, D)
-        tl = geom_lmap_trace(shape, A, f if A is D else None)
-        st = geom_accumulate(shape, states[ell], A, tl)
+        st = tl = None
+        if shape.geometry is not Geometry.MUON:
+            A = acc.blocks[ell]
+            tl = geom_lmap_trace(shape, A)
+            st = geom_accumulate(shape, states[ell], A, tl)
+        block_calls = geom_factor_calls(shape, st, direction.blocks[ell])
+        calls += block_calls
+        counts.append(len(block_calls))
+        new_states.append(st)
+        traces.append(tl)
+    results = factorize(calls, tuple(shapes)) if calls else calls
+
+    # pass 2: the rest of the step, on the factorizations
+    new_blocks, z_norms, moves = [], [], []
+    i = 0
+    for ell, shape in enumerate(shapes):
+        D, n = direction.blocks[ell], counts[ell]
+        f = geom_factor(shape, new_states[ell], results[i : i + n]) if n else None
+        i += n
+        if f is not None:
+            A = acc.blocks[ell]
+            traces[ell] = geom_lmap_trace(shape, A, f if A is D else None)
+            new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
+        st = new_states[ell]
         # Muon reads |Z| and S(Z) from D's factor and never needs Z itself;
         # a Euclidean step is Z, whose selector only the record reads
         Z = geom_precondition(shape, st, D) if f is None else None
         zn = geom_dual_norm(shape, Z, st, f)
         S = None if f is None else geom_selector(shape, Z, zn, f)
         new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
-        new_states.append(st)
         z_norms.append(zn)
         moves.append(Z if f is None else S)
-        traces.append(tl)
     return ProductPoint(new_blocks), new_states, M, z_norms, (moves, traces)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -310,8 +311,9 @@ _BUILDERS = {
 
 
 def make_problem(kind: str, shapes, **params) -> Problem:
-    """Build a named problem over the given block shapes.  A float
-    parameter must be finite."""
+    """Build a named problem over the given block shapes.  A number
+    parameter must be finite, and an integer one other than the seed must
+    fit in a float."""
     try:
         builder = _BUILDERS[kind]
     except KeyError:
@@ -319,6 +321,9 @@ def make_problem(kind: str, shapes, **params) -> Problem:
     for key, value in params.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidConfig(f"problem parameter {key!r} must be finite, got {value}")
+        # an int compares with a float exactly, without converting to one
+        if isinstance(value, int) and key != "seed" and abs(value) > sys.float_info.max:
+            raise InvalidConfig(f"problem parameter {key!r} is an integer too large for a float")
     return builder(shapes, **params)
 
 

@@ -282,15 +282,18 @@ def test_nonfinite_config_values_exit_2(tmp_path, capsys, path, value):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, 10**400], ids=["NaN", "Infinity", "int-too-large-for-a-float"]
+)
 @pytest.mark.parametrize(
     "kind, key",
     [("quadratic", "condition"), ("quadratic", "b_scale"), ("trigquad", "cos_weight"),
      ("logistic", "reg"), ("matfact", "target_scale")],
 )
 def test_nonfinite_problem_parameters_exit_2(tmp_path, capsys, kind, key, value):
-    # a non-finite problem parameter is a config error naming the key, not a
-    # traceback from the problem's random draws or a run that fails later
+    # a non-finite problem parameter, or a JSON integer too large for a
+    # float, is a config error naming the key, not a traceback from the
+    # problem's random draws or a run that fails later
     raw = example_config()
     raw["problem"] = {"kind": kind, key: value}
     if kind == "matfact":

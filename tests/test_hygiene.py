@@ -5,6 +5,9 @@ calls."""
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -301,3 +304,22 @@ def test_one_record_path():
     assert len(callers) == 1, callers
     helper = callers.pop().rpartition(".")[2]
     assert [caller for caller, callee in sites if callee == helper] == ["_drive.record"]
+
+
+def test_small_blocks_start_no_thread_and_import_no_pool():
+    # importing the package and running small blocks starts no thread and
+    # imports no thread pool, even with BLAS on one thread
+    code = (
+        "import sys, threading\n"
+        "from adprec import cli, optimizer\n"
+        "from adprec.block_space import BlockShape\n"
+        "from adprec.problems import NoiseModel, make_problem\n"
+        "p = make_problem('matfact', [BlockShape(4, 3, 'Shampoo'), BlockShape(3, 5, 'Muon')])\n"
+        "c = optimizer.OptimizerConfig(eta=0.5, varsigma=1.0, max_iters=3)\n"
+        "assert optimizer.run_trajectory(p, NoiseModel(), c).failed is None\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.split() == ["False", "1"]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from collections import Counter
 from dataclasses import fields, replace
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adprec import optimizer
+from adprec import optimizer, psd_linalg
 from adprec.audit import audit_path_potentials
 from adprec.block_space import (
     VECTOR_ONLY,
@@ -50,7 +51,8 @@ from adprec.problems import (
     sample_gradient,
 )
 from adprec.psd_linalg import SV_RTOL, eigh_clamped
-from adprec.suites import _potential_spaces
+from adprec.suites import _potential_spaces, potential_configurations
+from conftest import set_cpus
 
 VEC2 = [BlockShape(2, 1, Geometry.ADANORM)]
 
@@ -1113,3 +1115,95 @@ def test_an_m1_point_fails_in_a_short_chunk_as_step_by_step(monkeypatch, kick, e
     assert got.records == stepwise_run.records
     np.testing.assert_array_equal(got.final.blocks[0], stepwise_run.final.blocks[0])
     np.testing.assert_array_equal(got.states[0].diag, stepwise_run.states[0].diag)
+
+
+# -- a step's factorizations fanned out to the worker thread --------------------
+
+MATRIX_BLOCKS = ("matfact", [BlockShape(64, 32, Geometry.SHAMPOO), BlockShape(32, 48, Geometry.MUON)])
+FAN_OUT_SPACES = {
+    "matrix_blocks": MATRIX_BLOCKS,
+    "full64+shampoo24x16": (
+        "quadratic", [BlockShape(64, 1, Geometry.FULL_ADAGRAD), BlockShape(24, 16, Geometry.SHAMPOO)]
+    ),
+    "potentials shampoo": RECORD_SPACES["shampoo"],
+}
+
+
+@pytest.mark.parametrize("space", FAN_OUT_SPACES)
+def test_fanned_out_factorizations_do_not_change_a_bit(monkeypatch, worker, space):
+    # every step fanned out (threshold 0) gives the columns, X and states of
+    # every step in order (threshold above any block), in every mode, exact
+    # and noisy, for one row and for a stack of three
+    kind, shapes = FAN_OUT_SPACES[space]
+    problem = make_problem(kind, shapes, seed=3)
+    for mode in MomentumMode:
+        config = cfg(max_iters=5, eta=0.4, seed=5, momentum_mode=mode,
+                     mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+        for noise in (NoiseModel(), STACK_NOISES["additive"]):
+            for R in (1, 3):
+                runs = []
+                for threshold in (0, 10**9):
+                    monkeypatch.setattr(psd_linalg, "_WORKER_CALLS", {})
+                    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", threshold)
+                    worker.futures.clear()
+                    run = drive(problem, [noise] * R, config)
+                    assert run.failure is None
+                    assert len(worker.futures) == (config.max_iters if threshold == 0 else 0)
+                    runs.append((run.columns, run.X, run.states))
+                assert_same_run(*runs)
+
+
+def test_a_step_fails_as_in_order_when_its_worker_call_fails(monkeypatch, worker):
+    # on the matrix_blocks space the worker takes the 64 x 64 left Kronecker
+    # factor; with it and the right factor failing, the step raises the left
+    # one's error, as in order, once the worker is done
+    kind, shapes = MATRIX_BLOCKS
+    problem = make_problem(kind, shapes, seed=3)
+    X, G = problem.x0, problem.eval_grad(problem.x0)
+    states = [geom_init(s, 1.0) for s in shapes]
+    real = psd_linalg.eigh_clamped
+
+    def failing(M, floor=None):
+        if M.shape[-1] in (64, 32):
+            raise np.linalg.LinAlgError(f"eigh of {M.shape[-1]} x {M.shape[-1]} failed")
+        return real(M, floor=floor)
+
+    monkeypatch.setattr(psd_linalg, "eigh_clamped", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="eigh of 64 x 64 failed"):
+        adprec_step(shapes, X, G, states, None, cfg(), 0)
+    assert len(worker.futures) == 1 and worker.futures[0].done()
+
+
+def refused_worker(*args, **kwargs):
+    raise AssertionError("the worker thread was started")
+
+
+VEC_REPLICATES = RECORD_SPACES["vec_replicates"]
+
+
+@pytest.mark.parametrize(
+    "cpus, blas_threads, runs",
+    [(2, "1", "potentials"), (2, "1", "vec_replicates"), (1, "1", "matrix_blocks"),
+     (2, None, "matrix_blocks")],
+    ids=["potentials", "vec_replicates", "matrix_blocks-one-cpu", "matrix_blocks-blas-on-every-cpu"],
+)
+def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads, runs):
+    # below the size threshold (the potentials suite's six stacks, as the
+    # suite runs them, and vec_replicates' stack of 16), on one CPU, and with
+    # BLAS on every CPU, every factorization runs on the calling thread
+    set_cpus(monkeypatch, cpus, blas_threads)
+    monkeypatch.setattr(psd_linalg, "_worker", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused_worker)
+    noisy = STACK_NOISES["additive"]
+    if runs == "potentials":
+        for _, problem, exact, config in potential_configurations(K=20, seed=3)[::2]:
+            results = run_rows(problem, [replace(noisy, sigma=(0.5,) * len(problem.shapes)),
+                                         exact], config)
+            assert not any(isinstance(r, NonFiniteIterate) for r in results)
+    elif runs == "vec_replicates":
+        problem = make_problem(VEC_REPLICATES[0], VEC_REPLICATES[1], seed=3)
+        run_replicates(problem, noisy, cfg(max_iters=10, eta=0.25), R=16)
+    else:
+        problem = make_problem(*MATRIX_BLOCKS, seed=3)
+        assert run_trajectory(problem, noisy, cfg(max_iters=3, eta=0.5)).failed is None
+    assert psd_linalg._worker is None

@@ -1,5 +1,13 @@
+import concurrent.futures
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+
+from adprec import psd_linalg
+from conftest import set_cpus
 
 from adprec.block_space import BlockShape, Geometry
 from adprec.errors import NonPositiveDefinite
@@ -8,6 +16,7 @@ from adprec.psd_linalg import (
     CLAMP_RTOL,
     SV_RTOL,
     eigh_clamped,
+    factorize,
     msign,
     nuclear_norm,
     polar,
@@ -231,3 +240,90 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
             f(S)
         assert str(stack.value) == str(alone.value)
     np.testing.assert_array_equal(psd_power(S, 0.5)[2], np.zeros((n, n)))
+
+
+# -- factorizations fanned out to the worker thread ------------------------------
+
+# (the calls' matrix dims in order, the calls that raise): the worker runs
+# the largest call, the last one or the first one
+FAILURES = {
+    "the worker's": ((24, 16, 64), {2}),
+    "this thread's, before the worker's": ((24, 16, 64), {0}),
+    "this thread's, after the worker's": ((64, 24, 20), {2}),
+    "both, this thread's first": ((24, 16, 64), {0, 2}),
+    "both, the worker's first": ((64, 24, 20), {0, 2}),
+}
+
+
+@pytest.mark.parametrize("dims, failing", FAILURES.values(), ids=FAILURES.keys())
+def test_a_fanned_out_failure_raises_the_in_order_failure(monkeypatch, worker, dims, failing):
+    # whichever thread runs the failing calls, factorize raises the error of
+    # the first one in order, as the calls run in order on one thread do,
+    # and only once the worker is done
+    mats = [random_psd(n, 10.0, seed=n) for n in dims]
+    calls = [("eigh", M, 1.0) for M in mats]
+    on_worker = set()
+    real = psd_linalg.eigh_clamped
+
+    def flaky(M, floor=None):
+        i = next(i for i, m in enumerate(mats) if m is M)
+        if threading.current_thread() is not threading.main_thread():
+            on_worker.add(i)
+            time.sleep(0.05)  # the worker ends last
+        if i in failing:
+            raise np.linalg.LinAlgError(f"call {i} failed")
+        return real(M, floor=floor)
+
+    monkeypatch.setattr(psd_linalg, "eigh_clamped", flaky)
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 10**9)
+    with pytest.raises(np.linalg.LinAlgError) as in_order:
+        factorize(calls, "in order")
+    assert not worker.futures and str(in_order.value) == f"call {min(failing)} failed"
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 20)
+    with pytest.raises(np.linalg.LinAlgError) as fanned:
+        factorize(calls, "fanned out")
+    assert on_worker == {dims.index(64)}
+    assert len(worker.futures) == 1 and worker.futures[0].done()
+    assert str(fanned.value) == str(in_order.value)
+
+
+def test_threads_stepping_at_once_share_one_worker(monkeypatch):
+    # more threads than CPUs, each fanning out at once with a short switch
+    # interval: one executor is made, and every result has its in-order bits
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(psd_linalg, "_worker", None)
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            time.sleep(0.01)  # the other threads reach the worker meanwhile
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    calls = [("eigh", random_psd(n, 10.0, seed=n), 1.0) for n in (32, 24, 40)]
+    want = [eigh_clamped(M, floor=floor) for _, M, floor in calls]
+    failures = []
+
+    start = threading.Barrier(4)
+
+    def step():
+        start.wait(timeout=60)
+        for _ in range(20):
+            for got, ref in zip(factorize(calls, "shared"), want):
+                if not all(np.array_equal(a, b) for a, b in zip(got, ref)):
+                    failures.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=step) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures and len(made) == 1
+    made[0].shutdown()
