@@ -126,6 +126,10 @@ def _arrays(state: GeometryState) -> list[str]:
 # geom_factor_calls lists them
 _CACHED_EIGHS = {Geometry.FULL_ADAGRAD: ("eig",), Geometry.SHAMPOO: ("left_eig", "right_eig")}
 _CACHED = sum(_CACHED_EIGHS.values(), ())
+# the geometries whose blocks geom_factor_calls lists factorizations for; a
+# set test is cheaper than comparing with each member, whose every read goes
+# through the enum metaclass's attribute hook
+_FACTORED = frozenset({Geometry.MUON, *_CACHED_EIGHS})
 
 
 def geom_stack(states, join) -> GeometryState:

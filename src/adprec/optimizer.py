@@ -22,8 +22,9 @@ and run together as one array program.  Every block of the iterate, the
 gradient and the geometry state carries a leading replicate axis, so one
 call of ``adprec_step`` advances all R replicates and each block is
 factorized by one stacked eigh or SVD.  A step's factorizations do not
-depend on each other, so the step lists them all, between a pass that grows
-the states they factorize and a pass that uses them, and runs them together
+depend on each other, so the step lists them all, in a pass that grows the
+states they factorize and finishes the blocks that factorize nothing, and
+runs them together before a pass that finishes the other blocks
 (``psd_linalg.factorize``): when two of them are large enough and BLAS
 leaves a CPU idle, the largest runs on a worker thread at the same time as
 the rest.  The step computes only what the
@@ -75,6 +76,7 @@ from .block_space import (
 )
 from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
+    _FACTORED,
     GeometryState,
     geom_accumulate,
     geom_diagnostics,
@@ -198,14 +200,15 @@ def adprec_step(
     lmap trace.  The record itself is no part of the step.
 
     The step makes two passes over the blocks.  The first grows every state
-    that no factorization feeds (all but Muon's) and lists the step's
-    factorizations (``geom_factor_calls``), which are independent of each
-    other; ``psd_linalg.factorize`` runs them together, the largest on a
-    worker thread when the blocks are large enough.  The second puts each
-    result where the state would have cached it (``geom_factor``) and
-    finishes the blocks in order.  Every factorization is the call the
-    state or block would make for itself, so no bit depends on which
-    thread ran it.
+    that no factorization feeds (all but Muon's), finishes each block that
+    factorizes nothing and lists the other blocks' factorizations
+    (``geom_factor_calls``), which are independent of each other;
+    ``psd_linalg.factorize`` runs them together, the largest on a worker
+    thread when the blocks are large enough.  The second pass, over the
+    listed blocks only, puts each result where the state would have cached
+    it (``geom_factor``) and finishes those blocks.  Every factorization is
+    the call the state or block would make for itself, so no bit depends on
+    which thread ran it.
     """
     check_point_matches(X, shapes)
     check_point_matches(gtilde, shapes)
@@ -217,42 +220,57 @@ def adprec_step(
             acc = M
 
     # pass 1: grow every state that no factorization feeds (Muon's may grow
-    # from the lmap trace of D's SVD) and list the step's factorizations
-    new_states, traces, calls, counts = [], [], [], []
+    # from the lmap trace of D's SVD), finish the blocks that factorize
+    # nothing and list the others' factorizations
+    new_states, traces, new_blocks, z_norms, moves = [], [], [], [], []
+    calls, listed = [], []
     for ell, shape in enumerate(shapes):
+        D = direction.blocks[ell]
+        factored = shape.geometry in _FACTORED
         st = tl = None
-        if shape.geometry is not Geometry.MUON:
+        # the set test spares a Euclidean block the slower read of Geometry.MUON
+        if not factored or shape.geometry is not Geometry.MUON:
             A = acc.blocks[ell]
             tl = geom_lmap_trace(shape, A)
             st = geom_accumulate(shape, states[ell], A, tl)
-        block_calls = geom_factor_calls(shape, st, direction.blocks[ell])
-        calls += block_calls
-        counts.append(len(block_calls))
         new_states.append(st)
         traces.append(tl)
-    results = factorize(calls, tuple(shapes)) if calls else calls
-
-    # pass 2: the rest of the step, on the factorizations
-    new_blocks, z_norms, moves = [], [], []
-    i = 0
-    for ell, shape in enumerate(shapes):
-        D, n = direction.blocks[ell], counts[ell]
-        f = geom_factor(shape, new_states[ell], results[i : i + n]) if n else None
-        i += n
-        if f is not None:
-            A = acc.blocks[ell]
-            traces[ell] = geom_lmap_trace(shape, A, f if A is D else None)
-            new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
-        st = new_states[ell]
-        # Muon reads |Z| and S(Z) from D's factor and never needs Z itself;
-        # a Euclidean step is Z, whose selector only the record reads
-        Z = geom_precondition(shape, st, D) if f is None else None
-        zn = geom_dual_norm(shape, Z, st, f)
-        S = None if f is None else geom_selector(shape, Z, zn, f)
-        new_blocks.append(X.blocks[ell] - config.eta * geom_step_direction(shape, Z, zn, S))
+        if factored:
+            block_calls = geom_factor_calls(shape, st, D)
+            listed.append((ell, len(calls), len(calls) + len(block_calls)))
+            calls += block_calls
+            x = zn = move = None
+        else:
+            x, zn, move = _move(shape, st, D, None, X.blocks[ell], config.eta)
+        new_blocks.append(x)
         z_norms.append(zn)
-        moves.append(Z if f is None else S)
+        moves.append(move)
+
+    # pass 2: finish the listed blocks on their factorizations
+    if calls:
+        results = factorize(calls, tuple(shapes))
+        for ell, i, j in listed:
+            shape, D = shapes[ell], direction.blocks[ell]
+            f = geom_factor(shape, new_states[ell], results[i:j])
+            if f is not None:
+                A = acc.blocks[ell]
+                traces[ell] = geom_lmap_trace(shape, A, f if A is D else None)
+                new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
+            moved = _move(shape, new_states[ell], D, f, X.blocks[ell], config.eta)
+            new_blocks[ell], z_norms[ell], moves[ell] = moved
     return ProductPoint(new_blocks), new_states, M, z_norms, (moves, traces)
+
+
+def _move(shape: BlockShape, st: GeometryState, D, f, x, eta: float):
+    """The rest of a block's step from its new state st and, for Muon, the
+    factor f of its direction D: (the block's next iterate, Z's dual norm,
+    what the record keeps of the move: Z, or S(Z) for Muon)."""
+    # Muon reads |Z| and S(Z) from D's factor and never needs Z itself;
+    # a Euclidean step is Z, whose selector only the record reads
+    Z = geom_precondition(shape, st, D) if f is None else None
+    zn = geom_dual_norm(shape, Z, st, f)
+    S = None if f is None else geom_selector(shape, Z, zn, f)
+    return x - eta * geom_step_direction(shape, Z, zn, S), zn, Z if f is None else S
 
 
 def step_record(

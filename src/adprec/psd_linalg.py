@@ -137,10 +137,11 @@ def polar(U, s, Vt):
     singular values but finite U and Vt.
     """
     kept = _kept(s)
-    nuclear = _kept_sum(s, kept)
     if kept.all():
-        out = U @ Vt
+        # the sum _kept_sum takes, without its masking
+        nuclear, out = np.add.reduce(s, axis=-1), U @ Vt
     else:
+        nuclear = _kept_sum(s, kept)
         # the rank differs per matrix; a product over fewer terms rounds
         # differently from one padded with zeros, so each matrix keeps its
         # own inner dimension
@@ -227,6 +228,12 @@ def _forget_worker():
     """Drop the parent's worker in a forked child, which has no such thread."""
     global _worker, _worker_lock
     _worker, _worker_lock = None, threading.Lock()
+
+
+def _worker_threads() -> set:
+    """The worker's threads: none before its first use, then its one thread."""
+    worker = _worker
+    return set() if worker is None else set(worker._threads)
 
 
 def _executor():

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,6 +170,8 @@ def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
 
     drive = optimizer._drive
     monkeypatch.setattr(optimizer, "_drive", counted)
+    # the count is kept in this process, so the suite must not fan out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert len(suites.suite_potentials(K=5)) == 12
     assert stacks == [2] * 6
 

@@ -323,3 +323,24 @@ def test_small_blocks_start_no_thread_and_import_no_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.split() == ["False", "1"]
+
+
+def test_an_audit_imports_no_pool_and_leaves_no_child(tmp_path):
+    # the audit suites fan out with a bare fork, and reap what they fork
+    code = (
+        "import os, sys\n"
+        "from adprec import cli\n"
+        "argv = ['audit', '--suite', 'trace', '--trials', '50', '--out', sys.argv[1]]\n"
+        "assert cli.main(argv) == 0\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('child left')\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "print('multiprocessing' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "audit")], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.splitlines()[-1].split() == ["False", "False"]
+    assert "child left" not in out.stdout
