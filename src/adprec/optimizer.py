@@ -30,12 +30,14 @@ leaves a CPU idle, the largest runs on a worker thread at the same time as
 the rest.  The step computes only what the
 next step reads; its record (``step_record``) is computed from the values
 it kept, once per chunk of steps.  The driver keeps each step's record
-inputs by reference and, every C steps, computes the records of those
-steps with one call per operation on arrays whose stack axis holds all of
-them, then stores them in its (fields, R, K) columns with one assignment.
-C is as many steps as fit in RECORD_CHUNK_BYTES, from the bytes the first
-step keeps, and at least one: a step of large blocks is a chunk of its own,
-which takes the same path, on its own arrays.
+inputs by reference and, once C steps are kept, has the next step compute
+their records with one call per operation on arrays whose stack axis holds
+all of them, while that step's worker thread factorizes (the step's
+meanwhile), then stores them in its (fields, R, K) columns with one
+assignment; the last chunk is recorded after the loop.  C is as many steps
+as fit in RECORD_CHUNK_BYTES, from the bytes the first step keeps, and at
+least one: a step of large blocks is a chunk of its own, which takes the
+same path, on its own arrays.
 Only ``run_trajectory`` builds ``IterationRecord``s.  Each replicate keeps
 its own Generator, whose normals it reads in chunks
 (``problems.NormalStreams``), and every stacked operation rounds as the
@@ -183,6 +185,8 @@ def adprec_step(
     M: ProductPoint | None,
     config: OptimizerConfig,
     k: int,
+    *,
+    meanwhile=None,
 ):
     """One iteration, cut down to what the next one reads; returns
     (X_next, new_states, M_k, z_norms, kept).
@@ -197,7 +201,9 @@ def adprec_step(
     D is the accumulated block, the lmap trace, which feeds accumulate.
     kept is what the step's record (``step_record``) reads of the blocks
     besides the new states and z_norms: per block, Z (S(Z) for Muon) and the
-    lmap trace.  The record itself is no part of the step.
+    lmap trace.  The record itself is no part of the step; the caller may
+    pass meanwhile, which the step runs once: inside ``factorize``, while
+    the worker thread runs, or after the first pass when nothing factorizes.
 
     The step makes two passes over the blocks.  The first grows every state
     that no factorization feeds (all but Muon's), finishes each block that
@@ -248,7 +254,7 @@ def adprec_step(
 
     # pass 2: finish the listed blocks on their factorizations
     if calls:
-        results = factorize(calls, tuple(shapes))
+        results = factorize(calls, tuple(shapes), meanwhile)
         for ell, i, j in listed:
             shape, D = shapes[ell], direction.blocks[ell]
             f = geom_factor(shape, new_states[ell], results[i:j])
@@ -258,6 +264,8 @@ def adprec_step(
                 new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
             moved = _move(shape, new_states[ell], D, f, X.blocks[ell], config.eta)
             new_blocks[ell], z_norms[ell], moves[ell] = moved
+    elif meanwhile is not None:
+        meanwhile()
     return ProductPoint(new_blocks), new_states, M, z_norms, (moves, traces)
 
 
@@ -524,12 +532,14 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     itself when exact) and the fields its failure names.
 
     The loop carries only what the next step reads (``adprec_step``) and
-    keeps each step's record inputs by reference.  Every C steps, with C as
-    many steps as RECORD_CHUNK_BYTES holds of the first step's inputs (at
-    least one), ``_chunk_record`` computes the records of those steps at
-    once and fills their columns of ``_Run.columns``; each value rounds as
-    it would step by step.  Every chunk takes this one path, a chunk of one
-    step too (C is 1 for large blocks); in M1, step 0 is a chunk of its own.
+    keeps each step's record inputs by reference.  Once C steps are kept,
+    with C as many steps as RECORD_CHUNK_BYTES holds of the first step's
+    inputs (at least one), the chunk is pending: the next step's meanwhile
+    (``adprec_step``) has ``_chunk_record`` compute the records of those
+    steps at once and fill their columns of ``_Run.columns``, and the last
+    chunk is recorded after the loop; each value rounds as it would step by
+    step.  Every chunk takes this one path, a chunk of one step too (C is 1
+    for large blocks); in M1, step 0 is a chunk of its own.
 
     A row fails at iteration k when its iterate or record (f_value only
     when eval_objective is set) is non-finite after the step, or already
@@ -542,9 +552,11 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     that any row fails: it names the lowest row that failed in the steps
     that check covers, at that row's first failing step.  A failed iterate
     or Gtilde never reaches a factorization, and a row whose record failed
-    runs on at most to the end of its chunk, on a finite iterate and a
-    Gtilde that passed the overflow check.  The rows that did not fail are
-    rerun by the caller, each from its own spec.
+    runs on at most one step past its chunk, on a finite iterate and a
+    Gtilde that passed the overflow check; that step is dropped.  A failure
+    of the pending record wins over what that step returns or raises, and
+    an error the record raises propagates in place of the step's.  The rows
+    that did not fail are rerun by the caller, each from its own spec.
     """
     shapes = problem.shapes
     K, R = config.max_iters, len(specs)
@@ -562,6 +574,8 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     first = 0 if config.eval_objective else 1
     steps = []  # the record inputs of the steps not yet recorded
     chunk = None  # steps per record chunk, from the first step's inputs
+    full = False  # whether steps is a complete chunk, which the next step records
+    failed = None
 
     def record(end, X_after, iterate=None):
         """Record the kept steps, k0 = end - len(steps) .. end - 1, with one
@@ -590,6 +604,13 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
         the fields bad are non-finite and the step left X and states."""
         return _Run(columns, X, states, (r, k, f"non-finite at iteration {k}: {', '.join(bad)}"))
 
+    def record_full():
+        """Record the complete chunk, once, while step k runs (its meanwhile)."""
+        nonlocal full, failed
+        if full:
+            full = False
+            failed = record(k, X)
+
     for k in range(K):
         G = problem.eval_grad(X)
         gtilde = _oracle(problem, plan, X, k, z_prev_norms, G)
@@ -603,7 +624,15 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
             if config.eval_objective and not np.isfinite(np.reshape(problem.eval_f(X), -1)[r]):
                 bad.insert(0, "f_value")
             return stop(r, k, bad, X, states)
-        X_next, states, M, z_prev_norms, kept = adprec_step(shapes, X, gtilde, states, M, config, k)
+        try:
+            X_next, states, M, z_prev_norms, kept = adprec_step(
+                shapes, X, gtilde, states, M, config, k, meanwhile=record_full)
+        except Exception:
+            record_full()  # when the step raised before its meanwhile ran
+            if failed is None:
+                raise
+        if failed is not None:
+            return failed
         steps.append((X, G, gtilde, M, states, z_prev_norms, kept))
         if chunk is None:
             chunk = max(1, RECORD_CHUNK_BYTES // max(1, _nbytes(steps[0])))
@@ -612,12 +641,9 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
             return record(k + 1, X_next, _finite_rows(X_next))
         X = X_next
         # M1's step 0 is a chunk of its own (see step_record)
-        if (len(steps) == chunk or k + 1 == K
-                or k == 0 and config.momentum_mode is MomentumMode.M1):
-            failed = record(k + 1, X_next)
-            if failed is not None:
-                return failed
-    return _Run(columns, X, states, None)
+        full = len(steps) == chunk or k == 0 and config.momentum_mode is MomentumMode.M1
+    failed = record(K, X) if steps else None
+    return _Run(columns, X, states, None) if failed is None else failed
 
 
 @dataclass

@@ -23,10 +23,11 @@ state is cheaper than maintaining incremental factorizations correctly.
 two of them are large and BLAS leaves a CPU of the process idle, it runs
 the largest on one worker thread, made on first use, while the calling
 thread runs the rest; numpy's LAPACK calls release the interpreter lock, so
-the two overlap.  Each result is the same single call on the same input
+the two overlap, and the caller's meanwhile work runs after those calls,
+before the wait.  Each result is the same single call on the same input
 either way, so no bit depends on the thread that ran it, and a failure
-raises what the calls run in order raise.  The worker runs only this
-module's own functions.
+raises meanwhile's error, else what the calls run in order raise.  The
+worker runs only this module's own functions.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def _executor():
     return _worker
 
 
-def factorize(calls, key):
+def factorize(calls, key, meanwhile=None):
     """The results of the independent factorizations calls, in order.  Each
     call is ``("eigh", M, floor)``, for ``eigh_clamped(M, floor=floor)``, or
     ``("svd", G)``, for ``svd_factors(G)``.
@@ -263,27 +264,34 @@ def factorize(calls, key):
     order; numpy's LAPACK calls release the interpreter lock, so the two
     overlap.  Other calls run in order on this thread and never start the
     worker.  Either way each result is the same single call on the same
-    input, with the same bits.  The worker is always waited for, and a
-    failure raises what running the calls in order raises: the error of the
-    first call that fails.
+    input, with the same bits.  meanwhile, when given, is other work of the
+    caller, run once on this thread after its own calls and before the wait
+    for the worker, also when a call fails.  The worker is always waited
+    for, and a failure raises the error of meanwhile, else what running the
+    calls in order raises: the error of the first call that fails.
     """
     w = _WORKER_CALLS.get(key, _UNKNOWN) if len(calls) > 1 else None
     if w is _UNKNOWN:
         w = _WORKER_CALLS[key] = _worker_call(calls)
-    if w is None:
-        return [_run(call) for call in calls]
-    future = _executor().submit(_run, calls[w])
+    future = None if w is None else _executor().submit(_run, calls[w])
+    own, error = [], None
     try:
-        head = [_run(call) for call in calls[:w]]
-    except BaseException:
-        future.exception()  # waits; this error comes first in order
-        raise
+        for call in calls if future is None else calls[:w] + calls[w + 1:]:
+            own.append(_run(call))
+    except BaseException as e:
+        error = e
     try:
-        tail = [_run(call) for call in calls[w + 1:]]
+        if meanwhile is not None:
+            meanwhile()
     finally:
-        # raises the worker's error, which comes before any of the tail's
-        middle = future.result()
-    return head + [middle] + tail
+        if future is not None:
+            future.exception()  # waits; meanwhile's error comes first
+    # the worker's call comes after the w calls before it, whose error wins
+    if future is not None and (error is None or len(own) >= w):
+        own.insert(w, future.result())  # raises the worker's error
+    if error is not None:
+        raise error
+    return own
 
 
 def random_psd(dim, condition_target, seed):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import threading
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -850,9 +851,9 @@ def test_a_failing_replicate_stops_the_stack_and_the_rows_below_it_rerun(monkeyp
         seen.append(set())
         return drive(problem, rows, config)
 
-    def watched(shapes, X, gtilde, *args):
+    def watched(shapes, X, gtilde, *args, **kwargs):
         seen[-1].add((X.blocks[0].shape[:-2], gtilde.blocks[0].shape[:-2]))
-        return step(shapes, X, gtilde, *args)
+        return step(shapes, X, gtilde, *args, **kwargs)
 
     monkeypatch.setattr(optimizer, "_drive", counted)
     monkeypatch.setattr(optimizer, "adprec_step", watched)
@@ -1207,3 +1208,197 @@ def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads
         problem = make_problem(*MATRIX_BLOCKS, seed=3)
         assert run_trajectory(problem, noisy, cfg(max_iters=3, eta=0.5)).failed is None
     assert psd_linalg._worker is None
+
+
+# -- each chunk recorded while the next step runs --------------------------------
+
+# the matrix_blocks space, with the worker forced on, in chunks of one step,
+# and a space of small factorized blocks, always in order, in chunks of three
+PENDING_SPACES = {
+    "worker": (MATRIX_BLOCKS, 1),
+    "serial": (("matfact", [BlockShape(4, 3, Geometry.SHAMPOO), BlockShape(3, 5, Geometry.MUON)]), 3),
+}
+PENDING_NOISE = STACK_NOISES["additive"]
+
+
+def pending_space(monkeypatch, space):
+    """(problem, config, C) for a 6-step run of a PENDING_SPACES space in
+    chunks of C steps."""
+    (kind, shapes), C = PENDING_SPACES[space]
+    monkeypatch.setattr(psd_linalg, "_WORKER_CALLS", {})
+    if space == "worker":
+        monkeypatch.setattr(psd_linalg, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(psd_linalg, "_cpus", lambda: 2)
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
+    monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", C)
+    return make_problem(kind, shapes, seed=3), cfg(max_iters=6, eta=0.5, seed=5), C
+
+
+def recording_step(j, C):
+    """The step that records the chunk of C steps holding step j."""
+    return C * (j // C + 1)
+
+
+def iterate_at(problem, config, k, r=0):
+    """Replicate r's iterate X_k, from its solo run."""
+    return run_trajectory(problem, PENDING_NOISE, replace(config, seed=config.seed + r,
+                                                          max_iters=k)).final
+
+
+def objective_failing_at(problem, point, error=None):
+    """problem with an eval_f that is NaN at `point`, per point of a stack,
+    or that raises error on a stack that holds it."""
+
+    def f(X):
+        value = problem.eval_f(X)
+        hit = np.logical_and.reduce(
+            [np.all(b == p, axis=(-2, -1)) for b, p in zip(X.blocks, point.blocks)])
+        if error is not None and hit.any():
+            raise error
+        return np.where(hit, math.nan, value)
+
+    return replace(problem, eval_f=f)
+
+
+def failing_step(monkeypatch, k_fail, where):
+    """Make step k_fail of a stack of fail["rows"] rows raise, in its
+    factorization (every ``psd_linalg._run`` call of the step) or in its
+    first pass (``geom_accumulate``); return fail, whose "threads" are the
+    threads that ran a factorization and "steps" the steps begun."""
+    fail = {"rows": 1, "threads": set(), "steps": 0}
+    at, real_step, real_run = [None], optimizer.adprec_step, psd_linalg._run
+    real_accumulate = optimizer.geom_accumulate
+
+    def step(shapes, X, *args, **kwargs):
+        rows = X.blocks[0].shape[0] if X.blocks[0].ndim == 3 else 1
+        at[0] = args[-1] if rows == fail["rows"] else None
+        fail["steps"] += 1
+        return real_step(shapes, X, *args, **kwargs)
+
+    def check(here):
+        if where == here and at[0] == k_fail:
+            raise np.linalg.LinAlgError(f"step {k_fail} failed in its {where}")
+
+    def run(call):
+        fail["threads"].add(threading.current_thread())
+        check("factorization")
+        return real_run(call)
+
+    def accumulate(*args):
+        check("first pass")
+        return real_accumulate(*args)
+
+    monkeypatch.setattr(optimizer, "adprec_step", step)
+    monkeypatch.setattr(psd_linalg, "_run", run)
+    monkeypatch.setattr(optimizer, "geom_accumulate", accumulate)
+    return fail
+
+
+@pytest.mark.parametrize("where", [None, "factorization", "first pass"])
+@pytest.mark.parametrize("space", PENDING_SPACES)
+def test_a_failing_pending_chunk_wins_over_the_next_steps_error(monkeypatch, space, where):
+    # step 1's f_value is non-finite, and the step that records its chunk
+    # raises or not: the run returns the failure of step 1 with the records,
+    # X and states of the solo run that stops after it, as recording the
+    # chunk before that step does, and drops that step, the one it runs
+    # past the failing chunk; a stack
+    # of two whose row 1 fails so reruns row 0, which runs clean, and names
+    # row 1
+    problem, config, C = pending_space(monkeypatch, space)
+    j = 1
+    k_next = recording_step(j, C)
+    alone = run_trajectory(problem, PENDING_NOISE, replace(config, max_iters=j + 1))
+    points = [iterate_at(problem, config, j, r) for r in (0, 1)]
+    fail = failing_step(monkeypatch, k_next, where)
+    traj = run_trajectory(objective_failing_at(problem, points[0]), PENDING_NOISE, config)
+    assert fail["steps"] == k_next + 1
+    fail["rows"] = 2
+    with pytest.raises(NonFiniteIterate) as err:
+        run_replicates(objective_failing_at(problem, points[1]), PENDING_NOISE, config, 2)
+    assert traj.failed == f"non-finite at iteration {j}: f_value"
+    assert traj.records == alone.records[:j]
+    assert_same_run((0, traj.final, traj.states), (0, alone.final, alone.states))
+    assert str(err.value) == f"replicate 1 (seed 6): non-finite at iteration {j}: f_value"
+    assert len(fail["threads"]) == (2 if space == "worker" else 1)
+
+
+@pytest.mark.parametrize("where", [None, "factorization", "first pass"])
+@pytest.mark.parametrize("j", [1, 5], ids=["next step", "after the loop"])
+@pytest.mark.parametrize("space", PENDING_SPACES)
+def test_an_error_of_a_pending_record_propagates_in_place_of_the_steps(monkeypatch, space, j,
+                                                                      where):
+    # a record that raises, whether the next step then raises or not (or
+    # there is none), raises its own error, as recording its chunk before
+    # that step does
+    problem, config, C = pending_space(monkeypatch, space)
+    points = [iterate_at(problem, config, j, r) for r in (0, 1)]
+    fail = failing_step(monkeypatch, recording_step(j, C), where)
+    with pytest.raises(RuntimeError, match="record failed"):
+        run_trajectory(objective_failing_at(problem, points[0], RuntimeError("record failed")),
+                       PENDING_NOISE, config)
+    fail["rows"] = 2
+    with pytest.raises(RuntimeError, match="record failed"):
+        run_replicates(objective_failing_at(problem, points[1], RuntimeError("record failed")),
+                       PENDING_NOISE, config, 2)
+
+
+@pytest.mark.parametrize("where", ["factorization", "first pass"])
+@pytest.mark.parametrize("space", PENDING_SPACES)
+def test_a_step_that_raises_after_a_clean_record_raises_its_own_error(monkeypatch, space, where):
+    # the step after a clean chunk raises: its error propagates once the
+    # chunk is recorded, as it does when the chunk is recorded before it
+    problem, config, C = pending_space(monkeypatch, space)
+    k_next = recording_step(1, C)
+    calls = counted_records(monkeypatch)
+    fail = failing_step(monkeypatch, k_next, where)
+    for R in (1, 2):
+        calls.clear()
+        fail["rows"] = R
+        with pytest.raises(np.linalg.LinAlgError, match=f"step {k_next} failed in its {where}"):
+            run_replicates(problem, PENDING_NOISE, config, R)
+        assert len(calls) == k_next // C
+    with pytest.raises(np.linalg.LinAlgError, match=f"step {k_next} failed in its {where}"):
+        fail["rows"] = 1
+        run_trajectory(problem, PENDING_NOISE, config)
+
+
+@pytest.mark.parametrize("space", ["vec_replicates", "serial"])
+def test_a_step_runs_meanwhile_once(monkeypatch, space):
+    # with no factorization (after its one pass) and with one (inside it),
+    # a step runs meanwhile once and returns what it returns without it
+    kind, shapes = VEC_REPLICATES if space == "vec_replicates" else PENDING_SPACES[space][0]
+    problem, config = make_problem(kind, shapes, seed=3), cfg(eta=0.5)
+    shapes, X = problem.shapes, problem.x0
+    G = problem.eval_grad(X)
+    states = [geom_init(s, config.varsigma) for s in shapes]
+    ran = []
+    got = adprec_step(shapes, X, G, states, None, config, 0, meanwhile=lambda: ran.append(0))
+    want = adprec_step(shapes, X, G, states, None, config, 0)
+    assert ran == [0]
+    assert_same_run((0, got[0], got[1]), (0, want[0], want[1]))
+
+
+@pytest.mark.parametrize("mode", [MomentumMode.NONE, MomentumMode.M1], ids=lambda m: m.value)
+@pytest.mark.parametrize("space", ["vec_replicates", "serial"])
+def test_every_run_length_fills_every_column_as_step_by_step(monkeypatch, space, mode):
+    # K = 0, 1, 2, C and C + 1 steps in chunks of C = 3: every chunk but
+    # the last is recorded by the step after it and the last after the
+    # loop, one record per chunk, and every column is that of the
+    # step-by-step record
+    kind, shapes = VEC_REPLICATES if space == "vec_replicates" else PENDING_SPACES[space][0]
+    problem = make_problem(kind, shapes, seed=3)
+    config = cfg(eta=0.4, seed=5, momentum_mode=mode,
+                 mu_max=0.0 if mode is MomentumMode.NONE else 0.6, beta=0.5)
+    C = 3
+    monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
+    monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", C)
+    calls = counted_records(monkeypatch)
+    for noises in ([PENDING_NOISE], [PENDING_NOISE, NoiseModel()]):
+        for K in (0, 1, 2, C, C + 1):
+            calls.clear()
+            run = drive(problem, noises, replace(config, max_iters=K))
+            want = stepwise(problem, noises, replace(config, max_iters=K))
+            assert run.failure is None and not np.isnan(run.columns).any()
+            assert_same_run((run.columns, run.X, run.states), want)
+            chunks = 1 + math.ceil((K - 1) / C) if mode is MomentumMode.M1 and K else math.ceil(K / C)
+            assert len(calls) == chunks, K

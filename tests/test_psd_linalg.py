@@ -287,6 +287,111 @@ def test_a_fanned_out_failure_raises_the_in_order_failure(monkeypatch, worker, d
     assert str(fanned.value) == str(in_order.value)
 
 
+def logged_calls(monkeypatch, worker, mats, failing=(), slow=0.0):
+    """Patch in a _run that logs ("call", i, on this thread) for call i of
+    mats, sleeps `slow` on the worker and raises for the calls failing, and
+    an executor whose futures log "wait" when factorize waits on them;
+    return the log."""
+    log, real = [], psd_linalg._run
+
+    def run(call):
+        i = next(i for i, m in enumerate(mats) if m is call[1])
+        on_this_thread = threading.current_thread() is threading.main_thread()
+        log.append(("call", i, on_this_thread))
+        if not on_this_thread:
+            time.sleep(slow)
+        if i in failing:
+            raise np.linalg.LinAlgError(f"call {i} failed")
+        return real(call)
+
+    class Spied:
+        def __init__(self, future):
+            self.future = future
+
+        def exception(self):
+            log.append("wait")
+            return self.future.exception()
+
+        def result(self):
+            log.append("wait")
+            return self.future.result()
+
+    class Executor:
+        def submit(self, fn, *args):
+            return Spied(worker.submit(fn, *args))
+
+    monkeypatch.setattr(psd_linalg, "_run", run)
+    monkeypatch.setattr(psd_linalg, "_executor", Executor)
+    return log
+
+
+def logging_meanwhile(log, error=None):
+    """A meanwhile that logs ("meanwhile", on this thread), then raises error."""
+
+    def meanwhile():
+        log.append(("meanwhile", threading.current_thread() is threading.main_thread()))
+        if error is not None:
+            raise error
+
+    return meanwhile
+
+
+@pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
+def test_meanwhile_runs_once_after_this_threads_calls_and_before_the_wait(monkeypatch, worker,
+                                                                         fanned_out):
+    # meanwhile runs once, on this thread, after the calls this thread runs
+    # and, with a worker, before factorize waits on the worker's result; the
+    # results are those of the calls alone
+    mats = [random_psd(n, 10.0, seed=n) for n in (24, 16, 64)]
+    calls = [("eigh", M, 1.0) for M in mats]
+    want = [eigh_clamped(M, floor=1.0) for M in mats]
+    log = logged_calls(monkeypatch, worker, mats, slow=0.02)
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 20 if fanned_out else 10**9)
+    got = factorize(calls, "meanwhile", logging_meanwhile(log))
+    for g, ref in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(g, ref))
+    own = [0, 1] if fanned_out else [0, 1, 2]
+    assert [e for e in log if e != "wait" and e[-1]] == (
+        [("call", i, True) for i in own] + [("meanwhile", True)])
+    if fanned_out:
+        assert ("call", 2, False) in log and log.index("wait") > log.index(("meanwhile", True))
+        assert worker.futures[0].done()
+    else:
+        assert "wait" not in log and not worker.futures
+
+
+@pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
+@pytest.mark.parametrize("dims, failing", FAILURES.values(), ids=FAILURES.keys())
+def test_meanwhile_runs_when_a_call_fails(monkeypatch, worker, dims, failing, fanned_out):
+    # a failing call, on either thread, still lets meanwhile run once on
+    # this thread; then the in-order error is raised, once the worker is done
+    mats = [random_psd(n, 10.0, seed=n) for n in dims]
+    log = logged_calls(monkeypatch, worker, mats, failing, slow=0.05)
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 20 if fanned_out else 10**9)
+    with pytest.raises(np.linalg.LinAlgError, match=f"call {min(failing)} failed"):
+        factorize([("eigh", M, 1.0) for M in mats], "failing", logging_meanwhile(log))
+    assert log.count(("meanwhile", True)) == 1 and ("meanwhile", False) not in log
+    assert len(worker.futures) == fanned_out and all(f.done() for f in worker.futures)
+
+
+@pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
+@pytest.mark.parametrize("failing", [set(), {0}, {2}, {0, 2}], ids=str)
+def test_an_error_of_meanwhile_propagates_once_the_worker_is_done(monkeypatch, worker, failing,
+                                                                 fanned_out):
+    # whether or not a call fails, meanwhile's own error is the one raised,
+    # and only after the worker's call (the 64 x 64, which sleeps) is done
+    mats = [random_psd(n, 10.0, seed=n) for n in (24, 16, 64)]
+    log = logged_calls(monkeypatch, worker, mats, failing, slow=0.05)
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 20 if fanned_out else 10**9)
+    meanwhile = logging_meanwhile(log, RuntimeError("meanwhile failed"))
+    with pytest.raises(RuntimeError, match="meanwhile failed"):
+        factorize([("eigh", M, 1.0) for M in mats], "raising", meanwhile)
+    assert log.count(("meanwhile", True)) == 1
+    assert len(worker.futures) == fanned_out and all(f.done() for f in worker.futures)
+    if fanned_out:
+        assert log.index("wait") > log.index(("meanwhile", True))
+
+
 def test_threads_stepping_at_once_share_one_worker(monkeypatch):
     # more threads than CPUs, each fanning out at once with a short switch
     # interval: one executor is made, and every result has its in-order bits
