@@ -129,7 +129,7 @@ _CACHED = sum(_CACHED_EIGHS.values(), ())
 # the geometries whose blocks geom_factor_calls lists factorizations for; a
 # set test is cheaper than comparing with each member, whose every read goes
 # through the enum metaclass's attribute hook
-_FACTORED = frozenset({Geometry.MUON, *_CACHED_EIGHS})
+FACTORED = frozenset({Geometry.MUON, *_CACHED_EIGHS})
 
 
 def geom_stack(states, join) -> GeometryState:

@@ -25,8 +25,8 @@ factorized by one stacked eigh or SVD.  A step's factorizations do not
 depend on each other, so the step lists them all, in a pass that grows the
 states they factorize and finishes the blocks that factorize nothing, and
 runs them together before a pass that finishes the other blocks
-(``psd_linalg.factorize``): when two of them are large enough and BLAS
-leaves a CPU idle, the largest runs on a worker thread at the same time as
+(``psd_linalg.factorize``): when two of them are large enough and a spare
+thread is free (``_second_cpu``), the largest runs on it at the same time as
 the rest.  The step computes only what the
 next step reads; its record (``step_record``) is computed from the values
 it kept, once per chunk of steps.  The driver keeps each step's record
@@ -78,7 +78,7 @@ from .block_space import (
 )
 from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
-    _FACTORED,
+    FACTORED,
     GeometryState,
     geom_accumulate,
     geom_diagnostics,
@@ -232,7 +232,7 @@ def adprec_step(
     calls, listed = [], []
     for ell, shape in enumerate(shapes):
         D = direction.blocks[ell]
-        factored = shape.geometry in _FACTORED
+        factored = shape.geometry in FACTORED
         st = tl = None
         # the set test spares a Euclidean block the slower read of Geometry.MUON
         if not factored or shape.geometry is not Geometry.MUON:

@@ -19,24 +19,16 @@ one rank cutoff (``SV_RTOL``).  At the matrix sizes this package targets
 state is cheaper than maintaining incremental factorizations correctly.
 
 ``factorize`` runs the independent factorizations of one optimizer step
-(eighs and thin SVDs) and returns their results in order.  When at least
-two of them are large and BLAS leaves a CPU of the process idle, it runs
-the largest on one worker thread, made on first use, while the calling
-thread runs the rest; numpy's LAPACK calls release the interpreter lock, so
-the two overlap, and the caller's meanwhile work runs after those calls,
-before the wait.  Each result is the same single call on the same input
-either way, so no bit depends on the thread that ran it, and a failure
-raises meanwhile's error, else what the calls run in order raise.  The
-worker runs only this module's own functions.
+and returns their results in order, the largest on the worker thread of
+``_second_cpu`` when that module grants it; no bit depends on the thread
+that ran a call.  The worker runs only this module's own functions.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
+from ._second_cpu import executor, spare_thread
 from .errors import NonPositiveDefinite
 
 # Relative rank cutoff for SVD-based operations: singular values below
@@ -180,11 +172,9 @@ def nuclear_norm(G):
 # hand-off costs more than the overlap saves.
 _CONCURRENT_DIM = 20
 
-# Per key of ``factorize``: the index of the call the worker runs, or None
+# Per key of ``factorize``: the index of the call the worker may run, or None
 _WORKER_CALLS: dict = {}
 _UNKNOWN = object()
-_worker = None  # the one worker thread's executor, made on first use
-_worker_lock = threading.Lock()
 
 
 def _run(call):
@@ -195,59 +185,15 @@ def _run(call):
 
 
 def _worker_call(calls):
-    """The index of the call ``factorize`` runs on the worker, or None: the
-    largest call, by rows x columns x the smaller of the two, when at least
-    two calls have matrices of at least _CONCURRENT_DIM rows and columns and
-    BLAS leaves a CPU of the process idle."""
+    """The index of the call ``factorize`` may run on the worker, or None:
+    the largest call, by rows x columns x the smaller of the two, when at
+    least two calls have matrices of at least _CONCURRENT_DIM rows and
+    columns and ``spare_thread`` allows it."""
     dims = [call[1].shape[-2:] for call in calls]
     big = [i for i, d in enumerate(dims) if min(d) >= _CONCURRENT_DIM]
-    if len(big) < 2 or _blas_threads() >= _cpus():
+    if len(big) < 2 or not spare_thread():
         return None
     return max(big, key=lambda i: dims[i][0] * dims[i][1] * min(dims[i]))
-
-
-def _cpus():
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads():
-    """The threads BLAS runs a call on, as OpenBLAS and MKL read them when
-    numpy loads them: the first of these variables that is set, else one
-    per CPU.  With BLAS on every CPU, a second call at once only contends
-    with the first (a matrix_blocks step read 6% slower on a 2-vCPU VM)."""
-    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "")
-        if value:
-            return int(value) if value.isdigit() else os.cpu_count() or 1
-    return os.cpu_count() or 1
-
-
-def _forget_worker():
-    """Drop the parent's worker in a forked child, which has no such thread."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-def _worker_threads() -> set:
-    """The worker's threads: none before its first use, then its one thread."""
-    worker = _worker
-    return set() if worker is None else set(worker._threads)
-
-
-def _executor():
-    """The worker thread's executor, made (and concurrent.futures imported)
-    on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="adprec-factorize")
-            os.register_at_fork(after_in_child=_forget_worker)
-    return _worker
 
 
 def factorize(calls, key, meanwhile=None):
@@ -257,23 +203,24 @@ def factorize(calls, key, meanwhile=None):
 
     key is hashable and fixes the trailing dimensions of the calls'
     matrices, in order (the optimizer passes its block shapes).  Whether
-    calls fan out is decided once per key, from the first such calls: they
-    do when at least two matrices have at least ``_CONCURRENT_DIM`` rows and
-    columns and BLAS leaves a CPU of the process idle.  The largest call
-    then runs on one worker thread while this thread runs the rest in
-    order; numpy's LAPACK calls release the interpreter lock, so the two
-    overlap.  Other calls run in order on this thread and never start the
-    worker.  Either way each result is the same single call on the same
-    input, with the same bits.  meanwhile, when given, is other work of the
-    caller, run once on this thread after its own calls and before the wait
-    for the worker, also when a call fails.  The worker is always waited
-    for, and a failure raises the error of meanwhile, else what running the
-    calls in order raises: the error of the first call that fails.
+    calls fan out is decided once per key, from the first such calls, by
+    ``_worker_call``; inside a fan-out ``executor`` withholds the worker.
+    The largest call then runs on the worker thread while this thread runs
+    the rest in order; numpy's LAPACK calls release the interpreter lock,
+    so the two overlap.  Other calls run in order on this thread and never
+    start the worker.  Either way each result is the same single call on
+    the same input, with the same bits.  meanwhile, when given, is other
+    work of the caller, run once on this thread after its own calls and
+    before the wait for the worker, also when a call fails.  The worker is
+    always waited for, and a failure raises the error of meanwhile, else
+    what running the calls in order raises: the error of the first call
+    that fails.
     """
     w = _WORKER_CALLS.get(key, _UNKNOWN) if len(calls) > 1 else None
     if w is _UNKNOWN:
         w = _WORKER_CALLS[key] = _worker_call(calls)
-    future = None if w is None else _executor().submit(_run, calls[w])
+    worker = None if w is None else executor()  # None inside a fan-out
+    future = None if worker is None else worker.submit(_run, calls[w])
     own, error = [], None
     try:
         for call in calls if future is None else calls[:w] + calls[w + 1:]:

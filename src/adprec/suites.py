@@ -4,40 +4,18 @@ Each suite returns a list of AuditReports.  Suites are deterministic given
 (trials, seed); the trajectory-based suites ignore `trials` and use their
 fixed iteration budgets.
 
-A suite is a list of independent audits, each seeded on its own.  Every
-suite, and ``run_suite("all")`` over all six at once, runs its audits as
-zero-argument tasks through ``_run_tasks``, which returns their results in
-list order.  It runs them on two processes when all of these hold: the
-platform has ``os.fork``, ``os.sched_getaffinity`` gives the process at
-least two CPUs, there are at least two tasks, no thread is alive besides
-the caller and the idle factorization worker of ``psd_linalg``, and the
-caller is not itself such a second process.  It then forks once.  The
-tasks are closures, which the child inherits instead of receiving them
-pickled.  Both processes take task indices one at a time, in increasing
-order, from a pipe filled before the fork, and the child sends its
-results back pickled through a second pipe and leaves with ``os._exit``,
-so it never flushes the parent's stdio or runs its exit handlers.
-Otherwise the tasks run in order in this process.  Either way each task
-makes the same calls on the same inputs, so no report changes a bit.
-
-A failure raises what running the tasks in order raises: the error of the
-first failing task in list order, with its type and message.  Every task
-below it was claimed first and has finished, and a process that sees a
-failure drains the pipe so that no new task starts.  The child is always
-reaped, and killed first when the parent is interrupted or fails; if it
-dies before sending all its results, a RuntimeError names its exit status.
+A suite is a list of independent audits, each seeded on its own, run as
+zero-argument tasks through ``_second_cpu.run_tasks``; ``run_suite("all")``
+runs the tasks of all six suites in one call.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import threading
-import warnings
 from functools import partial
 
 import numpy as np
 
+from ._second_cpu import run_tasks
 from .audit import (
     AuditReport,
     audit_bounds,
@@ -56,120 +34,13 @@ from .bounds import m2_eta_limit
 from .errors import InvalidConfig
 from .optimizer import MomentumMode, OptimizerConfig
 from .problems import NoiseKind, NoiseModel, make_problem
-from .psd_linalg import _worker_threads
-
-_CLAIM = 4  # bytes per task index in the claims pipe
-_in_child = False  # set in the second process of _run_tasks
-
-
-def _fans_out(tasks) -> bool:
-    """Whether _run_tasks runs tasks on two processes (module docstring)."""
-    if _in_child or len(tasks) < 2 or not hasattr(os, "fork"):
-        return False
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
-    others = set(threading.enumerate()) - {threading.current_thread()}
-    return others <= _worker_threads()
-
-
-def _run_claims(tasks, claims: int) -> dict:
-    """Run the tasks whose indices this process claims from the pipe claims,
-    until it is empty: {index: result or the exception raised}.  After a
-    failure, drain the pipe so that no further task starts."""
-    out = {}
-    while index := os.read(claims, _CLAIM):
-        i = int.from_bytes(index, "little")
-        try:
-            out[i] = tasks[i]()
-        except Exception as e:
-            out[i] = e
-            while os.read(claims, 1 << 16):
-                pass
-    return out
-
-
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
-def _serve(tasks, claims: int, send: int):
-    """The second process of _run_tasks: run its claims, send the results
-    pickled to the pipe send, and leave with os._exit, status 0 only once
-    all are sent."""
-    global _in_child
-    status = 1
-    try:
-        _in_child = True
-        import pickle
-
-        data = memoryview(pickle.dumps(_run_claims(tasks, claims)))
-        while data:
-            data = data[os.write(send, data):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_tasks(tasks) -> list:
-    """The results of the zero-argument callables tasks, in list order, on
-    two processes or in order in this one (module docstring)."""
-    if not _fans_out(tasks):
-        return [task() for task in tasks]
-    import pickle
-
-    claims, fill = os.pipe()
-    back, send = os.pipe()
-    fds = [claims, fill, back, send]  # the pipe ends this process holds open
-    pid = None
-
-    def close(fd):
-        os.close(fd)
-        fds.remove(fd)
-
-    try:
-        # a pipe holds 64 KiB, far more indices than a suite has tasks, and
-        # with its write end closed an empty pipe reads as end of file
-        os.write(fill, b"".join(i.to_bytes(_CLAIM, "little") for i in range(len(tasks))))
-        close(fill)
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a forked child of a threaded process
-            # may deadlock; the only other thread is the idle factorization
-            # worker, which the child drops (psd_linalg._forget_worker)
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _serve(tasks, claims, send)
-        close(send)
-        results = _run_claims(tasks, claims)
-        data = _read_all(back)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
-        if status != 0:
-            raise RuntimeError(
-                f"the second audit process exited with status {status} before sending its results"
-            )
-        results.update(pickle.loads(data))
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in list(fds):
-            close(fd)
-    # every task below the first failing one has finished; later ones may not
-    for i in range(len(tasks)):
-        if isinstance(results[i], Exception):
-            raise results[i]
-    return [results[i] for i in range(len(tasks))]
 
 
 def _reports(tasks) -> list[AuditReport]:
     """The reports of the audit tasks, in order; a task returns one report
     or a list of them."""
     reports = []
-    for result in _run_tasks(tasks):
+    for result in run_tasks(tasks):
         if isinstance(result, list):
             reports.extend(result)
         else:

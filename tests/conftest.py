@@ -35,6 +35,6 @@ def worker(monkeypatch):
     """Two CPUs, BLAS on one thread, and a RecordingExecutor as the worker."""
     set_cpus(monkeypatch, 2)
     executor = RecordingExecutor()
-    monkeypatch.setattr(psd_linalg, "_executor", lambda: executor)
+    monkeypatch.setattr(psd_linalg, "executor", lambda: executor)
     yield executor
     executor.pool.shutdown()

@@ -182,6 +182,66 @@ def test_layout_lives_in_block_space():
     assert not found, f"layout read outside block_space: {', '.join(found)}"
 
 
+# what only adprec._second_cpu may use: the calls that fork or count CPUs,
+# and the modules that start threads
+SECOND_CPU_CALLS = ("fork", "sched_getaffinity", "cpu_count")
+THREAD_MODULES = ("threading", "concurrent")
+
+
+def second_cpu_uses(source: str) -> list[str]:
+    """Where `source` uses one of SECOND_CPU_CALLS of `os`, names a
+    `*_NUM_THREADS` variable or imports one of THREAD_MODULES."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in SECOND_CPU_CALLS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.append(f"line {node.lineno}: os.{node.attr}")
+        elif isinstance(node, ast.Constant) and str(node.value).endswith("_NUM_THREADS"):
+            found.append(f"line {node.lineno}: {node.value}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            found += [f"line {node.lineno}: import {n}" for n in names
+                      if n and n.partition(".")[0] in THREAD_MODULES]
+    return found
+
+
+def private_imports(source: str) -> list[str]:
+    """Where `source` imports a `_`-prefixed name from an adprec module."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").partition(".")[0] == "adprec")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_second_cpu_detectors():
+    src = (
+        "import os, threading\nfrom concurrent.futures import Executor\nos.fork()\n"
+        "len(os.sched_getaffinity(0))\nos.environ.get('MKL_NUM_THREADS')\n"
+        "from .psd_linalg import _run, factorize\nfrom adprec.suites import _reports\n"
+        "from numpy import _core\n"
+    )
+    assert set(second_cpu_uses(src)) == {
+        "line 1: import threading", "line 2: import concurrent.futures", "line 3: os.fork",
+        "line 4: os.sched_getaffinity", "line 5: MKL_NUM_THREADS",
+    }
+    assert private_imports(src) == ["line 6: _run", "line 7: _reports"]
+
+
+def test_the_second_cpu_lives_in_one_module():
+    # adprec._second_cpu owns the worker thread, the fork and the CPU count,
+    # and no module reaches into another's private names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text()
+        uses = [] if path.name == "_second_cpu.py" else second_cpu_uses(source)
+        found += [f"{path.name} {where}" for where in uses + private_imports(source)]
+    assert not found, f"second CPU used outside _second_cpu, or private import: {', '.join(found)}"
+
+
 def file_writes(source: str) -> list[str]:
     """Where `source` opens a file to write it (an `open` whose mode is not
     a constant free of w, x and a) or writes one by `write_text` /

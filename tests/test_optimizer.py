@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adprec import optimizer, psd_linalg
+from adprec import _second_cpu, optimizer, psd_linalg
 from adprec.audit import audit_path_potentials
 from adprec.block_space import (
     VECTOR_ONLY,
@@ -1193,7 +1193,7 @@ def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads
     # suite runs them, and vec_replicates' stack of 16), on one CPU, and with
     # BLAS on every CPU, every factorization runs on the calling thread
     set_cpus(monkeypatch, cpus, blas_threads)
-    monkeypatch.setattr(psd_linalg, "_worker", None)
+    monkeypatch.setattr(_second_cpu, "_worker", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused_worker)
     noisy = STACK_NOISES["additive"]
     if runs == "potentials":
@@ -1207,7 +1207,7 @@ def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads
     else:
         problem = make_problem(*MATRIX_BLOCKS, seed=3)
         assert run_trajectory(problem, noisy, cfg(max_iters=3, eta=0.5)).failed is None
-    assert psd_linalg._worker is None
+    assert _second_cpu._worker is None
 
 
 # -- each chunk recorded while the next step runs --------------------------------
@@ -1227,8 +1227,8 @@ def pending_space(monkeypatch, space):
     (kind, shapes), C = PENDING_SPACES[space]
     monkeypatch.setattr(psd_linalg, "_WORKER_CALLS", {})
     if space == "worker":
-        monkeypatch.setattr(psd_linalg, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(psd_linalg, "_cpus", lambda: 2)
+        monkeypatch.setattr(_second_cpu, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(_second_cpu, "_cpus", lambda: 2)
     monkeypatch.setattr(optimizer, "_nbytes", lambda step: 1)
     monkeypatch.setattr(optimizer, "RECORD_CHUNK_BYTES", C)
     return make_problem(kind, shapes, seed=3), cfg(max_iters=6, eta=0.5, seed=5), C

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from adprec import psd_linalg
+from adprec import _second_cpu, psd_linalg
 from conftest import set_cpus
 
 from adprec.block_space import BlockShape, Geometry
@@ -321,7 +321,7 @@ def logged_calls(monkeypatch, worker, mats, failing=(), slow=0.0):
             return Spied(worker.submit(fn, *args))
 
     monkeypatch.setattr(psd_linalg, "_run", run)
-    monkeypatch.setattr(psd_linalg, "_executor", Executor)
+    monkeypatch.setattr(psd_linalg, "executor", Executor)
     return log
 
 
@@ -396,7 +396,7 @@ def test_threads_stepping_at_once_share_one_worker(monkeypatch):
     # more threads than CPUs, each fanning out at once with a short switch
     # interval: one executor is made, and every result has its in-order bits
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(psd_linalg, "_worker", None)
+    monkeypatch.setattr(_second_cpu, "_worker", None)
     made = []
 
     class Counted(concurrent.futures.ThreadPoolExecutor):

@@ -1,4 +1,4 @@
-"""The audit suites' task runner, ``suites._run_tasks``: fanning out to a
+"""The audit suites' task runner, ``_second_cpu.run_tasks``: fanning out to a
 second process changes no report, a failure raises what the tasks run in
 order raise, the second process is always reaped, and the serial side
 never forks."""
@@ -15,9 +15,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from adprec import audit, suites
+from adprec import _second_cpu, audit, psd_linalg, suites
 from adprec.audit import AuditReport
 from adprec.errors import NonFiniteIterate
+from adprec.psd_linalg import eigh_clamped, random_psd
+from conftest import set_cpus
 
 # every suite at reduced sizes: TRIALS trials and these keyword arguments
 TRIALS = 40
@@ -167,7 +169,7 @@ PARENT = os.getpid()
 
 @pytest.mark.parametrize("first_in", ["parent", "child"])
 def test_tasks_run_where_placed(placed, first_in):
-    assert suites._run_tasks(placed(first_in, where, where)) == [
+    assert _second_cpu.run_tasks(placed(first_in, where, where)) == [
         first_in, {"parent": "child", "child": "parent"}[first_in]
     ]
     assert_no_child()
@@ -180,7 +182,7 @@ def test_one_failing_task_raises_its_error(placed, first_in, failing):
     bodies = [where, where]
     bodies[failing] = raising(ValueError(f"task {failing} failed"))
     with pytest.raises(ValueError) as info:
-        suites._run_tasks(placed(first_in, *bodies))
+        _second_cpu.run_tasks(placed(first_in, *bodies))
     assert str(info.value) == f"task {failing} failed"
     assert_no_child()
 
@@ -189,7 +191,7 @@ def test_one_failing_task_raises_its_error(placed, first_in, failing):
 def test_the_first_failure_in_list_order_wins(placed, first_in):
     bodies = raising(KeyError("first")), raising(ZeroDivisionError("second"))
     with pytest.raises(KeyError) as info:
-        suites._run_tasks(placed(first_in, *bodies))
+        _second_cpu.run_tasks(placed(first_in, *bodies))
     assert info.value.args == ("first",)
     assert_no_child()
 
@@ -205,7 +207,7 @@ def test_a_failure_in_order_is_the_serial_one(monkeypatch):
     for n in (1, 2):
         cpus(monkeypatch, n)
         with pytest.raises(ValueError, match="^task 5$"):
-            suites._run_tasks(tasks)
+            _second_cpu.run_tasks(tasks)
     assert_no_child()
 
 
@@ -223,7 +225,7 @@ def test_a_failure_starts_no_further_task(monkeypatch):
     cpus(monkeypatch, 2)
     try:
         with pytest.raises(ValueError, match="^task 0$"):
-            suites._run_tasks([partial(task, i) for i in range(20)])
+            _second_cpu.run_tasks([partial(task, i) for i in range(20)])
     finally:
         os.close(note)
     started = set(os.read(log, 64))
@@ -237,7 +239,7 @@ def test_a_killed_child_raises_runtime_error(placed):
         os.kill(os.getpid(), signal.SIGKILL)
 
     with pytest.raises(RuntimeError, match=f"status {-signal.SIGKILL}"):
-        suites._run_tasks(placed("child", die, where))
+        _second_cpu.run_tasks(placed("child", die, where))
     assert_no_child()
 
 
@@ -250,7 +252,7 @@ def test_a_warning_as_error_reraises(placed, first_in):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning, match="divide by zero"):
-            suites._run_tasks(placed(first_in, log_zero, where))
+            _second_cpu.run_tasks(placed(first_in, log_zero, where))
     assert_no_child()
 
 
@@ -262,7 +264,7 @@ def test_an_interrupted_parent_kills_and_reaps_the_child(placed):
         select.select([], [], [], 60.0)
 
     with pytest.raises(KeyboardInterrupt):
-        suites._run_tasks(placed("child", forever, interrupt))
+        _second_cpu.run_tasks(placed("child", forever, interrupt))
     assert_no_child()
 
 
@@ -277,7 +279,7 @@ def no_fork(monkeypatch):
 
 def test_one_cpu_never_forks(no_fork, monkeypatch):
     cpus(monkeypatch, 1)
-    assert suites._run_tasks([where, where]) == ["parent", "parent"]
+    assert _second_cpu.run_tasks([where, where]) == ["parent", "parent"]
 
 
 def test_another_thread_never_forks(no_fork):
@@ -285,7 +287,7 @@ def test_another_thread_never_forks(no_fork):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert suites._run_tasks([where, where]) == ["parent", "parent"]
+        assert _second_cpu.run_tasks([where, where]) == ["parent", "parent"]
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -293,13 +295,13 @@ def test_another_thread_never_forks(no_fork):
 
 
 def test_a_single_task_never_forks(no_fork):
-    assert suites._run_tasks([where]) == ["parent"]
+    assert _second_cpu.run_tasks([where]) == ["parent"]
 
 
 def test_a_child_never_forks(placed, monkeypatch):
     # task 0 runs in the child, which calls the runner again: in order
     def nested():
-        return suites._run_tasks([where, where])
+        return _second_cpu.run_tasks([where, where])
 
     tasks = placed("child", nested, where)
     real = os.fork
@@ -310,5 +312,58 @@ def test_a_child_never_forks(placed, monkeypatch):
         return real()
 
     monkeypatch.setattr(os, "fork", fork)
-    assert suites._run_tasks(tasks) == [["child", "child"], "parent"]
+    assert _second_cpu.run_tasks(tasks) == [["child", "child"], "parent"]
     assert_no_child()
+
+
+def test_a_parent_never_forks_twice(placed, monkeypatch):
+    # task 0 runs in the parent, which calls the runner again: in order
+    def nested():
+        return _second_cpu.run_tasks([where, where])
+
+    tasks = placed("parent", nested, where)
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(os.getpid())
+        if len(forks) > 1:
+            raise AssertionError("the parent forked twice")
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _second_cpu.run_tasks(tasks) == [["parent", "parent"], "child"]
+    assert forks == [PARENT]
+    assert_no_child()
+
+
+def test_no_factorization_worker_inside_a_fan_out(placed, monkeypatch):
+    # a key first decided outside a fan-out, where the worker takes its
+    # 64 x 64, runs in order on the calling thread inside one, in either
+    # process: no thread starts, and the bits are those of the calls in order
+    set_cpus(monkeypatch, 2)
+    calls = [("eigh", random_psd(n, 10.0, seed=n), 1.0) for n in (64, 32)]
+    want = [eigh_clamped(M, floor=floor) for _, M, floor in calls]
+    on_this_thread, real = [], psd_linalg._run
+
+    def run(call):
+        on_this_thread.append(threading.current_thread() is threading.main_thread())
+        return real(call)
+
+    monkeypatch.setattr(psd_linalg, "_run", run)
+    psd_linalg.factorize(calls, "fan-out")
+    assert sorted(on_this_thread) == [False, True]
+    before = set(threading.enumerate())
+
+    def task():
+        on_this_thread.clear()
+        got = psd_linalg.factorize(calls, "fan-out")
+        started = [t.name for t in threading.enumerate() if t not in before]
+        return where(), got, list(on_this_thread), started
+
+    results = _second_cpu.run_tasks(placed("parent", task, task))
+    assert [r[0] for r in results] == ["parent", "child"]
+    assert_no_child()
+    for _, got, ran, started in results:
+        assert ran == [True, True] and started == []
+        for g, ref in zip(got, want):
+            assert all(np.array_equal(a, b) for a, b in zip(g, ref))
