@@ -17,14 +17,17 @@ and its factorizations on its own thread.
 The worker is one thread, made with ``concurrent.futures`` on first use; a
 forked child drops it.  In a fan-out the child inherits the tasks, which are
 closures, instead of receiving them pickled.  Both processes claim task
-indices one at a time, in increasing order, from a pipe filled before the
-fork, and the child sends its results back pickled (``_serve``).  Either way
-each task makes the same calls on the same inputs, so no result changes a
-bit, and a failure raises what running the tasks in order raises: the error
-of the first failing task in list order, with its type and message.  The
-child is always reaped, and killed first when the parent is interrupted or
-fails; if it dies before sending all its results, a RuntimeError names its
-exit status.
+indices one at a time from a pipe filled before the fork, the costliest
+task by the caller's estimate first, so that neither idles long while the
+other ends a long task claimed last, and the child sends its results back
+pickled (``_serve``).  Either way each task makes the same calls on the
+same inputs, so no result changes a bit, and a failure raises what running
+the tasks in order raises: the error of the first failing task in list
+order, with its type and message.  After a failure a process skips each
+task it claims that is listed after it, so every task listed before the
+first failure runs.  The child is always reaped, and killed first when the
+parent is interrupted or fails; if it dies before sending all its results,
+a RuntimeError names its exit status.
 """
 
 from __future__ import annotations
@@ -47,13 +50,14 @@ def _cpus() -> int:
 
 def _blas_threads() -> int:
     """The threads BLAS runs a call on, as OpenBLAS and MKL read them when
-    numpy loads them: the first of these variables that is set, else one
-    per CPU.  With BLAS on every CPU, a second call at once only contends
-    with the first (a matrix_blocks step read 6% slower on a 2-vCPU VM)."""
+    numpy loads them: the first of these variables that holds a positive
+    integer (OpenBLAS reads 0 as unset), else one per CPU.  With BLAS on
+    every CPU, a second call at once only contends with the first (a
+    matrix_blocks step read 6% slower on a 2-vCPU VM)."""
     for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "")
-        if value:
-            return int(value) if value.isdigit() else os.cpu_count() or 1
+        if value.isdigit() and int(value) > 0:
+            return int(value)
     return os.cpu_count() or 1
 
 
@@ -94,16 +98,16 @@ def _fans_out(tasks) -> bool:
 def _run_claims(tasks, claims: int) -> dict:
     """Run the tasks whose indices this process claims from the pipe claims,
     until it is empty: {index: result or the exception raised}.  After a
-    failure, drain the pipe so that no further task starts."""
-    out = {}
+    failure, skip every claimed task listed after it."""
+    out, failed = {}, len(tasks)
     while index := os.read(claims, _CLAIM):
         i = int.from_bytes(index, "little")
+        if i > failed:
+            continue
         try:
             out[i] = tasks[i]()
         except Exception as e:
-            out[i] = e
-            while os.read(claims, 1 << 16):
-                pass
+            out[i], failed = e, i
     return out
 
 
@@ -124,9 +128,11 @@ def _serve(tasks, claims: int, send: int):
         os._exit(status)
 
 
-def run_tasks(tasks) -> list:
+def run_tasks(tasks, costs=None) -> list:
     """The results of the zero-argument callables tasks, in list order, on
-    two processes or in order in this one (module docstring)."""
+    two processes or in order in this one (module docstring).  costs holds
+    one estimate per task (default: all equal); a fan-out claims the
+    costliest task first, ties in list order."""
     global _fanning_out
     if not _fans_out(tasks):
         return [task() for task in tasks]
@@ -143,9 +149,11 @@ def run_tasks(tasks) -> list:
 
     try:
         _fanning_out = True  # the child inherits it
+        # costliest first; the sort is stable, so ties keep list order
+        order = sorted(range(len(tasks)), key=lambda i: 0 if costs is None else -costs[i])
         # a pipe holds 64 KiB, far more indices than a suite has tasks, and
         # with its write end closed an empty pipe reads as end of file
-        os.write(fill, b"".join(i.to_bytes(_CLAIM, "little") for i in range(len(tasks))))
+        os.write(fill, b"".join(i.to_bytes(_CLAIM, "little") for i in order))
         close(fill)
         with warnings.catch_warnings():
             # Python 3.12+ warns that a forked child of a threaded process
@@ -173,7 +181,7 @@ def run_tasks(tasks) -> list:
             os.waitpid(pid, 0)
         for fd in list(fds):
             close(fd)
-    # every task below the first failing one has finished; later ones may not
+    # every task listed before the first failure has run (_run_claims)
     for i in range(len(tasks)):
         if isinstance(results[i], Exception):
             raise results[i]

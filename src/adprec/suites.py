@@ -6,7 +6,9 @@ fixed iteration budgets.
 
 A suite is a list of independent audits, each seeded on its own, run as
 zero-argument tasks through ``_second_cpu.run_tasks``; ``run_suite("all")``
-runs the tasks of all six suites in one call.
+runs the tasks of all six suites in one call.  Each task builder pairs a
+task with its estimated cost (``_cost``), from sizes alone, and a fan-out
+claims the costliest first.
 """
 
 from __future__ import annotations
@@ -29,18 +31,29 @@ from .audit import (
     audit_subadditivity_constants,
     audit_techn,
 )
-from .block_space import BlockShape, Geometry
+from .block_space import VECTOR_ONLY, BlockShape, Geometry
 from .bounds import m2_eta_limit
 from .errors import InvalidConfig
 from .optimizer import MomentumMode, OptimizerConfig
 from .problems import NoiseKind, NoiseModel, make_problem
 
 
-def _reports(tasks) -> list[AuditReport]:
-    """The reports of the audit tasks, in order; a task returns one report
-    or a list of them."""
+# the factorizations one block-step of a geometry makes (geom_factor_calls)
+_FACTORIZATIONS = {Geometry.FULL_ADAGRAD: 1, Geometry.SHAMPOO: 2, Geometry.MUON: 1}
+
+
+def _cost(units, geometries=()) -> int:
+    """A task's estimated cost: its units (trials, or K x runs) times 1 + the
+    factorizations a block-step makes, summed over its blocks' geometries;
+    from sizes, not timings, so that every call claims its tasks alike."""
+    return units * (1 + sum(_FACTORIZATIONS.get(g, 0) for g in geometries))
+
+
+def _reports(tasks, costs=None) -> list[AuditReport]:
+    """The reports of the audit tasks, in order, claimed costliest first
+    by costs (run_tasks); a task returns one report or a list of them."""
     reports = []
-    for result in run_tasks(tasks):
+    for result in run_tasks(tasks, costs):
         if isinstance(result, list):
             reports.extend(result)
         else:
@@ -48,29 +61,40 @@ def _reports(tasks) -> list[AuditReport]:
     return reports
 
 
+def _run(costed) -> list[AuditReport]:
+    """The reports of a task builder's (cost, task) pairs, in order."""
+    costs, tasks = zip(*costed)
+    return _reports(tasks, costs)
+
+
 def _trace_tasks(trials=1000, seed=0):
     return [
-        partial(audit_sqrt_trace, trials, seed=seed),
-        partial(audit_log_increment, trials, seed=seed + 1),
-        partial(audit_spectral_log, trials, seed=seed + 2),
-        partial(audit_techn, trials, seed=seed + 3),
+        (_cost(trials), partial(audit_sqrt_trace, trials, seed=seed)),
+        (_cost(trials), partial(audit_log_increment, trials, seed=seed + 1)),
+        (_cost(trials), partial(audit_spectral_log, trials, seed=seed + 2)),
+        (_cost(trials), partial(audit_techn, trials, seed=seed + 3)),
     ]
 
 
 def suite_trace(trials=1000, seed=0):
-    return _reports(_trace_tasks(trials, seed))
+    return _run(_trace_tasks(trials, seed))
 
 
 def _identities_tasks(trials=500, seed=0):
     tasks = []
     for i, g in enumerate(Geometry):
-        tasks.append(partial(audit_structural_identities, g, trials, seed=seed + i))
-        tasks.append(partial(audit_subadditivity_constants, g, max(trials, 1000), seed=seed + 10 + i))
+        # trials are stacked by shape, and a matrix geometry's random block
+        # takes 4 times the shapes of a vector one (1 to 4 columns, not 1)
+        shapes, n = (1 if g in VECTOR_ONLY else 4), max(trials, 1000)
+        tasks.append((_cost(shapes * trials, [g]),
+                      partial(audit_structural_identities, g, trials, seed=seed + i)))
+        tasks.append((_cost(shapes * n, [g]),
+                      partial(audit_subadditivity_constants, g, n, seed=seed + 10 + i)))
     return tasks
 
 
 def suite_identities(trials=500, seed=0):
-    return _reports(_identities_tasks(trials, seed))
+    return _run(_identities_tasks(trials, seed))
 
 
 # the six spaces exercised by the potential audits: each of the five
@@ -129,13 +153,14 @@ def _potential_pair(problem, exact, exact_noise, noisy, noisy_noise, cfg):
 def _potentials_tasks(trials=0, seed=0, K=500):
     runs = potential_configurations(K=K, seed=seed)
     return [
-        partial(_potential_pair, problem, exact, exact_noise, noisy, noisy_noise, cfg)
+        (_cost(2 * K, [s.geometry for s in problem.shapes]),
+         partial(_potential_pair, problem, exact, exact_noise, noisy, noisy_noise, cfg))
         for (exact, problem, exact_noise, cfg), (noisy, _, noisy_noise, _) in zip(runs[::2], runs[1::2])
     ]
 
 
 def suite_potentials(trials=0, seed=0, K=500):
-    return _reports(_potentials_tasks(trials, seed, K))
+    return _run(_potentials_tasks(trials, seed, K))
 
 
 def bound_configurations(K=2000, seed=0):
@@ -154,7 +179,8 @@ def bound_configurations(K=2000, seed=0):
 
 def _bounds_tasks(trials=0, seed=0, K=2000):
     tasks = [
-        partial(audit_bounds, f"master-theta[{label}]", problem, cfg, context=label)
+        (_cost(K, [s.geometry for s in problem.shapes]),
+         partial(audit_bounds, f"master-theta[{label}]", problem, cfg, context=label))
         for label, problem, cfg in bound_configurations(K=K, seed=seed)
     ]
     # statistical variant: replicate means with the analytic noise budget
@@ -162,16 +188,18 @@ def _bounds_tasks(trials=0, seed=0, K=2000):
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=400, seed=seed)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,), alpha=2.0)
     name = "master-theta[quadratic/statistical]"
-    tasks.append(partial(audit_bounds, name, problem, cfg, noise, replicates=32, context="statistical"))
+    tasks.append((_cost(32 * 400, [s.geometry for s in problem.shapes]),
+                  partial(audit_bounds, name, problem, cfg, noise, replicates=32, context="statistical")))
     return tasks
 
 
 def suite_bounds(trials=0, seed=0, K=2000):
-    return _reports(_bounds_tasks(trials, seed, K))
+    return _run(_bounds_tasks(trials, seed, K))
 
 
 def _momentum_tasks(trials=0, seed=0, K=2000):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
+    geometries = [s.geometry for s in problem.shapes]
     tasks = []
     for mu in (0.5, 0.9):
         cfg = OptimizerConfig(
@@ -182,8 +210,10 @@ def _momentum_tasks(trials=0, seed=0, K=2000):
             momentum_mode=MomentumMode.M1,
             mu_max=mu,
         )
-        tasks.append(partial(audit_bounds, f"momentum-m1[mu={mu}]", problem, cfg, context=f"mu_max={mu}"))
-    tasks.append(partial(audit_m1_degenerate, problem, K=min(K, 300), seed=seed))
+        tasks.append((_cost(K, geometries),
+                      partial(audit_bounds, f"momentum-m1[mu={mu}]", problem, cfg, context=f"mu_max={mu}")))
+    tasks.append((_cost(2 * min(K, 300), geometries),
+                  partial(audit_m1_degenerate, problem, K=min(K, 300), seed=seed)))
     cfg2 = OptimizerConfig(
         eta=0.25,
         varsigma=1.0,
@@ -192,12 +222,13 @@ def _momentum_tasks(trials=0, seed=0, K=2000):
         momentum_mode=MomentumMode.M2,
         mu_max=0.5,
     )
-    tasks.append(partial(audit_bounds, "m2-deterministic", problem, cfg2, context="mu_max=0.5"))
+    tasks.append((_cost(K // 2, geometries),
+                  partial(audit_bounds, "m2-deterministic", problem, cfg2, context="mu_max=0.5")))
     return tasks
 
 
 def suite_momentum(trials=0, seed=0, K=2000):
-    return _reports(_momentum_tasks(trials, seed, K))
+    return _run(_momentum_tasks(trials, seed, K))
 
 
 def _rate_reports(problem, cfg, R):
@@ -209,14 +240,15 @@ def _rate_reports(problem, cfg, R):
 def _rates_tasks(trials=0, seed=0, K=5000, R=16):
     problem = make_problem("quadratic", [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)], seed=seed)
     cfg = OptimizerConfig(eta=1.0, varsigma=1.0, max_iters=K, seed=seed, eval_objective=False)
+    geometries = [s.geometry for s in problem.shapes]
     return [
-        partial(_rate_reports, problem, cfg, R),
-        partial(m2_schedule_gap_report, problem, K=K, R=R, seed=seed),
+        (_cost(3 * R * K, geometries), partial(_rate_reports, problem, cfg, R)),
+        (_cost(2 * R * K, geometries), partial(m2_schedule_gap_report, problem, K=K, R=R, seed=seed)),
     ]
 
 
 def suite_rates(trials=0, seed=0, K=5000, R=16):
-    return _reports(_rates_tasks(trials, seed, K, R))
+    return _run(_rates_tasks(trials, seed, K, R))
 
 
 def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
@@ -270,7 +302,7 @@ SUITES = {
     "momentum": suite_momentum,
     "rates": suite_rates,
 }
-# each suite's audits as tasks, which ``run_suite("all")`` runs in one call
+# each suite's audits as (cost, task) pairs, which ``run_suite("all")`` runs in one call
 _TASKS = {
     "trace": _trace_tasks,
     "identities": _identities_tasks,
@@ -287,7 +319,7 @@ def run_suite(name: str, trials: int, seed: int) -> list[AuditReport]:
     if seed < 0:
         raise InvalidConfig(f"seed must be nonnegative, got {seed}")
     if name == "all":
-        return _reports([t for tasks in _TASKS.values() for t in tasks(trials=trials, seed=seed)])
+        return _run([t for tasks in _TASKS.values() for t in tasks(trials=trials, seed=seed)])
     if name not in SUITES:
         raise InvalidConfig(f"unknown audit suite {name!r}; have {sorted(SUITES)} or 'all'")
     return SUITES[name](trials=trials, seed=seed)

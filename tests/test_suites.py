@@ -1,7 +1,7 @@
 """The audit suites' task runner, ``_second_cpu.run_tasks``: fanning out to a
-second process changes no report, a failure raises what the tasks run in
-order raise, the second process is always reaped, and the serial side
-never forks."""
+second process changes no report, the costliest tasks are claimed first, a
+failure raises what the tasks run in order raise, the second process is
+always reaped, and the serial side never forks."""
 
 import json
 import math
@@ -17,6 +17,7 @@ import pytest
 
 from adprec import _second_cpu, audit, psd_linalg, suites
 from adprec.audit import AuditReport
+from adprec.block_space import Geometry
 from adprec.errors import NonFiniteIterate
 from adprec.psd_linalg import eigh_clamped, random_psd
 from conftest import set_cpus
@@ -212,8 +213,8 @@ def test_a_failure_in_order_is_the_serial_one(monkeypatch):
 
 
 def test_a_failure_starts_no_further_task(monkeypatch):
-    # task 0 fails at once and its process drains the claims: at most the
-    # other process's one task in flight starts besides it
+    # task 0 fails at once, and its process starts no task listed after it:
+    # at most the other process's one task in flight starts besides it
     log, note = os.pipe()
 
     def task(i):
@@ -232,6 +233,89 @@ def test_a_failure_starts_no_further_task(monkeypatch):
     os.close(log)
     assert started in ({0}, {0, 1})
     assert_no_child()
+
+
+def read_starts(log: int) -> list:
+    """(task, process) of each task started, in the order they started."""
+    return [(line[0], line[1:].decode()) for line in os.read(log, 1 << 12).split(b"\n")[:-1]]
+
+
+@pytest.mark.parametrize(
+    "costs, first", [((1, 5, 2, 9, 3), {1, 3}), ((2,) * 5, {0, 1})], ids=["costs", "equal"]
+)
+def test_the_costliest_tasks_are_claimed_first(monkeypatch, costs, first):
+    # the two tasks claimed first each wait for the other to start, so they
+    # run at once, one in each process, before any other task starts
+    cpus(monkeypatch, 2)
+    log, note = os.pipe()
+    started = {i: os.pipe() for i in first}
+
+    def task(i):
+        os.write(note, bytes([i]) + where().encode() + b"\n")
+        if i in started:
+            os.write(started[i][1], b"x")
+            wait_for(started[(first - {i}).pop()][0])
+        return i, where()
+
+    try:
+        results = _second_cpu.run_tasks([partial(task, i) for i in range(5)], costs)
+        starts = read_starts(log)
+    finally:
+        for fd in [log, note, *(fd for pipe in started.values() for fd in pipe)]:
+            os.close(fd)
+    assert {i for i, _ in starts[:2]} == first and {p for _, p in starts[:2]} == {"parent", "child"}
+    # each task once, and the results in list order
+    assert sorted(i for i, _ in starts) == list(range(5)) and results == sorted(starts)
+    assert_no_child()
+
+
+def test_a_failure_claimed_first_yields_to_one_listed_first(monkeypatch):
+    # task 2 is claimed first and fails at once; tasks 3 and 4 come next,
+    # then 1 and 0, which fails too: task 0's error wins, task 1 runs, and
+    # the process that saw task 2 fail starts no task listed after it
+    cpus(monkeypatch, 2)
+    log, note = os.pipe()
+
+    def task(i):
+        os.write(note, bytes([i]) + where().encode() + b"\n")
+        if i in (0, 2):
+            raise ValueError(f"task {i}")
+        if i > 2:
+            select.select([], [], [], 0.05)
+        return i
+
+    try:
+        with pytest.raises(ValueError, match="^task 0$"):
+            _second_cpu.run_tasks([partial(task, i) for i in range(5)], (1, 2, 5, 4, 3))
+        starts = read_starts(log)
+    finally:
+        os.close(log)
+        os.close(note)
+    assert starts[0][0] in (2, 3) and {0, 1, 2} <= {i for i, _ in starts}
+    process = dict(starts)[2]
+    started_there = [i for i, p in starts if p == process]
+    assert started_there[0] == 2 and all(i < 2 for i in started_there[1:])
+    assert_no_child()
+
+
+def test_the_cost_estimate_ranks_the_tasks():
+    # deterministic: from the tasks' sizes, never from timings
+    def costs(builder, key, **sizes):
+        return {key(task): cost for cost, task in builder(seed=0, **sizes)}
+
+    every = [c for tasks in suites._TASKS.values() for c, _ in tasks(trials=1000, seed=0)]
+    rates = [c for c, _ in suites._rates_tasks(seed=0)]
+    assert sorted(every)[-2:] == sorted(rates)
+
+    label = costs(suites._potentials_tasks, lambda task: task.args[1].split("/")[0])
+    assert label["shampoo"] > label["muon"] > max(label["mixed"], label["full"])
+    assert min(label["mixed"], label["full"]) > max(label["adanorm"], label["diag"])
+
+    for trials in (500, 1000):  # the benchmark's trials and the default
+        geometry = costs(suites._identities_tasks, lambda task: (task.func, task.args[0]), trials=trials)
+        matrix = [c for (_, g), c in geometry.items() if g in (Geometry.SHAMPOO, Geometry.MUON)]
+        vector = [c for (_, g), c in geometry.items() if g not in (Geometry.SHAMPOO, Geometry.MUON)]
+        assert len(matrix) == 4 and len(vector) == 6 and min(matrix) > max(vector)
 
 
 def test_a_killed_child_raises_runtime_error(placed):
