@@ -6,8 +6,10 @@ one extra LAPACK thread or one extra process at a time, chosen from the
 affinity mask, the BLAS threads, the live threads and the task count.
 ``spare_thread`` grants the worker thread when BLAS runs a call on fewer
 threads than the process has CPUs (its affinity mask, else the machine's
-count); ``executor`` withholds it while a fan-out runs.  ``run_tasks`` fans
-out, forking once, when the platform has ``os.fork`` and
+count); ``executor`` withholds it while a fan-out runs.  The two threads
+overlap only inside LAPACK, which releases the interpreter lock; the worker
+needs the lock to start and to return its call (``psd_linalg.factorize``).
+``run_tasks`` fans out, forking once, when the platform has ``os.fork`` and
 ``os.sched_getaffinity``, the process has at least two CPUs and two tasks,
 no thread is alive besides the caller and the idle worker, and no fan-out
 is running.  A fan-out sets one flag that both processes keep until it

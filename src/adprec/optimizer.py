@@ -32,12 +32,12 @@ next step reads; its record (``step_record``) is computed from the values
 it kept, once per chunk of steps.  The driver keeps each step's record
 inputs by reference and, once C steps are kept, has the next step compute
 their records with one call per operation on arrays whose stack axis holds
-all of them, while that step's worker thread factorizes (the step's
-meanwhile), then stores them in its (fields, R, K) columns with one
-assignment; the last chunk is recorded after the loop.  C is as many steps
-as fit in RECORD_CHUNK_BYTES, from the bytes the first step keeps, and at
-least one: a step of large blocks is a chunk of its own, which takes the
-same path, on its own arrays.
+all of them, after that step's first factorization on this thread, while
+its worker thread factorizes (the step's meanwhile), then stores them in
+its (fields, R, K) columns with one assignment; the last chunk is
+recorded after the loop.  C is as many steps as fit in RECORD_CHUNK_BYTES,
+from the bytes the first step keeps, and at least one: a step of large
+blocks is a chunk of its own, which takes the same path, on its own arrays.
 Only ``run_trajectory`` builds ``IterationRecord``s.  Each replicate keeps
 its own Generator, whose normals it reads in chunks
 (``problems.NormalStreams``), and every stacked operation rounds as the
@@ -202,8 +202,9 @@ def adprec_step(
     kept is what the step's record (``step_record``) reads of the blocks
     besides the new states and z_norms: per block, Z (S(Z) for Muon) and the
     lmap trace.  The record itself is no part of the step; the caller may
-    pass meanwhile, which the step runs once: inside ``factorize``, while
-    the worker thread runs, or after the first pass when nothing factorizes.
+    pass meanwhile, which the step runs once: inside ``factorize``, after
+    this thread's first call, while the worker thread is inside LAPACK, or
+    after the first pass when nothing factorizes.
 
     The step makes two passes over the blocks.  The first grows every state
     that no factorization feeds (all but Muon's), finishes each block that

@@ -21,7 +21,8 @@ state is cheaper than maintaining incremental factorizations correctly.
 ``factorize`` runs the independent factorizations of one optimizer step
 and returns their results in order, the largest on the worker thread of
 ``_second_cpu`` when that module grants it; no bit depends on the thread
-that ran a call.  The worker runs only this module's own functions.
+that ran a call.  The worker runs only this module's own functions, and
+needs the interpreter lock to start and to return its call (``factorize``).
 """
 
 from __future__ import annotations
@@ -206,35 +207,46 @@ def factorize(calls, key, meanwhile=None):
     calls fan out is decided once per key, from the first such calls, by
     ``_worker_call``; inside a fan-out ``executor`` withholds the worker.
     The largest call then runs on the worker thread while this thread runs
-    the rest in order; numpy's LAPACK calls release the interpreter lock,
-    so the two overlap.  Other calls run in order on this thread and never
-    start the worker.  Either way each result is the same single call on
-    the same input, with the same bits.  meanwhile, when given, is other
-    work of the caller, run once on this thread after its own calls and
-    before the wait for the worker, also when a call fails.  The worker is
-    always waited for, and a failure raises the error of meanwhile, else
-    what running the calls in order raises: the error of the first call
-    that fails.
+    the rest in order.  The worker needs the interpreter lock to start its
+    call and again to return it, and numpy's LAPACK calls release the lock,
+    so meanwhile, other work of the caller, runs once on this thread after
+    its first call (the worker is then inside LAPACK) and before its other
+    calls.  Otherwise all calls run in order on this thread, never starting
+    the worker, then meanwhile.  Either way each result
+    is the same call on the same input, with the same bits, meanwhile runs
+    also when a call fails, and no call of this thread starts after a
+    failure.  The worker is always waited for, and a failure raises the
+    error of meanwhile, else what running the calls in order raises: the
+    error of the first call that fails.
     """
     w = _WORKER_CALLS.get(key, _UNKNOWN) if len(calls) > 1 else None
     if w is _UNKNOWN:
         w = _WORKER_CALLS[key] = _worker_call(calls)
     worker = None if w is None else executor()  # None inside a fan-out
-    future = None if worker is None else worker.submit(_run, calls[w])
-    own, error = [], None
-    try:
-        for call in calls if future is None else calls[:w] + calls[w + 1:]:
-            own.append(_run(call))
-    except BaseException as e:
-        error = e
-    try:
-        if meanwhile is not None:
-            meanwhile()
+    own = []
+    if worker is None:
+        try:
+            for call in calls:
+                own.append(_run(call))
+        finally:
+            if meanwhile is not None:
+                meanwhile()  # its error replaces the calls'
+        return own
+    future, error = worker.submit(_run, calls[w]), None
+    try:  # this thread's first call lets the worker start, its others let it return
+        for i, call in enumerate(calls[:w] + calls[w + 1:]):
+            try:
+                own.append(_run(call))
+            except BaseException as e:
+                error = e
+            if i == 0 and meanwhile is not None:
+                meanwhile()
+            if error is not None:
+                break
     finally:
-        if future is not None:
-            future.exception()  # waits; meanwhile's error comes first
+        future.exception()  # waits; meanwhile's error comes first
     # the worker's call comes after the w calls before it, whose error wins
-    if future is not None and (error is None or len(own) >= w):
+    if error is None or len(own) >= w:
         own.insert(w, future.result())  # raises the worker's error
     if error is not None:
         raise error

@@ -339,9 +339,10 @@ def logging_meanwhile(log, error=None):
 @pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
 def test_meanwhile_runs_once_after_this_threads_calls_and_before_the_wait(monkeypatch, worker,
                                                                          fanned_out):
-    # meanwhile runs once, on this thread, after the calls this thread runs
-    # and, with a worker, before factorize waits on the worker's result; the
-    # results are those of the calls alone
+    # meanwhile runs once, on this thread: with a worker, after this
+    # thread's first call (which lets the worker start) and before its
+    # other calls, then factorize waits on the worker's result; without
+    # one, after all the calls.  The results are those of the calls alone
     mats = [random_psd(n, 10.0, seed=n) for n in (24, 16, 64)]
     calls = [("eigh", M, 1.0) for M in mats]
     want = [eigh_clamped(M, floor=1.0) for M in mats]
@@ -350,14 +351,41 @@ def test_meanwhile_runs_once_after_this_threads_calls_and_before_the_wait(monkey
     got = factorize(calls, "meanwhile", logging_meanwhile(log))
     for g, ref in zip(got, want):
         assert all(np.array_equal(a, b) for a, b in zip(g, ref))
-    own = [0, 1] if fanned_out else [0, 1, 2]
-    assert [e for e in log if e != "wait" and e[-1]] == (
-        [("call", i, True) for i in own] + [("meanwhile", True)])
+    this_thread = [e for e in log if e == "wait" or e[-1]]
     if fanned_out:
-        assert ("call", 2, False) in log and log.index("wait") > log.index(("meanwhile", True))
+        assert this_thread[:3] == [("call", 0, True), ("meanwhile", True), ("call", 1, True)]
+        assert set(this_thread[3:]) == {"wait"} and ("call", 2, False) in log
         assert worker.futures[0].done()
     else:
-        assert "wait" not in log and not worker.futures
+        assert this_thread == [("call", i, True) for i in (0, 1, 2)] + [("meanwhile", True)]
+        assert not worker.futures
+
+
+# what fails when the worker runs call 2 of three: this thread's first call,
+# or meanwhile, which then runs between this thread's calls 0 and 1
+FIRST_FAILURES = {
+    "this thread's first call": ({0}, None, "call 0 failed"),
+    "meanwhile": (set(), RuntimeError("meanwhile failed"), "meanwhile failed"),
+}
+
+
+@pytest.mark.parametrize("failing, error, message", FIRST_FAILURES.values(),
+                         ids=FIRST_FAILURES.keys())
+def test_a_failure_before_this_threads_second_call_stops_its_calls(monkeypatch, worker,
+                                                                   failing, error, message):
+    # fanned out, a failure of this thread's first call or of meanwhile
+    # starts no later call of this thread; meanwhile still runs once, and
+    # the error is raised once the worker is done
+    mats = [random_psd(n, 10.0, seed=n) for n in (24, 16, 64)]
+    log = logged_calls(monkeypatch, worker, mats, failing, slow=0.05)
+    monkeypatch.setattr(psd_linalg, "_CONCURRENT_DIM", 20)
+    with pytest.raises(Exception, match=message) as raised:
+        factorize([("eigh", M, 1.0) for M in mats], "first failure", logging_meanwhile(log, error))
+    assert type(raised.value) is (RuntimeError if error else np.linalg.LinAlgError)
+    this_thread = [e for e in log if e == "wait" or e[-1]]
+    assert this_thread[:2] == [("call", 0, True), ("meanwhile", True)]
+    assert set(this_thread[2:]) == {"wait"} and ("call", 2, False) in log
+    assert len(worker.futures) == 1 and worker.futures[0].done()
 
 
 @pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
