@@ -126,10 +126,11 @@ def _arrays(state: GeometryState) -> list[str]:
 # geom_factor_calls lists them
 _CACHED_EIGHS = {Geometry.FULL_ADAGRAD: ("eig",), Geometry.SHAMPOO: ("left_eig", "right_eig")}
 _CACHED = sum(_CACHED_EIGHS.values(), ())
-# the geometries whose blocks geom_factor_calls lists factorizations for; a
-# set test is cheaper than comparing with each member, whose every read goes
-# through the enum metaclass's attribute hook
-FACTORED = frozenset({Geometry.MUON, *_CACHED_EIGHS})
+# the number of factorizations geom_factor_calls lists for one block of a
+# geometry, for those that list any: the eighs its state caches, and Muon's
+# one SVD of D.  A membership test is cheaper than comparing with each
+# member, whose every read goes through the enum metaclass's attribute hook
+FACTORIZATIONS = {**{g: len(names) for g, names in _CACHED_EIGHS.items()}, Geometry.MUON: 1}
 
 
 def geom_stack(states, join) -> GeometryState:

@@ -32,8 +32,9 @@ next step reads; its record (``step_record``) is computed from the values
 it kept, once per chunk of steps.  The driver keeps each step's record
 inputs by reference and, once C steps are kept, has the next step compute
 their records with one call per operation on arrays whose stack axis holds
-all of them, after that step's first factorization on this thread, while
-its worker thread factorizes (the step's meanwhile), then stores them in
+all of them, after that step's first factorization on this thread (at
+once when it has none), while any worker thread factorizes (the step's
+meanwhile), then stores them in
 its (fields, R, K) columns with one assignment; the last chunk is
 recorded after the loop.  C is as many steps as fit in RECORD_CHUNK_BYTES,
 from the bytes the first step keeps, and at least one: a step of large
@@ -78,7 +79,7 @@ from .block_space import (
 )
 from .errors import InvalidConfig, NonFiniteIterate
 from .geometries import (
-    FACTORED,
+    FACTORIZATIONS,
     GeometryState,
     geom_accumulate,
     geom_diagnostics,
@@ -202,9 +203,10 @@ def adprec_step(
     kept is what the step's record (``step_record``) reads of the blocks
     besides the new states and z_norms: per block, Z (S(Z) for Muon) and the
     lmap trace.  The record itself is no part of the step; the caller may
-    pass meanwhile, which the step runs once: inside ``factorize``, after
-    this thread's first call, while the worker thread is inside LAPACK, or
-    after the first pass when nothing factorizes.
+    pass meanwhile, which the step hands to ``factorize`` on every step:
+    it runs once, after this thread's first factorization, while the
+    worker thread (if any) is inside LAPACK, or at once after the first
+    pass when nothing factorizes.
 
     The step makes two passes over the blocks.  The first grows every state
     that no factorization feeds (all but Muon's), finishes each block that
@@ -233,9 +235,9 @@ def adprec_step(
     calls, listed = [], []
     for ell, shape in enumerate(shapes):
         D = direction.blocks[ell]
-        factored = shape.geometry in FACTORED
+        factored = shape.geometry in FACTORIZATIONS
         st = tl = None
-        # the set test spares a Euclidean block the slower read of Geometry.MUON
+        # the membership test spares a Euclidean block the slower read of Geometry.MUON
         if not factored or shape.geometry is not Geometry.MUON:
             A = acc.blocks[ell]
             tl = geom_lmap_trace(shape, A)
@@ -254,19 +256,16 @@ def adprec_step(
         moves.append(move)
 
     # pass 2: finish the listed blocks on their factorizations
-    if calls:
-        results = factorize(calls, tuple(shapes), meanwhile)
-        for ell, i, j in listed:
-            shape, D = shapes[ell], direction.blocks[ell]
-            f = geom_factor(shape, new_states[ell], results[i:j])
-            if f is not None:
-                A = acc.blocks[ell]
-                traces[ell] = geom_lmap_trace(shape, A, f if A is D else None)
-                new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
-            moved = _move(shape, new_states[ell], D, f, X.blocks[ell], config.eta)
-            new_blocks[ell], z_norms[ell], moves[ell] = moved
-    elif meanwhile is not None:
-        meanwhile()
+    results = factorize(calls, tuple(shapes), meanwhile)
+    for ell, i, j in listed:
+        shape, D = shapes[ell], direction.blocks[ell]
+        f = geom_factor(shape, new_states[ell], results[i:j])
+        if f is not None:
+            A = acc.blocks[ell]
+            traces[ell] = geom_lmap_trace(shape, A, f if A is D else None)
+            new_states[ell] = geom_accumulate(shape, states[ell], A, traces[ell])
+        moved = _move(shape, new_states[ell], D, f, X.blocks[ell], config.eta)
+        new_blocks[ell], z_norms[ell], moves[ell] = moved
     return ProductPoint(new_blocks), new_states, M, z_norms, (moves, traces)
 
 

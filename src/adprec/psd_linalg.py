@@ -206,14 +206,14 @@ def factorize(calls, key, meanwhile=None):
     matrices, in order (the optimizer passes its block shapes).  Whether
     calls fan out is decided once per key, from the first such calls, by
     ``_worker_call``; inside a fan-out ``executor`` withholds the worker.
-    The largest call then runs on the worker thread while this thread runs
-    the rest in order.  The worker needs the interpreter lock to start its
-    call and again to return it, and numpy's LAPACK calls release the lock,
-    so meanwhile, other work of the caller, runs once on this thread after
-    its first call (the worker is then inside LAPACK) and before its other
-    calls.  Otherwise all calls run in order on this thread, never starting
-    the worker, then meanwhile.  Either way each result
-    is the same call on the same input, with the same bits, meanwhile runs
+    When the worker is granted, the largest call is submitted to it; this
+    thread runs its calls, all the others, in list order.  meanwhile, other
+    work of the caller, runs once on this thread after its first call, or at
+    once when it has none.  The worker needs the interpreter lock to start
+    its call and again to return it, and numpy's LAPACK calls release the
+    lock, so meanwhile runs while the worker is inside LAPACK, and this
+    thread's next call lets the worker return.  Each result is the same call
+    on the same input, with the same bits, on either thread.  meanwhile runs
     also when a call fails, and no call of this thread starts after a
     failure.  The worker is always waited for, and a failure raises the
     error of meanwhile, else what running the calls in order raises: the
@@ -223,18 +223,13 @@ def factorize(calls, key, meanwhile=None):
     if w is _UNKNOWN:
         w = _WORKER_CALLS[key] = _worker_call(calls)
     worker = None if w is None else executor()  # None inside a fan-out
-    own = []
-    if worker is None:
-        try:
-            for call in calls:
-                own.append(_run(call))
-        finally:
-            if meanwhile is not None:
-                meanwhile()  # its error replaces the calls'
-        return own
-    future, error = worker.submit(_run, calls[w]), None
+    future = None if worker is None else worker.submit(_run, calls[w])
+    mine = calls if future is None else calls[:w] + calls[w + 1:]
+    own, error = [], None
+    if not mine and meanwhile is not None:
+        meanwhile()
     try:  # this thread's first call lets the worker start, its others let it return
-        for i, call in enumerate(calls[:w] + calls[w + 1:]):
+        for i, call in enumerate(mine):
             try:
                 own.append(_run(call))
             except BaseException as e:
@@ -244,9 +239,10 @@ def factorize(calls, key, meanwhile=None):
             if error is not None:
                 break
     finally:
-        future.exception()  # waits; meanwhile's error comes first
+        if future is not None:
+            future.exception()  # waits; meanwhile's error comes first
     # the worker's call comes after the w calls before it, whose error wins
-    if error is None or len(own) >= w:
+    if future is not None and (error is None or len(own) >= w):
         own.insert(w, future.result())  # raises the worker's error
     if error is not None:
         raise error

@@ -1,14 +1,15 @@
 """Named audit suites: the standard configurations behind `adprec audit`.
 
-Each suite returns a list of AuditReports.  Suites are deterministic given
-(trials, seed); the trajectory-based suites ignore `trials` and use their
-fixed iteration budgets.
+A suite is named once, in ``SUITES``, by its task builder, and run one way,
+by ``run_suite``, which returns its list of AuditReports.  Suites are
+deterministic given (trials, seed); the trajectory-based suites ignore
+`trials` and use their fixed iteration budgets.
 
-A suite is a list of independent audits, each seeded on its own, run as
-zero-argument tasks through ``_second_cpu.run_tasks``; ``run_suite("all")``
-runs the tasks of all six suites in one call.  Each task builder pairs a
-task with its estimated cost (``_cost``), from sizes alone, and a fan-out
-claims the costliest first.
+A builder lists a suite's independent audits, each seeded on its own, as
+zero-argument tasks, each paired with its estimated cost (``_cost``), from
+sizes alone.  ``run_suite`` runs them through ``_second_cpu.run_tasks``,
+which claims the costliest first when it fans out; ``run_suite("all")``
+runs the tasks of all six suites in one call.
 """
 
 from __future__ import annotations
@@ -34,37 +35,16 @@ from .audit import (
 from .block_space import VECTOR_ONLY, BlockShape, Geometry
 from .bounds import m2_eta_limit
 from .errors import InvalidConfig
+from .geometries import FACTORIZATIONS
 from .optimizer import MomentumMode, OptimizerConfig
 from .problems import NoiseKind, NoiseModel, make_problem
-
-
-# the factorizations one block-step of a geometry makes (geom_factor_calls)
-_FACTORIZATIONS = {Geometry.FULL_ADAGRAD: 1, Geometry.SHAMPOO: 2, Geometry.MUON: 1}
 
 
 def _cost(units, geometries=()) -> int:
     """A task's estimated cost: its units (trials, or K x runs) times 1 + the
     factorizations a block-step makes, summed over its blocks' geometries;
     from sizes, not timings, so that every call claims its tasks alike."""
-    return units * (1 + sum(_FACTORIZATIONS.get(g, 0) for g in geometries))
-
-
-def _reports(tasks, costs=None) -> list[AuditReport]:
-    """The reports of the audit tasks, in order, claimed costliest first
-    by costs (run_tasks); a task returns one report or a list of them."""
-    reports = []
-    for result in run_tasks(tasks, costs):
-        if isinstance(result, list):
-            reports.extend(result)
-        else:
-            reports.append(result)
-    return reports
-
-
-def _run(costed) -> list[AuditReport]:
-    """The reports of a task builder's (cost, task) pairs, in order."""
-    costs, tasks = zip(*costed)
-    return _reports(tasks, costs)
+    return units * (1 + sum(FACTORIZATIONS.get(g, 0) for g in geometries))
 
 
 def _trace_tasks(trials=1000, seed=0):
@@ -74,10 +54,6 @@ def _trace_tasks(trials=1000, seed=0):
         (_cost(trials), partial(audit_spectral_log, trials, seed=seed + 2)),
         (_cost(trials), partial(audit_techn, trials, seed=seed + 3)),
     ]
-
-
-def suite_trace(trials=1000, seed=0):
-    return _run(_trace_tasks(trials, seed))
 
 
 def _identities_tasks(trials=500, seed=0):
@@ -91,10 +67,6 @@ def _identities_tasks(trials=500, seed=0):
         tasks.append((_cost(shapes * n, [g]),
                       partial(audit_subadditivity_constants, g, n, seed=seed + 10 + i)))
     return tasks
-
-
-def suite_identities(trials=500, seed=0):
-    return _run(_identities_tasks(trials, seed))
 
 
 # the six spaces exercised by the potential audits: each of the five
@@ -159,10 +131,6 @@ def _potentials_tasks(trials=0, seed=0, K=500):
     ]
 
 
-def suite_potentials(trials=0, seed=0, K=500):
-    return _run(_potentials_tasks(trials, seed, K))
-
-
 def bound_configurations(K=2000, seed=0):
     out = []
     for kind, shapes, eta in [
@@ -191,10 +159,6 @@ def _bounds_tasks(trials=0, seed=0, K=2000):
     tasks.append((_cost(32 * 400, [s.geometry for s in problem.shapes]),
                   partial(audit_bounds, name, problem, cfg, noise, replicates=32, context="statistical")))
     return tasks
-
-
-def suite_bounds(trials=0, seed=0, K=2000):
-    return _run(_bounds_tasks(trials, seed, K))
 
 
 def _momentum_tasks(trials=0, seed=0, K=2000):
@@ -227,10 +191,6 @@ def _momentum_tasks(trials=0, seed=0, K=2000):
     return tasks
 
 
-def suite_momentum(trials=0, seed=0, K=2000):
-    return _run(_momentum_tasks(trials, seed, K))
-
-
 def _rate_reports(problem, cfg, R):
     """The rate-regime reports of the three noise exponents alpha."""
     results = audit_rate_regimes(problem, cfg, alphas=(0.5, 1.0, 2.0), sigma=1.0, replicates=R)
@@ -245,10 +205,6 @@ def _rates_tasks(trials=0, seed=0, K=5000, R=16):
         (_cost(3 * R * K, geometries), partial(_rate_reports, problem, cfg, R)),
         (_cost(2 * R * K, geometries), partial(m2_schedule_gap_report, problem, K=K, R=R, seed=seed)),
     ]
-
-
-def suite_rates(trials=0, seed=0, K=5000, R=16):
-    return _run(_rates_tasks(trials, seed, K, R))
 
 
 def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
@@ -294,16 +250,9 @@ def m2_schedule_gap_report(problem, K=5000, R=16, seed=0) -> AuditReport:
     )
 
 
+# every suite's task builder, in report order: each returns its audits as
+# (cost, task) pairs, and a task returns one report or a list of them
 SUITES = {
-    "trace": suite_trace,
-    "identities": suite_identities,
-    "potentials": suite_potentials,
-    "bounds": suite_bounds,
-    "momentum": suite_momentum,
-    "rates": suite_rates,
-}
-# each suite's audits as (cost, task) pairs, which ``run_suite("all")`` runs in one call
-_TASKS = {
     "trace": _trace_tasks,
     "identities": _identities_tasks,
     "potentials": _potentials_tasks,
@@ -313,13 +262,19 @@ _TASKS = {
 }
 
 
-def run_suite(name: str, trials: int, seed: int) -> list[AuditReport]:
+def run_suite(name: str, trials: int, seed: int, **sizes) -> list[AuditReport]:
+    """The reports of suite name, or of every suite in order for "all": the
+    tasks of its builders run in one ``run_tasks`` call, claimed costliest
+    first.  sizes are the named builder's other keyword sizes (K, R)."""
     if trials < 0:
         raise InvalidConfig(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise InvalidConfig(f"seed must be nonnegative, got {seed}")
-    if name == "all":
-        return _run([t for tasks in _TASKS.values() for t in tasks(trials=trials, seed=seed)])
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise InvalidConfig(f"unknown audit suite {name!r}; have {sorted(SUITES)} or 'all'")
-    return SUITES[name](trials=trials, seed=seed)
+    builders = SUITES.values() if name == "all" else [SUITES[name]]
+    costs, tasks = zip(*(t for build in builders for t in build(trials=trials, seed=seed, **sizes)))
+    reports = []
+    for result in run_tasks(tasks, costs):
+        reports.extend(result if isinstance(result, list) else [result])
+    return reports

@@ -172,7 +172,7 @@ def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
     monkeypatch.setattr(optimizer, "_drive", counted)
     # the count is kept in this process, so the suite must not fan out
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert len(suites.suite_potentials(K=5)) == 12
+    assert len(suites.run_suite("potentials", 0, 0, K=5)) == 12
     assert stacks == [2] * 6
 
 
@@ -263,7 +263,7 @@ def test_rate_suite_reports_a_nonfinite_run(monkeypatch):
         raise NonFiniteIterate("replicate 0 (seed 0): non-finite at iteration 3: iterate")
 
     monkeypatch.setattr(audit, "run_replicates", blow_up)
-    reports = suites.suite_rates(K=10, R=2)
+    reports = suites.run_suite("rates", 0, 0, K=10, R=2)
     assert [r.check_name for r in reports] == [
         "rate-regime-alpha=0.5", "rate-regime-alpha=1.0", "rate-regime-alpha=2.0", "m2-schedule-gap"
     ]

@@ -4,12 +4,14 @@ import pytest
 from adprec.block_space import BlockShape, Geometry
 from adprec.errors import InvalidConfig
 from adprec.geometries import (
+    FACTORIZATIONS,
     DiagonalState,
     KroneckerState,
     ScalarState,
     geom_accumulate,
     geom_diagnostics,
     geom_dual_norm,
+    geom_factor_calls,
     geom_init,
     geom_lmap_matrix,
     geom_lmap_trace,
@@ -298,3 +300,14 @@ def test_stack_with_one_varsigma_per_state(geometry):
             np.testing.assert_array_equal(got[r], want)
     with pytest.raises(InvalidConfig):
         geom_init(sh, np.array([1.0, 0.0]), lead=(2,))
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES)
+@pytest.mark.parametrize("rows, cols", [(3, 2), (6, 4)])
+def test_factorizations_counts_the_calls_a_block_step_lists(geometry, rows, cols):
+    # the count the suites' cost estimate reads is what the step lists
+    shape = shape_for(geometry, rows, cols)
+    rng = np.random.default_rng(rows)
+    D = random_block(shape, rng)
+    state = geom_accumulate(shape, geom_init(shape, 1.0), D, geom_lmap_trace(shape, D))
+    assert len(geom_factor_calls(shape, state, D)) == FACTORIZATIONS.get(geometry, 0)

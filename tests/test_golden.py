@@ -29,14 +29,7 @@ from pathlib import Path
 import pytest
 
 from adprec.cli import main
-from adprec.suites import (
-    suite_bounds,
-    suite_identities,
-    suite_momentum,
-    suite_potentials,
-    suite_rates,
-    suite_trace,
-)
+from adprec.suites import run_suite
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if (p / "config.json").is_file())
@@ -90,23 +83,23 @@ def reports_text(suites) -> str:
 def audit_bounds_text() -> str:
     """The bound-audit suites' reports as the JSON text of audit_bounds.json."""
     return reports_text({
-        "bounds": suite_bounds(seed=5, K=300),
-        "momentum": suite_momentum(seed=5, K=300),
-        "rates": suite_rates(seed=5, K=300, R=4),
+        "bounds": run_suite("bounds", 0, 5, K=300),
+        "momentum": run_suite("momentum", 0, 5, K=300),
+        "rates": run_suite("rates", 0, 5, K=300, R=4),
     })
 
 
 def audit_algebraic_text() -> str:
     """The algebraic suites' reports as the JSON text of audit_algebraic.json."""
     return reports_text({
-        "trace": suite_trace(300, seed=5),
-        "identities": suite_identities(300, seed=5),
+        "trace": run_suite("trace", 300, 5),
+        "identities": run_suite("identities", 300, 5),
     })
 
 
 def audit_potentials_text() -> str:
     """The potentials suite's reports as the JSON text of audit_potentials.json."""
-    return reports_text({"potentials": suite_potentials(seed=5, K=300)})
+    return reports_text({"potentials": run_suite("potentials", 0, 5, K=300)})
 
 
 def test_bound_audits_match_golden():

@@ -339,10 +339,10 @@ def logging_meanwhile(log, error=None):
 @pytest.mark.parametrize("fanned_out", [True, False], ids=["fanned out", "in order"])
 def test_meanwhile_runs_once_after_this_threads_calls_and_before_the_wait(monkeypatch, worker,
                                                                          fanned_out):
-    # meanwhile runs once, on this thread: with a worker, after this
-    # thread's first call (which lets the worker start) and before its
-    # other calls, then factorize waits on the worker's result; without
-    # one, after all the calls.  The results are those of the calls alone
+    # meanwhile runs once, on this thread, after this thread's first call
+    # (which lets the worker start) and before its other calls; with a
+    # worker, factorize then waits on its result.  The results are those of
+    # the calls alone
     mats = [random_psd(n, 10.0, seed=n) for n in (24, 16, 64)]
     calls = [("eigh", M, 1.0) for M in mats]
     want = [eigh_clamped(M, floor=1.0) for M in mats]
@@ -357,8 +357,16 @@ def test_meanwhile_runs_once_after_this_threads_calls_and_before_the_wait(monkey
         assert set(this_thread[3:]) == {"wait"} and ("call", 2, False) in log
         assert worker.futures[0].done()
     else:
-        assert this_thread == [("call", i, True) for i in (0, 1, 2)] + [("meanwhile", True)]
+        assert this_thread == [("call", 0, True), ("meanwhile", True), ("call", 1, True),
+                               ("call", 2, True)]
         assert not worker.futures
+
+
+def test_meanwhile_runs_once_when_there_is_no_call(monkeypatch, worker):
+    # a step that factorizes nothing still hands factorize its meanwhile
+    log = logged_calls(monkeypatch, worker, [])
+    assert factorize([], "no call", logging_meanwhile(log)) == []
+    assert log == [("meanwhile", True)] and not worker.futures
 
 
 # what fails when the worker runs call 2 of three: this thread's first call,

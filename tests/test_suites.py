@@ -77,19 +77,19 @@ def serial_and_fanned(monkeypatch, run):
 
 @pytest.mark.parametrize("name", list(REDUCED))
 def test_fanning_out_changes_no_report(monkeypatch, name):
-    run = partial(suites.SUITES[name], trials=TRIALS, seed=3, **REDUCED[name])
+    run = partial(suites.run_suite, name, TRIALS, 3, **REDUCED[name])
     serial, fanned = serial_and_fanned(monkeypatch, run)
     assert len(serial) > 1 and texts(fanned) == texts(serial)
 
 
 def test_all_suites_fan_out_in_one_call(monkeypatch):
     for name, sizes in REDUCED.items():
-        monkeypatch.setitem(suites._TASKS, name, partial(suites._TASKS[name], **sizes))
+        monkeypatch.setitem(suites.SUITES, name, partial(suites.SUITES[name], **sizes))
     serial, fanned = serial_and_fanned(monkeypatch, lambda: suites.run_suite("all", TRIALS, 2))
     assert texts(fanned) == texts(serial)
     # the reports of each suite, in suite order
     cpus(monkeypatch, 1)
-    each = [suites.SUITES[name](trials=TRIALS, seed=2, **REDUCED[name]) for name in REDUCED]
+    each = [suites.run_suite(name, TRIALS, 2, **REDUCED[name]) for name in REDUCED]
     assert texts(fanned) == texts(r for reports in each for r in reports)
 
 
@@ -100,12 +100,12 @@ def test_nonfinite_worsts_survive_fanning_out(monkeypatch):
         raise NonFiniteIterate("replicate 0 (seed 0): non-finite at iteration 3: iterate")
 
     monkeypatch.setattr(audit, "run_replicates", blow_up)
-    serial, fanned = serial_and_fanned(monkeypatch, partial(suites.suite_rates, K=10, R=2))
+    serial, fanned = serial_and_fanned(monkeypatch, partial(suites.run_suite, "rates", 0, 0, K=10, R=2))
     assert [r.worst_violation for r in fanned] == [-math.inf] * 4
     assert texts(fanned) == texts(serial)
 
     nan = partial(AuditReport, "nan", 1, math.nan, False)
-    serial, fanned = serial_and_fanned(monkeypatch, lambda: suites._reports([nan, nan, nan]))
+    serial, fanned = serial_and_fanned(monkeypatch, lambda: _second_cpu.run_tasks([nan, nan, nan]))
     assert all(math.isnan(r.worst_violation) for r in fanned)
     assert texts(fanned) == texts(serial)
 
@@ -303,7 +303,7 @@ def test_the_cost_estimate_ranks_the_tasks():
     def costs(builder, key, **sizes):
         return {key(task): cost for cost, task in builder(seed=0, **sizes)}
 
-    every = [c for tasks in suites._TASKS.values() for c, _ in tasks(trials=1000, seed=0)]
+    every = [c for tasks in suites.SUITES.values() for c, _ in tasks(trials=1000, seed=0)]
     rates = [c for c, _ in suites._rates_tasks(seed=0)]
     assert sorted(every)[-2:] == sorted(rates)
 
