@@ -9,11 +9,14 @@ tolerance by three standard errors of the replicate mean.
 
 The algebraic audits on random matrices draw every trial's inputs in trial
 order from one generator, as a per-trial loop would, then evaluate the
-trials in groups of one shape with stacked calls (``_trial_groups``).  No
+trials in groups of one shape with stacked calls (``_trial_groups``).  The
+draws are held in chunks of about DRAW_CHUNK_BYTES of array data, so a
+chunk holds many trials of small draws and few of large ones.  No
 evaluation draws, and item r of a stacked call equals the call on item r
-alone, so every slack is the per-trial loop's, bit for bit.  ``techn`` stays
-a scalar loop: its bisection and its bounds use ``math.log``, and ``np.log``
-rounds differently on some inputs, which could flip a comparison.
+alone, so every slack is the per-trial loop's, bit for bit, at any chunk
+size.  ``techn`` stays a scalar loop: its bisection and its bounds use
+``math.log``, and ``np.log`` rounds differently on some inputs, which could
+flip a comparison.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from .psd_linalg import psd_from_draws, psd_power, random_psd_draws, trace_log_p
 TOL_ALGEBRAIC = 1e-8  # identities and single-matrix trace inequalities
 TOL_PATHWISE = 1e-6  # inequalities accumulated over a whole trajectory
 DIM_RANGE = (1, 8)  # matrix dims drawn by the single-matrix trace audits
-TRIAL_CHUNK = 250  # trials drawn ahead of their evaluation (bounds the memory held)
+# Bytes of array data the one-shot audits draw ahead of their evaluation:
+# a chunk of trials ends once its draws hold this much (at least one trial)
+DRAW_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -90,17 +95,29 @@ def _trial_groups(trials, rng, draw):
     returns ``(key, inputs)``: a hashable group key (the shape) and a tuple
     of arrays or floats, alike in shape for all trials of one key.  Yields
     ``(trial numbers, key, stacked inputs)`` once per group, where input i
-    is stacked over the group's trials.  The draws of TRIAL_CHUNK trials
-    are held at a time.
+    is stacked over the group's trials in trial order.
+
+    Trials are drawn in chunks, and a chunk ends once its draws hold
+    DRAW_CHUNK_BYTES of array data (a float counts 8 bytes), so it holds at
+    least one trial and less than the budget plus one trial's draws.  The
+    budget counts bytes, not trials, because a trial's draws range from a
+    few floats and a small block (an identity trial) to a 32 x 32 probe
+    (Muon or Shampoo sub-additivity): a trial count that bounds the memory
+    of the large draws leaves the small ones at a few trials per stacked
+    call.  A group's draws are let go as soon as they are stacked.
     """
-    for start in range(0, trials, TRIAL_CHUNK):
-        groups = {}
-        for t in range(start, min(start + TRIAL_CHUNK, trials)):
+    t = 0
+    while t < trials:
+        groups, held = {}, 0
+        while held < DRAW_CHUNK_BYTES and t < trials:
             key, inputs = draw(t, rng)
             groups.setdefault(key, []).append((t, inputs))
-        for key, members in groups.items():
-            numbers, inputs = zip(*members)
-            yield np.array(numbers), key, [np.stack(x) for x in zip(*inputs)]
+            held += sum(getattr(x, "nbytes", 8) for x in inputs)
+            t += 1
+        for key in list(groups):
+            numbers, inputs = zip(*groups.pop(key))
+            inputs = [np.array(x) for x in zip(*inputs)]
+            yield np.array(numbers), key, inputs
 
 
 def _draw_psd_pair(t, rng):
@@ -233,22 +250,23 @@ def audit_techn(trials=1000, seed=0) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _random_shape(geometry: Geometry, rng) -> BlockShape:
+def _random_dims(geometry: Geometry, rng) -> tuple[int, int]:
+    """The (rows, cols) of a random block of geometry."""
     n = int(rng.integers(1, 9))
     m = 1 if geometry in VECTOR_ONLY else int(rng.integers(1, 5))
-    return BlockShape(n, m, geometry)
+    return n, m
 
 
 def _draw_identity_trial(geometry, t, rng):
-    """A shape, varsigma, and the 1-4 blocks that grow the state from
-    varsigma * I, the last of them the probe V; grouped by shape and count."""
-    shape = _random_shape(geometry, rng)
+    """Block dims, varsigma, and the 1-4 blocks that grow the state from
+    varsigma * I, the last of them the probe V; grouped by dims and count."""
+    dims = _random_dims(geometry, rng)
     varsigma = 10.0 ** rng.uniform(-1, 1)
     Vs = [
-        10.0 ** rng.uniform(-1, 1) * rng.standard_normal((shape.rows, shape.cols))
+        10.0 ** rng.uniform(-1, 1) * rng.standard_normal(dims)
         for _ in range(int(rng.integers(0, 4)) + 1)
     ]
-    return (shape, len(Vs)), (varsigma, *Vs)
+    return (dims, len(Vs)), (varsigma, *Vs)
 
 
 def _rel_gap(a, b):
@@ -266,7 +284,8 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
     """
     r1, r2, rc = np.empty(trials), np.empty(trials), np.empty(trials)
     draw = partial(_draw_identity_trial, geometry)
-    for t, (shape, _), (varsigma, *Vs) in _trial_groups(trials, np.random.default_rng(seed), draw):
+    for t, (dims, _), (varsigma, *Vs) in _trial_groups(trials, np.random.default_rng(seed), draw):
+        shape = BlockShape(*dims, geometry)
         state = geom_init(shape, varsigma, lead=varsigma.shape)
         for V in Vs:
             tr_l = geom_lmap_trace(shape, V)
@@ -288,12 +307,12 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
 
 
 def _draw_subadditivity_trial(geometry, t, rng):
-    """A shape, U, V (U itself on every 10th trial) and the draws of the
-    random PSD probe W; grouped by shape."""
-    shape = _random_shape(geometry, rng)
-    U = rng.standard_normal((shape.rows, shape.cols))
-    V = U if t % 10 == 0 else rng.standard_normal((shape.rows, shape.cols))
-    return shape, (U, V, *random_psd_draws(shape.dim, 10.0 ** rng.uniform(0, 2), rng))
+    """Block dims, U, V (U itself on every 10th trial) and the draws of the
+    random PSD probe W; grouped by dims."""
+    dims = _random_dims(geometry, rng)
+    U = rng.standard_normal(dims)
+    V = U if t % 10 == 0 else rng.standard_normal(dims)
+    return dims, (U, V, *random_psd_draws(dims[0] * dims[1], 10.0 ** rng.uniform(0, 2), rng))
 
 
 def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> AuditReport:
@@ -301,7 +320,8 @@ def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> Au
     plus the empirical trace-domination constant tr(lmap(U)) / |U|_dual^2."""
     a, b, c, tr_u, du = (np.empty(trials) for _ in range(5))
     draw = partial(_draw_subadditivity_trial, geometry)
-    for t, shape, (U, V, *w) in _trial_groups(trials, np.random.default_rng(seed), draw):
+    for t, dims, (U, V, *w) in _trial_groups(trials, np.random.default_rng(seed), draw):
+        shape = BlockShape(*dims, geometry)
         W = psd_from_draws(*w)
         for out, X in ((a, U), (b, V), (c, U + V)):
             out[t] = np.add.reduce(W * geom_lmap_matrix(shape, X), axis=(-2, -1))

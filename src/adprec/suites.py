@@ -15,6 +15,7 @@ runs the tasks of all six suites in one call.
 from __future__ import annotations
 
 from functools import partial
+from inspect import signature
 
 import numpy as np
 
@@ -265,7 +266,9 @@ SUITES = {
 def run_suite(name: str, trials: int, seed: int, **sizes) -> list[AuditReport]:
     """The reports of suite name, or of every suite in order for "all": the
     tasks of its builders run in one ``run_tasks`` call, claimed costliest
-    first.  sizes are the named builder's other keyword sizes (K, R)."""
+    first.  sizes are other keyword sizes of the builders (K, R); each
+    builder gets those it takes, and a size that none of them takes is a
+    config error."""
     if trials < 0:
         raise InvalidConfig(f"trials must be nonnegative, got {trials}")
     if seed < 0:
@@ -273,7 +276,14 @@ def run_suite(name: str, trials: int, seed: int, **sizes) -> list[AuditReport]:
     if name != "all" and name not in SUITES:
         raise InvalidConfig(f"unknown audit suite {name!r}; have {sorted(SUITES)} or 'all'")
     builders = SUITES.values() if name == "all" else [SUITES[name]]
-    costs, tasks = zip(*(t for build in builders for t in build(trials=trials, seed=seed, **sizes)))
+    takes = [signature(build).parameters for build in builders]
+    unknown = sorted(set(sizes).difference(*takes))
+    if unknown:
+        raise InvalidConfig(f"audit suite {name!r} takes no size {', '.join(unknown)}")
+    pairs = []
+    for build, params in zip(builders, takes):
+        pairs += build(trials=trials, seed=seed, **{k: v for k, v in sizes.items() if k in params})
+    costs, tasks = zip(*pairs)
     reports = []
     for result in run_tasks(tasks, costs):
         reports.extend(result if isinstance(result, list) else [result])

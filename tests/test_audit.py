@@ -1,6 +1,7 @@
 import math
 import os
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +128,73 @@ def test_subadditivity_audits(geometry):
     rep = audit_subadditivity_constants(geometry, trials=300, seed=6)
     assert rep.passed
     assert "kappa_box" in rep.context
+
+
+# the one-shot audits that stack their trials, by the names they report
+STACKED = {
+    "sqrt-trace": audit_sqrt_trace,
+    "log-increment": audit_log_increment,
+    "spectral-log": audit_spectral_log,
+    **{f"identity-{g.value}": partial(audit_structural_identities, g) for g in Geometry},
+    **{f"subadditivity-{g.value}": partial(audit_subadditivity_constants, g) for g in Geometry},
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED))
+def test_stacked_audits_give_the_bits_of_one_trial_per_chunk(monkeypatch, name):
+    # item r of a stacked call equals the call on item r alone, so chunks of
+    # one trial (groups of one) and the default chunks give every slack
+    # array the same bits
+    arrays = []
+    report = audit._report
+
+    def captured(*args, **slacks):
+        arrays.append([np.asarray(s, dtype=float).tobytes() for s in slacks.values()])
+        return report(*args, **slacks)
+
+    monkeypatch.setattr(audit, "_report", captured)
+    STACKED[name](trials=200, seed=11)
+    default = arrays[:]
+    arrays.clear()
+    monkeypatch.setattr(audit, "DRAW_CHUNK_BYTES", 1)
+    STACKED[name](trials=200, seed=11)
+    assert default and arrays == default
+
+
+DRAWS = {
+    "psd-pair": audit._draw_psd_pair,
+    "identity-AdaNorm": partial(audit._draw_identity_trial, Geometry.ADANORM),
+    "subadditivity-Muon": partial(audit._draw_subadditivity_trial, Geometry.MUON),
+}
+
+
+@pytest.mark.parametrize("budget", [1, 5000, audit.DRAW_CHUNK_BYTES])
+@pytest.mark.parametrize("name", list(DRAWS))
+def test_a_chunk_holds_less_than_the_budget_and_one_trial(monkeypatch, name, budget):
+    # a chunk's trials are all drawn before its first group is handed out;
+    # it ends at the first trial whose draws reach the budget
+    drawn = []
+
+    def logged(t, rng):
+        key, inputs = DRAWS[name](t, rng)
+        drawn.append((t, sum(np.asarray(x).nbytes for x in inputs)))
+        return key, inputs
+
+    monkeypatch.setattr(audit, "DRAW_CHUNK_BYTES", budget)
+    chunks, handed = [], []
+    for numbers, _, inputs in audit._trial_groups(1500, np.random.default_rng(0), logged):
+        if drawn:
+            chunks.append(drawn[:])
+            drawn.clear()
+        assert all(len(x) == len(numbers) for x in inputs)
+        assert list(numbers) == sorted(numbers)
+        handed.extend(numbers)
+    assert sorted(handed) == [t for chunk in chunks for t, _ in chunk] == list(range(1500))
+    for i, chunk in enumerate(chunks):
+        held = [nbytes for _, nbytes in chunk]
+        assert sum(held) - held[-1] < budget
+        assert sum(held) >= budget or i == len(chunks) - 1
+    assert (len(chunks) == 1500) == (budget == 1)
 
 
 # -- pathwise potentials ------------------------------------------------------

@@ -3,6 +3,7 @@ only, and the package entry points that the benchmark under `perfbench/`
 calls."""
 
 import ast
+import functools
 import importlib.util
 import inspect
 import os
@@ -70,6 +71,13 @@ def referenced_names(tree, skip=None) -> set[str]:
     return names
 
 
+@functools.cache
+def source_names(source: str) -> frozenset[str]:
+    """``referenced_names`` of a whole source text, parsed once per text:
+    the per-module checks read every other file as a reader."""
+    return frozenset(referenced_names(ast.parse(source)))
+
+
 def definitions(tree):
     """(name, node) of the top-level functions and classes of `tree`, and of
     the non-dunder methods of its public classes, named `Class.method`."""
@@ -89,7 +97,7 @@ def dead_definitions(source: str, readers: list[str]) -> list[str]:
     any of the `readers` sources mention; a method is mentioned by its name
     alone, as an attribute of whatever object."""
     tree = ast.parse(source)
-    used = set().union(*(referenced_names(ast.parse(r)) for r in readers))
+    used = set().union(*(source_names(r) for r in readers))
     return [
         f"line {node.lineno}: {name}"
         for name, node in definitions(tree)

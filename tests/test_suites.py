@@ -18,7 +18,7 @@ import pytest
 from adprec import _second_cpu, audit, psd_linalg, suites
 from adprec.audit import AuditReport
 from adprec.block_space import Geometry
-from adprec.errors import NonFiniteIterate
+from adprec.errors import InvalidConfig, NonFiniteIterate
 from adprec.psd_linalg import eigh_clamped, random_psd
 from conftest import set_cpus
 
@@ -91,6 +91,21 @@ def test_all_suites_fan_out_in_one_call(monkeypatch):
     cpus(monkeypatch, 1)
     each = [suites.run_suite(name, TRIALS, 2, **REDUCED[name]) for name in REDUCED]
     assert texts(fanned) == texts(r for reports in each for r in reports)
+
+
+def test_all_passes_each_builder_its_own_sizes(monkeypatch):
+    # a builder gets the sizes it takes and no other; a size that no
+    # builder of the run takes is a config error
+    cpus(monkeypatch, 1)
+    own = {"trace": {}, "identities": {}, "potentials": dict(K=5), "bounds": dict(K=5),
+           "momentum": dict(K=5), "rates": dict(K=5, R=2)}
+    assert list(own) == list(suites.SUITES)
+    each = [r for name, sizes in own.items() for r in suites.run_suite(name, 10, 0, **sizes)]
+    assert texts(suites.run_suite("all", 10, 0, K=5, R=2)) == texts(each)
+    with pytest.raises(InvalidConfig, match="takes no size R"):
+        suites.run_suite("bounds", 10, 0, K=5, R=2)
+    with pytest.raises(InvalidConfig, match="takes no size k"):
+        suites.run_suite("all", 10, 0, k=5)
 
 
 def test_nonfinite_worsts_survive_fanning_out(monkeypatch):
