@@ -14,7 +14,14 @@ draws are held in chunks of about DRAW_CHUNK_BYTES of array data, so a
 chunk holds many trials of small draws and few of large ones.  No
 evaluation draws, and item r of a stacked call equals the call on item r
 alone, so every slack is the per-trial loop's, bit for bit, at any chunk
-size.  ``techn`` stays a scalar loop: its bisection and its bounds use
+size.  An identity trial grows its state by 1 to IDENTITY_BLOCKS blocks;
+zero blocks in front pad it to IDENTITY_BLOCKS, so that its group is its
+block dims alone, and a state grown by zeros keeps its bits
+(``_draw_identity_trial``).  Scalar draws go through ``_uniform`` and
+``_integer``, which give the numbers and generator states of
+``Generator.uniform`` and ``Generator.integers`` for about a third of
+their call cost.
+``techn`` stays a scalar loop: its bisection and its bounds use
 ``math.log``, and ``np.log`` rounds differently on some inputs, which could
 flip a comparison.
 """
@@ -42,7 +49,13 @@ from .geometries import (
 )
 from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates, run_rows
 from .problems import NoiseKind, NoiseModel, Problem
-from .psd_linalg import psd_from_draws, psd_power, random_psd_draws, trace_log_psd
+from .psd_linalg import (
+    psd_from_draws,
+    psd_power,
+    random_psd_draws,
+    trace_log_and_inverse,
+    trace_log_psd,
+)
 
 TOL_ALGEBRAIC = 1e-8  # identities and single-matrix trace inequalities
 TOL_PATHWISE = 1e-6  # inequalities accumulated over a whole trajectory
@@ -50,6 +63,7 @@ DIM_RANGE = (1, 8)  # matrix dims drawn by the single-matrix trace audits
 # Bytes of array data the one-shot audits draw ahead of their evaluation:
 # a chunk of trials ends once its draws hold this much (at least one trial)
 DRAW_CHUNK_BYTES = 512 * 1024
+IDENTITY_BLOCKS = 4  # the most blocks an identity trial grows its state by
 
 
 @dataclass
@@ -100,19 +114,23 @@ def _trial_groups(trials, rng, draw):
     Trials are drawn in chunks, and a chunk ends once its draws hold
     DRAW_CHUNK_BYTES of array data (a float counts 8 bytes), so it holds at
     least one trial and less than the budget plus one trial's draws.  The
-    budget counts bytes, not trials, because a trial's draws range from a
-    few floats and a small block (an identity trial) to a 32 x 32 probe
-    (Muon or Shampoo sub-additivity): a trial count that bounds the memory
-    of the large draws leaves the small ones at a few trials per stacked
-    call.  A group's draws are let go as soon as they are stacked.
+    inputs of one key are alike in shape, so a key's bytes per trial are
+    counted once, from its first trial.  The budget counts bytes, not
+    trials, because a trial's draws range from a few floats and a few small
+    blocks (an identity trial) to a 32 x 32 probe (Muon or Shampoo
+    sub-additivity): a trial count that bounds the memory of the large
+    draws leaves the small ones at a few trials per stacked call.  A
+    group's draws are let go as soon as they are stacked.
     """
-    t = 0
+    t, nbytes = 0, {}  # nbytes: the bytes of one trial's draws, per key
     while t < trials:
         groups, held = {}, 0
         while held < DRAW_CHUNK_BYTES and t < trials:
             key, inputs = draw(t, rng)
             groups.setdefault(key, []).append((t, inputs))
-            held += sum(getattr(x, "nbytes", 8) for x in inputs)
+            if key not in nbytes:
+                nbytes[key] = sum(getattr(x, "nbytes", 8) for x in inputs)
+            held += nbytes[key]
             t += 1
         for key in list(groups):
             numbers, inputs = zip(*groups.pop(key))
@@ -120,12 +138,36 @@ def _trial_groups(trials, rng, draw):
             yield np.array(numbers), key, inputs
 
 
+def _uniform(rng, low, high):
+    """One draw of ``rng.uniform(low, high)``: numpy's own formula for it,
+    on ``rng.random()``, so the same bits and the same generator state,
+    without the argument checks that make a scalar ``uniform`` call cost
+    about three ``random`` calls."""
+    return low + (high - low) * rng.random()
+
+
+def _integer(rng, low, high):
+    """One draw of ``int(rng.integers(low, high))`` for high - low >= 2:
+    numpy's own algorithm for it (Lemire's multiply-and-reject on the bit
+    generator's 32-bit draws, through its ctypes interface), so the same
+    number and the same generator state, without the argument checks that
+    make a scalar ``integers`` call cost about three ``random`` calls."""
+    bits = rng.bit_generator.ctypes
+    n = high - low
+    m = bits.next_uint32(bits.state) * n
+    if (m & 0xFFFFFFFF) < n:
+        threshold = (0x100000000 - n) % n
+        while (m & 0xFFFFFFFF) < threshold:
+            m = bits.next_uint32(bits.state) * n
+    return low + (m >> 32)
+
+
 def _draw_psd_pair(t, rng):
     """A dim d and the draws of two scaled random PSD d x d matrices A and B."""
-    d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
+    d = _integer(rng, DIM_RANGE[0], DIM_RANGE[1] + 1)
     return d, (
-        *random_psd_draws(d, 10.0 ** rng.uniform(0, 3), rng), 10.0 ** rng.uniform(-1, 1),
-        *random_psd_draws(d, 10.0 ** rng.uniform(0, 3), rng), 10.0 ** rng.uniform(-1, 1),
+        *random_psd_draws(d, 10.0 ** _uniform(rng, 0, 3), rng), 10.0 ** _uniform(rng, -1, 1),
+        *random_psd_draws(d, 10.0 ** _uniform(rng, 0, 3), rng), 10.0 ** _uniform(rng, -1, 1),
     )
 
 
@@ -170,10 +212,11 @@ def audit_log_increment(trials=1000, seed=0) -> AuditReport:
     slacks = np.empty((trials, 2))
     for t, A, B in _psd_pairs(trials, seed):
         B[t % 50 == 0] = 0.0
-        S = A + B
-        mid = trace_log_psd(S) - trace_log_psd(A)
-        low = _trace(psd_power(S, -1.0) @ B)
-        high = _trace(psd_power(A, -1.0) @ B)
+        log_s, inv_s = trace_log_and_inverse(A + B)
+        log_a, inv_a = trace_log_and_inverse(A)
+        mid = log_s - log_a
+        low = _trace(inv_s @ B)
+        high = _trace(inv_a @ B)
         scale = 1.0 + np.abs(low) + np.abs(mid) + np.abs(high)
         slacks[t, 0] = (mid - low) / scale
         slacks[t, 1] = (high - mid) / scale
@@ -186,10 +229,10 @@ def audit_log_increment(trials=1000, seed=0) -> AuditReport:
 def _draw_spectral(t, rng):
     """A dim d, the draws of a scaled random PSD d x d matrix, and on every
     25th trial the scale c of the witness c I that replaces it (else 0)."""
-    d = int(rng.integers(DIM_RANGE[0], DIM_RANGE[1] + 1))
-    normals, log_eigs = random_psd_draws(d, 10.0 ** rng.uniform(0, 4), rng)
-    scale = 10.0 ** rng.uniform(-2, 2)
-    return d, (normals, log_eigs, scale, 10.0 ** rng.uniform(-2, 2) if t % 25 == 0 else 0.0)
+    d = _integer(rng, DIM_RANGE[0], DIM_RANGE[1] + 1)
+    normals, log_eigs = random_psd_draws(d, 10.0 ** _uniform(rng, 0, 4), rng)
+    scale = 10.0 ** _uniform(rng, -2, 2)
+    return d, (normals, log_eigs, scale, 10.0 ** _uniform(rng, -2, 2) if t % 25 == 0 else 0.0)
 
 
 def audit_spectral_log(trials=1000, seed=0) -> AuditReport:
@@ -237,9 +280,9 @@ def audit_techn(trials=1000, seed=0) -> AuditReport:
     rng = np.random.default_rng(seed)
     slacks = []
     for t in range(trials):
-        c = math.e if t == 0 else float(np.exp(rng.uniform(1.0, math.log(1e3))))
+        c = math.e if t == 0 else float(np.exp(_uniform(rng, 1.0, math.log(1e3))))
         r1, r2 = _techn_feasible_interval(c)
-        tt = r2 if t % 10 == 0 else float(rng.uniform(r1, r2))
+        tt = r2 if t % 10 == 0 else _uniform(rng, r1, r2)
         bound = 2.0 * c * math.log(2.0 * c)
         slacks.append((bound - tt) / (1.0 + bound))
     return _report("techn", trials, TOL_ALGEBRAIC, f"seed={seed}", slack=slacks)
@@ -252,21 +295,27 @@ def audit_techn(trials=1000, seed=0) -> AuditReport:
 
 def _random_dims(geometry: Geometry, rng) -> tuple[int, int]:
     """The (rows, cols) of a random block of geometry."""
-    n = int(rng.integers(1, 9))
-    m = 1 if geometry in VECTOR_ONLY else int(rng.integers(1, 5))
+    n = _integer(rng, 1, 9)
+    m = 1 if geometry in VECTOR_ONLY else _integer(rng, 1, 5)
     return n, m
 
 
 def _draw_identity_trial(geometry, t, rng):
-    """Block dims, varsigma, and the 1-4 blocks that grow the state from
-    varsigma * I, the last of them the probe V; grouped by dims and count."""
+    """Block dims, varsigma, and the IDENTITY_BLOCKS blocks that grow the
+    state from varsigma * I, the last of them the probe V; grouped by dims.
+
+    A trial draws 1 to IDENTITY_BLOCKS blocks and is padded at the front
+    with zero blocks up to IDENTITY_BLOCKS, so that trials of one dims but
+    of different counts share a group and the probe stays last.  lmap(0)
+    is zero in all five geometries, and adding +0.0 to a state's entries
+    leaves their bits, so the state after the padding is varsigma * I
+    exactly, and every later state keeps the bits it has without padding.
+    """
     dims = _random_dims(geometry, rng)
-    varsigma = 10.0 ** rng.uniform(-1, 1)
-    Vs = [
-        10.0 ** rng.uniform(-1, 1) * rng.standard_normal(dims)
-        for _ in range(int(rng.integers(0, 4)) + 1)
-    ]
-    return (dims, len(Vs)), (varsigma, *Vs)
+    varsigma = 10.0 ** _uniform(rng, -1, 1)
+    count = _integer(rng, 0, IDENTITY_BLOCKS) + 1
+    Vs = [10.0 ** _uniform(rng, -1, 1) * rng.standard_normal(dims) for _ in range(count)]
+    return dims, (varsigma, *[np.zeros(dims)] * (IDENTITY_BLOCKS - count), *Vs)
 
 
 def _rel_gap(a, b):
@@ -284,7 +333,7 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
     """
     r1, r2, rc = np.empty(trials), np.empty(trials), np.empty(trials)
     draw = partial(_draw_identity_trial, geometry)
-    for t, (dims, _), (varsigma, *Vs) in _trial_groups(trials, np.random.default_rng(seed), draw):
+    for t, dims, (varsigma, *Vs) in _trial_groups(trials, np.random.default_rng(seed), draw):
         shape = BlockShape(*dims, geometry)
         state = geom_init(shape, varsigma, lead=varsigma.shape)
         for V in Vs:
@@ -308,11 +357,11 @@ def audit_structural_identities(geometry: Geometry, trials=500, seed=0) -> list[
 
 def _draw_subadditivity_trial(geometry, t, rng):
     """Block dims, U, V (U itself on every 10th trial) and the draws of the
-    random PSD probe W; grouped by dims."""
+    random PSD probe W; grouped by dims.  U and V come from one draw of two
+    blocks, which gives the normals two draws of one block give."""
     dims = _random_dims(geometry, rng)
-    U = rng.standard_normal(dims)
-    V = U if t % 10 == 0 else rng.standard_normal(dims)
-    return dims, (U, V, *random_psd_draws(dims[0] * dims[1], 10.0 ** rng.uniform(0, 2), rng))
+    U, V = (rng.standard_normal(dims),) * 2 if t % 10 == 0 else rng.standard_normal((2, *dims))
+    return dims, (U, V, *random_psd_draws(dims[0] * dims[1], 10.0 ** _uniform(rng, 0, 2), rng))
 
 
 def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> AuditReport:

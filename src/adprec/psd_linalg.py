@@ -2,12 +2,13 @@
 
 Every function here except ``random_psd`` and ``random_psd_draws`` also
 takes a stack of matrices (leading axes): ``sym``, ``eigh_clamped``,
-``psd_power``, ``trace_log_psd``, ``svd_factors``, ``polar``, ``msign``,
-``nuclear_norm`` and ``psd_from_draws``.  Those that factorize do so with
-one stacked LAPACK call.  Item i of the result equals the call on matrix i,
-bit for bit, and a stack with a failing item raises what that item alone
-raises.  All functions are pure and factorize their input afresh on every
-call; none of them caches.  Reuse lives with the callers: a geometry state
+``psd_power``, ``trace_log_psd``, ``trace_log_and_inverse``,
+``svd_factors``, ``polar``, ``msign``, ``nuclear_norm`` and
+``psd_from_draws``.  Those that factorize do so with one stacked LAPACK
+call.  Item i of the result equals the call on matrix i, bit for bit, and
+a stack with a failing item raises what that item alone raises.  All
+functions are pure and factorize their input afresh on every call; none
+of them caches.  Reuse lives with the callers: a geometry state
 factorizes itself at most once (see ``geometries``), and one optimizer step
 factorizes each Muon direction block once, with ``svd_factors``, and reads
 its nuclear norm and msign from those factors with ``polar``.  Because the
@@ -91,14 +92,34 @@ def psd_power(M, p):
         _require_positive(w, f"matrix power {p}")
     else:
         w = np.clip(w, 0.0, None)
+    return _power(w, Q, p)
+
+
+def _power(w, Q, p):
+    """``Q diag(w**p) Q.T``, per matrix of a stack."""
     return (Q * (w**p)[..., None, :]) @ Q.mT
+
+
+def _trace_log(w):
+    """The sum of log w, per row of a stack of eigenvalue rows."""
+    return np.add.reduce(np.log(w), axis=-1)
 
 
 def trace_log_psd(M):
     """``tr(log M)`` (= log det M) for a symmetric positive definite M."""
     w, _ = eigh_clamped(M)
     _require_positive(w, "tr(log M)")
-    return np.add.reduce(np.log(w), axis=-1)
+    return _trace_log(w)
+
+
+def trace_log_and_inverse(M):
+    """``(tr(log M), M**-1)`` for a symmetric positive definite M, from one
+    eigendecomposition: the bits of ``trace_log_psd(M)`` and
+    ``psd_power(M, -1.0)``, which factorize M once each.  A matrix that is
+    not positive definite raises what ``trace_log_psd`` raises."""
+    w, Q = eigh_clamped(M)
+    _require_positive(w, "tr(log M)")
+    return _trace_log(w), _power(w, Q, -1.0)
 
 
 def svd_factors(G):

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 from dataclasses import replace
@@ -25,10 +26,19 @@ from adprec.audit import (
     path_potential_slacks,
     theory_exponent,
 )
-from adprec.block_space import BlockShape, Geometry
+from adprec.block_space import VECTOR_ONLY, BlockShape, Geometry, squared
+from adprec.bounds import KAPPA_CIRC, m2_eta_limit
 from adprec.cli import load_experiment
-from adprec.bounds import m2_eta_limit
 from adprec.errors import InvalidConfig, NonFiniteIterate
+from adprec.geometries import (
+    geom_accumulate,
+    geom_diagnostics,
+    geom_dual_norm,
+    geom_init,
+    geom_lmap_trace,
+    geom_precondition,
+    geom_selector,
+)
 from adprec.optimizer import MomentumMode, OptimizerConfig, run_replicates, run_trajectory
 from adprec.problems import NoiseKind, NoiseModel, make_problem
 
@@ -161,9 +171,127 @@ def test_stacked_audits_give_the_bits_of_one_trial_per_chunk(monkeypatch, name):
     assert default and arrays == default
 
 
+def identity_slacks_one_trial_at_a_time(geometry, trials, seed):
+    """The three slack arrays of audit_structural_identities from a loop
+    over single blocks: each trial grows its state by the blocks it draws
+    alone, with no zero padding and no stacking."""
+    rng = np.random.default_rng(seed)
+    r1, r2, rc = [], [], []
+    for _ in range(trials):
+        n = int(rng.integers(1, 9))
+        m = 1 if geometry in VECTOR_ONLY else int(rng.integers(1, 5))
+        shape = BlockShape(n, m, geometry)
+        state = geom_init(shape, 10.0 ** rng.uniform(-1, 1))
+        for _ in range(int(rng.integers(0, 4)) + 1):
+            V = 10.0 ** rng.uniform(-1, 1) * rng.standard_normal((n, m))
+            tr_l = geom_lmap_trace(shape, V)
+            state = geom_accumulate(shape, state, V, tr_l)
+        Z = geom_precondition(shape, state, V)
+        zn = geom_dual_norm(shape, Z)
+        diag = geom_diagnostics(shape, state, V, tr_l)
+        lhs1 = zn * np.add.reduce(V * geom_selector(shape, Z, zn), axis=(-2, -1))
+        r1.append(audit.TOL_ALGEBRAIC - audit._rel_gap(lhs1, diag.weighted_invsqrt))
+        r2.append(audit.TOL_ALGEBRAIC - audit._rel_gap(zn * zn, diag.weighted_inv))
+        dual_sq = squared(geom_dual_norm(shape, V))
+        rc.append((KAPPA_CIRC**2 * tr_l - dual_sq) / np.maximum(1.0, dual_sq))
+    return [np.array(r).tobytes() for r in (r1, r2, rc)]
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+@pytest.mark.parametrize("geometry", list(Geometry))
+def test_identity_audits_give_the_bits_of_a_per_trial_loop(monkeypatch, geometry, seed):
+    # the audit pads each trial's blocks at the front with zeros and stacks
+    # trials of one dims; a state grown by zero blocks first keeps its bits
+    arrays = []
+    report = audit._report
+
+    def captured(*args, **slacks):
+        arrays.append(np.asarray(slacks["slack"], dtype=float).tobytes())
+        return report(*args, **slacks)
+
+    monkeypatch.setattr(audit, "_report", captured)
+    audit_structural_identities(geometry, trials=60, seed=seed)
+    assert arrays == identity_slacks_one_trial_at_a_time(geometry, 60, seed)
+
+
+# the (low, high) of every scalar uniform draw in audit.py, by the source
+# text of its arguments; techn's (r1, r2) at its first c = e, which is also
+# the low end of the range it draws c from, at c = 30 and at the high end
+TECHN_INTERVALS = [audit._techn_feasible_interval(c) for c in (math.e, 30.0, 1e3)]
+UNIFORM_ARGS = {
+    "rng, 0, 3": [(0, 3)],
+    "rng, -1, 1": [(-1, 1)],
+    "rng, 0, 4": [(0, 4)],
+    "rng, -2, 2": [(-2, 2)],
+    "rng, 0, 2": [(0, 2)],
+    "rng, 1.0, math.log(1e3)": [(1.0, math.log(1e3))],
+    "rng, r1, r2": TECHN_INTERVALS,
+}
+
+
+# the same for every scalar integer draw
+INTEGER_ARGS = {
+    "rng, DIM_RANGE[0], DIM_RANGE[1] + 1": [(audit.DIM_RANGE[0], audit.DIM_RANGE[1] + 1)],
+    "rng, 1, 9": [(1, 9)],
+    "rng, 1, 5": [(1, 5)],
+    "rng, 0, IDENTITY_BLOCKS": [(0, audit.IDENTITY_BLOCKS)],
+}
+
+
+@pytest.mark.parametrize("helper, method, pinned", [
+    ("_uniform", "uniform", UNIFORM_ARGS), ("_integer", "integers", INTEGER_ARGS)
+])
+def test_every_scalar_draw_of_the_audits_is_pinned(helper, method, pinned):
+    source = Path(audit.__file__).read_text()
+    tree = ast.parse(source)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    args = {
+        ", ".join(ast.get_source_segment(source, a) for a in node.args)
+        for node in calls if isinstance(node.func, ast.Name) and node.func.id == helper
+    }
+    assert args == set(pinned)
+    # no scalar draw goes round the helper
+    assert not [n for n in calls if isinstance(n.func, ast.Attribute) and n.func.attr == method]
+
+
+@pytest.mark.parametrize("args", list(UNIFORM_ARGS))
+def test_the_uniform_helper_draws_what_generator_uniform_draws(args):
+    # numpy's own formula: the same bits and the same generator state.  If a
+    # numpy upgrade breaks this, the audits go back to rng.uniform
+    for low, high in UNIFORM_ARGS[args]:
+        a, b = np.random.default_rng(21), np.random.default_rng(21)
+        want = [a.uniform(low, high) for _ in range(10_000)]
+        got = [audit._uniform(b, low, high) for _ in range(10_000)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("args", list(INTEGER_ARGS))
+def test_the_integer_helper_draws_what_generator_integers_draws(args):
+    # numpy's own algorithm on the bit generator's 32-bit draws, which keep
+    # half of a 64-bit draw for the next one: interleaved with the other
+    # kinds of draw, the same numbers and the same generator state
+    for low, high in INTEGER_ARGS[args]:
+        a, b = np.random.default_rng(22), np.random.default_rng(22)
+        want, got = [], []
+        for i in range(10_000):
+            want.append(int(a.integers(low, high)))
+            got.append(audit._integer(b, low, high))
+            if i % 3 == 0:
+                want.append(a.random())
+                got.append(b.random())
+            if i % 7 == 0:
+                want.extend(a.standard_normal(3))
+                got.extend(b.standard_normal(3))
+        assert got == want
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 DRAWS = {
     "psd-pair": audit._draw_psd_pair,
     "identity-AdaNorm": partial(audit._draw_identity_trial, Geometry.ADANORM),
+    "identity-Shampoo": partial(audit._draw_identity_trial, Geometry.SHAMPOO),
+    "subadditivity-AdaNorm": partial(audit._draw_subadditivity_trial, Geometry.ADANORM),
     "subadditivity-Muon": partial(audit._draw_subadditivity_trial, Geometry.MUON),
 }
 

@@ -25,6 +25,7 @@ from adprec.psd_linalg import (
     random_psd,
     random_psd_draws,
     svd_factors,
+    trace_log_and_inverse,
     trace_log_psd,
 )
 
@@ -218,12 +219,16 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
     def calls(G, S):
         return [msign(G), nuclear_norm(G), *polar(*svd_factors(G)),
                 *eigh_clamped(S, floor=0.5), trace_log_psd(S),
-                *(psd_power(S, p) for p in powers)]
+                *(psd_power(S, p) for p in powers), *trace_log_and_inverse(S)]
 
     stacked = calls(G, S)
     for i in range(len(G)):
         for a, b in zip(stacked, calls(G[i], S[i])):
             np.testing.assert_array_equal(a[i], b)
+    # one factorization gives the bits of the two calls that make one each
+    log_s, inv_s = trace_log_and_inverse(S)
+    np.testing.assert_array_equal(log_s, trace_log_psd(S))
+    np.testing.assert_array_equal(inv_s, psd_power(S, -1.0))
     # the finish of random_psd: item i is random_psd on draw i's generator state
     for d in (1, 8):
         draws = [random_psd_draws(d, 50.0, np.random.default_rng(s)) for s in range(3)]
@@ -233,7 +238,8 @@ def test_stacked_calls_equal_per_matrix_calls(dims):
     # a stack whose item 2 (and 3) is singular raises what item 2 alone raises
     S[2] = 0.0
     S[3] = -np.eye(n)
-    for f in (trace_log_psd, *(lambda M, p=p: psd_power(M, p) for p in powers[:2])):
+    powers_of = (lambda M, p=p: psd_power(M, p) for p in powers[:2])
+    for f in (trace_log_psd, trace_log_and_inverse, *powers_of):
         with pytest.raises(NonPositiveDefinite) as alone:
             f(S[2])
         with pytest.raises(NonPositiveDefinite) as stack:
