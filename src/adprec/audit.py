@@ -372,9 +372,11 @@ def audit_subadditivity_constants(geometry: Geometry, trials=1000, seed=0) -> Au
     for t, dims, (U, V, *w) in _trial_groups(trials, np.random.default_rng(seed), draw):
         shape = BlockShape(*dims, geometry)
         W = psd_from_draws(*w)
-        for out, X in ((a, U), (b, V), (c, U + V)):
-            out[t] = np.add.reduce(W * geom_lmap_matrix(shape, X), axis=(-2, -1))
-        tr_u[t] = geom_lmap_trace(shape, U)
+        blocks = (U, V, U + V)
+        traces = [geom_lmap_trace(shape, X) for X in blocks]
+        for out, X, tl in zip((a, b, c), blocks, traces):
+            out[t] = np.add.reduce(W * geom_lmap_matrix(shape, X, tl), axis=(-2, -1))
+        tr_u[t] = traces[0]
         du[t] = squared(geom_dual_norm(shape, U))
     slacks = (bounds.KAPPA_BOX * (a + b) - c) / (1.0 + np.abs(a) + np.abs(b) + np.abs(c))
     box_est = np.max(np.divide(c, a + b, out=np.zeros(trials), where=a + b > 0), initial=0.0)
@@ -435,13 +437,13 @@ def _replicates(name, context, problem, noise, config, R=1):
 
 
 def audit_path_potentials(
-    problem: Problem, rows: dict[str, NoiseModel], config: OptimizerConfig
+    problem: Problem, rows: dict[str, tuple[NoiseModel, int]], config: OptimizerConfig
 ) -> list[AuditReport]:
     """One report `path-potentials[label]` over all three potential
-    inequalities per labelled noise model of rows.  The models run as the
-    rows of one stack (``run_rows``), and the r-th model's report, with its
-    label as context, is the one it gives alone at seed config.seed + r.
-    A non-finite row is ``_failed``."""
+    inequalities per labelled (noise, seed) of rows, in rows' order.  The
+    rows run as one stack (``run_rows``), and each report, with its label
+    as context, is the one its row gives alone.  A non-finite row is
+    ``_failed``."""
     reports = []
     for label, run in zip(rows, run_rows(problem, list(rows.values()), config)):
         name = f"path-potentials[{label}]"

@@ -310,14 +310,15 @@ def geom_lmap_trace(shape: BlockShape, V, factor=None):
     return np.add.reduce(V * V, axis=(-2, -1))
 
 
-def geom_lmap_matrix(shape: BlockShape, V) -> np.ndarray:
+def geom_lmap_matrix(shape: BlockShape, V, lmap_trace) -> np.ndarray:
     """Materialize lmap(V) as a dense d x d matrix, per block of a stack
-    (audit cross-checks only)."""
+    (audit cross-checks only).  lmap_trace is ``geom_lmap_trace(shape, V)``,
+    which the isotropic variants spread over the diagonal."""
     _check_block(shape, V)
     g = shape.geometry
     d = shape.dim
     if g in (Geometry.ADANORM, Geometry.MUON):
-        return (geom_lmap_trace(shape, V) / d)[..., None, None] * np.eye(d)
+        return (lmap_trace / d)[..., None, None] * np.eye(d)
     if g is Geometry.DIAG_ADAGRAD:
         out = np.zeros(V.shape[:-2] + (d, d))
         out[..., range(d), range(d)] = V[..., 0] ** 2

@@ -49,8 +49,8 @@ case.
 
 Each row of a stack is a spec, ``_Row(noise, seed)``, and draws from its
 own seed.  ``run_trajectory`` runs one row at seed, ``run_replicates`` R
-rows of one model at seed + r, and ``run_rows`` different models at
-seed + r, such as the exact and the noisy run of one space.  Rows that
+rows of one model at seed + r, and ``run_rows`` the (noise, seed) pairs it
+is given, such as the exact and the noisy run of one space.  Rows that
 share a model draw their Gtilde as one sub-stack; exact rows keep the
 exact gradient.  A row that turns non-finite stops the stack at once, and
 the caller reruns the rows it still needs from their specs, which gives
@@ -481,14 +481,13 @@ def _row_index(idx, R: int):
 
 def _sampling_plan(specs: Sequence[_Row], K: int, dim: int):
     """How the oracle draws the rows specs over K steps in a space of
-    dimension dim: a list of (model, rows, draws), where each row draws from
-    a Generator seeded by its spec.  One row's one entry draws from its
-    Generator.  A stack whose rows share one model has one entry with rows
-    None and draws the ``NormalStreams`` of all rows.  Otherwise there is
-    one entry per noisy model, in order of its first row, with its rows
-    (``_row_index``) and their streams; exact rows keep the exact gradient
-    and have no entry.  Each stream is told the most normals its model
-    reads in the run, so that no row draws more."""
+    dimension dim: a list of (model, rows, streams), whose streams
+    (``NormalStreams``) read one Generator per row, seeded by its spec.
+    Rows that all share one model, one row included, have one entry with
+    rows None.  Otherwise there is one entry per noisy model, in order of
+    its first row, with its rows (``_row_index``); exact rows keep the exact
+    gradient and have no entry.  Each stream is told the most normals its
+    model reads in the run, so that no row draws more."""
     models = list(dict.fromkeys(spec.noise for spec in specs))
     plan = []
     for model in models:
@@ -496,8 +495,8 @@ def _sampling_plan(specs: Sequence[_Row], K: int, dim: int):
             continue
         idx = [r for r, spec in enumerate(specs) if spec.noise == model]
         rngs = [np.random.default_rng(specs[r].seed) for r in idx]
-        draws = NormalStreams(rngs, K * model.normals_per_step(dim)) if len(specs) > 1 else rngs[0]
-        plan.append((model, _row_index(idx, len(specs)), draws))
+        streams = NormalStreams(rngs, K * model.normals_per_step(dim))
+        plan.append((model, _row_index(idx, len(specs)), streams))
     return plan
 
 
@@ -508,15 +507,15 @@ def _oracle(problem: Problem, plan, X: ProductPoint, k: int, z_prev_norms, G: Pr
     rows no entry draws for keep G."""
     if not plan:
         return G
-    noise, rows, draws = plan[0]
+    noise, rows, streams = plan[0]
     if rows is None:
-        return sample_gradient(problem, noise, X, k, draws, z_prev_norms=z_prev_norms, exact_grad=G)
+        return sample_gradient(problem, noise, X, k, streams, z_prev_norms=z_prev_norms, exact_grad=G)
     blocks = [np.copy(b) for b in G.blocks]
-    for noise, rows, draws in plan:
+    for noise, rows, streams in plan:
         z_prev = None if z_prev_norms is None else [z[rows] for z in z_prev_norms]
         sub = sample_gradient(
             problem, noise, _take(X, rows) if noise.kind is NoiseKind.MINI_BATCH else None,
-            k, draws, z_prev_norms=z_prev, exact_grad=_take(G, rows),
+            k, streams, z_prev_norms=z_prev, exact_grad=_take(G, rows),
         )
         for b, s in zip(blocks, sub.blocks):
             b[rows] = s
@@ -560,9 +559,9 @@ def _drive(problem: Problem, specs: Sequence[_Row], config: OptimizerConfig) -> 
     """
     shapes = problem.shapes
     K, R = config.max_iters, len(specs)
-    # One replicate runs on the point itself, without the replicate axis: its
-    # per-replicate values are then numpy scalars, whose arithmetic is several
-    # times cheaper than that of one-element arrays.
+    # One replicate runs on the point itself, without the replicate axis: the
+    # solo run that the stack tests compare each row with.  It is no faster
+    # per step than a stack of one (README's adprec.optimizer entry).
     lead = (R,) if R > 1 else ()
     X = ProductPoint([np.broadcast_to(b, lead + b.shape).copy() for b in problem.x0.blocks])
     states = [geom_init(s, config.varsigma, lead=lead) for s in shapes]
@@ -741,19 +740,19 @@ def run_replicates(
 
 def run_rows(
     problem: Problem,
-    noises: Sequence[NoiseModel],
+    rows: Sequence[tuple[NoiseModel, int]],
     config: OptimizerConfig,
 ) -> list[ReplicateResult | NonFiniteIterate]:
-    """Run row r with noises[r] from seed config.seed + r and return per row
-    what ``run_replicates`` gives for that model and seed at R = 1: its
+    """Run each (noise, seed) of rows, not config.seed, and return per row
+    what ``run_replicates`` gives for that model at that seed at R = 1: its
     ReplicateResult, or the NonFiniteIterate it raises.
 
     Each row is a spec of its model and its seed, and all rows run as one
-    stack, in which every row rounds as it does alone.  A row that fails
-    stops the stack; it gets its error, and all the other rows rerun from
-    their specs as one stack, until a stack runs to the end.
+    stack, in which every row rounds as it does alone, wherever it is.  A
+    row that fails stops the stack; it gets its error, and all the other
+    rows rerun from their specs as one stack, until a stack runs to the end.
     """
-    specs = [_Row(noise, config.seed + r) for r, noise in enumerate(noises)]
+    specs = [_Row(noise, seed) for noise, seed in rows]
     results = [None] * len(specs)
     todo = list(range(len(specs)))  # the rows without a result, in order
     while todo:

@@ -5,12 +5,11 @@ Problems are immutable after construction.  Objectives, gradients and the
 oracle take one point or a stack of R points (see ``ProductPoint``) and
 answer per point; each stacked product is a stack of the products one point
 makes (``np.matmul`` over a leading axis, ``np.vecdot`` for a dot), so point
-r of a stack gets the same bits as point r alone.  Oracles draw from
-caller-supplied numpy Generators, one stream per trajectory: the oracle of
-one point from its Generator, that of a stack from a ``NormalStreams``,
-which reads each row's own Generator in chunks of NORMAL_CHUNK normals, so
-a step's draw for the whole stack is one slice of a buffer.  There is no
-hidden global RNG anywhere in the package.
+r of a stack gets the same bits as point r alone.  The oracle draws from a
+caller-supplied ``NormalStreams``, one row per point and trajectory, one
+point included, which reads each row's own Generator in chunks of
+NORMAL_CHUNK normals, so a step's draw for the whole stack is one slice of
+a buffer.  There is no hidden global RNG anywhere in the package.
 """
 
 from __future__ import annotations
@@ -332,7 +331,8 @@ NORMAL_CHUNK = 1024
 
 
 class NormalStreams:
-    """The standard normal streams of R Generators, one per row of a stack.
+    """The standard normal streams of R Generators, one per point the
+    oracle draws for: per row of a stack, or one for one point.
 
     ``read(n)`` gives each row the next n numbers of its own Generator's
     ``standard_normal`` stream: the stream of n + m numbers is that of n
@@ -393,53 +393,43 @@ def _block_noise(noise: NoiseModel, shapes: tuple[BlockShape, ...]):
     return per_block, total_dim(shapes)
 
 
-def _normals(rng, n, rows=None) -> np.ndarray:
-    """The next n standard normals of a Generator, (n,), or of each row of
-    a NormalStreams, (R, n); rows as in ``NormalStreams.read``."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(n)
-    return rng.read(n, rows)
-
-
 def sample_gradient(
     problem: Problem,
     noise: NoiseModel,
     X: ProductPoint | None,
     k: int,
-    rng,
+    streams: NormalStreams,
     z_prev_norms=None,
     exact_grad: ProductPoint | None = None,
 ) -> ProductPoint:
     """Draw an unbiased gradient estimate at iterate X, iteration k.
 
-    X is one point, with rng a numpy Generator, or a stack of R points, with
-    rng a ``NormalStreams`` of R rows: point r draws from row r's Generator
-    exactly what it would draw alone, block by block in block order (an
-    additive draw reads all blocks at once, the same numbers).  z_prev_norms
-    are the block dual norms of the previous preconditioned step Z_{k-1}
-    (one value, or one per point, per block; None before the first step);
-    only AdditivePlusMultiplicative noise reads them.  The caller may pass
-    the already-computed exact gradient to avoid a second evaluation; X may
-    then be None unless the oracle is MiniBatch, which reads X itself.  Noise
-    is Gaussian per entry; per-entry standard deviations are scaled by
-    1/sqrt(d_l) so the *block* dual-norm variance matches the model on
-    Euclidean/Frobenius blocks (for nuclear-norm blocks the bound holds up
-    to the rank factor).
+    X is one point or a stack of R points, and streams has one row per
+    point, one for one point: point r draws from row r's Generator exactly
+    what it would draw alone, block by block in block order (an additive
+    draw reads all blocks at once, the same numbers), and its draw has the
+    point's own leading shape.  z_prev_norms are the block dual norms of the
+    previous preconditioned step Z_{k-1} (one value, or one per point, per
+    block; None before the first step); only AdditivePlusMultiplicative
+    noise reads them.  The caller may pass the already-computed exact
+    gradient to avoid a second evaluation; X may then be None unless the
+    oracle is MiniBatch, which reads X itself.  Noise is Gaussian per entry;
+    per-entry standard deviations are scaled by 1/sqrt(d_l) so the *block*
+    dual-norm variance matches the model on Euclidean/Frobenius blocks (for
+    nuclear-norm blocks the bound holds up to the rank factor).
     """
     shapes = problem.shapes
     reads_x = exact_grad is None or noise.kind is NoiseKind.MINI_BATCH
-    check_point_matches(X if reads_x else exact_grad, shapes)
+    point = X if reads_x else exact_grad
+    check_point_matches(point, shapes)
+    lead = point.blocks[0].shape[:-2]
 
     if noise.kind is NoiseKind.MINI_BATCH:
         if problem.component_grad is None:
             raise InvalidConfig(f"problem {problem.name!r} has no component gradients")
         b = min(noise.batch, problem.num_components)
-        if isinstance(rng, np.random.Generator):
-            idx = rng.choice(problem.num_components, size=b, replace=False)
-        else:
-            idx = np.stack([g.choice(problem.num_components, size=b, replace=False)
-                            for g in rng.rngs])
-        return problem.component_grad(X, idx)
+        idx = [g.choice(problem.num_components, size=b, replace=False) for g in streams.rngs]
+        return problem.component_grad(X, np.reshape(idx, lead + (b,)))
 
     G = exact_grad if exact_grad is not None else problem.eval_grad(X)
     if noise.kind is NoiseKind.EXACT:
@@ -450,23 +440,22 @@ def sample_gradient(
         decay = (k + 1) ** (noise.alpha / 2.0)
     except OverflowError:  # the variance sigma**2 / (k+1)**alpha underflows to 0
         decay = np.inf
-    lead = G.blocks[0].shape[:-2]
     # multiplicative draws follow their block's additive one, so only an
     # additive-only draw reads every block at once
     multiplicative = noise.omega > 0.0 and z_prev_norms is not None
     if not multiplicative:
-        flat = _normals(rng, N)
+        flat = streams.read(N)
     blocks, off = [], 0
     for ell, (G_l, (s_l, sqrt_d, d, rc)) in enumerate(zip(G.blocks, per_block)):
         std = s_l / (decay * sqrt_d)
-        normals = _normals(rng, d) if multiplicative else flat[..., off : off + d]
+        normals = streams.read(d) if multiplicative else flat[:, off : off + d]
         off += d
         B = G_l + std * normals.reshape(lead + rc)
         if multiplicative:
             zn = np.reshape(z_prev_norms[ell], lead)
             moved = zn > 0.0
             if moved.any():
-                extra = _normals(rng, d, rows=moved.reshape(-1)).reshape(lead + rc)
+                extra = streams.read(d, rows=moved.reshape(-1)).reshape(lead + rc)
                 coef = (noise.omega * zn / sqrt_d)[..., None, None]
                 B = np.where(moved[..., None, None], B + coef * extra, B)
         blocks.append(B)

@@ -114,20 +114,14 @@ def potential_configurations(K=500, seed=0):
     return out
 
 
-def _potential_pair(problem, exact, exact_noise, noisy, noisy_noise, cfg):
-    """[exact report, noisy report] of one space's two runs, which share its
-    problem and config: one two-row stack, with the noisy run in row 0 so
-    that it keeps the seed."""
-    rows = {noisy: noisy_noise, exact: exact_noise}
-    noisy_report, exact_report = audit_path_potentials(problem, rows, cfg)
-    return [exact_report, noisy_report]
-
-
 def _potentials_tasks(trials=0, seed=0, K=500):
+    # one space's exact and noisy run share its problem and config, and run
+    # as one two-row stack, each row at the config's seed
     runs = potential_configurations(K=K, seed=seed)
     return [
         (_cost(2 * K, [s.geometry for s in problem.shapes]),
-         partial(_potential_pair, problem, exact, exact_noise, noisy, noisy_noise, cfg))
+         partial(audit_path_potentials, problem,
+                 {exact: (exact_noise, cfg.seed), noisy: (noisy_noise, cfg.seed)}, cfg))
         for (exact, problem, exact_noise, cfg), (noisy, _, noisy_noise, _) in zip(runs[::2], runs[1::2])
     ]
 

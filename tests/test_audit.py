@@ -140,6 +140,27 @@ def test_subadditivity_audits(geometry):
     assert "kappa_box" in rep.context
 
 
+def test_a_muon_subadditivity_group_makes_four_svds(monkeypatch):
+    # the lmap traces of U, V and U + V, each taken once (U's is also
+    # tr(lmap U)), and U's dual norm: four stacked SVDs per group of trials
+    svds, groups = [], []
+    svd, trial_groups = np.linalg.svd, audit._trial_groups
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def counted_groups(*args):
+        for group in trial_groups(*args):
+            groups.append(group[1])
+            yield group
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(audit, "_trial_groups", counted_groups)
+    audit_subadditivity_constants(Geometry.MUON, trials=40, seed=3)
+    assert len(groups) > 1 and len(svds) == 4 * len(groups)
+
+
 # the one-shot audits that stack their trials, by the names they report
 STACKED = {
     "sqrt-trace": audit_sqrt_trace,
@@ -330,7 +351,7 @@ def test_a_chunk_holds_less_than_the_budget_and_one_trial(monkeypatch, name, bud
 
 def test_path_potentials_empty_is_vacuous():
     problem = make_problem("quadratic", DIAG8, seed=0)
-    [rep] = audit_path_potentials(problem, {"": NoiseModel()}, cfg(max_iters=0))
+    [rep] = audit_path_potentials(problem, {"": (NoiseModel(), 0)}, cfg(max_iters=0))
     assert rep.passed and rep.trials == 0
 
 
@@ -370,6 +391,21 @@ def test_potentials_suite_runs_each_space_as_one_stack(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert len(suites.run_suite("potentials", 0, 0, K=5)) == 12
     assert stacks == [2] * 6
+
+
+@pytest.mark.parametrize("space", ["diag", "muon", "mixed"])
+def test_path_potentials_do_not_depend_on_row_order(space):
+    # a space's exact and noisy row give the same reports, in the rows'
+    # order, whichever of them is row 0 of the stack
+    _, kind, shapes = next(s for s in suites._potential_spaces() if s[0] == space)
+    problem = make_problem(kind, shapes, seed=4)
+    noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,) * len(shapes))
+    rows = {"exact": (NoiseModel(), 7), "noisy": (noisy, 7)}
+    config = cfg(max_iters=40, eta=0.5)
+    exact_first = audit_path_potentials(problem, rows, config)
+    noisy_first = audit_path_potentials(problem, dict(reversed(rows.items())), config)
+    assert [r.check_name for r in exact_first] == ["path-potentials[exact]", "path-potentials[noisy]"]
+    assert noisy_first == exact_first[::-1]
 
 
 # -- trajectory bound audits ---------------------------------------------------
@@ -426,7 +462,7 @@ TRAJECTORY_AUDITS = {
         context="lbl",
     )),
     "path-potentials": ("lbl", lambda p: audit_path_potentials(
-        p, {"lbl": NoiseModel()}, cfg(max_iters=10)
+        p, {"lbl": (NoiseModel(), 0)}, cfg(max_iters=10)
     )[0]),
     "rate-regime": ("mode=None beta=0.0", lambda p: audit_rate_regimes(
         p, cfg(max_iters=10), alphas=(1.0,), sigma=0.5, replicates=2
@@ -482,7 +518,7 @@ def test_trajectory_audits_at_zero_iterations():
     m1 = cfg(max_iters=0, momentum_mode=MomentumMode.M1, mu_max=0.5)
     m2 = cfg(max_iters=0, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
     reports = [
-        *audit_path_potentials(problem, {"": NoiseModel()}, cfg(max_iters=0)),
+        *audit_path_potentials(problem, {"": (NoiseModel(), 0)}, cfg(max_iters=0)),
         audit_bounds("master-theta", problem, cfg(max_iters=0)),
         audit_bounds("momentum-m1", problem, m1),
         audit_bounds("m2-deterministic", problem, m2),

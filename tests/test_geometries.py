@@ -226,9 +226,8 @@ def test_lmap_matrix_traces_agree():
     for g in ALL_GEOMETRIES:
         sh = shape_for(g)
         V = random_block(sh, rng)
-        assert float(np.trace(geom_lmap_matrix(sh, V))) == pytest.approx(
-            geom_lmap_trace(sh, V), rel=1e-12
-        )
+        tl = geom_lmap_trace(sh, V)
+        assert float(np.trace(geom_lmap_matrix(sh, V, tl))) == pytest.approx(tl, rel=1e-12)
 
 
 def test_diag_equals_scalar_adanorm_blocks():
@@ -266,7 +265,7 @@ def test_stacked_operations_equal_per_block_operations(geometry):
         Z = geom_precondition(sh, stacked, V)
         zn = geom_dual_norm(sh, Z)
         S = geom_selector(sh, Z, zn)
-        out = [tl, Z, zn, S, geom_step_direction(sh, Z, zn, S), geom_lmap_matrix(sh, V),
+        out = [tl, Z, zn, S, geom_step_direction(sh, Z, zn, S), geom_lmap_matrix(sh, V, tl),
                *vars(geom_diagnostics(sh, stacked, V, tl)).values()]
         for r in range(R):
             tl_r = geom_lmap_trace(sh, V[r])
@@ -275,7 +274,7 @@ def test_stacked_operations_equal_per_block_operations(geometry):
             zn_r = geom_dual_norm(sh, Z_r)
             S_r = geom_selector(sh, Z_r, zn_r)
             expected = [tl_r, Z_r, zn_r, S_r, geom_step_direction(sh, Z_r, zn_r, S_r),
-                        geom_lmap_matrix(sh, V[r]),
+                        geom_lmap_matrix(sh, V[r], tl_r),
                         *vars(geom_diagnostics(sh, alone[r], V[r], tl_r)).values()]
             for got, want in zip(out, expected):
                 np.testing.assert_array_equal(got[r], want)

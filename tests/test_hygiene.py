@@ -363,6 +363,54 @@ def test_step_computes_no_record():
     assert not calls & {"geom_diagnostics", "product_dual_norm_sq"}, calls
 
 
+def attribute_reads(source: str, function: str) -> list[str]:
+    """Every ``name.attr`` read inside the top-level function `function` of
+    `source`, as "name.attr", in source order."""
+    [top] = [node for node in ast.parse(source).body
+             if isinstance(node, DEFINITIONS) and node.name == function]
+    return [f"{node.value.id}.{node.attr}" for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)]
+
+
+def test_attribute_read_detector():
+    src = (
+        "def run_rows(p, rows, config):\n    k = config.max_iters\n"
+        "    return [(n, config.seed + r) for r, n in enumerate(rows)]\n\n"
+        "def other(config):\n    return config.seed\n"
+    )
+    assert attribute_reads(src, "run_rows") == ["config.max_iters", "config.seed"]
+    assert attribute_reads(src, "other") == ["config.seed"]
+
+
+def test_run_rows_reads_no_config_seed():
+    # each row is run at the seed it is given, not at one implied by its place
+    reads = attribute_reads((SRC / "optimizer.py").read_text(), "run_rows")
+    assert "config.seed" not in reads, reads
+
+
+def generator_names(source: str) -> list[str]:
+    """Where `source` names numpy's Generator class, as an attribute
+    (``np.random.Generator``) or a bare name."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "Generator"
+            or isinstance(node, ast.Name) and node.id == "Generator"]
+
+
+def test_generator_name_detector():
+    src = (
+        "import numpy as np\nfrom numpy.random import Generator\n"
+        "def f(rng):\n    return isinstance(rng, np.random.Generator)\n"
+        "def g(x: Generator):\n    return x.rngs\n"
+    )
+    assert generator_names(src) == ["line 4", "line 5"]
+
+
+def test_the_oracle_reads_one_stream_type():
+    # sample_gradient reads a NormalStreams for one point as for a stack, so
+    # problems.py has no branch on a bare Generator
+    assert not generator_names((SRC / "problems.py").read_text())
+
+
 def test_one_record_path():
     # every chunk of steps the trajectory driver records, one step or many,
     # takes one path: the nested record helper of _drive calls the one

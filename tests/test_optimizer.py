@@ -72,10 +72,15 @@ def column(traj, name):
     return np.array([getattr(r, name) for r in traj.records])
 
 
+def seeded(noises, config):
+    """The rows (noises[r], config.seed + r) of run_rows."""
+    return [(noise, config.seed + r) for r, noise in enumerate(noises)]
+
+
 def drive(problem, noises, config):
     """_drive on the rows noises[r] at seed config.seed + r, as run_rows
-    stacks them."""
-    return _drive(problem, [_Row(nz, config.seed + r) for r, nz in enumerate(noises)], config)
+    stacks seeded(noises, config)."""
+    return _drive(problem, [_Row(*row) for row in seeded(noises, config)], config)
 
 
 def step(shapes, X, gtilde, states, M, config, k):
@@ -579,7 +584,7 @@ def assert_rows_are_solo_runs(monkeypatch, problem, noises, config):
         return _drive(problem, rows, config)
 
     monkeypatch.setattr(optimizer, "_drive", counted)
-    rows = run_rows(problem, noises, config)
+    rows = run_rows(problem, seeded(noises, config), config)
     monkeypatch.undo()
     assert sum(stacks) == len(noises)
     for r, (noise, row) in enumerate(zip(noises, rows)):
@@ -623,6 +628,38 @@ def test_rows_sharing_a_model_need_not_be_contiguous(monkeypatch):
     additive = STACK_NOISES["additive"]
     noises = [additive, NoiseModel(), additive, MULTIPLICATIVE]
     assert assert_rows_are_solo_runs(monkeypatch, problem, noises, cfg(max_iters=6, eta=0.4, seed=5)) == 1
+
+
+def assert_rows_equal(a, b):
+    """Two run_rows results have the same columns and final iterate, bit for bit."""
+    for name in _RECORD_FIELDS:
+        np.testing.assert_array_equal(a.arrays[name], b.arrays[name], err_msg=name)
+    for x, y in zip(a.final[0].blocks, b.final[0].blocks):
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("noise", ["additive", "multiplicative", "minibatch"])
+def test_rows_given_one_seed_are_one_run(noise):
+    # a row's draws come from the seed it is given, not from its place: two
+    # rows of one noisy model at one seed, around a row at another, are the
+    # same run, bit for bit, and the row at the other seed is not
+    problem = make_problem("logistic", [BlockShape(*b) for b in STACK_SPACES["muon"][1]], seed=3)
+    noise = STACK_NOISES[noise]
+    config = cfg(max_iters=6, eta=0.4, seed=0)
+    first, other, again = run_rows(problem, [(noise, 9), (noise, 2), (noise, 9)], config)
+    assert_rows_equal(first, again)
+    assert not np.array_equal(first.arrays["gtilde_dual_norm"], other.arrays["gtilde_dual_norm"])
+
+
+def test_an_exact_rows_columns_do_not_depend_on_its_seed():
+    # an exact row draws nothing, so its seed changes none of its bits, in a
+    # stack of its own or beside a noisy row
+    problem = make_problem("logistic", [BlockShape(*b) for b in STACK_SPACES["muon"][1]], seed=3)
+    config = cfg(max_iters=6, eta=0.4, seed=0)
+    additive = STACK_NOISES["additive"]
+    [alone] = run_rows(problem, [(NoiseModel(), 0)], config)
+    for rows in ([(NoiseModel(), 5)], [(additive, 1), (NoiseModel(), 8)]):
+        assert_rows_equal(run_rows(problem, rows, config)[-1], alone)
 
 
 @pytest.mark.parametrize(
@@ -738,16 +775,14 @@ def test_a_nonfinite_row_fails_alone():
     problem = walk_problem(Geometry.DIAG_ADAGRAD)
     noisy = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1e-9)
     config = cfg(max_iters=8, eta=1e307, seed=3, eval_objective=False)
-    rows = {"noisy": noisy, "exact": NoiseModel()}
+    rows = {"noisy": (noisy, 3), "exact": (NoiseModel(), 4)}
     with np.errstate(over="ignore", invalid="ignore"):
         failed, exact = run_rows(problem, list(rows.values()), config)
         reports = audit_path_potentials(problem, rows, config)
         with pytest.raises(NonFiniteIterate) as err:
             run_replicates(problem, noisy, config, 1)
-        alone = [
-            audit_path_potentials(problem, {label: noise}, replace(config, seed=3 + r))[0]
-            for r, (label, noise) in enumerate(rows.items())
-        ]
+        alone = [audit_path_potentials(problem, {label: row}, config)[0]
+                 for label, row in rows.items()]
         solo = run_replicates(problem, NoiseModel(), config, 1)
     assert str(failed) == str(err.value) == "replicate 0 (seed 3): non-finite at iteration 2: iterate"
     for name in _RECORD_FIELDS:
@@ -769,7 +804,7 @@ def test_rows_below_a_failure_read_on_from_their_streams():
         config = cfg(max_iters=8, eta=1e307, seed=seed, eval_objective=False)
         n = len(noises) - 1
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = run_rows(problem, noises, config)
+            rows = run_rows(problem, seeded(noises, config), config)
             solo = [run_replicates(problem, noises[r], replace(config, seed=seed + r), 1)
                     for r in range(n)]
             with pytest.raises(NonFiniteIterate) as err:
@@ -802,7 +837,7 @@ def test_rows_above_each_of_two_failures_rerun_as_their_own_stack(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_drive", counted)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = run_rows(problem, noises, config)
+        rows = run_rows(problem, seeded(noises, config), config)
         monkeypatch.undo()
         solo = {r: run_replicates(problem, noises[r], replace(config, seed=r), 1) for r in (0, 2, 4)}
     assert stacks == [5, 4, 3]
@@ -1063,7 +1098,7 @@ def test_a_record_failure_inside_a_chunk_is_the_stepwise_failure(monkeypatch, k_
         with np.errstate(over="ignore", invalid="ignore"):
             return (
                 drive(problem, noises, config),
-                run_rows(problem, noises, config),
+                run_rows(problem, seeded(noises, config), config),
                 run_trajectory(problem, KICKED, replace(config, seed=5)),
                 [run_trajectory(problem, QUIET, replace(config, seed=3 + r)) for r in range(2)],
             )
@@ -1200,8 +1235,8 @@ def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads
     noisy = STACK_NOISES["additive"]
     if runs == "potentials":
         for _, problem, exact, config in potential_configurations(K=20, seed=3)[::2]:
-            results = run_rows(problem, [replace(noisy, sigma=(0.5,) * len(problem.shapes)),
-                                         exact], config)
+            noises = [replace(noisy, sigma=(0.5,) * len(problem.shapes)), exact]
+            results = run_rows(problem, seeded(noises, config), config)
             assert not any(isinstance(r, NonFiniteIterate) for r in results)
     elif runs == "vec_replicates":
         problem = make_problem(VEC_REPLICATES[0], VEC_REPLICATES[1], seed=3)

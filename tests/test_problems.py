@@ -17,6 +17,11 @@ from adprec.problems import (
 VEC8 = [BlockShape(8, 1, Geometry.DIAG_ADAGRAD)]
 
 
+def stream(seed):
+    """The one-row NormalStreams of default_rng(seed), for one point."""
+    return NormalStreams([np.random.default_rng(seed)])
+
+
 def finite_difference_grad(problem, X, h=1e-6):
     x = X.ravel()
     g = np.empty_like(x)
@@ -96,7 +101,7 @@ def test_unknown_problem_kind():
 
 def test_exact_oracle_returns_gradient():
     problem = make_problem("quadratic", VEC8, seed=0)
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     X = problem.x0
     G = problem.eval_grad(X)
     Gt = sample_gradient(problem, NoiseModel(), X, 0, rng)
@@ -111,7 +116,7 @@ def test_exact_oracle_returns_gradient():
 def test_additive_noise_variance_matches_model():
     problem = make_problem("quadratic", VEC8, seed=0)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=2.0)
-    rng = np.random.default_rng(123)
+    rng = stream(123)
     X = problem.x0
     G = problem.eval_grad(X)
     draws = 10_000
@@ -128,7 +133,7 @@ def test_additive_noise_variance_matches_model():
 def test_unbiasedness():
     problem = make_problem("quadratic", VEC8, seed=0)
     noise = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,), alpha=1.0)
-    rng = np.random.default_rng(7)
+    rng = stream(7)
     X = problem.x0
     G = problem.eval_grad(X)
     draws = 10_000
@@ -148,14 +153,14 @@ def test_multiplicative_noise_uses_previous_z():
     X = problem.x0
     G = problem.eval_grad(X)
     # zero previous step: the multiplicative term vanishes
-    rng = np.random.default_rng(0)
+    rng = stream(0)
     Gt = sample_gradient(problem, noise, X, 0, rng, z_prev_norms=[0.0], exact_grad=G)
     for a, b in zip(G.blocks, Gt.blocks):
         np.testing.assert_array_equal(a, b)
     # nonzero previous step: block variance tracks omega^2 |Z_prev|^2
     z_prev = ProductPoint.from_flat(np.full(8, 0.5), VEC8)
     zn_sq = product_dual_norm_sq(z_prev, VEC8)
-    rng = np.random.default_rng(1)
+    rng = stream(1)
     draws, acc = 10_000, 0.0
     for _ in range(draws):
         Gt = sample_gradient(
@@ -192,7 +197,7 @@ def test_minibatch_average_over_singletons_is_exact():
 def test_minibatch_oracle_draws_subsets():
     problem = make_problem("logistic", VEC8, seed=2, samples=16, reg=0.05)
     noise = NoiseModel(kind=NoiseKind.MINI_BATCH, batch=4)
-    rng = np.random.default_rng(3)
+    rng = stream(3)
     Gt = sample_gradient(problem, noise, problem.x0, 0, rng)
     assert Gt.blocks[0].shape == (8, 1)
     with pytest.raises(InvalidConfig):
@@ -236,7 +241,7 @@ def test_stacked_points_equal_points_alone(kind):
         for got, want in zip(G.blocks, problem.eval_grad(point).blocks):
             np.testing.assert_array_equal(got[r], want)
         for n, draw in zip(noises, draws):
-            alone = sample_gradient(problem, n, point, 2, np.random.default_rng(r),
+            alone = sample_gradient(problem, n, point, 2, stream(r),
                                     z_prev_norms=[z[r] for z in z_prev])
             for got, want in zip(draw.blocks, alone.blocks):
                 np.testing.assert_array_equal(got[r], want)
@@ -264,7 +269,7 @@ def test_every_block_the_program_returns_has_row_major_items(kind):
     ]
     assert {n.kind for n in noises} == set(NoiseKind)
     for X, rngs, z_prev in [
-        (point, np.random.default_rng(7), [1.5, 2.0]),
+        (point, stream(7), [1.5, 2.0]),
         (stack, NormalStreams([np.random.default_rng(s) for s in range(3)]),
          [np.array([0.0, 1.5, 2.0])] * 2),
     ]:
@@ -321,3 +326,23 @@ def test_row_streams_read_each_generators_own_numbers():
                         np.testing.assert_array_equal(draw.blocks[ell][r], want)
                 read += sum(dims)
             assert read > 2 * NORMAL_CHUNK
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+def test_a_point_draws_row_0_of_its_one_point_stack(kind):
+    # the oracle takes its leading shape from the point: one point's draw
+    # has the point's block shapes, and is row 0 of the draw on the stack
+    # of that one point, from the same seed
+    shapes = [BlockShape(3, 2, Geometry.SHAMPOO), BlockShape(2, 4, Geometry.MUON)]
+    problem = make_problem("logistic", shapes, seed=5)
+    omega = 0.7 if kind is NoiseKind.ADDITIVE_PLUS_MULTIPLICATIVE else 0.0
+    noise = NoiseModel(kind=kind, sigma=(0.5,), omega=omega, batch=3)
+    point = problem.x0
+    one = ProductPoint([b[None] for b in point.blocks])
+    alone = sample_gradient(problem, noise, point, 2, stream(4), z_prev_norms=[1.5, 2.0])
+    stacked = sample_gradient(problem, noise, one, 2, stream(4),
+                              z_prev_norms=[np.array([1.5]), np.array([2.0])])
+    for got, want, s in zip(alone.blocks, stacked.blocks, shapes):
+        assert got.shape == (s.rows, s.cols)
+        assert want.shape == (1, s.rows, s.cols)
+        np.testing.assert_array_equal(got, want[0])

@@ -322,7 +322,7 @@ def test_the_cost_estimate_ranks_the_tasks():
     rates = [c for c, _ in suites._rates_tasks(seed=0)]
     assert sorted(every)[-2:] == sorted(rates)
 
-    label = costs(suites._potentials_tasks, lambda task: task.args[1].split("/")[0])
+    label = costs(suites._potentials_tasks, lambda task: next(iter(task.args[1])).split("/")[0])
     assert label["shampoo"] > label["muon"] > max(label["mixed"], label["full"])
     assert min(label["mixed"], label["full"]) > max(label["adanorm"], label["diag"])
 
