@@ -47,7 +47,7 @@ from .geometries import (
     geom_precondition,
     geom_selector,
 )
-from .optimizer import MomentumMode, OptimizerConfig, mu_schedule, run_replicates, run_rows
+from .optimizer import MomentumMode, OptimizerConfig, run_replicates, run_rows
 from .problems import NoiseKind, NoiseModel, Problem
 from .psd_linalg import (
     psd_from_draws,
@@ -468,53 +468,26 @@ def audit_bounds(
     replicates: int = 1,
     context: str = "",
 ) -> AuditReport:
-    """The bounds `bounds.envelope_and_rate` publishes for this run, checked
-    against its records.
-
-    The Theta envelope and the rate bound are checked in every momentum
-    mode.  Without momentum the telescoping bound (`bounds.master_slack`)
-    is checked as well, and for M1 with an exact oracle the pathwise
-    momentum error bound
-
-        sum_j |M_j - Gt_j|^2 <= 3 L^2 eta^2 / (1-mu)^2 * sum_j mu_j^2 |Z_j|^2
-
-    Replicate means stand in for the expectations, nu_k comes from the
-    analytic budget, and each comparison gains a three-standard-error
-    allowance.  An exact oracle is the single-replicate case (nu = se = 0),
-    so every bound is asserted pathwise with float tolerance only.  When
-    the run meets no hypothesis of a published bound (envelope_and_rate
-    raises InvalidConfig), the report FAILs over all K trials with worst
-    -inf, and the context is the label plus the error.
-    """
+    """The bounds `bounds.published_bounds` gives this run, its momentum
+    mode's slack set (`PublishedBounds.slacks`), checked against its records.
+    Replicate means stand in for the expectations, each with a
+    three-standard-error allowance; an exact oracle runs one replicate
+    (nu = se = 0), so its bounds hold pathwise with float tolerance only.
+    A run that meets no hypothesis of a published bound (InvalidConfig)
+    FAILs over all K trials with worst -inf before any replicate runs, and
+    the context is the label plus the error."""
     noise = noise or NoiseModel()
-    K = config.max_iters
     try:
-        theta, rate_rhs = bounds.envelope_and_rate(problem, noise, config)
+        published = bounds.published_bounds(problem, noise, config)
     except InvalidConfig as err:
-        return _failed(name, K, context, err)
-    deterministic = noise.kind is NoiseKind.EXACT
-    res = _replicates(name, context, problem, noise, config, 1 if deterministic else replicates)
+        return _failed(name, config.max_iters, context, err)
+    res = _replicates(name, context, problem, noise, config, 1 if published.exact else replicates)
     if isinstance(res, AuditReport):
         return res
-    tr_sqrt, se_tr = res.mean["trace_sqrt_total"], 3.0 * res.se["trace_sqrt_total"]
-    slacks = {}
-    mode = config.momentum_mode
-    if mode is MomentumMode.NONE:
-        constants = bounds.bound_constants(problem, config, omega=noise.omega)
-        nu = bounds.nu_curve_analytic(noise, len(problem.shapes), K)
-        delta, se_delta = res.mean["delta_k"], 3.0 * res.se["delta_k"]
-        slacks["master"] = bounds.master_slack(constants, nu, tr_sqrt, delta, se_tr, se_delta)
-    if mode is MomentumMode.M1 and deterministic:
-        mu = np.array([mu_schedule(k, config) for k in range(K)])
-        err = np.cumsum(res.mean["mom_err_sq"])
-        zsq = np.cumsum(mu**2 * res.mean["z_dual_norm_sq"])
-        coef = 3.0 * problem.lipschitz**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
-        slacks["errE"] = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
-    slacks["theta"] = bounds.theta_slack(theta, tr_sqrt, se_tr)
-    grad, se_grad = res.mean["grad_dual_norm"], 3.0 * res.se["grad_dual_norm"]
-    slacks["rate"] = bounds.rate_slack(grad, rate_rhs, se_grad)
-    oracle = "deterministic" if deterministic else f"statistical R={replicates}"
-    return _report(name, K, TOL_PATHWISE, f"{context} [{oracle}] {problem.name}", **slacks)
+    slacks = published.slacks(res.mean, {column: 3.0 * se for column, se in res.se.items()})
+    oracle = "deterministic" if published.exact else f"statistical R={replicates}"
+    ctx = f"{context} [{oracle}] {problem.name}"
+    return _report(name, config.max_iters, TOL_PATHWISE, ctx, **slacks)
 
 
 def audit_m1_degenerate(problem: Problem, K=300, seed=0) -> AuditReport:
@@ -602,7 +575,7 @@ def audit_rate_regimes(
         th_slope = theory_exponent(config.momentum_mode, float(alpha), config.beta)
         # before the run: a problem without the constants the envelope needs
         # is a config error, which no replicate should wait for
-        _, bound = bounds.envelope_and_rate(problem, noise, config)
+        bound = bounds.published_bounds(problem, noise, config).rate
         res = _replicates(name, label, problem, noise, config, replicates)
         if isinstance(res, AuditReport):
             results.append(RateRegimeResult(float(alpha), math.nan, th_slope, False, res))

@@ -1,7 +1,7 @@
 """The published convergence bounds: constants, noise budgets, both Theta
-envelopes, the rate bound of each momentum mode (`envelope_and_rate`, what
-`adprec run` publishes), and the normalized slacks (>= 0 where a bound
-holds) that the bound audits take of record columns."""
+envelopes, the rate bound of each momentum mode and the normalized slacks
+(>= 0 where a bound holds) of record columns.  A run's momentum mode picks
+its bounds in one place, `published_bounds`, for `adprec run` and the audits."""
 
 from __future__ import annotations
 
@@ -205,11 +205,43 @@ def compute_theta_m2(
     )
 
 
-def envelope_and_rate(
-    problem: Problem, noise: NoiseModel, config: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Theta_k and the averaged-gradient rate bound for k = 0..K-1, both
-    chosen by the momentum mode of the run.
+@dataclass(frozen=True)
+class PublishedBounds:
+    """Theta_k and the averaged-gradient rate bound of one run for k < K, and
+    their inputs: the constants (M1's with its own omega), the config, whether
+    the oracle is exact, and nu, the noise curve Theta_k is evaluated on."""
+
+    theta: np.ndarray
+    rate: np.ndarray
+    constants: BoundConstants
+    config: OptimizerConfig
+    exact: bool
+    nu: np.ndarray
+
+    def slacks(self, mean, allowance) -> dict[str, np.ndarray]:
+        """The slacks of the run's published inequalities on record columns
+        `mean`, each column given the `allowance` of its name, in this key
+        order: master without momentum; errE for M1 with an exact oracle,
+            sum_j |M_j - Gt_j|^2 <= 3 L^2 eta^2 / (1-mu)^2 * sum_j mu_j^2 |Z_j|^2;
+        then theta and rate."""
+        config, mode, slacks = self.config, self.config.momentum_mode, {}
+        tr_sqrt, se_tr = mean["trace_sqrt_total"], allowance["trace_sqrt_total"]
+        if mode is MomentumMode.NONE:
+            delta, se_delta = mean["delta_k"], allowance["delta_k"]
+            slacks["master"] = master_slack(self.constants, self.nu, tr_sqrt, delta, se_tr, se_delta)
+        if mode is MomentumMode.M1 and self.exact:
+            mu = np.array([mu_schedule(k, config) for k in range(config.max_iters)])
+            err = np.cumsum(mean["mom_err_sq"])
+            zsq = np.cumsum(mu**2 * mean["z_dual_norm_sq"])
+            coef = 3.0 * self.constants.L_G**2 * config.eta**2 / (1.0 - config.mu_max) ** 2
+            slacks["errE"] = (coef * zsq - err) / (1.0 + np.maximum(err, coef * zsq))
+        slacks["theta"] = theta_slack(self.theta, tr_sqrt, se_tr)
+        slacks["rate"] = rate_slack(mean["grad_dual_norm"], self.rate, allowance["grad_dual_norm"])
+        return slacks
+
+
+def published_bounds(problem: Problem, noise: NoiseModel, config: OptimizerConfig) -> PublishedBounds:
+    """The bounds published for this run, all chosen by its momentum mode.
 
     None uses the analytic noise budget nu_k and the rate bound
     kappa_circ Theta_k / sqrt(k+1).  M1 scales nu_k, replaces omega by the
@@ -223,8 +255,8 @@ def envelope_and_rate(
     """
     K, B = config.max_iters, len(problem.shapes)
     constants = bound_constants(problem, config, omega=noise.omega)
-    mode = config.momentum_mode
-    if mode is MomentumMode.M1:
+    exact = noise.kind is NoiseKind.EXACT
+    if config.momentum_mode is MomentumMode.M1:
         if noise.omega > 0.0:
             raise InvalidConfig(
                 f"the first momentum variant's bound has no form for multiplicative "
@@ -232,15 +264,19 @@ def envelope_and_rate(
             )
         mult, omega_m1 = m1_noise_constants(constants, config.mu_max)
         m1 = replace(constants, omega=omega_m1)
-        theta = theta_curve(m1, mult * nu_curve_analytic(noise, B, K))
-        return theta, np.array([m1_rate_bound(m1, float(t), k) for k, t in enumerate(theta)])
-    if mode is MomentumMode.M2:
+        nu = mult * nu_curve_analytic(noise, B, K)
+        theta = theta_curve(m1, nu)
+        rate = np.array([m1_rate_bound(m1, float(t), k) for k, t in enumerate(theta)])
+        return PublishedBounds(theta, rate, m1, config, exact, nu)
+    if config.momentum_mode is MomentumMode.M2:
         m2 = m2_constants(constants, config.mu_max)
-        th_noise = m2_theta_noise_curve(noise, config, B)
-        theta = np.array([compute_theta_m2(constants, *m2, float(t)) for t in th_noise])
+        nu = m2_theta_noise_curve(noise, config, B)
+        theta = np.array([compute_theta_m2(constants, *m2, float(t)) for t in nu])
     else:
-        theta = theta_curve(constants, nu_curve_analytic(noise, B, K))
-    return theta, KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
+        nu = nu_curve_analytic(noise, B, K)
+        theta = theta_curve(constants, nu)
+    rate = KAPPA_CIRC * theta / np.sqrt(np.arange(K, dtype=float) + 1.0)
+    return PublishedBounds(theta, rate, constants, config, exact, nu)
 
 
 def master_slack(constants: BoundConstants, nu, tr_sqrt, delta, se_tr, se_delta) -> np.ndarray:

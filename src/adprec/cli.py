@@ -28,7 +28,7 @@ import numpy as np
 
 from .audit import audit_rate_regimes
 from .block_space import BlockShape
-from .bounds import envelope_and_rate
+from .bounds import published_bounds
 from .errors import AdprecError, InvalidConfig, NonFiniteIterate
 from .optimizer import MomentumMode, OptimizerConfig, run_replicates
 from .problems import NoiseKind, NoiseModel, make_problem
@@ -243,10 +243,10 @@ def bound_curves(exp: Experiment) -> tuple[np.ndarray, np.ndarray, str]:
     if exp.noise.kind is NoiseKind.MINI_BATCH:
         return nan, nan, "mini-batch oracle has no analytic noise budget; bound columns are NaN"
     try:
-        theta, bound = envelope_and_rate(exp.problem, exp.noise, exp.config)
+        published = published_bounds(exp.problem, exp.noise, exp.config)
     except InvalidConfig as err:
         return nan, nan, f"bound hypothesis unverified ({err}); bound columns are NaN"
-    return theta, bound, ""
+    return published.theta, published.rate, ""
 
 
 def cmd_run(config_path, out_dir) -> int:

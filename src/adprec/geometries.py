@@ -378,24 +378,3 @@ def geom_diagnostics(
     np.divide(c, rows[0], out=rows[3])
     return GeometryDiagnostics(*total(rows, axis=-1))
 
-
-def geom_state_eigenvalues(state: GeometryState) -> np.ndarray:
-    """Sorted eigenvalues of the represented preconditioner (invariant checks)."""
-    if isinstance(state, ScalarState):
-        return np.full(state.dim, state.gamma)
-    if isinstance(state, DiagonalState):
-        return np.sort(state.diag)
-    if isinstance(state, FullState):
-        return np.linalg.eigvalsh(state.gram)
-    wl = np.linalg.eigvalsh(state.lfac)
-    wr = np.linalg.eigvalsh(state.rfac)
-    return np.sort(np.sqrt(np.outer(wr, wl)).ravel())
-
-
-def kron_gamma_explicit(state: KroneckerState) -> np.ndarray:
-    """Materialized ``R**1/2 (x) L**1/2`` (audit oracle for small blocks)."""
-    wl, Ql = eigh_clamped(state.lfac)
-    wr, Qr = eigh_clamped(state.rfac)
-    lh = (Ql * np.sqrt(np.clip(wl, 0.0, None))) @ Ql.T
-    rh = (Qr * np.sqrt(np.clip(wr, 0.0, None))) @ Qr.T
-    return np.kron(rh, lh)

@@ -19,11 +19,17 @@ mu_k = mu_max / (k+1)^beta; (A, D) is (Gtilde, Gtilde) without momentum,
 (M, M) in M1 and (Gtilde, M) in M2.  Matrix powers come from
 np.linalg.eigh: a diagonal Gamma's eigenvectors are the unit vectors, and
 Shampoo's powers are its factors', (R^1/2 (x) L^1/2)^p = R^p/2 (x) L^p/2.
+
+Two oracles at the end read the package's own geometry states instead:
+the eigenvalues of the preconditioner a state represents, and Shampoo's
+Gamma materialized, for the geometry and optimizer tests.
 """
 
 import numpy as np
 
 from adprec.block_space import Geometry
+from adprec.geometries import DiagonalState, FullState, ScalarState
+from adprec.psd_linalg import eigh_clamped
 
 
 def power(S, p):
@@ -91,3 +97,28 @@ def iterates(shapes, x0, gtildes, config):
         X = [x - config.eta * b.move(d) for x, b, d in zip(X, blocks, D)]
         out.append(X)
     return out
+
+
+# -- oracles on the package's own geometry states ------------------------------
+
+
+def geom_state_eigenvalues(state) -> np.ndarray:
+    """Sorted eigenvalues of the represented preconditioner (invariant checks)."""
+    if isinstance(state, ScalarState):
+        return np.full(state.dim, state.gamma)
+    if isinstance(state, DiagonalState):
+        return np.sort(state.diag)
+    if isinstance(state, FullState):
+        return np.linalg.eigvalsh(state.gram)
+    wl = np.linalg.eigvalsh(state.lfac)
+    wr = np.linalg.eigvalsh(state.rfac)
+    return np.sort(np.sqrt(np.outer(wr, wl)).ravel())
+
+
+def kron_gamma_explicit(state) -> np.ndarray:
+    """Materialized ``R**1/2 (x) L**1/2`` of a KroneckerState (oracle for small blocks)."""
+    wl, Ql = eigh_clamped(state.lfac)
+    wr, Qr = eigh_clamped(state.rfac)
+    lh = (Ql * np.sqrt(np.clip(wl, 0.0, None))) @ Ql.T
+    rh = (Qr * np.sqrt(np.clip(wr, 0.0, None))) @ Qr.T
+    return np.kron(rh, lh)

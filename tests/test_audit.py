@@ -592,12 +592,18 @@ def test_momentum_bounds_hold_under_a_noisy_oracle(case):
     assert "theta=" in rep.context and "rate=" in rep.context and "errE=" not in rep.context
 
 
-def test_m2_deterministic_above_the_stepsize_limit_fails():
+def test_m2_deterministic_above_the_stepsize_limit_fails(monkeypatch):
     # eta = 5 is far above the hypothesis limit: a FAIL report over all K
-    # trials that names the unmet hypothesis, not an InvalidConfig
+    # trials that names the unmet hypothesis, not an InvalidConfig, and the
+    # bounds are built before the run, so no replicate runs
     problem = make_problem("quadratic", DIAG8, seed=0)
     c = cfg(max_iters=40, eta=5.0, momentum_mode=MomentumMode.M2, mu_max=0.5)
     limit = m2_eta_limit(0.5, problem.lipschitz, 1.0)
+
+    def no_run(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(audit, "run_replicates", no_run)
     rep = audit_bounds("m2-deterministic", problem, c, context="lbl")
     assert (rep.passed, rep.trials, rep.worst_violation) == (False, 40, -math.inf)
     assert rep.context == f"lbl eta=5.0 exceeds the stepsize hypothesis limit {limit:.4g}"

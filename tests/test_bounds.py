@@ -9,12 +9,12 @@ from adprec.bounds import (
     bound_constants,
     compute_theta,
     compute_theta_m2,
-    envelope_and_rate,
     kappa_0,
     m1_noise_constants,
     m2_constants,
     m2_theta_noise_curve,
     nu_curve_analytic,
+    published_bounds,
     rate_slack,
     theta_slack,
 )
@@ -135,7 +135,7 @@ def test_m2_envelope_rejects_mini_batch_oracle():
     with pytest.raises(InvalidConfig):
         m2_theta_noise_curve(noise, c, len(DIAG8))
     with pytest.raises(InvalidConfig):
-        envelope_and_rate(problem, noise, c)
+        published_bounds(problem, noise, c)
     np.testing.assert_array_equal(m2_theta_noise_curve(NoiseModel(), c, 1), np.zeros(20))
 
 
@@ -151,7 +151,7 @@ def test_m2_envelope_counts_multiplicative_noise():
     # oracle must lift the published envelope above the additive-only one
     problem = make_problem("quadratic", DIAG8, seed=7)
     c = cfg(max_iters=5, eta=0.25, momentum_mode=MomentumMode.M2, mu_max=0.5)
-    last = {om: envelope_and_rate(problem, multiplicative(om), c)[0][-1] for om in (0.0, 5.0)}
+    last = {om: published_bounds(problem, multiplicative(om), c).theta[-1] for om in (0.0, 5.0)}
     assert last[5.0] > last[0.0]
 
 
@@ -162,17 +162,16 @@ def test_m1_envelope_has_no_multiplicative_form():
     problem = make_problem("quadratic", DIAG8, seed=7)
     c = cfg(max_iters=5, momentum_mode=MomentumMode.M1, mu_max=0.5)
     additive = NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(1.0,))
-    theta, rate = envelope_and_rate(problem, multiplicative(0.0), c)
-    want_theta, want_rate = envelope_and_rate(problem, additive, c)
-    np.testing.assert_array_equal(theta, want_theta)
-    np.testing.assert_array_equal(rate, want_rate)
+    got, want = published_bounds(problem, multiplicative(0.0), c), published_bounds(problem, additive, c)
+    np.testing.assert_array_equal(got.theta, want.theta)
+    np.testing.assert_array_equal(got.rate, want.rate)
     with pytest.raises(InvalidConfig, match="multiplicative"):
-        envelope_and_rate(problem, multiplicative(5.0), c)
+        published_bounds(problem, multiplicative(5.0), c)
     # without momentum the multiplicative level still enters the envelope
     free = cfg(max_iters=5)
     assert (
-        envelope_and_rate(problem, multiplicative(5.0), free)[0][-1]
-        > envelope_and_rate(problem, multiplicative(0.0), free)[0][-1]
+        published_bounds(problem, multiplicative(5.0), free).theta[-1]
+        > published_bounds(problem, multiplicative(0.0), free).theta[-1]
     )
 
 
@@ -196,3 +195,23 @@ def test_rate_slack_hand_values():
     np.testing.assert_array_equal(
         rate_slack(np.array([1.0, 3.0, 5.0]), np.full(3, 2.0)), [1 / 3, 0.0, -1 / 3]
     )
+
+
+@pytest.mark.parametrize(
+    "mode, noise, keys",
+    [
+        (MomentumMode.NONE, NoiseModel(), ["master", "theta", "rate"]),
+        (MomentumMode.M1, NoiseModel(), ["errE", "theta", "rate"]),
+        (MomentumMode.M1, NoiseModel(kind=NoiseKind.ADDITIVE_DECAYING, sigma=(0.5,)), ["theta", "rate"]),
+        (MomentumMode.M2, NoiseModel(), ["theta", "rate"]),
+    ],
+    ids=["none", "m1-exact", "m1-additive", "m2"],
+)
+def test_published_slack_sets(mode, noise, keys):
+    # the momentum mode picks its slack set in bounds alone, in this key order
+    problem = make_problem("quadratic", DIAG8, seed=7)
+    published = published_bounds(problem, noise, cfg(max_iters=5, eta=0.25, momentum_mode=mode, mu_max=0.5))
+    columns = ("trace_sqrt_total", "delta_k", "grad_dual_norm", "mom_err_sq", "z_dual_norm_sq")
+    mean = {column: np.ones(5) for column in columns}
+    allowance = {column: np.zeros(5) for column in columns}
+    assert list(published.slacks(mean, allowance)) == keys

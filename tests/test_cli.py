@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from adprec.block_space import ProductPoint
-from adprec.bounds import bound_constants, m1_noise_constants, m1_rate_bound
+from adprec.bounds import bound_constants, m1_noise_constants, m1_rate_bound, published_bounds
 from adprec.cli import example_config, format_column, main, parse_experiment
 from adprec.errors import InvalidConfig, NonFiniteIterate
 
@@ -180,6 +180,7 @@ def test_m1_bound_curve_is_the_audited_rate_bound(tmp_path):
     _, omega_m1 = m1_noise_constants(constants, exp.config.mu_max)
     m1 = replace(constants, omega=omega_m1)
     assert bound == [m1_rate_bound(m1, t, k) for k, t in enumerate(theta)]
+    assert bound == list(published_bounds(exp.problem, exp.noise, exp.config).rate)
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -17,11 +17,10 @@ from adprec.geometries import (
     geom_lmap_trace,
     geom_precondition,
     geom_selector,
-    geom_state_eigenvalues,
     geom_step_direction,
-    kron_gamma_explicit,
 )
 from adprec.psd_linalg import psd_power
+from reference import geom_state_eigenvalues, kron_gamma_explicit
 
 ALL_GEOMETRIES = list(Geometry)
 

@@ -132,8 +132,6 @@ PROGRAM_READERS = sorted(
 )
 # definitions that only tests read, each kept for a reason
 TEST_ONLY = {
-    "geom_state_eigenvalues": "oracle the geometry and optimizer tests check states against",
-    "kron_gamma_explicit": "materialized Shampoo preconditioner the tests compare against",
     "example_config": "the config schema that the cli docstring points to",
 }
 
@@ -144,6 +142,42 @@ def test_no_test_only_definitions(path):
     dead = dead_definitions(path.read_text(), readers)
     unlisted = [d for d in dead if d.rpartition(" ")[2] not in TEST_ONLY]
     assert not unlisted, f"{path.name}: definitions only tests use: {', '.join(unlisted)}"
+
+
+# what builds a published bound or its slack set, which audit leaves to bounds
+BOUND_BUILDERS = ("bound_constants", "nu_curve_analytic", "master_slack", "mu_schedule")
+
+
+def lipschitz_reads(source: str) -> list[str]:
+    """Where `source` reads a `.lipschitz` attribute, each as
+    "<top-level definition>: line <n>"."""
+    return [
+        f"{getattr(top, 'name', '<module>')}: line {node.lineno}"
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "lipschitz"
+    ]
+
+
+def test_bound_owner_detectors():
+    src = (
+        "from .optimizer import mu_schedule\n\ndef f(p):\n    return p.lipschitz\n\n"
+        "class C:\n    L = bounds.master_slack(q.lipschitz)\n\nx = r.lipschitz_bound\n"
+    )
+    assert lipschitz_reads(src) == ["f: line 4", "C: line 7"]
+    assert set(BOUND_BUILDERS) & source_names(src) == {"mu_schedule", "master_slack"}
+
+
+def test_the_published_bounds_have_one_owner():
+    # bounds.published_bounds maps a momentum mode to its bounds and slack
+    # set: audit reads no Lipschitz constant and builds no bound itself, and
+    # in bounds only bound_constants reads the problem's Lipschitz constant
+    audit_source = (SRC / "audit.py").read_text()
+    assert not lipschitz_reads(audit_source)
+    named = sorted(set(BOUND_BUILDERS) & source_names(audit_source))
+    assert not named, f"audit.py names {', '.join(named)}"
+    readers = {w.partition(":")[0] for w in lipschitz_reads((SRC / "bounds.py").read_text())}
+    assert readers == {"bound_constants"}, readers
 
 
 def layout_modules(readme: str) -> set[str]:

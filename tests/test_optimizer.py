@@ -299,7 +299,7 @@ def test_replicate_averaging_reduces_noise():
 
 def test_state_floor_holds_along_trajectories():
     # the preconditioner never drops below its initialization level
-    from adprec.geometries import geom_state_eigenvalues
+    from reference import geom_state_eigenvalues
 
     varsigma = 0.6
     for shapes, kind in [
@@ -1220,15 +1220,18 @@ VEC_REPLICATES = RECORD_SPACES["vec_replicates"]
 @pytest.mark.parametrize(
     "cpus, blas_threads, runs",
     [(2, "1", "potentials"), (2, "1", "vec_replicates"), (1, "1", "matrix_blocks"),
-     (2, None, "matrix_blocks"), (2, "0", "matrix_blocks")],
+     (2, None, "matrix_blocks"), (2, "0", "matrix_blocks"), (2, "²", "matrix_blocks"),
+     (2, "١", "matrix_blocks")],
     ids=["potentials", "vec_replicates", "matrix_blocks-one-cpu", "matrix_blocks-blas-on-every-cpu",
-         "matrix_blocks-blas-threads-0"],
+         "matrix_blocks-blas-threads-0", "matrix_blocks-blas-threads-²",
+         "matrix_blocks-blas-threads-١"],
 )
 def test_the_serial_side_never_starts_the_worker(monkeypatch, cpus, blas_threads, runs):
     # below the size threshold (the potentials suite's six stacks, as the
     # suite runs them, and vec_replicates' stack of 16), on one CPU, and with
     # BLAS on every CPU (OPENBLAS_NUM_THREADS unset, or 0, which OpenBLAS
-    # reads as unset), every factorization runs on the calling thread
+    # reads as unset, or digits other than ASCII ones, which its atoi does
+    # not read), every factorization runs on the calling thread
     set_cpus(monkeypatch, cpus, blas_threads)
     monkeypatch.setattr(_second_cpu, "_worker", None)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refused_worker)
